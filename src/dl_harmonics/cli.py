@@ -107,14 +107,14 @@ def _cmd_dirichlet_solve(args) -> int:
         "alpha": frac_str(alpha),
     }
     code = 0
+    table = dct.hitting_table(chain)
+    out["row_sums_one"] = True  # verified exactly inside hitting_table
     if args.check_product:
-        report = dct.verify_product_formula(chain)
+        report = dct.verify_product_formula(chain, table=table)
         out["product_checked"] = report.checked
         out["product_discrepancies"] = len(report.discrepancies)
         if report.discrepancies:
             code = 1
-    table = dct.hitting_table(chain)
-    out["row_sums_one"] = True  # verified exactly inside hitting_table
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(table_to_json(table), fh, **_J)
@@ -382,6 +382,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except AssertionError as exc:
+        # an exact verification inside the library failed
+        _emit({"error": str(exc)})
+        return 1
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,10 +13,14 @@ product walk.  Sizes: ``|S| = sum_{k=-n}^{n} q^{n+k} r^{n-k}`` and
 ``|bd S| = q^{2n} + r^{2n}``.
 
 ``hitting_table`` solves the boundary-hitting system exactly: unknowns are the
-interior values of ``F(., y)`` for every boundary ``y`` at once; rows are
-scaled to integers and eliminated fraction-free (Bareiss), and the result is
-verified against the sparse defining equations -- the residual is identically
-zero, every solve.
+interior values of ``F(., y)`` for every boundary ``y`` at once.  Rows are
+scaled to integers and eliminated modulo 31-bit primes (vectorised int64
+Gauss-Jordan); the residues are combined by CRT and rational reconstruction
+(Wang) turns them into fractions.  A table is accepted only when it passes
+the exact integer check against the sparse defining equations (Kronecker
+boundary rows, unit row sums, residual identically zero); otherwise another
+prime is added, up to Hadamard's bound, beyond which the reconstruction is
+unique.
 
 On a single tree the same probabilities factor over geodesic edges.  The
 per-level factors obey scalar recursions (``d_k``: reach the predecessor from
@@ -35,8 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import gcd
+from math import gcd, isqrt, lcm, prod
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from .dl_graph import DLParams, DLVertex
 from .tree import ROOT, TreeEnd, TreeVertex, confluent_omega, predecessor, successor
@@ -77,7 +83,11 @@ class FiniteChain:
 
     @property
     def index(self) -> dict:
-        return {v: i for i, v in enumerate(self.vertices)}
+        """Position of each vertex in ``vertices``, built on first use."""
+        cache = self.__dict__
+        if "_index" not in cache:
+            cache["_index"] = {v: i for i, v in enumerate(self.vertices)}
+        return cache["_index"]
 
 
 @dataclass(frozen=True)
@@ -194,67 +204,163 @@ class HittingTable:
 
     @property
     def boundary_index(self) -> dict:
-        return {y: b for b, y in enumerate(self.chain.boundary)}
+        """Column of each boundary vertex, built on first use."""
+        cache = self.__dict__
+        if "_boundary_index" not in cache:
+            cache["_boundary_index"] = {y: b for b, y in enumerate(self.chain.boundary)}
+        return cache["_boundary_index"]
 
     def value(self, x, y) -> Fraction:
         return self.rows[self.chain.index[x]][self.boundary_index[y]]
 
 
-def _bareiss_solve(a_rows: list[list[int]], b_rows: list[list[int]]) -> list[list[Fraction]]:
-    """Solve ``A X = B`` exactly; fraction-free elimination, rational back-solve."""
-    m = len(a_rows)
-    nb = len(b_rows[0]) if m else 0
-    M = [a_rows[i] + b_rows[i] for i in range(m)]
-    prev = 1
+# Moduli of the multi-modular solve: the largest primes below 2**31, so that
+# the product of two residues fits in an int64.
+_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579,
+    2147483563, 2147483549, 2147483543, 2147483497,
+)
+
+
+def _moduli():
+    """The hard-coded primes, then ever smaller primes by trial division."""
+    yield from _PRIMES
+    p = _PRIMES[-1]
+    while True:
+        p -= 2
+        if all(p % f for f in range(3, isqrt(p) + 1, 2)):
+            yield p
+
+
+def _eliminate(aug: np.ndarray, m: int, p: int):
+    """Gauss-Jordan on ``[A | B]`` (residues mod ``p``, reduced in place).
+
+    Returns ``A^-1 B mod p``, or None when a column has no nonzero pivot,
+    i.e. when ``p`` divides ``det A``.  Products of two residues stay below
+    2**62, so every step is exact in int64.
+    """
     for k in range(m):
-        if M[k][k] == 0:
-            for i in range(k + 1, m):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    break
-            else:
+        nz = np.flatnonzero(aug[k:, k])
+        if not nz.size:
+            return None
+        if nz[0]:
+            aug[[k, k + nz[0]]] = aug[[k + nz[0], k]]
+        aug[k, k:] = aug[k, k:] * pow(int(aug[k, k]), -1, p) % p
+        below = k + 1 + np.flatnonzero(aug[k + 1 :, k])
+        if below.size:
+            aug[below, k:] = (aug[below, k:] - aug[below, k, None] * aug[k, k:]) % p
+    # The left block is now unit upper triangular: clear it column by column
+    # from the right, carrying only the right-hand sides.
+    for k in range(m - 1, 0, -1):
+        above = np.flatnonzero(aug[:k, k])
+        if above.size:
+            aug[above, m:] = (aug[above, m:] - aug[above, k, None] * aug[k, m:]) % p
+    return aug[:, m:]
+
+
+def _denominator(x: int, modulus: int, bound: int) -> int | None:
+    """Rational reconstruction (Wang): the denominator ``d <= bound`` of the
+    fraction ``n / d`` with ``|n| <= bound`` congruent to ``x``, or None."""
+    r0, r1, t0, t1 = modulus, x, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+    if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return abs(t1)
+
+
+def _reconstruct(residues: np.ndarray, modulus: int):
+    """Rationals congruent to ``residues``, each column over one common
+    denominator, with numerators and denominators at most
+    ``isqrt(modulus // 2)``; None when no such candidate exists."""
+    bound = isqrt(modulus // 2)
+    half = modulus // 2
+    dens = np.ones(residues.shape[1], dtype=object)
+    while True:
+        nums = residues * dens % modulus
+        nums = np.where(nums > half, nums - modulus, nums)
+        big = (nums > bound) | (nums < -bound)
+        cols = np.flatnonzero(big.any(axis=0))
+        if not cols.size:
+            return [[Fraction(n, d) for n, d in zip(row, dens)] for row in nums.tolist()]
+        for b in cols:
+            i = int(np.argmax(big[:, b]))
+            e = _denominator(int(nums[i, b]) % modulus, modulus, bound)
+            if e is None or dens[b] * e > bound:
+                return None
+            dens[b] *= e
+
+
+def _modular_solve(system: list[dict[int, int]], m: int, nb: int, accept: Callable):
+    """Solve ``A X = B`` exactly for an integer system given row by row:
+    ``system[i][j]`` is entry ``j`` of row ``i`` of ``A | B`` (``A`` in the
+    first ``m`` columns, ``B`` in the last ``nb``).
+
+    ``X`` is eliminated modulo one prime after another, combined by CRT and
+    reconstructed as rationals.  Each candidate goes to ``accept``, which
+    returns the certified result or raises AssertionError; a rejected
+    candidate, or a failed reconstruction, adds a prime, and a prime that
+    divides ``det A`` is skipped.  Hadamard's bound caps the work: once the
+    skipped primes multiply past ``|det A| <= prod_i |A_i|``, ``A`` is
+    singular; once the used primes multiply past ``2 prod_i |(A | B)_i|^2``,
+    which bounds every minor and hence every numerator and denominator of
+    ``X``, the reconstruction is unique and a rejection is final.
+    """
+    rows = np.array([i for i, eq in enumerate(system) for _ in eq], dtype=np.intp)
+    cols = np.array([j for eq in system for j in eq], dtype=np.intp)
+    vals = np.array([v for eq in system for v in eq.values()], dtype=object)
+    det_bound_sq = prod(sum(v * v for j, v in eq.items() if j < m) for eq in system)
+    minor_bound_sq = prod(sum(v * v for v in eq.values()) for eq in system)
+    modulus, residues, skipped = 1, None, 1
+    for p in _moduli():
+        aug = np.zeros((m, m + nb), dtype=np.int64)
+        aug[rows, cols] = (vals % p).astype(np.int64)
+        x = _eliminate(aug, m, p)
+        if x is None:
+            skipped *= p
+            if skipped * skipped > det_bound_sq:
                 raise ValueError("singular system")
-        pk = M[k][k]
-        for i in range(k + 1, m):
-            mik = M[i][k]
-            row_i, row_k = M[i], M[k]
-            if mik == 0:
-                for j in range(k + 1, m + nb):
-                    row_i[j] = row_i[j] * pk // prev
-            else:
-                for j in range(k + 1, m + nb):
-                    row_i[j] = (row_i[j] * pk - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    X = [[Fraction(0)] * nb for _ in range(m)]
-    for i in range(m - 1, -1, -1):
-        for b in range(nb):
-            acc = Fraction(M[i][m + b])
-            for j in range(i + 1, m):
-                if M[i][j]:
-                    acc -= M[i][j] * X[j][b]
-            X[i][b] = acc / M[i][i]
-    return X
+            continue
+        if residues is None:
+            residues = x.astype(object)
+        else:
+            lift = (x - (residues % p).astype(np.int64)) % p * pow(modulus, -1, p) % p
+            residues = residues + modulus * lift.astype(object)
+        modulus *= p
+        final = modulus // 2 >= minor_bound_sq
+        candidate = _reconstruct(residues, modulus)
+        if candidate is None:
+            if final:
+                raise AssertionError("rational reconstruction failed within the Hadamard bound")
+            continue
+        try:
+            return accept(candidate)
+        except AssertionError:
+            if final:
+                raise
 
 
-def hitting_table(chain: FiniteChain, op=None, verify: bool = True) -> HittingTable:
-    """Solve for all boundary columns at once and verify the solution.
+def hitting_table(chain: FiniteChain, op=None) -> HittingTable:
+    """Solve for all boundary columns at once and certify the solution.
 
-    Postconditions checked exactly: boundary rows are Kronecker deltas, every
-    row sums to 1, and the defining sparse equations hold with residual zero.
+    A table is accepted only when these postconditions hold exactly:
+    boundary rows are Kronecker deltas, every row sums to 1, and the
+    defining sparse equations hold with residual zero.
     """
     if op is None:
         op = default_operator(chain)
     index = chain.index
-    n_all = len(chain.vertices)
     nb = len(chain.boundary)
     b_index = {y: b for b, y in enumerate(chain.boundary)}
     interior = chain.interior
     i_index = {v: i for i, v in enumerate(interior)}
     m = len(interior)
 
-    # Sparse transition rows restricted to the chain, kept for verification.
-    sparse_rows: list[list[tuple[int, Fraction]]] = []
+    # Each interior row scaled to integers, ``denom F(v, .) = sum_w s F(w, .)``
+    # over vertex positions (kept for verification), and as a row of A | B.
+    scaled_rows: list[tuple[int, int, list[tuple[int, int]]]] = []
+    system: list[dict[int, int]] = []
     for v in interior:
         row = []
         for w, p in op.transitions(v):
@@ -262,57 +368,49 @@ def hitting_table(chain: FiniteChain, op=None, verify: bool = True) -> HittingTa
             if j is None:
                 raise ValueError("operator leaves the chain from an interior vertex")
             row.append((j, p))
-        sparse_rows.append(row)
-
-    a_rows: list[list[int]] = []
-    b_rows: list[list[int]] = []
-    for i, v in enumerate(interior):
-        denom = 1
-        for _, p in sparse_rows[i]:
-            denom = denom * p.denominator // gcd(denom, p.denominator)
-        arow = [0] * m
-        brow = [0] * nb
-        arow[i_index[v]] = denom
-        for w_idx, p in sparse_rows[i]:
-            w = chain.vertices[w_idx]
-            scaled = int(p * denom)
+        denom = lcm(*(p.denominator for _, p in row))
+        terms = [(j, p.numerator * (denom // p.denominator)) for j, p in row]
+        scaled_rows.append((index[v], denom, terms))
+        eq = {i_index[v]: denom}
+        for j, s in terms:
+            w = chain.vertices[j]
             if w in i_index:
-                arow[i_index[w]] -= scaled
+                eq[i_index[w]] = eq.get(i_index[w], 0) - s
             else:
-                brow[b_index[w]] += scaled
-        a_rows.append(arow)
-        b_rows.append(brow)
+                eq[m + b_index[w]] = eq.get(m + b_index[w], 0) + s
+        system.append(eq)
 
-    X = _bareiss_solve(a_rows, b_rows) if m else []
+    one, zero = Fraction(1), Fraction(0)
+    delta = {y: tuple(one if c == b else zero for c in range(nb)) for y, b in b_index.items()}
 
-    rows: list[tuple[Fraction, ...]] = []
-    for v in chain.vertices:
-        if v in b_index:
-            rows.append(tuple(Fraction(1) if b == b_index[v] else Fraction(0) for b in range(nb)))
-        else:
-            rows.append(tuple(X[i_index[v]]))
+    def accept(x: list[list[Fraction]]) -> HittingTable:
+        rows = tuple(
+            delta[v] if v in delta else tuple(x[i_index[v]]) for v in chain.vertices
+        )
+        table = HittingTable(chain, rows)
+        _verify_table(table, scaled_rows)
+        return table
 
-    table = HittingTable(chain, tuple(rows))
-    if verify:
-        _verify_table(table, sparse_rows)
-    return table
+    return _modular_solve(system, m, nb, accept)
 
 
-def _verify_table(table: HittingTable, sparse_rows) -> None:
+def _verify_table(table: HittingTable, scaled_rows) -> None:
+    """Check the postconditions exactly, in integers: each boundary column
+    goes over one common denominator, and rows are compared entry by entry."""
     chain = table.chain
-    nb = len(chain.boundary)
-    for row in table.rows:
-        if sum(row) != 1:
-            raise AssertionError("hitting probabilities of a row do not sum to 1")
-    for i, v in enumerate(chain.interior):
-        lhs = table.rows[chain.index[v]]
-        acc = [Fraction(0)] * nb
-        for j, p in sparse_rows[i]:
-            target_row = table.rows[j]
-            for b in range(nb):
-                if target_row[b]:
-                    acc[b] += p * target_row[b]
-        if tuple(acc) != tuple(lhs):
+    index = chain.index
+    nums = np.array([[x.numerator for x in row] for row in table.rows], dtype=object)
+    dens = np.array([[x.denominator for x in row] for row in table.rows], dtype=object)
+    common = np.lcm.reduce(dens, axis=0)
+    ints = nums * (common // dens)  # entry (x, b) times common[b]
+    at_boundary = ints[[index[y] for y in chain.boundary]]
+    if not (at_boundary == np.diag(common)).all():
+        raise AssertionError("boundary rows of the hitting table are not Kronecker deltas")
+    total = np.lcm.reduce(common)
+    if not ((ints * (total // common)).sum(axis=1) == total).all():
+        raise AssertionError("hitting probabilities of a row do not sum to 1")
+    for v, denom, terms in scaled_rows:
+        if not (sum(s * ints[j] for j, s in terms) == denom * ints[v]).all():
             raise AssertionError("exact residual of the Dirichlet solve is nonzero")
 
 
@@ -395,7 +493,9 @@ class ProductReport:
     discrepancies: tuple
 
 
-def verify_product_formula(chain: FiniteChain, op=None) -> ProductReport:
+def verify_product_formula(
+    chain: FiniteChain, op=None, table: HittingTable | None = None
+) -> ProductReport:
     """Cross-check the product identity on the two boundary slabs.
 
     ``F(x1 x2, (y1, a2)) = F1(x1, y1)`` and ``F(x1 x2, (a1, y2)) = F2(x2, y2)``
@@ -404,7 +504,8 @@ def verify_product_formula(chain: FiniteChain, op=None) -> ProductReport:
     """
     if chain.kind != "dl":
         raise ValueError("the product identity lives on the product chain")
-    table = hitting_table(chain, op)
+    if table is None:
+        table = hitting_table(chain, op)
     n, params, alpha = chain.n, chain.params, chain.alpha
     checked = 0
     bad = []

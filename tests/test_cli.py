@@ -246,3 +246,16 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert code == 2 and "config" in err
     code, _, err = run(capsys, "dirichlet-solve", "--q", "1")
     assert code == 2
+
+
+def test_failed_exact_check_exits_1(monkeypatch, capsys):
+    from dl_harmonics import dirichlet
+
+    def reject(table, scaled_rows):
+        raise AssertionError("exact residual of the Dirichlet solve is nonzero")
+
+    monkeypatch.setattr(dirichlet, "_verify_table", reject)
+    code, out, err = run(capsys, "dirichlet-solve", "--n", "1")
+    assert code == 1
+    assert json.loads(out) == {"error": "exact residual of the Dirichlet solve is nonzero"}
+    assert "Traceback" not in out + err

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from dl_harmonics import dirichlet as dct
 from dl_harmonics.dirichlet import (
     TruncationStage,
     build_truncation,
@@ -27,38 +29,49 @@ HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
 
+def gauss_jordan(a, b):
+    """Independent oracle: ``A^-1 B`` by Gauss-Jordan over Fractions, no
+    shared code with the package's modular solver; None if A is singular."""
+    m = len(a)
+    aug = [[Fraction(x) for x in a[i] + b[i]] for i in range(m)]
+    for col in range(m):
+        piv = next((i for i in range(col, m) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for i in range(m):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [row[m:] for row in aug]
+
+
 def solve_dense(chain, op):
-    """Independent oracle: Gauss-Jordan over Fractions, no shared code with
-    the package's fraction-free solver."""
+    """The hitting table by ``gauss_jordan`` on the unscaled system."""
     interior = list(chain.interior)
     pos = {v: i for i, v in enumerate(interior)}
     bpos = {y: b for b, y in enumerate(chain.boundary)}
     m = len(interior)
     nb = len(chain.boundary)
-    aug = [[Fraction(0)] * (m + nb) for _ in range(m)]
+    a = [[Fraction(0)] * m for _ in range(m)]
+    b = [[Fraction(0)] * nb for _ in range(m)]
     for i, v in enumerate(interior):
-        aug[i][i] += 1
+        a[i][i] += 1
         for w, p in op.transitions(v):
             if w in pos:
-                aug[i][pos[w]] -= p
+                a[i][pos[w]] -= p
             else:
-                aug[i][m + bpos[w]] += p
-    for col in range(m):
-        piv = next(i for i in range(col, m) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+                b[i][bpos[w]] += p
+    x = gauss_jordan(a, b)
     out = {}
     for y in chain.boundary:
         for z in chain.boundary:
             out[(y, z)] = Fraction(1 if y == z else 0)
     for i, v in enumerate(interior):
         for y in chain.boundary:
-            out[(v, y)] = aug[i][m + bpos[y]]
+            out[(v, y)] = x[i][bpos[y]]
     return out
 
 
@@ -80,6 +93,21 @@ def test_truncation_validation():
         build_truncation(9, DLParams(2, 2), HALF, "dl")  # larger than the cap
     with pytest.raises(ValueError):
         build_truncation(1, DLParams(2, 2), HALF, "cube")
+
+
+def test_lookup_dicts_built_once():
+    c = build_truncation(1, DLParams(2, 2), HALF, "dl")
+    fresh = build_truncation(1, DLParams(2, 2), HALF, "dl")
+    assert c.index is c.index
+    assert c.index == {v: i for i, v in enumerate(c.vertices)}
+    t = hitting_table(c)
+    assert t.boundary_index is t.boundary_index
+    assert t.boundary_index == {y: b for b, y in enumerate(c.boundary)}
+    # the cached dicts take no part in equality or hashing
+    assert c == fresh and hash(c) == hash(fresh)
+    other = dct.HittingTable(fresh, t.rows)
+    assert t == other and hash(t) == hash(other)
+    assert repr(c) == repr(fresh)
 
 
 def test_golden_row_at_origin():
@@ -321,3 +349,160 @@ def test_exact_rank():
         [martin_kernel_tree(1, v, xi, HALF, p) for v in pts] for xi in ends
     ]
     assert exact_rank(rows) == len(ends)
+
+
+# ---------------------------------------------------------------------------
+# The multi-modular solver.
+
+
+def as_system(a, b):
+    """``A | B`` row by row, as the solver takes it."""
+    return [{j: x for j, x in enumerate(a[i] + b[i]) if x} for i in range(len(a))]
+
+
+def exact_residual(a, b):
+    def accept(x):
+        for i, row in enumerate(a):
+            for c in range(len(b[i])):
+                if sum(row[j] * x[j][c] for j in range(len(row))) != b[i][c]:
+                    raise AssertionError("residual")
+        return x
+
+    return accept
+
+
+def modular_solve(a, b):
+    return dct._modular_solve(as_system(a, b), len(a), len(b[0]), exact_residual(a, b))
+
+
+@pytest.fixture
+def primes_used(monkeypatch):
+    """Every modulus the solver eliminates with, and whether it was skipped."""
+    used = []
+    eliminate = dct._eliminate
+
+    def recording(aug, m, p):
+        x = eliminate(aug, m, p)
+        used.append((p, x is None))
+        return x
+
+    monkeypatch.setattr(dct, "_eliminate", recording)
+    return used
+
+
+@st.composite
+def integer_systems(draw):
+    m = draw(st.integers(1, 5))
+    nb = draw(st.integers(1, 3))
+    size = draw(st.sampled_from((1, 100, 10**12)))
+    entry = st.integers(-size, size)
+    a = [[draw(entry) for _ in range(m)] for _ in range(m)]
+    b = [[draw(entry) for _ in range(nb)] for _ in range(m)]
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_systems())
+@example(([[0, 1], [1, 0]], [[1], [2]]))  # the first pivot needs a row swap
+def test_modular_solve_equals_gauss_jordan(system):
+    a, b = system
+    want = gauss_jordan(a, b)
+    assume(want is not None)
+    assert modular_solve(a, b) == want
+
+
+def test_large_denominator_alpha_needs_several_primes(primes_used):
+    alpha = Fraction(12345, 67891)
+    for p, n, kind in ((DLParams(2, 2), 1, "dl"), (DLParams(2, 2), 2, "tree1")):
+        primes_used.clear()
+        c = build_truncation(n, p, alpha, kind)
+        t = hitting_table(c)
+        assert len(primes_used) > 1
+        want = solve_dense(c, dct.default_operator(c))
+        for x in c.vertices:
+            for y in c.boundary:
+                assert t.value(x, y) == want[(x, y)]
+
+
+def test_prime_dividing_the_determinant_is_skipped(primes_used):
+    p0 = dct._PRIMES[0]
+    a = [[2, 1], [1, (p0 + 1) // 2]]  # det = p0
+    b = [[1], [0]]
+    assert modular_solve(a, b) == gauss_jordan(a, b)
+    assert primes_used[0] == (p0, True)
+    assert not any(skipped for _, skipped in primes_used[1:])
+
+
+def test_singular_system_raises():
+    with pytest.raises(ValueError, match="singular"):
+        modular_solve([[1, 2], [2, 4]], [[1], [2]])
+    # Hadamard's bound here outgrows the product of the hard-coded primes,
+    # so the proof of singularity draws further primes
+    k = 2**400
+    with pytest.raises(ValueError, match="singular"):
+        modular_solve([[k, k], [k, k]], [[1], [1]])
+
+
+def _is_prime(n):
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_moduli_are_primes_below_2_to_31():
+    moduli = dct._moduli()
+    first = [next(moduli) for _ in range(len(dct._PRIMES) + 3)]
+    assert tuple(first[: len(dct._PRIMES)]) == dct._PRIMES
+    assert all(_is_prime(p) and p < 2**31 for p in first)
+    assert len(set(first)) == len(first)
+
+
+def test_rejected_table_is_final_at_the_hadamard_bound(monkeypatch):
+    def reject(table, scaled_rows):
+        raise AssertionError("exact residual of the Dirichlet solve is nonzero")
+
+    monkeypatch.setattr(dct, "_verify_table", reject)
+    with pytest.raises(AssertionError, match="residual"):
+        hitting_table(build_truncation(1, DLParams(2, 2), HALF, "dl"))
+
+
+def test_verify_table_catches_each_defect(monkeypatch):
+    seen = []
+    verify = dct._verify_table
+
+    def recording(table, scaled_rows):
+        seen.append(scaled_rows)
+        verify(table, scaled_rows)
+
+    monkeypatch.setattr(dct, "_verify_table", recording)
+    c = build_truncation(1, DLParams(2, 3), THIRD, "dl")
+    table = hitting_table(c)
+    scaled_rows = seen[-1]
+
+    def tampered(v, change):
+        rows = list(table.rows)
+        i = c.index[v]
+        rows[i] = change(list(rows[i]))
+        return dct.HittingTable(c, tuple(rows))
+
+    def moved(row):
+        # shift mass between two columns: the row sum stays 1
+        b = next(b for b, x in enumerate(row) if x)
+        row[b] -= Fraction(1, 10**9)
+        row[b - 1] += Fraction(1, 10**9)
+        return tuple(row)
+
+    x = c.interior[0]
+    y = c.boundary[0]
+    for bad, message in (
+        (tampered(x, moved), "residual"),
+        (tampered(x, lambda row: (row[0] + 1, *row[1:])), "sum to 1"),
+        (tampered(y, lambda row: tuple(reversed(row))), "Kronecker"),
+    ):
+        with pytest.raises(AssertionError, match=message):
+            verify(bad, scaled_rows)
