@@ -60,6 +60,9 @@ def _cmd_kernel_eval(args) -> int:
     params = _params(args)
     end = tr.end_from_json(_load_json_arg(args.end))
     x = tr.vertex_from_json(_load_json_arg(args.at))
+    branch = params.q if args.side == 1 else params.r
+    tr.check_labels(end, branch)
+    tr.check_labels(x, branch)
     value = kn.martin_kernel_tree(args.side, x, end, _frac(args.alpha), params)
     _emit({"value": frac_str(value), "side": args.side, "alpha": frac_str(_frac(args.alpha))})
     return 0

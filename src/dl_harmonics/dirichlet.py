@@ -38,8 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _cartesian
 from math import gcd, isqrt, lcm, prod
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -426,21 +428,38 @@ def _chain_rate(chain: FiniteChain) -> tuple[Fraction, int]:
     raise ValueError("closed-form factors live on tree chains")
 
 
-def edge_factors(n: int, branch: int, up: Fraction) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+def edge_factors(n: int, branch: int, up: Fraction) -> tuple[Mapping[int, Fraction], Mapping[int, Fraction]]:
     """Per-level edge probabilities inside the stage-``n`` tree truncation.
 
     ``d[k]``: from a level-``k`` vertex, reach its predecessor before the
     boundary (defined for ``-n < k <= n``); ``u[k]``: reach one fixed
-    successor (defined for ``-n <= k < n``).
+    successor (defined for ``-n <= k < n``).  Both are read-only views of
+    one cached result per ``(n, branch, up)``; ``up`` is made a Fraction
+    first, so that equal rates (``"1/2"``, ``Fraction(1, 2)``) share one.
     """
-    up = Fraction(up)
+    return _edge_factors(n, branch, Fraction(up))
+
+
+@lru_cache(maxsize=256)
+def _edge_factors(n: int, branch: int, up: Fraction):
     d: dict[int, Fraction] = {n: Fraction(0)}
     for k in range(n - 1, -n, -1):
         d[k] = (1 - up) / (1 - up * d[k + 1])
     u: dict[int, Fraction] = {-n: Fraction(0)}
     for k in range(-n + 1, n):
         u[k] = (up / branch) / (1 - (1 - up) * u[k - 1] - up * (branch - 1) * d[k + 1] / branch)
-    return d, u
+    return MappingProxyType(d), MappingProxyType(u)
+
+
+def _geodesic_product(d: Mapping, u: Mapping, x: TreeVertex, y: TreeVertex) -> Fraction:
+    """Down factors from ``x`` to ``x ⋏ y``, then up factors from there to ``y``."""
+    c = confluent_omega(x, y).level
+    out = Fraction(1)
+    for k in range(c + 1, x.level + 1):
+        out *= d[k]
+    for k in range(c, y.level):
+        out *= u[k]
+    return out
 
 
 def _in_tree_chain(v: TreeVertex, n: int) -> bool:
@@ -454,35 +473,18 @@ def restricted_hitting(n: int, branch: int, up: Fraction, x: TreeVertex, y: Tree
     if not (_in_tree_chain(x, n) and _in_tree_chain(y, n)):
         raise ValueError("both endpoints must lie in the truncation")
     d, u = edge_factors(n, branch, up)
-    c = confluent_omega(x, y)
-    out = Fraction(1)
-    for k in range(c.level + 1, x.level + 1):
-        out *= d[k]
-    for k in range(c.level, y.level):
-        out *= u[k]
-    return out
+    return _geodesic_product(d, u, x, y)
 
 
 def closed_tree_table(chain: FiniteChain) -> HittingTable:
     """The full tree hitting table from the closed-form edge factors."""
     up, branch = _chain_rate(chain)
-    n = chain.n
-    d, u = edge_factors(n, branch, up)
-
-    def value(x: TreeVertex, y: TreeVertex) -> Fraction:
-        if x in bset and x != y:
-            return Fraction(0)
-        c = confluent_omega(x, y)
-        out = Fraction(1)
-        for k in range(c.level + 1, x.level + 1):
-            out *= d[k]
-        for k in range(c.level, y.level):
-            out *= u[k]
-        return out
-
+    d, u = edge_factors(chain.n, branch, up)
     bset = set(chain.boundary)
+    zero = Fraction(0)
     rows = tuple(
-        tuple(value(x, y) for y in chain.boundary) for x in chain.vertices
+        tuple(zero if x in bset and x != y else _geodesic_product(d, u, x, y) for y in chain.boundary)
+        for x in chain.vertices
     )
     return HittingTable(chain, rows)
 
@@ -509,9 +511,8 @@ def verify_product_formula(
     n, params, alpha = chain.n, chain.params, chain.alpha
     checked = 0
     bad = []
-    for x in chain.vertices:
-        for y in chain.boundary:
-            got = table.value(x, y)
+    for x, row in zip(chain.vertices, table.rows):
+        for y, got in zip(chain.boundary, row):
             if y.x2 == chain.a2:
                 want = restricted_hitting(n, params.q, alpha, x.x1, y.x1)
             else:
@@ -561,53 +562,54 @@ def decompose(h: Callable, n: int, params: DLParams, alpha: Fraction) -> Decompo
     """Split ``h`` (harmonic inside the stage-``n`` truncation) as
     ``h(x1 x2) = h1(x1) + h2(x2)`` exactly, via the boundary slabs.
 
-    ``lambda_i`` are the boundary weights normalised by the convention
-    ``lambda_i(a_i) = 0``; the reconstruction is verified exactly on all of S.
+    ``h`` must be a pure function of the vertex: it is evaluated exactly
+    once per vertex of the truncation, and every check below reads those
+    values.  ``lambda_i`` are the boundary weights normalised by the
+    convention ``lambda_i(a_i) = 0``; the reconstruction is verified exactly
+    on all of S.
     """
     alpha = Fraction(alpha)
     chain = build_truncation(n, params, alpha, "dl")
+    hv = {v: h(v) for v in chain.vertices}
+    # build_truncation checks that the walk exits only through the boundary,
+    # so ``hv`` holds every neighbour of an interior vertex.
     op = DLWalk(params, alpha)
     for v in chain.interior:
-        if _apply_op(op, h, v) != h(v):
+        if _apply_op(op, hv.__getitem__, v) != hv[v]:
             raise ValueError(f"h is not harmonic on the interior; witness {v}")
 
     q, r = params.q, params.r
     a1, a2 = chain.a1, chain.a2
-    leaves1 = [y.x1 for y in chain.boundary if y.x2 == a2]
-    leaves2 = [y.x2 for y in chain.boundary if y.x1 == a1]
-
-    f1 = {
-        (x, y): restricted_hitting(n, q, alpha, x, y)
-        for y in leaves1
-        for x in {v.x1 for v in chain.vertices}
-    }
-    f2 = {
-        (x, y): restricted_hitting(n, r, 1 - alpha, x, y)
-        for y in leaves2
-        for x in {v.x2 for v in chain.vertices}
-    }
+    slab1 = {y.x1: hv[y] for y in chain.boundary if y.x2 == a2}
+    slab2 = {y.x2: hv[y] for y in chain.boundary if y.x1 == a1}
 
     side1 = sorted({v.x1 for v in chain.vertices}, key=lambda t: (t.level, t.labels))
     side2 = sorted({v.x2 for v in chain.vertices}, key=lambda t: (t.level, t.labels))
-    h1 = {x: sum((f1[(x, y)] * h(DLVertex(y, a2)) for y in leaves1), Fraction(0)) for x in side1}
-    h2 = {x: sum((f2[(x, y)] * h(DLVertex(a1, y)) for y in leaves2), Fraction(0)) for x in side2}
+    h1 = {
+        x: sum((restricted_hitting(n, q, alpha, x, y) * b for y, b in slab1.items()), Fraction(0))
+        for x in side1
+    }
+    h2 = {
+        x: sum((restricted_hitting(n, r, 1 - alpha, x, y) * b for y, b in slab2.items()), Fraction(0))
+        for x in side2
+    }
 
     # Normalised boundary weights.  Leaves separated from the root by the
     # apex carry zero harmonic measure from o, so they have no finite
     # normalised weight and are omitted.
     lambda1 = {a1: Fraction(0)}
-    for y in leaves1:
+    for y, b in slab1.items():
         f = restricted_hitting(n, q, alpha, ROOT, y)
         if f:
-            lambda1[y] = h(DLVertex(y, a2)) / f
+            lambda1[y] = b / f
     lambda2 = {a2: Fraction(0)}
-    for y in leaves2:
+    for y, b in slab2.items():
         f = restricted_hitting(n, r, 1 - alpha, ROOT, y)
         if f:
-            lambda2[y] = h(DLVertex(a1, y)) / f
+            lambda2[y] = b / f
 
-    for v in chain.vertices:
-        if h1[v.x1] + h2[v.x2] != h(v):
+    for v, value in hv.items():
+        if h1[v.x1] + h2[v.x2] != value:
             raise AssertionError(f"splitting failed to reconstruct h at {v}")
 
     return Decomposition(n, params, alpha, h1, h2, lambda1, lambda2)

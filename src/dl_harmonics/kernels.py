@@ -45,6 +45,7 @@ from .lamplighter import (
     defect_plus,
 )
 from .tree import TreeEnd, TreeVertex, busemann_wrt_end, confluent_omega
+from .walks import _check_alpha
 
 __all__ = [
     "f_minus",
@@ -60,13 +61,6 @@ __all__ = [
     "combine",
     "defect_kernel",
 ]
-
-
-def _check_alpha(alpha: Fraction) -> Fraction:
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    return alpha
 
 
 def f_minus(alpha: Fraction) -> Fraction:

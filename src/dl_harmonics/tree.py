@@ -50,6 +50,7 @@ __all__ = [
     "distance",
     "geodesic",
     "busemann_wrt_end",
+    "check_labels",
     "shift",
     "shift_end",
     "ball",
@@ -177,6 +178,17 @@ def successor(v: TreeVertex, label: int, q: int) -> TreeVertex:
     if label == 0:
         return TreeVertex(v.level + 1, v.labels)
     return TreeVertex(v.level + 1, v.labels + ((v.level + 1, label),))
+
+
+def check_labels(v: TreeVertex | TreeEnd, q: int) -> None:
+    """Reject a vertex or end with a label outside ``{0, ..., q-1}``.
+
+    Labels are checked where input enters (walk start states, CLI vertices
+    and ends), not on every step of a walk.
+    """
+    for j, label in v.labels:
+        if not 0 <= label < q:
+            raise ValueError(f"label {label} at {j} outside range(0, {q})")
 
 
 def neighbours(v: TreeVertex, q: int) -> list[TreeVertex]:

@@ -52,7 +52,7 @@ from .dl_graph import (
     dls_neighbours,
     factor_map,
 )
-from .tree import TreeVertex, confluent_omega, distance as tree_distance, predecessor, shift, successor
+from .tree import TreeVertex, check_labels, confluent_omega, distance as tree_distance, predecessor, shift, successor
 
 __all__ = [
     "DLWalk",
@@ -83,6 +83,14 @@ def _check_alpha(alpha) -> Fraction:
     return alpha
 
 
+def _check_dl_state(v: DLVertex, params: DLParams) -> None:
+    """A start state must be a vertex of the graph: right level sum and
+    every label below its tree's branching."""
+    check_vertex(v, params)
+    check_labels(v.x1, params.q)
+    check_labels(v.x2, params.r)
+
+
 @dataclass(frozen=True)
 class DLWalk:
     """The drifted simple walk on DL(q, r)."""
@@ -94,7 +102,7 @@ class DLWalk:
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
     def validate_state(self, v: DLVertex) -> None:
-        check_vertex(v, self.params)
+        _check_dl_state(v, self.params)
 
     def transitions(self, v: DLVertex) -> list[tuple[DLVertex, Fraction]]:
         q, r = self.params.q, self.params.r
@@ -118,6 +126,7 @@ class TreeWalk:
     def validate_state(self, v: TreeVertex) -> None:
         if not isinstance(v, TreeVertex):
             raise ValueError("tree walks move on tree vertices")
+        check_labels(v, self.branch)
 
     def transitions(self, v: TreeVertex) -> list[tuple[TreeVertex, Fraction]]:
         per = self.up / self.branch
@@ -147,7 +156,7 @@ class SiblingWalk:
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
     def validate_state(self, v: DLVertex) -> None:
-        check_vertex(v, self.params)
+        _check_dl_state(v, self.params)
 
     def transitions(self, v: DLVertex) -> list[tuple[DLVertex, Fraction]]:
         q, r = self.params.q, self.params.r
@@ -196,7 +205,7 @@ class ProjectedWalk:
         return self.base.alpha
 
     def validate_state(self, v: DLVertex) -> None:
-        check_vertex(v, self.params)
+        _check_dl_state(v, self.params)
 
     def _section(self, v: DLVertex) -> DLVertex:
         return DLVertex(successor(shift(v.x1, -1), 0, self.params.q), v.x2)

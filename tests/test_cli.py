@@ -248,6 +248,31 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_kernel_eval_rejects_out_of_range_label(capsys):
+    code, out, err = run(
+        capsys, "kernel-eval", "--q", "2", "--end", '{"omega": true}',
+        "--at", '{"level": 1, "labels": [[1, 9]]}',
+    )
+    assert code == 2 and out == "" and "outside range(0, 2)" in err
+    # the end is checked against the branching of the chosen side
+    code, out, err = run(
+        capsys, "kernel-eval", "--q", "3", "--r", "2", "--side", "2",
+        "--end", '{"labels": [[1, 2]]}', "--at", ROOT_JSON,
+    )
+    assert code == 2 and out == "" and "outside range(0, 2)" in err
+
+
+def test_simulate_rejects_out_of_range_start(capsys):
+    start = '{"x1": {"level": 1, "labels": [[1, 5]]}, "x2": {"level": -1, "labels": []}}'
+    code, out, err = run(capsys, "simulate", "--q", "2", "--r", "2", "--start", start)
+    assert code == 2 and out == "" and "outside range(0, 2)" in err
+    code, out, err = run(
+        capsys, "simulate", "--operator", "p2", "--r", "3", "--start",
+        '{"level": 2, "labels": [[2, 3]]}',
+    )
+    assert code == 2 and out == "" and "outside range(0, 3)" in err
+
+
 def test_failed_exact_check_exits_1(monkeypatch, capsys):
     from dl_harmonics import dirichlet
 

@@ -192,6 +192,33 @@ def test_driftless_down_factors_all_stages():
             assert d[k] == Fraction(n - k, n - k + 1)
 
 
+def test_edge_factors_are_read_only():
+    d, u = edge_factors(2, 2, HALF)
+    with pytest.raises(TypeError):
+        d[0] = Fraction(1)
+    with pytest.raises(TypeError):
+        u[0] = Fraction(1)
+    assert edge_factors(2, 2, HALF)[0][0] == Fraction(2, 3)
+
+
+def test_edge_factors_served_from_cache():
+    first = edge_factors(4, 3, Fraction(2, 7))
+    hits = dct._edge_factors.cache_info().hits
+    again = edge_factors(4, 3, Fraction(2, 7))
+    assert dct._edge_factors.cache_info().hits == hits + 1
+    assert again is first
+
+
+def test_cached_edge_factors_equal_a_fresh_recursion():
+    fresh = dct._edge_factors.__wrapped__
+    for n in range(1, 13):
+        for branch in (2, 3):
+            for up in (THIRD, HALF, Fraction(5, 7)):
+                d, u = edge_factors(n, branch, up)
+                d0, u0 = fresh(n, branch, up)
+                assert (dict(d), dict(u)) == (dict(d0), dict(u0))
+
+
 def test_restricted_hitting_golden():
     assert restricted_hitting(2, 2, HALF, ROOT, TreeVertex.make(2, {})) == Fraction(5, 48)
     assert restricted_hitting(1, 2, HALF, ROOT, ROOT) == 1
@@ -287,6 +314,21 @@ def test_decompose_splits_harmonic_functions():
     ones = decompose(lambda v: Fraction(1), 1, p, alpha)
     assert ones.h1[ROOT] == HALF
     assert ones.h2[ROOT] == HALF
+
+
+def test_decompose_evaluates_h_once_per_vertex():
+    p = DLParams(2, 3)
+    h = KernelSpec(2, TreeEnd.word({1: 2}), THIRD, p).evaluate
+    calls = {}
+
+    def counted(v):
+        calls[v] = calls.get(v, 0) + 1
+        return h(v)
+
+    decompose(counted, 2, p, THIRD)
+    chain = build_truncation(2, p, THIRD, "dl")
+    assert set(calls) == set(chain.vertices)
+    assert set(calls.values()) == {1}
 
 
 def test_decompose_rejects_non_harmonic():
