@@ -12,7 +12,7 @@ from fractions import Fraction
 from .dl_graph import DLParams, vertex_to_json_pair
 from .dirichlet import HittingTable
 from .kernels import HarmonicFunction, KernelSpec, combine
-from .tree import end_from_json, end_to_json, vertex_to_json
+from .tree import check_labels, end_from_json, end_to_json, vertex_to_json
 from .walks import EstimateResult
 
 __all__ = [
@@ -55,7 +55,10 @@ def harmonic_from_json(obj: dict) -> tuple[HarmonicFunction, DLParams]:
     alpha = parse_frac(obj["alpha"])
     terms = []
     for t in obj.get("terms", []):
-        spec = KernelSpec(int(t["side"]), end_from_json(t["end"]), alpha, params)
+        side = int(t["side"])
+        end = end_from_json(t["end"])
+        check_labels(end, params.q if side == 1 else params.r)
+        spec = KernelSpec(side, end, alpha, params)
         terms.append((parse_frac(t["coeff"]), spec))
     constant = parse_frac(obj.get("constant", "0/1"))
     if not terms:

@@ -120,9 +120,6 @@ class TreeVertex:
     def make(cls, level: int, labels: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> "TreeVertex":
         return cls(level, _canon(labels))
 
-    def label_at(self, j: int) -> int:
-        return _get(self.labels, j)
-
 
 ROOT = TreeVertex(0, ())
 
@@ -156,11 +153,6 @@ class TreeEnd:
     @classmethod
     def word(cls, labels: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> "TreeEnd":
         return cls(_canon(labels), False)
-
-    def label_at(self, j: int) -> int:
-        if self.is_omega:
-            raise ValueError("the reference end has no label word")
-        return _get(self.labels, j)
 
 
 OMEGA = TreeEnd.omega()

@@ -22,6 +22,14 @@ comparison ever decides a step.  Randomness comes from counter-based Philox
 streams keyed by ``(seed, trial)`` -- bit-reproducible across runs and
 platforms; ``simulate`` uses trial index 0.
 
+``DLWalk``, the tree walks and ``SiblingWalk`` have the same row at every
+state, so ``estimate_f`` steps them through a table of moves on sparse label
+words.  Otherwise, and always in ``simulate``, rows come from
+``transitions``, computed once per distinct state within a call (for the
+first 1024 distinct states; later ones are recomputed on each visit):
+``transitions`` (and the ``g`` of a conjugated walk) must therefore be a
+pure function of the state.
+
 ``estimate_f`` estimates a hitting probability ``F(x, y)`` by plain
 Monte-Carlo counting: ``hits/trials`` is a lower bound for ``F(x, y)`` (runs
 are never written off early on a heuristic).  Runs still alive at the horizon
@@ -37,8 +45,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,19 +106,19 @@ class DLWalk:
 
     params: DLParams
     alpha: Fraction
+    _weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        alpha = _check_alpha(self.alpha)
+        q, r = self.params.q, self.params.r
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_weights", (alpha / q,) * q + ((1 - alpha) / r,) * r)
 
     def validate_state(self, v: DLVertex) -> None:
         _check_dl_state(v, self.params)
 
     def transitions(self, v: DLVertex) -> list[tuple[DLVertex, Fraction]]:
-        q, r = self.params.q, self.params.r
-        up = self.alpha / q
-        down = (1 - self.alpha) / r
-        nbrs = dl_neighbours(v, self.params)
-        return [(w, up) for w in nbrs[:q]] + [(w, down) for w in nbrs[q:]]
+        return list(zip(dl_neighbours(v, self.params), self._weights))
 
 
 @dataclass(frozen=True)
@@ -119,9 +128,12 @@ class TreeWalk:
     branch: int
     up: Fraction
     kind: str = "tree"
+    _weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "up", _check_alpha(self.up))
+        up = _check_alpha(self.up)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "_weights", (up / self.branch,) * self.branch + (1 - up,))
 
     def validate_state(self, v: TreeVertex) -> None:
         if not isinstance(v, TreeVertex):
@@ -129,10 +141,9 @@ class TreeWalk:
         check_labels(v, self.branch)
 
     def transitions(self, v: TreeVertex) -> list[tuple[TreeVertex, Fraction]]:
-        per = self.up / self.branch
-        out = [(successor(v, l, self.branch), per) for l in range(self.branch)]
-        out.append((predecessor(v), 1 - self.up))
-        return out
+        nbrs = [successor(v, l, self.branch) for l in range(self.branch)]
+        nbrs.append(predecessor(v))
+        return list(zip(nbrs, self._weights))
 
 
 def p1_walk(params: DLParams, alpha: Fraction) -> TreeWalk:
@@ -151,20 +162,21 @@ class SiblingWalk:
 
     params: DLParams
     alpha: Fraction
+    _weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        alpha = _check_alpha(self.alpha)
+        q, r = self.params.q, self.params.r
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(
+            self, "_weights", (alpha / (q * q),) * (q * q) + ((1 - alpha) / (q * r),) * (q * r)
+        )
 
     def validate_state(self, v: DLVertex) -> None:
         _check_dl_state(v, self.params)
 
     def transitions(self, v: DLVertex) -> list[tuple[DLVertex, Fraction]]:
-        q, r = self.params.q, self.params.r
-        up = self.alpha / (q * q)
-        down = (1 - self.alpha) / (q * r)
-        nbrs = dls_neighbours(v, self.params)
-        n_up = q * q
-        return [(w, up) for w in nbrs[:n_up]] + [(w, down) for w in nbrs[n_up:]]
+        return list(zip(dls_neighbours(v, self.params), self._weights))
 
 
 @dataclass(frozen=True)
@@ -278,6 +290,28 @@ def _philox_stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _philox_streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """``trial -> generator`` drawing exactly what ``_philox_stream(seed, trial)``
+    draws.
+
+    One bit generator serves every trial: each call re-keys it through its
+    state (counter 0, empty buffers, key ``(trial, seed)``), which is much
+    cheaper than seeding a new one, and returns the same ``Generator``.
+    """
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
+    key[1] = int(seed) & _MASK64
+
+    def stream(trial: int) -> np.random.Generator:
+        key[0] = int(trial) & _MASK64
+        bitgen.state = state
+        return gen
+
+    return stream
+
+
 def _integer_row(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
     """Common denominator and integer weights of an exact distribution row."""
     denom = 1
@@ -289,31 +323,30 @@ def _integer_row(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
     return denom, counts
 
 
-class _RowSampler:
-    """Draws indices 0..len(weights)-1 exactly, given uniform ints below L."""
+# Rows kept per call.  Short walks revisit the states near their start, and
+# those are seen first; a long walk visits ever new states whose rows grow
+# with their level, so keeping all of them would cost memory without reuse.
+_KEPT_ROWS = 1024
 
-    __slots__ = ("denom", "lookup", "cumulative")
 
-    def __init__(self, weights: Sequence[Fraction]):
-        self.denom, counts = _integer_row(weights)
-        if self.denom <= 4096:
-            table = []
-            for i, c in enumerate(counts):
-                table.extend([i] * c)
-            self.lookup: list[int] | None = table
-            self.cumulative: list[int] | None = None
-        else:
-            self.lookup = None
-            acc, cum = 0, []
-            for c in counts:
-                acc += c
-                cum.append(acc)
-            self.cumulative = cum
+def _row(op, v, rows: dict) -> tuple[list, int, list[int]]:
+    """``(targets, denom, cumulative)`` of ``op`` at ``v``: looked up in
+    ``rows``, else computed and kept there while it holds fewer than
+    ``_KEPT_ROWS`` states.
 
-    def pick(self, draw: int) -> int:
-        if self.lookup is not None:
-            return self.lookup[draw]
-        return bisect_right(self.cumulative, draw)
+    A uniform draw ``d`` below ``denom`` picks ``targets[bisect_right(cumulative, d)]``.
+    """
+    row = rows.get(v)
+    if row is None:
+        trans = op.transitions(v)
+        weights = [p for _, p in trans]
+        if any(p < 0 for p in weights):
+            raise ValueError("cannot sample from a row with negative weights")
+        denom, counts = _integer_row(weights)  # raises if the row is not stochastic
+        row = ([w for w, _ in trans], denom, list(accumulate(counts)))
+        if len(rows) < _KEPT_ROWS:
+            rows[v] = row
+    return row
 
 
 @dataclass(frozen=True)
@@ -329,22 +362,19 @@ def simulate(op, start, n_steps: int, seed: int) -> Trajectory:
     """Sample ``n_steps`` exact steps of ``op`` from ``start``.
 
     Same ``(op, start, n_steps, seed)`` always yields the identical path.
-    Requires a row-stochastic operator.
+    Requires a row-stochastic operator whose ``transitions`` is a pure
+    function of the state: rows are kept and reused within the call.
     """
     op.validate_state(start)
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     gen = _philox_stream(seed, 0)
+    rows: dict = {}
     v = start
     out = []
     for _ in range(n_steps):
-        row = op.transitions(v)
-        weights = [p for _, p in row]
-        if any(p < 0 for p in weights):
-            raise ValueError("cannot sample from a row with negative weights")
-        sampler = _RowSampler(weights)  # raises if the row is not stochastic
-        draw = int(gen.integers(0, sampler.denom))
-        v = row[sampler.pick(draw)][0]
+        targets, denom, cum = _row(op, v, rows)
+        v = targets[bisect_right(cum, int(gen.integers(0, denom)))]
         out.append(v)
     return Trajectory(start, tuple(out), seed)
 
@@ -375,49 +405,32 @@ class EstimateResult:
 
 
 class _TreeCursor:
-    """Mutable tree-walk state with O(1) moves and O(1) hit detection.
+    """One tree coordinate of a run: its start, its target, and the current
+    level and sparse label word.
 
-    Tracks the current level, the sparse label word, and the number of
-    positions where the word disagrees with the target's word.
+    The step loop keeps the level and the mismatch count (positions where
+    the word disagrees with the target's) in locals, and stores the level
+    back before asking for ``confluent_level`` or ``distance``.
     """
 
-    __slots__ = ("lv", "labs", "mism", "ylv", "ylabs")
+    __slots__ = ("lv0", "labs0", "mism0", "lv", "labs", "ylv", "ylabs")
 
     def __init__(self, x: TreeVertex, y: TreeVertex):
-        self.lv = x.level
-        self.labs = dict(x.labels)
+        self.lv0 = x.level
+        self.labs0 = dict(x.labels)
         self.ylv = y.level
         self.ylabs = dict(y.labels)
-        mism = 0
-        for j in set(self.labs) | set(self.ylabs):
-            if j <= self.lv and self.labs.get(j, 0) != self.ylabs.get(j, 0):
-                mism += 1
-        self.mism = mism
+        self.mism0 = sum(
+            1
+            for j in set(self.labs0) | set(self.ylabs)
+            if j <= self.lv0 and self.labs0.get(j, 0) != self.ylabs.get(j, 0)
+        )
 
-    def hit(self) -> bool:
-        return self.lv == self.ylv and self.mism == 0
-
-    def up(self, label: int) -> None:
-        self.lv += 1
-        if label:
-            self.labs[self.lv] = label
-        if label != self.ylabs.get(self.lv, 0):
-            self.mism += 1
-
-    def down(self) -> None:
-        old = self.labs.pop(self.lv, 0)
-        if old != self.ylabs.get(self.lv, 0):
-            self.mism -= 1
-        self.lv -= 1
-
-    def switch(self, label: int) -> None:
-        """Replace the label at the current level (sibling move)."""
-        j = self.lv
-        old = self.labs.pop(j, 0)
-        if label:
-            self.labs[j] = label
-        yv = self.ylabs.get(j, 0)
-        self.mism += (label != yv) - (old != yv)
+    def reset(self) -> tuple[int, dict, int]:
+        """Back to the start; returns ``(level, labels, mismatches)``."""
+        self.lv = self.lv0
+        self.labs = dict(self.labs0)
+        return self.lv, self.labs, self.mism0
 
     def confluent_level(self) -> int:
         m = min(self.lv, self.ylv)
@@ -452,54 +465,148 @@ def _ruin_bound(up: float, lv: int, ylv: int, conf_level: int, margin: int) -> f
     return bound
 
 
-def _fast_plan(op, x, y):
-    """Action table + cursor factory for the supported operator kinds.
+def _fast_plan(op):
+    """Per-draw moves for the walks whose row has one shape at every state.
 
-    Returns (weights, actions, make_cursors, coord1_up, margin) or None if the
-    operator has no constant-shape fast path.
+    Returns ``(weights, moves, pair, up_rate, margin)``, or None for any
+    other operator.  ``pair`` says whether there is a second tree coordinate.
+    A move is ``(up, label1, switch, label2)``: when ``up`` is 1 the first
+    coordinate steps up along ``label1`` and the second steps down; when 0
+    the first steps down and the second steps up along ``label2``.  A
+    ``switch`` that is not None first replaces the first coordinate's label
+    at the lower of its two levels (a sibling move).
     """
     if isinstance(op, TreeWalk):
-        weights = [op.up / op.branch] * op.branch + [1 - op.up]
-        actions = [("u", l) for l in range(op.branch)] + [("d",)]
-        make = lambda: [_TreeCursor(x, y)]
-        return weights, actions, make, float(op.up), 0
+        moves = [(1, l, None, 0) for l in range(op.branch)] + [(0, 0, None, 0)]
+        return op._weights, moves, False, float(op.up), 0
     if isinstance(op, DLWalk):
         q, r = op.params.q, op.params.r
-        weights = [op.alpha / q] * q + [(1 - op.alpha) / r] * r
-        actions = [("u", l) for l in range(q)] + [("d", m) for m in range(r)]
-        make = lambda: [_TreeCursor(x.x1, y.x1), _TreeCursor(x.x2, y.x2)]
-        return weights, actions, make, float(op.alpha), 0
+        moves = [(1, l, None, 0) for l in range(q)] + [(0, 0, None, m) for m in range(r)]
+        return op._weights, moves, True, float(op.alpha), 0
     if isinstance(op, SiblingWalk):
         q, r = op.params.q, op.params.r
-        weights = [op.alpha / (q * q)] * (q * q) + [(1 - op.alpha) / (q * r)] * (q * r)
-        actions = [("su", m, l) for m in range(q) for l in range(q)] + [
-            ("sd", m, mm) for m in range(q) for mm in range(r)
+        moves = [(1, l, m, 0) for m in range(q) for l in range(q)] + [
+            (0, 0, m, mm) for m in range(q) for mm in range(r)
         ]
-        make = lambda: [_TreeCursor(x.x1, y.x1), _TreeCursor(x.x2, y.x2)]
-        return weights, actions, make, float(op.alpha), 1
+        return op._weights, moves, True, float(op.alpha), 1
     return None
 
 
-def _apply_action(cursors, act) -> None:
-    kind = act[0]
-    if kind == "u":
-        cursors[0].up(act[1])
-        if len(cursors) > 1:
-            cursors[1].down()
-    elif kind == "d":
-        if len(cursors) > 1:
-            cursors[0].down()
-            cursors[1].up(act[1])
+def _fast_counts(plan, x, y, trials, horizon, seed, escape_radius, escape_tol):
+    """``(hits, escaped, truncated)`` of :func:`estimate_f` on the fast path."""
+    weights, moves, pair, up_rate, margin = plan
+    denom, counts = _integer_row(weights)
+    if denom <= 4096:
+        table = []
+        for move, c in zip(moves, counts):
+            table.extend([move] * c)
+        pick = table.__getitem__
+    else:
+        cum = list(accumulate(counts))
+        pick = lambda d: moves[bisect_right(cum, d)]
+    c1 = _TreeCursor(x.x1, y.x1) if pair else _TreeCursor(x, y)
+    c2 = _TreeCursor(x.x2, y.x2) if pair else None
+    ylv1, ylabs1 = c1.ylv, c1.ylabs
+    # A single tree walk gets a second coordinate that never moves and
+    # always matches, so one hit test serves both shapes.
+    ylv2, ylabs2 = (c2.ylv, c2.ylabs) if pair else (0, None)
+    lv2 = mism2 = 0
+    drift = up_rate != 0.5
+    stream = _philox_streams(seed)
+    hits = escaped = truncated = 0
+    for trial in range(trials):
+        lv1, labs1, mism1 = c1.reset()
+        if pair:
+            lv2, labs2, mism2 = c2.reset()
+        if mism1 == 0 and lv1 == ylv1 and mism2 == 0 and lv2 == ylv2:
+            hits += 1
+            continue
+        gen = stream(trial)
+        outcome = None
+        step = 0
+        while step < horizon:
+            chunk = min(1024, horizon - step)
+            for up, l1, sw, l2 in map(pick, gen.integers(0, denom, size=chunk).tolist()):
+                if not up:
+                    if labs1.pop(lv1, 0) != ylabs1.get(lv1, 0):
+                        mism1 -= 1
+                    lv1 -= 1
+                if sw is not None:
+                    old = labs1.pop(lv1, 0)
+                    if sw:
+                        labs1[lv1] = sw
+                    yv = ylabs1.get(lv1, 0)
+                    mism1 += (sw != yv) - (old != yv)
+                if up:
+                    lv1 += 1
+                    if l1:
+                        labs1[lv1] = l1
+                    if l1 != ylabs1.get(lv1, 0):
+                        mism1 += 1
+                    if pair:
+                        if labs2.pop(lv2, 0) != ylabs2.get(lv2, 0):
+                            mism2 -= 1
+                        lv2 -= 1
+                elif pair:
+                    lv2 += 1
+                    if l2:
+                        labs2[lv2] = l2
+                    if l2 != ylabs2.get(lv2, 0):
+                        mism2 += 1
+                step += 1
+                if mism1 == 0 and lv1 == ylv1 and mism2 == 0 and lv2 == ylv2:
+                    outcome = "hit"
+                    break
+                if drift and step % 64 == 0:
+                    c1.lv = lv1
+                    if _ruin_bound(up_rate, lv1, ylv1, c1.confluent_level(), margin) < escape_tol:
+                        outcome = "escaped"
+                        break
+            if outcome is not None:
+                break
+        if outcome == "hit":
+            hits += 1
+            continue
+        if outcome == "escaped":
+            escaped += 1
+            continue
+        c1.lv = lv1
+        if drift and _ruin_bound(up_rate, lv1, ylv1, c1.confluent_level(), margin) < escape_tol:
+            escaped += 1
+            continue
+        dist = c1.distance()
+        if pair:
+            c2.lv = lv2
+            dist += c2.distance() - abs(lv1 - ylv1)
+        if dist > escape_radius:
+            escaped += 1
         else:
-            cursors[0].down()
-    elif kind == "su":
-        cursors[0].switch(act[1])
-        cursors[0].up(act[2])
-        cursors[1].down()
-    else:  # "sd"
-        cursors[0].down()
-        cursors[0].switch(act[1])
-        cursors[1].up(act[2])
+            truncated += 1
+    return hits, escaped, truncated
+
+
+def _generic_counts(op, x, y, trials, horizon, seed, escape_radius):
+    """``(hits, escaped, truncated)`` of :func:`estimate_f` through ``transitions``."""
+    stream = _philox_streams(seed)
+    rows: dict = {}
+    hits = escaped = truncated = 0
+    for trial in range(trials):
+        gen = stream(trial)
+        v = x
+        hit_run = v == y
+        for _ in range(horizon):
+            if hit_run:
+                break
+            targets, denom, cum = _row(op, v, rows)
+            v = targets[bisect_right(cum, int(gen.integers(0, denom)))]
+            hit_run = v == y
+        if hit_run:
+            hits += 1
+        elif _state_distance(op, v, y) > escape_radius:
+            escaped += 1
+        else:
+            truncated += 1
+    return hits, escaped, truncated
 
 
 def _state_distance(op, v, y) -> int:
@@ -545,81 +652,13 @@ def estimate_f(
     if escape_radius is None:
         escape_radius = max(8, 2 * _state_distance(op, x, y))
 
-    plan = _fast_plan(op, x, y)
-    hits = escaped = truncated = 0
+    plan = _fast_plan(op)
     if plan is not None:
-        weights, actions, make_cursors, up_rate, margin = plan
-        sampler = _RowSampler(weights)
-        table = [actions[i] for i in sampler.lookup] if sampler.lookup is not None else None
-        drift = up_rate != 0.5
-        for trial in range(trials):
-            cursors = make_cursors()
-            c1 = cursors[0]
-            if all(c.hit() for c in cursors):
-                hits += 1
-                continue
-            gen = _philox_stream(seed, trial)
-            outcome = None
-            step = 0
-            while step < horizon:
-                chunk = min(1024, horizon - step)
-                draws = gen.integers(0, sampler.denom, size=chunk)
-                for d in draws:
-                    if table is not None:
-                        act = table[d]
-                    else:
-                        act = actions[sampler.pick(d)]
-                    _apply_action(cursors, act)
-                    step += 1
-                    if c1.mism == 0 and c1.lv == c1.ylv:
-                        if len(cursors) == 1 or cursors[1].hit():
-                            outcome = "hit"
-                            break
-                    if drift and step % 64 == 0:
-                        b = _ruin_bound(
-                            up_rate, c1.lv, c1.ylv, c1.confluent_level(), margin
-                        )
-                        if b < escape_tol:
-                            outcome = "escaped"
-                            break
-                if outcome is not None:
-                    break
-            if outcome == "hit":
-                hits += 1
-            elif outcome == "escaped":
-                escaped += 1
-            else:
-                if drift:
-                    b = _ruin_bound(up_rate, c1.lv, c1.ylv, c1.confluent_level(), margin)
-                    if b < escape_tol:
-                        escaped += 1
-                        continue
-                dist = sum(c.distance() for c in cursors)
-                if len(cursors) > 1:
-                    dist -= abs(c1.lv - c1.ylv)
-                if dist > escape_radius:
-                    escaped += 1
-                else:
-                    truncated += 1
+        hits, escaped, truncated = _fast_counts(
+            plan, x, y, trials, horizon, seed, escape_radius, escape_tol
+        )
     else:
-        for trial in range(trials):
-            gen = _philox_stream(seed, trial)
-            v = x
-            hit_run = v == y
-            for _ in range(horizon):
-                if hit_run:
-                    break
-                row = op.transitions(v)
-                sampler = _RowSampler([p for _, p in row])
-                draw = int(gen.integers(0, sampler.denom))
-                v = row[sampler.pick(draw)][0]
-                hit_run = v == y
-            if hit_run:
-                hits += 1
-            elif _state_distance(op, v, y) > escape_radius:
-                escaped += 1
-            else:
-                truncated += 1
+        hits, escaped, truncated = _generic_counts(op, x, y, trials, horizon, seed, escape_radius)
 
     p = hits / trials
     half = 1.96 * math.sqrt(max(p * (1 - p), 0.0) / trials)

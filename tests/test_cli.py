@@ -273,6 +273,26 @@ def test_simulate_rejects_out_of_range_start(capsys):
     assert code == 2 and out == "" and "outside range(0, 3)" in err
 
 
+BAD_END_SPEC = json.dumps(
+    {
+        "q": 2,
+        "r": 2,
+        "alpha": "1/3",
+        "terms": [{"coeff": "1/1", "side": 1, "end": {"labels": [[1, 9]]}}],
+    }
+)
+
+
+def test_harmonic_check_rejects_out_of_range_end_label(capsys):
+    code, out, err = run(capsys, "harmonic-check", "--spec", BAD_END_SPEC)
+    assert code == 2 and out == "" and "label 9 at 1 outside range(0, 2)" in err
+
+
+def test_decompose_rejects_out_of_range_end_label(capsys):
+    code, out, err = run(capsys, "decompose", "--spec", BAD_END_SPEC, "--n", "1")
+    assert code == 2 and out == "" and "label 9 at 1 outside range(0, 2)" in err
+
+
 def test_failed_exact_check_exits_1(monkeypatch, capsys):
     from dl_harmonics import dirichlet
 

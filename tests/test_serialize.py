@@ -62,6 +62,19 @@ def test_harmonic_constant_forms():
         harmonic_to_json(HarmonicFunction(constant=Fraction(3)))
 
 
+def test_harmonic_decoder_rejects_out_of_range_end_labels():
+    def spec(q, r, side, labels):
+        term = {"coeff": "1/1", "side": side, "end": {"labels": labels}}
+        return {"q": q, "r": r, "alpha": "1/3", "terms": [term]}
+
+    with pytest.raises(ValueError, match="label 9 at 1 outside range"):
+        harmonic_from_json(spec(2, 2, 1, [[1, 9]]))
+    # each end is checked against the branching of its own side
+    harmonic_from_json(spec(3, 2, 1, [[1, 2]]))
+    with pytest.raises(ValueError, match=r"label 2 at 1 outside range\(0, 2\)"):
+        harmonic_from_json(spec(3, 2, 2, [[1, 2]]))
+
+
 def test_table_json_shape():
     c = build_truncation(1, DLParams(2, 2), Fraction(1, 2), "dl")
     t = hitting_table(c)

@@ -1,5 +1,10 @@
+import hashlib
+import json
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -10,6 +15,7 @@ from dl_harmonics.dl_graph import (
     factor_map,
     origin,
     random_vertex,
+    vertex_to_json_pair,
 )
 from dl_harmonics.kernels import (
     KernelSpec,
@@ -22,6 +28,7 @@ from dl_harmonics.tree import OMEGA, ROOT, TreeEnd, TreeVertex, predecessor, suc
 from dl_harmonics.walks import (
     DLWalk,
     SiblingWalk,
+    TreeWalk,
     apply,
     conjugate,
     estimate_f,
@@ -34,6 +41,7 @@ from dl_harmonics.walks import (
     simulate,
     transitions,
 )
+from dl_harmonics.walks import _KEPT_ROWS, _philox_stream, _philox_streams
 
 RNG_SEED = 27182
 
@@ -75,6 +83,16 @@ def test_sibling_walk_rows():
     row = row_dict(SiblingWalk(p, HALF), o)
     assert len(row) == 8
     assert set(row.values()) == {Fraction(1, 8)}
+
+
+def test_precomputed_rows_stay_out_of_repr_and_equality():
+    assert repr(p1_walk(DLParams(2, 3), HALF)) == "TreeWalk(branch=2, up=Fraction(1, 2), kind='p1')"
+    assert repr(SiblingWalk(DLParams(2, 2), THIRD)) == (
+        "SiblingWalk(params=DLParams(q=2, r=2, level_sum=0), alpha=Fraction(1, 3))"
+    )
+    a, b = DLWalk(DLParams(2, 3), HALF), DLWalk(DLParams(2, 3), Fraction(2, 4))
+    assert a == b and hash(a) == hash(b)
+    assert DLWalk(DLParams(2, 3), THIRD) != a
 
 
 def test_rows_are_stochastic():
@@ -298,3 +316,170 @@ def test_estimate_validates_input():
         estimate_f(op, o, o, trials=0, horizon=5, seed=1)
     with pytest.raises(ValueError):
         estimate_f(op, o, o, trials=5, horizon=-1, seed=1)
+
+
+# Estimator outputs pinned as literals: the sampler may change how it draws,
+# never what it draws.  Every (seed, trial) keeps its path, so the counts of
+# hits, escaped runs and truncated runs stay exactly these.
+P23 = DLParams(2, 3)
+Y_DL = DLVertex(TreeVertex.make(0, {0: 1}), TreeVertex.make(0, {0: 2}))
+PIN_TARGETS = {
+    "p1": TreeVertex.make(0, {0: 1}),
+    "p2": TreeVertex.make(2, {2: 2}),
+    "palpha": Y_DL,
+    "qalpha": Y_DL,
+}
+TWO_THIRDS = Fraction(2, 3)
+
+
+@pytest.mark.parametrize(
+    "name, alpha, counts",
+    [
+        ("p1", TWO_THIRDS, (72, 228, 0)),
+        ("p1", HALF, (142, 144, 14)),
+        ("p2", TWO_THIRDS, (9, 291, 0)),
+        ("p2", HALF, (35, 251, 14)),
+        ("palpha", TWO_THIRDS, (12, 288, 0)),
+        ("palpha", HALF, (33, 267, 0)),
+        ("qalpha", TWO_THIRDS, (14, 286, 0)),
+        ("qalpha", HALF, (25, 275, 0)),
+    ],
+)
+def test_estimate_counts_pinned(name, alpha, counts):
+    op = operator_from_name(name, P23, alpha)
+    x = ROOT if name in ("p1", "p2") else origin(P23)
+    res = estimate_f(op, x, PIN_TARGETS[name], trials=300, horizon=200, seed=41)
+    assert (res.hits, res.escaped_runs, res.truncated_runs) == counts
+
+
+def test_estimate_counts_pinned_generic_bisect_and_long_runs():
+    p = DLParams(2, 2)
+    o = origin(p)
+    y = DLVertex(TreeVertex.make(1, {1: 1}), TreeVertex.make(-1, {-1: 1}))
+
+    def counts(*args, **kwargs):
+        res = estimate_f(*args, **kwargs)
+        return res.hits, res.escaped_runs, res.truncated_runs
+
+    conj = conjugate(DLWalk(p, TWO_THIRDS), drift_kernel(TWO_THIRDS))
+    assert counts(conj, o, y, 40, 40, 43) == (4, 35, 1)
+    assert counts(project(SiblingWalk(p, Fraction(3, 5))), o, y, 40, 40, 44) == (3, 32, 5)
+    # row denominator 8198 > 4096: indices come from the cumulative row
+    big = TreeWalk(2, Fraction(2049, 4099))
+    assert counts(big, ROOT, TreeVertex.make(0, {0: 1}), 300, 200, 45) == (134, 155, 11)
+    # horizons above 1024 draw in several chunks
+    far = TreeVertex.make(1, {0: 1, 1: 1})
+    assert counts(p1_walk(p, HALF), ROOT, far, 40, 2500, 46) == (8, 32, 0)
+    palpha = DLWalk(P23, Fraction(2, 5))
+    assert counts(palpha, origin(P23), Y_DL, 40, 2100, 47, escape_tol=0.0) == (3, 37, 0)
+
+
+def _path_digest(traj):
+    path = [vertex_to_json_pair(v) for v in (traj.start,) + traj.steps]
+    return hashlib.sha256(json.dumps(path).encode()).hexdigest()
+
+
+def test_simulate_paths_pinned():
+    t = simulate(DLWalk(P23, Fraction(2, 5)), origin(P23), 300, 7)
+    assert _path_digest(t) == "b8364bd591fdb47547cb3d2ef05c0197e46773674ff9acf4958888413412b89c"
+    p = DLParams(2, 2)
+    conj = conjugate(DLWalk(p, TWO_THIRDS), drift_kernel(TWO_THIRDS))
+    t = simulate(conj, origin(p), 200, 8)
+    assert _path_digest(t) == "d04fb30b103c513bc848435c60949993b6245ef52595d22d51ed9849f8bc1a12"
+
+
+def test_simulate_computes_kept_rows_once():
+    class Counting:
+        def __init__(self, base):
+            self.base, self.calls = base, 0
+
+        def validate_state(self, v):
+            self.base.validate_state(v)
+
+        def transitions(self, v):
+            self.calls += 1
+            return self.base.transitions(v)
+
+    p = DLParams(2, 2)
+    op = Counting(DLWalk(p, HALF))
+    t = simulate(op, origin(p), 3000, 5)
+    assert t.steps == simulate(DLWalk(p, HALF), origin(p), 3000, 5).steps
+    visited = (t.start,) + t.steps[:-1]
+    kept = set(list(dict.fromkeys(visited))[:_KEPT_ROWS])
+    assert len(set(visited)) > _KEPT_ROWS  # both regimes are exercised
+    # a kept state's row is computed on its first visit only; the others on every visit
+    assert op.calls == len(kept) + sum(v not in kept for v in visited)
+
+
+def _reference_hits(op, x, y, trials, horizon, seed):
+    """Hits of ``estimate_f(..., escape_tol=0)`` recounted on real vertices.
+
+    Every run takes its draws from ``_philox_stream(seed, trial)`` in chunks
+    of at most 1024, and each draw picks the row entry whose cumulative
+    integer weight first exceeds it, moving to ``op.transitions(v)[i][0]``.
+    """
+    weights = [p for _, p in op.transitions(x)]
+    denom = math.lcm(*(p.denominator for p in weights))
+    cum = list(accumulate(int(p * denom) for p in weights))
+    hits = 0
+    for trial in range(trials):
+        gen = _philox_stream(seed, trial)
+        v, step = x, 0
+        while v != y and step < horizon:
+            chunk = min(1024, horizon - step)
+            for d in gen.integers(0, denom, size=chunk):
+                v = op.transitions(v)[bisect_right(cum, int(d))][0]
+                step += 1
+                if v == y:
+                    break
+        hits += v == y
+    return hits
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        p1_walk(P23, TWO_THIRDS),
+        p1_walk(P23, HALF),
+        p2_walk(P23, TWO_THIRDS),
+        TreeWalk(2, Fraction(2049, 4099)),  # row denominator above 4096
+        DLWalk(P23, TWO_THIRDS),
+        DLWalk(P23, HALF),
+        SiblingWalk(P23, TWO_THIRDS),
+        SiblingWalk(P23, HALF),
+    ],
+    ids=[
+        "p1-drift", "p1-driftless", "p2-drift", "tree-bisect",
+        "dl-drift", "dl-driftless", "sibling-drift", "sibling-driftless",
+    ],
+)
+def test_estimate_hits_match_reference_walk(op):
+    if isinstance(op, TreeWalk):
+        x, y = ROOT, TreeVertex.make(0, {0: 1})
+    else:
+        x, y = origin(P23), DLVertex(TreeVertex.make(1, {1: 1}), TreeVertex.make(-1, {-1: 2}))
+    total = 0
+    for seed in (5, 977, 2**63 + 5):
+        res = estimate_f(op, x, y, trials=20, horizon=120, seed=seed, escape_tol=0.0)
+        want = _reference_hits(op, x, y, 20, 120, seed)
+        assert res.hits == want
+        total += want
+    assert total > 0
+
+
+def test_estimate_hits_match_reference_walk_over_chunks():
+    op = p1_walk(P23, HALF)
+    y = TreeVertex.make(1, {0: 1, 1: 1})
+    res = estimate_f(op, ROOT, y, trials=8, horizon=1100, seed=3, escape_tol=0.0)
+    assert res.hits == _reference_hits(op, ROOT, y, 8, 1100, 3) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 41, 2**63, 2**64 - 1, -3])
+def test_rekeyed_streams_draw_as_fresh_streams(seed):
+    stream = _philox_streams(seed)
+    for trial in (0, 1, 7, 2**63 + 1, 1):
+        gen, ref = stream(trial), _philox_stream(seed, trial)
+        # a partly used 32-bit buffer and block must not leak into the next trial
+        assert int(gen.integers(0, 6)) == int(ref.integers(0, 6))
+        assert gen.integers(0, 8198, size=37).tolist() == ref.integers(0, 8198, size=37).tolist()
+        assert gen.integers(0, 2**40, size=5).tolist() == ref.integers(0, 2**40, size=5).tolist()
