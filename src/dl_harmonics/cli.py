@@ -39,6 +39,17 @@ def _frac(s) -> Fraction:
     return parse_frac(s)
 
 
+def _size(text: str) -> int:
+    """argparse type of a size option: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def _params(args) -> dg.DLParams:
     return dg.DLParams(args.q, args.r)
 
@@ -328,8 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cayley-check", help="group picture vs. graph picture")
     sp.add_argument("--config", help="JSON file of default values for the flags")
     sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--position-range", type=int, default=2)
-    sp.add_argument("--support", type=int, default=2)
+    sp.add_argument("--position-range", type=_size, default=2)
+    sp.add_argument("--support", type=_size, default=2)
     sp.set_defaults(func=_cmd_cayley_check)
 
     sp = sub.add_parser("defect", help="lamp-mismatch counts and boundary kernels")
@@ -341,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("graph-export", help="DOT or JSON adjacency export of a ball")
     common(sp, alpha=False)
-    sp.add_argument("--radius", type=int, default=2)
+    sp.add_argument("--radius", type=_size, default=2)
     sp.add_argument("--variant", default="dl", choices=("dl", "dls"))
     sp.add_argument("--format", default="dot", choices=("dot", "json"))
     sp.add_argument("--out")

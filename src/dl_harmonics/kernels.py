@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .dl_graph import DLParams, DLVertex
@@ -44,7 +45,7 @@ from .lamplighter import (
     defect_oplus,
     defect_plus,
 )
-from .tree import TreeEnd, TreeVertex, busemann_wrt_end, confluent_omega
+from .tree import TreeEnd, TreeVertex, _split_level, busemann_wrt_end
 from .walks import _check_alpha
 
 __all__ = [
@@ -84,40 +85,45 @@ def rho_squared(alpha: Fraction, q: int) -> Fraction:
     return f_minus(alpha) * f_plus(alpha, q)
 
 
-def _side(side: int, alpha: Fraction, params: DLParams) -> tuple[Fraction, int]:
-    """Up-rate and branching of the chosen tree coordinate."""
+@lru_cache(maxsize=256)
+def _factors(side: int, alpha: Fraction, params: DLParams) -> tuple[Fraction, Fraction]:
+    """``(F^-, rho2)`` of the walk projected to tree ``side``, once per key.
+
+    Bad input raises inside, and exceptions are not cached, so it raises on
+    every call.
+    """
     alpha = _check_alpha(alpha)
     if side == 1:
-        return alpha, params.q
-    if side == 2:
-        return 1 - alpha, params.r
-    raise ValueError("side must be 1 or 2")
+        up, branch = alpha, params.q
+    elif side == 2:
+        up, branch = 1 - alpha, params.r
+    else:
+        raise ValueError("side must be 1 or 2")
+    return f_minus(up), rho_squared(up, branch)
 
 
 def tree_hitting_prob(x: TreeVertex, y: TreeVertex, alpha: Fraction, q: int) -> Fraction:
     """``F(x, y)``: probability the up-rate-``alpha`` tree walk ever hits ``y``.
 
-    One factor ``F^-`` per descending edge and ``F^+`` per ascending edge of
-    the geodesic ``x -> y``.
+    One factor ``F^-`` per descending edge and ``F^+ = rho2 / F^-`` per
+    ascending edge of the geodesic ``x -> y``.
     """
-    c = confluent_omega(x, y)
-    downs = x.level - c.level
-    ups = y.level - c.level
-    return f_minus(alpha) ** downs * f_plus(alpha, q) ** ups
+    fm, rho2 = _factors(1, alpha, DLParams(q, q))  # tree 1 of DL(q, q) is this walk
+    ups = y.level - _split_level(x.labels, y.labels, min(x.level, y.level))
+    return fm ** (x.level - y.level) * rho2 ** ups
 
 
 def martin_kernel_tree(
     side: int, x: TreeVertex, xi: TreeEnd, alpha: Fraction, params: DLParams
 ) -> Fraction:
     """Martin kernel ``K_side(x, xi)`` of the projected walk on tree ``side``."""
-    up, branch = _side(side, alpha, params)
-    fm = f_minus(up)
+    fm, rho2 = _factors(side, alpha, params)
     if xi.is_omega:
         return fm ** x.level
     e = busemann_wrt_end(x, xi) - x.level
     if e % 2:
         raise AssertionError("horocycle indices of a vertex differ by an even amount")
-    return fm ** x.level * rho_squared(up, branch) ** (e // 2)
+    return fm ** x.level * rho2 ** (e // 2)
 
 
 def drift_kernel(alpha: Fraction):

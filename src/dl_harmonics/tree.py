@@ -78,13 +78,22 @@ def _canon(mapping: Mapping[int, int] | Iterable[tuple[int, int]]) -> Labels:
     return tuple(out)
 
 
-def _get(labels: Labels, j: int) -> int:
-    for k, v in labels:
-        if k == j:
-            return v
-        if k > j:
+def _split_level(a: Labels, b: Labels, m: int) -> int:
+    """One below the lowest key ``j <= m`` where words ``a`` and ``b`` differ;
+    ``m`` when they agree up to ``m``.
+
+    Words are canonical (sorted keys, no zeros), so the first unequal pair,
+    or the first pair past the shorter word, holds that lowest key.
+    """
+    for pa, pb in zip(a, b):
+        if pa != pb:
+            j = min(pa, pb)[0]
             break
-    return 0
+    else:
+        if len(a) == len(b):
+            return m
+        j = a[len(b)][0] if len(a) > len(b) else b[len(a)][0]
+    return j - 1 if j <= m else m
 
 
 def _upto(labels: Labels, j: int) -> Labels:
@@ -190,10 +199,7 @@ def neighbours(v: TreeVertex, q: int) -> list[TreeVertex]:
 
 def confluent_omega(a: TreeVertex, b: TreeVertex) -> TreeVertex:
     """Highest common vertex of the rays from ``omega`` to ``a`` and ``b``."""
-    m = min(a.level, b.level)
-    keys = {j for j, _ in a.labels if j <= m} | {j for j, _ in b.labels if j <= m}
-    bad = [j for j in keys if _get(a.labels, j) != _get(b.labels, j)]
-    lvl = min(bad) - 1 if bad else m
+    lvl = _split_level(a.labels, b.labels, min(a.level, b.level))
     return TreeVertex(lvl, _upto(a.labels, lvl))
 
 
@@ -201,16 +207,12 @@ def confluent_omega_end(v: TreeVertex, xi: TreeEnd) -> TreeVertex:
     """Highest vertex shared by the omega-rays of ``v`` and the end ``xi``."""
     if xi.is_omega:
         raise ValueError("confluent with the reference end is undefined")
-    m = v.level
-    keys = {j for j, _ in v.labels} | {j for j, _ in xi.labels if j <= m}
-    bad = [j for j in keys if _get(v.labels, j) != _get(xi.labels, j)]
-    lvl = min(bad) - 1 if bad else m
+    lvl = _split_level(v.labels, xi.labels, v.level)
     return TreeVertex(lvl, _upto(v.labels, lvl))
 
 
 def distance(a: TreeVertex, b: TreeVertex) -> int:
-    c = confluent_omega(a, b)
-    return (a.level - c.level) + (b.level - c.level)
+    return a.level + b.level - 2 * _split_level(a.labels, b.labels, min(a.level, b.level))
 
 
 def geodesic(a: TreeVertex, b: TreeVertex) -> list[TreeVertex]:
@@ -234,17 +236,12 @@ def confluent_root(x: TreeVertex, xi: TreeEnd) -> TreeVertex:
         return confluent_omega(x, ROOT)
     # Where each ray from the root turns upward (splits from the root's
     # omega-ray): below the root both paths descend the all-zero ray.
-    bx = confluent_omega(x, ROOT).level
-    low = [j for j, _ in xi.labels if j <= 0]
-    bxi = min(low) - 1 if low else 0
+    bx = _split_level(x.labels, (), min(x.level, 0))
+    bxi = _split_level(xi.labels, (), 0)
     if bx != bxi:
         return TreeVertex(max(bx, bxi), ())
-    m = bx
-    keys = {j for j, _ in x.labels if j > m} | {
-        j for j, _ in xi.labels if m < j <= x.level
-    }
-    bad = [j for j in keys if _get(x.labels, j) != _get(xi.labels, j)]
-    lvl = min(min(bad) - 1, x.level) if bad else x.level
+    # Both words are empty up to ``bx``, so they split where they differ.
+    lvl = _split_level(x.labels, xi.labels, x.level)
     return TreeVertex(lvl, _upto(x.labels, lvl))
 
 

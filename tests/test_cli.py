@@ -248,6 +248,22 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph-export", "--radius", "-2"),
+        ("cayley-check", "--support", "-1"),
+        ("cayley-check", "--position-range", "-1"),
+    ],
+)
+def test_negative_size_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {argv[1]}: expected a non-negative integer" in captured.err
+
+
 def test_kernel_eval_rejects_out_of_range_label(capsys):
     code, out, err = run(
         capsys, "kernel-eval", "--q", "2", "--end", '{"omega": true}',

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from dl_harmonics.dl_graph import DLParams, origin
 from dl_harmonics.kernels import (
     HarmonicFunction,
     KernelSpec,
+    _factors,
     combine,
     defect_kernel,
     drift_kernel,
@@ -31,6 +33,7 @@ from dl_harmonics.tree import (
     ROOT,
     TreeEnd,
     TreeVertex,
+    busemann_wrt_end,
     confluent_omega,
     successor,
 )
@@ -264,3 +267,57 @@ def test_lift_sides():
     assert lift(2, lambda x: x.level)(v) == -1
     with pytest.raises(ValueError):
         lift(3, lambda x: x.level)
+
+
+def test_kernel_equals_inline_powers():
+    # K(x, xi) = F^-(up) ** level * rho2(up, branch) ** k, evaluated from
+    # scratch, on both sides and on both sides of the symmetric point
+    rng = random.Random(RNG_SEED + 3)
+    p = DLParams(2, 3)
+    for alpha in (THIRD, HALF, Fraction(3, 4)):
+        for side, up, branch in ((1, alpha, p.q), (2, 1 - alpha, p.r)):
+            for _ in range(40):
+                lvl = rng.randrange(-3, 4)
+                x = TreeVertex.make(lvl, {j: rng.randrange(branch) for j in range(lvl - 3, lvl + 1)})
+                xi = TreeEnd.word({j: rng.randrange(branch) for j in range(-3, 4)})
+                k = (busemann_wrt_end(x, xi) - lvl) // 2
+                want = f_minus(up) ** lvl * rho_squared(up, branch) ** k
+                assert martin_kernel_tree(side, x, xi, alpha, p) == want
+                assert martin_kernel_tree(side, x, OMEGA, alpha, p) == f_minus(up) ** lvl
+
+
+def test_factors_served_from_cache():
+    p = DLParams(3, 2)
+    first = _factors(2, Fraction(2, 7), p)
+    hits = _factors.cache_info().hits
+    assert _factors(2, Fraction(2, 7), p) is first
+    assert _factors.cache_info().hits == hits + 1
+    assert first == (f_minus(Fraction(5, 7)), rho_squared(Fraction(5, 7), 2))
+
+
+def test_bad_side_or_alpha_raises_on_every_call():
+    p = DLParams(2, 2)
+    xi = TreeEnd.word({1: 1})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            _factors(3, HALF, p)
+        with pytest.raises(ValueError):
+            martin_kernel_tree(1, ROOT, xi, Fraction(0), p)
+        with pytest.raises(ValueError):
+            KernelSpec(2, xi, Fraction(1), p).evaluate(origin(p))
+        with pytest.raises(ValueError):
+            tree_hitting_prob(ROOT, ROOT, Fraction(3, 2), 2)
+
+
+def test_kernel_spec_fields_eq_hash_repr():
+    p = DLParams(2, 3)
+    xi = TreeEnd.word({1: 1})
+    s = KernelSpec(1, xi, HALF, p)
+    assert [f.name for f in fields(KernelSpec)] == ["side", "end", "alpha", "params"]
+    assert s == KernelSpec(1, TreeEnd.word({1: 1}), Fraction(1, 2), DLParams(2, 3))
+    assert s != KernelSpec(2, xi, HALF, p)
+    assert hash(s) == hash((1, xi, HALF, p))
+    assert repr(s) == (
+        "KernelSpec(side=1, end=TreeEnd(labels=((1, 1),), is_omega=False), "
+        "alpha=Fraction(1, 2), params=DLParams(q=2, r=3, level_sum=0))"
+    )

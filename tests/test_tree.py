@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dl_harmonics.tree import (
     OMEGA,
@@ -273,3 +274,69 @@ def test_json_round_trip():
         assert end_from_json(json.loads(json.dumps(end_to_json(xi)))) == xi
     assert end_from_json(end_to_json(OMEGA)) == OMEGA
     assert vertex_to_json(ROOT) == {"level": 0, "labels": []}
+
+
+# Reference definitions that build vertices and label sets: a confluent is a
+# vertex, and a distance is read off the levels of the confluent.
+def ref_split(a, b, m):
+    wa, wb = dict(a), dict(b)
+    bad = [j for j in set(wa) | set(wb) if j <= m and wa.get(j, 0) != wb.get(j, 0)]
+    return min(bad) - 1 if bad else m
+
+
+def ref_confluent_omega(a, b):
+    lvl = ref_split(a.labels, b.labels, min(a.level, b.level))
+    return TreeVertex.make(lvl, {j: v for j, v in a.labels if j <= lvl})
+
+
+def ref_distance(a, b):
+    c = ref_confluent_omega(a, b)
+    return (a.level - c.level) + (b.level - c.level)
+
+
+def ref_confluent_root(x, xi):
+    bx = ref_confluent_omega(x, ROOT).level
+    bxi = ref_split(xi.labels, (), 0)
+    if bx != bxi:
+        return TreeVertex(max(bx, bxi), ())
+    lvl = ref_split(x.labels, xi.labels, x.level)
+    return TreeVertex.make(lvl, {j: v for j, v in x.labels if j <= lvl})
+
+
+def ref_busemann(x, xi):
+    c = ref_confluent_root(x, xi)
+    return ref_distance(x, c) - ref_distance(ROOT, c)
+
+
+@st.composite
+def words(draw, q, low, high, prefix=()):
+    """A label word on ``[low, high]``, sharing a random prefix of ``prefix``."""
+    cut = draw(st.integers(low - 1, high))
+    shared = {j: v for j, v in prefix if j <= cut}
+    if cut == high:
+        return shared
+    rest = draw(st.dictionaries(st.integers(cut + 1, high), st.integers(0, q - 1), max_size=6))
+    return {**shared, **rest}
+
+
+@st.composite
+def vertex_pair_and_end(draw):
+    q = draw(st.sampled_from((2, 3)))
+    la, lb = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    a = TreeVertex.make(la, draw(words(q, la - 8, la)))
+    b = TreeVertex.make(lb, draw(words(q, lb - 8, lb, a.labels)))
+    xi = TreeEnd.word(draw(words(q, -8, 8, a.labels)))
+    return a, b, xi
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_pair_and_end())
+def test_split_level_matches_vertex_building_reference(case):
+    a, b, xi = case
+    assert confluent_omega(a, b) == ref_confluent_omega(a, b)
+    assert distance(a, b) == ref_distance(a, b)
+    lvl = ref_split(a.labels, xi.labels, a.level)
+    assert confluent_omega_end(a, xi) == TreeVertex.make(lvl, {j: v for j, v in a.labels if j <= lvl})
+    for x in (a, b):
+        assert confluent_root(x, xi) == ref_confluent_root(x, xi)
+        assert busemann_wrt_end(x, xi) == ref_busemann(x, xi)
