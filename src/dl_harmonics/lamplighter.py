@@ -30,11 +30,14 @@ is from matching it, normalised to vanish at the identity.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .dl_graph import DLParams, DLVertex
+from .dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours
 from .tree import TreeEnd, TreeVertex
 
 __all__ = [
@@ -47,6 +50,7 @@ __all__ = [
     "delta",
     "generators",
     "cayley_neighbours",
+    "cayley_check",
     "encode",
     "decode",
     "factor_config",
@@ -113,12 +117,8 @@ def multiply(a: GroupElement, b: GroupElement, q: int) -> GroupElement:
     lamps = dict(a.eta)
     for n, v in b.eta:
         m = n + a.k
-        val = (lamps.get(m, 0) + v) % q
-        if val:
-            lamps[m] = val
-        else:
-            lamps.pop(m, None)
-    return GroupElement(_canon_lamps(lamps), a.k + b.k)
+        lamps[m] = (lamps.get(m, 0) + v) % q
+    return GroupElement(tuple(sorted(p for p in lamps.items() if p[1])), a.k + b.k)
 
 
 def inverse(a: GroupElement, q: int) -> GroupElement:
@@ -158,15 +158,62 @@ def cayley_neighbours(a: GroupElement, model: GeneratorModel, q: int) -> list[Gr
     return [multiply(a, s, q) for s in generators(model, q)]
 
 
+def cayley_check(q: int, support: int, position_range: int) -> dict[str, int | bool]:
+    """On all elements with lamps on sites ``|n| <= support`` and position
+    ``|k| <= position_range``: their count, whether ``decode`` inverts the
+    injective ``encode``, and whether the walk-switch and switch-walk-switch
+    Cayley neighbours encode to the ``DL`` and ``DLS`` neighbours."""
+    params = DLParams(q, q)
+    if support < 0 or position_range < 0:
+        raise ValueError("support and position_range must be non-negative")
+    sites = range(-support, support + 1)
+    elements = [
+        GroupElement(tuple((n, v) for n, v in zip(sites, values) if v), k)
+        for values in product(range(q), repeat=len(sites))
+        for k in range(-position_range, position_range + 1)
+    ]
+    encoded = [encode(a) for a in elements]
+
+    def matches(model: GeneratorModel, neighbours) -> bool:
+        gens = generators(model, q)
+        return all(
+            {encode(multiply(a, s, q)) for s in gens} == set(neighbours(v, params))
+            for a, v in zip(elements, encoded)
+        )
+
+    return {
+        "elements": len(elements),
+        "bijective": len(set(encoded)) == len(elements)
+        and all(decode(v) == a for a, v in zip(elements, encoded)),
+        "walk_switch_matches_dl": matches(GeneratorModel.WALK_SWITCH, dl_neighbours),
+        "switch_walk_switch_matches_dls": matches(
+            GeneratorModel.SWITCH_WALK_SWITCH, dls_neighbours
+        ),
+    }
+
+
 def encode(a: GroupElement) -> DLVertex:
     """Identify a group element with a vertex of ``DL(q, q)``.
 
     First coordinate: level ``k``, labels ``eta(j)`` for ``j <= k``.
     Second coordinate: level ``-k``, labels ``eta(1 - j)`` for ``j <= -k``.
+    A canonical ``eta`` is split as it stands; any other is canonicalised.
     """
-    k = a.k
-    x1 = TreeVertex.make(k, {j: v for j, v in a.eta if j <= k})
-    x2 = TreeVertex.make(-k, {1 - n: v for n, v in a.eta if n >= k + 1})
+    k, eta = a.k, a.eta
+    for _, v in eta:
+        if type(v) is not int or v <= 0:
+            break
+    else:
+        i = bisect_right(eta, k, key=itemgetter(0))
+        try:  # TreeVertex rejects unsorted or repeated sites
+            return DLVertex(
+                TreeVertex(k, eta[:i]),
+                TreeVertex(-k, tuple([(1 - n, v) for n, v in eta[i:][::-1]])),
+            )
+        except ValueError:
+            pass
+    x1 = TreeVertex.make(k, {j: v for j, v in eta if j <= k})
+    x2 = TreeVertex.make(-k, {1 - n: v for n, v in eta if n >= k + 1})
     return DLVertex(x1, x2)
 
 
@@ -216,24 +263,22 @@ class BoundaryConfig:
         return _lamp(self.labels, n)
 
 
-def _first_mismatch_at_most(limit: int, xi: BoundaryConfig, eta: Lamps, offset: int) -> int | None:
-    """min { n <= limit : xi(n + offset) != eta(n + offset) }, or None."""
-    keys = {n - offset for n, _ in xi.labels} | {n - offset for n, _ in eta}
-    cands = [n for n in keys if n <= limit and xi.value(n + offset) != _lamp(eta, n + offset)]
-    return min(cands) if cands else None
+def _plus_defect(a: GroupElement, xi: BoundaryConfig, offset: int, name: str) -> int:
+    """The first ``n <= k`` with ``xi(n + offset) != eta(n + offset)`` (``k``
+    if none) minus the lowest ``n <= 0`` with ``xi(n + offset) != 0`` (0 if none)."""
+    if xi.side != "+":
+        raise ValueError(f"{name} needs a '+' side configuration")
+    keys = {n - offset for n, _ in xi.labels} | {n - offset for n, _ in a.eta}
+    cands = [n for n in keys if n <= a.k and xi.value(n + offset) != _lamp(a.eta, n + offset)]
+    low = [n - offset for n, _ in xi.labels if n <= offset]
+    return (min(cands) if cands else a.k) - (min(low) if low else 0)
 
 
 def defect_plus(a: GroupElement, xi: BoundaryConfig) -> int:
     """How many sites beyond the fresh record the element already matches
     ``xi`` on, relative to the identity's own mismatch point.
     """
-    if xi.side != "+":
-        raise ValueError("defect_plus needs a '+' side configuration")
-    first = _first_mismatch_at_most(a.k, xi, a.eta, 1)
-    first = a.k if first is None else first
-    low = [n - 1 for n, v in xi.labels if n <= 1]
-    second = min(low) if low else 0
-    return first - second
+    return _plus_defect(a, xi, 1, "defect_plus")
 
 
 def defect_minus(a: GroupElement, xi: BoundaryConfig) -> int:
@@ -250,13 +295,7 @@ def defect_minus(a: GroupElement, xi: BoundaryConfig) -> int:
 def defect_oplus(a: GroupElement, xi: BoundaryConfig) -> int:
     """Variant of :func:`defect_plus` that also scores the lamp at the
     current position (the natural count for the switch-walk-switch moves)."""
-    if xi.side != "+":
-        raise ValueError("defect_oplus needs a '+' side configuration")
-    first = _first_mismatch_at_most(a.k, xi, a.eta, 0)
-    first = a.k if first is None else first
-    low = [n for n, v in xi.labels if n <= 0]
-    second = min(low) if low else 0
-    return first - second
+    return _plus_defect(a, xi, 0, "defect_oplus")
 
 
 def end_plus(xi: BoundaryConfig) -> TreeEnd:
@@ -277,13 +316,22 @@ def element_to_json(a: GroupElement) -> dict:
     return {"k": a.k, "eta": [[n, v] for n, v in a.eta]}
 
 
-def element_from_json(obj: dict) -> GroupElement:
-    return GroupElement.make([(int(n), int(v)) for n, v in obj.get("eta", [])], int(obj["k"]))
+def _lamps_from_json(pairs, q: int) -> Lamps:
+    """Canonical lamps from ``[[n, v], ...]``, each ``v`` in ``range(q)``."""
+    lamps = _canon_lamps((int(n), int(v)) for n, v in pairs)
+    for n, v in lamps:
+        if not 0 <= v < q:
+            raise ValueError(f"label {v} at {n} outside range(0, {q})")
+    return lamps
+
+
+def element_from_json(obj: dict, q: int) -> GroupElement:
+    return GroupElement(_lamps_from_json(obj.get("eta", []), q), int(obj["k"]))
 
 
 def config_to_json(xi: BoundaryConfig) -> dict:
     return {"side": xi.side, "labels": [[n, v] for n, v in xi.labels]}
 
 
-def config_from_json(obj: dict) -> BoundaryConfig:
-    return BoundaryConfig.make(obj["side"], [(int(n), int(v)) for n, v in obj.get("labels", [])])
+def config_from_json(obj: dict, q: int) -> BoundaryConfig:
+    return BoundaryConfig(obj["side"], _lamps_from_json(obj.get("labels", []), q))

@@ -651,6 +651,8 @@ def estimate_f(
         raise ValueError("trials must be positive and horizon non-negative")
     if escape_radius is None:
         escape_radius = max(8, 2 * _state_distance(op, x, y))
+    elif escape_radius < 0:
+        raise ValueError("escape_radius must be non-negative")
 
     plan = _fast_plan(op)
     if plan is not None:

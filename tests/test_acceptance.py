@@ -22,8 +22,6 @@ from dl_harmonics.dl_graph import (
     DLParams,
     DLVertex,
     ball,
-    dl_neighbours,
-    dls_neighbours,
     factor_map,
     origin,
     random_vertex,
@@ -39,10 +37,8 @@ from dl_harmonics.kernels import (
 )
 from dl_harmonics.lamplighter import (
     BoundaryConfig,
-    GeneratorModel,
     GroupElement,
-    cayley_neighbours,
-    decode,
+    cayley_check,
     defect_minus,
     defect_oplus,
     defect_plus,
@@ -218,33 +214,13 @@ def test_criterion_05_conjugation_swaps_the_drift():
 
 def test_criterion_06_cayley_equivalence():
     failures = []
-    q = 2
-    params = DLParams(q, q)
-    elements = [
-        GroupElement.make({n: b for n, b in zip(range(-2, 3), bits) if b}, k, q)
-        for bits in itertools.product(range(q), repeat=5)
-        for k in range(-2, 3)
-    ]
-    assert len(elements) == 2**5 * 5
-    encoded = [encode(a) for a in elements]
-    if len(set(encoded)) != len(elements):
-        failures.append("encode not injective")
-    for a, v in zip(elements, encoded):
-        if decode(v) != a:
-            failures.append(("decode", a))
-            break
-    for a, v in zip(elements, encoded):
-        ws = {encode(b) for b in cayley_neighbours(a, GeneratorModel.WALK_SWITCH, q)}
-        if ws != set(dl_neighbours(v, params)):
-            failures.append(("walk-switch", a))
-            break
-        sws = {
-            encode(b)
-            for b in cayley_neighbours(a, GeneratorModel.SWITCH_WALK_SWITCH, q)
-        }
-        if sws != set(dls_neighbours(v, params)):
-            failures.append(("switch-walk-switch", a))
-            break
+    q, support, position_range = 2, 2, 2
+    res = cayley_check(q, support, position_range)
+    if res["elements"] != 2**5 * 5:
+        failures.append(("elements", res["elements"]))
+    for key in ("bijective", "walk_switch_matches_dl", "switch_walk_switch_matches_dls"):
+        if res[key] is not True:
+            failures.append(key)
     report(6, "group picture matches both graph pictures", failures)
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -220,6 +222,7 @@ def test_graph_export(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out_file.read_text())
     assert len(obj["vertices"]) == 5 and len(obj["edges"]) == 4
+    assert out_file.read_text() == json.dumps(obj, sort_keys=True)  # no trailing newline
 
 
 def test_config_defaults_and_precedence(tmp_path, capsys):
@@ -244,6 +247,10 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "dirichlet-solve", "--config", str(tmp_path / "no.json"))
     assert code == 2 and "config" in err
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    code, out, err = run(capsys, "dirichlet-solve", "--config", str(listed))
+    assert code == 2 and out == "" and "cannot read config" in err
     code, _, err = run(capsys, "dirichlet-solve", "--q", "1")
     assert code == 2
 
@@ -254,6 +261,15 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         ("graph-export", "--radius", "-2"),
         ("cayley-check", "--support", "-1"),
         ("cayley-check", "--position-range", "-1"),
+        ("dirichlet-solve", "--n", "-1"),
+        ("decompose", "--n", "-1", "--spec", KERNEL_SPEC),
+        ("harmonic-check", "--samples", "-1", "--spec", KERNEL_SPEC),
+        ("harmonic-check", "--radius", "-3", "--spec", KERNEL_SPEC),
+        ("simulate", "--steps", "-5"),
+        ("estimate-f", "--trials", "-1", "--to", ROOT_JSON),
+        ("estimate-f", "--horizon", "-1", "--to", ROOT_JSON),
+        ("estimate-f", "--escape-radius", "-1", "--to", ROOT_JSON),
+        ("dirichlet-solve", "--n", "two"),
     ],
 )
 def test_negative_size_exits_2(capsys, argv):
@@ -261,7 +277,9 @@ def test_negative_size_exits_2(capsys, argv):
         main(list(argv))
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
-    assert f"argument {argv[1]}: expected a non-negative integer" in captured.err
+    # reported by the subcommand's own parser, under its usage line
+    assert captured.err.startswith(f"usage: dl-harmonics {argv[0]} ")
+    assert f"argument {argv[1]}: expected a non-negative integer, got '{argv[2]}'" in captured.err
 
 
 def test_kernel_eval_rejects_out_of_range_label(capsys):
@@ -320,3 +338,140 @@ def test_failed_exact_check_exits_1(monkeypatch, capsys):
     assert code == 1
     assert json.loads(out) == {"error": "exact residual of the Dirichlet solve is nonzero"}
     assert "Traceback" not in out + err
+
+
+DEFECT_PLUS = '{"side": "+", "labels": []}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--q", "1", "--element", '{"k": 0}', "--boundary", DEFECT_PLUS),
+         "branching numbers must be at least 2"),
+        (("--q", "2", "--element", '{"k": 0, "eta": [[0, 5]]}', "--boundary", DEFECT_PLUS),
+         "--element: label 5 at 0 outside range(0, 2)"),
+        (("--q", "3", "--element", '{"k": 1, "eta": [[2, -1]]}', "--boundary", DEFECT_PLUS),
+         "--element: label -1 at 2 outside range(0, 3)"),
+        (("--q", "2", "--element", '{"k": 0}', "--boundary", '{"side": "-", "labels": [[3, 7]]}'),
+         "--boundary: label 7 at 3 outside range(0, 2)"),
+    ],
+)
+def test_defect_rejects_bad_q_and_labels(capsys, argv, message):
+    code, out, err = run(capsys, "defect", *argv)
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("defect", "--element", "[1, 2]", "--boundary", DEFECT_PLUS), "--element"),
+        (("defect", "--element", '{"k": 0}', "--boundary", '{"labels": []}'), "--boundary"),
+        (("kernel-eval", "--end", END_JSON, "--at", "[]"), "--at"),
+        (("kernel-eval", "--end", '{"labels": [[1,', "--at", ROOT_JSON), "--end"),
+        (("simulate", "--start", '{"x1": [1]}'), "--start"),
+        (("estimate-f", "--to", '[{"level": 1}]'), "--to"),
+        (("harmonic-check", "--spec", '{"q": 2}'), "--spec"),
+    ],
+)
+def test_json_of_the_wrong_shape_names_the_argument(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}: ")
+    assert "No such file" not in err and "Traceback" not in err
+
+
+LEVEL1_JSON = '{"level": 1, "labels": [[1, 1]]}'
+
+# SHA-256 of json.dumps([exit code, stdout, stderr]) for each argv, taken
+# with the parser that built all nine subcommands for every call.  They pin
+# help and usage text, argparse errors and the output of valid calls.
+GOLDEN = [
+    (("kernel-eval", "-h"),
+     "3dd6afe124d81c0dbbfc2882a2ed3317c3b4e6b965599afd15c9d90ae1924f74"),
+    (("harmonic-check", "-h"),
+     "7d8902fef0190475beef400a9b2639582f918d11d9a612aaba32578da53048a8"),
+    (("dirichlet-solve", "-h"),
+     "6710bb3f1d31e2c7b27700667be83ad7f58ea0447a7abfc3dec432168fd08491"),
+    (("decompose", "-h"),
+     "f84ab794d5a27da20dd183ee181ce2d1d0a14596fded9d8238bb517507b6c6a2"),
+    (("simulate", "-h"),
+     "2c80e2498127eae1280b690dc6bc4843fdf92a1d51204a695f4ab1e29bf41e44"),
+    (("estimate-f", "-h"),
+     "dc629592012e7e2e64646f52efc5f1b132a903905e6558e8e7562c487e2c4111"),
+    (("cayley-check", "-h"),
+     "37c1543ce50d1a49ea08d0fec53ae3d73d08fb2cfe0ecbcc756ba958fbc6615f"),
+    (("defect", "-h"),
+     "f89d91451565c31fb87c6c17b32d1a0baf4ade8442df0e57445107672fd2d91a"),
+    (("graph-export", "-h"),
+     "a5f3f775329d74ad51c75caf9f4f1708764cd1673be3e71b6b5ca4018823910c"),
+    (("-h",),
+     "46f0fd4406738c881cba7b5bb140fece30001c034afc3465ecb3b5628b236ef9"),
+    ((),
+     "abb69a03b4af4beefa43d342e2e22abb9e5e32a6c568de3b7cf6ed61f49fbec7"),
+    (("frobnicate",),
+     "21b98d71ebecf4e4963c5a1d131259ebd8fb2a00021fddcf2dc7f6e41c35a24d"),
+    (("kernel-eval", "--end", END_JSON, "--at", ROOT_JSON, "--bogus"),
+     "6374d0b2374486063ab81853a2240f9a6cd7d615b6c06ffc4afd2d2af1c18c7e"),
+    (("cayley-check", "extra"),
+     "759a843253c2aa95b87d5ed5fcd994c4e40be799a376ec2ebd92dd2b3658d294"),
+    (("estimate-f", "--trials", "10"),
+     "4b194b69d2b1b905a96b34ef1925a751fa13f11e280dc3d46d490c5aa24f7fd1"),
+    (("simulate", "--operator", "nope"),
+     "6958dc6ed85088bed56320698307f1cd88099033784c1220a9ce252f671a6418"),
+    (("dirichlet-solve", "--q", "two"),
+     "d52f4e5d74355c9f3d05e8cff176653f1ce2cf1e42fe46b8ff23691cef98896d"),
+    (("graph-export", "--radius", "-2"),
+     "5fdd9f009427b0c3afd4479439749906bca3f2e0c240caf1f88b9df398d3fc3c"),
+    (("kernel-eval", "--end", END_JSON, "--at", LEVEL1_JSON, "--alpha", "1/3"),
+     "e840dbd4ba9cfe65cc44d97c09f81c81ae7761a80973a19e47720f948618608c"),
+    (("harmonic-check", "--spec", KERNEL_SPEC, "--samples", "10", "--radius", "3", "--seed", "5"),
+     "3b50602cac4c2902a6b27d9541a0499a55b5d7c8f44c4755fcda2f2a08443c1e"),
+    (("dirichlet-solve", "--alpha", "1/3", "--n", "1", "--check-product"),
+     "f82361d35d42c8e4cd074b61096a8a470195e38838b1c3ddc2365dc1e50edc6d"),
+    (("decompose", "--spec", KERNEL_SPEC, "--n", "1"),
+     "b88e83ef0c2445ec396a2755bc3c020b3e103e56f112aa388182c2d95bd323cb"),
+    (("simulate", "--q", "2", "--r", "3", "--steps", "6", "--seed", "3"),
+     "65da72654f6967445eef1fe6fceaf9a9c8924992254584c49f7883fbb77df761"),
+    (("estimate-f", "--alpha", "2/3", "--to", LEVEL1_JSON, "--trials", "50", "--horizon", "50", "--seed", "2"),
+     "125e37875c31f5fadb87e9a9bece8ef6035a41b77b370bf46b918251dc7a2791"),
+    (("cayley-check", "--q", "3", "--support", "1", "--position-range", "1"),
+     "af1f3b7a856a8e312eef791f71c8a901eea1f48f01778dbcfe1b3f49014014ce"),
+    (("defect", "--q", "3", "--element", '{"k": 1, "eta": [[-1, 2], [0, 1], [2, 1]]}', "--boundary", '{"side": "+", "labels": [[1, 2]]}'),
+     "60dd3ccfedf347b0ebf6d2c692dcbd46bc02c67bbc3ef409fc19b4ad22d22937"),
+    (("graph-export", "--q", "2", "--r", "3", "--radius", "1", "--format", "json"),
+     "4f6d6141561f1f0d26f9e134250fd84428e5b73c56883028e9d41d5ea0973666"),
+    (("simulate", "--steps", "2", "--start", ""),
+     "117e2d354153518f41baa44a2aa1d0a94f4aac0597c6f4a7b18debf15f0afdf3"),
+    (("estimate-f", "--from", "", "--to", LEVEL1_JSON, "--trials", "20", "--horizon", "20"),
+     "1681187d0f997c6493dd7e4ec001cdb6f9381ba2ef50f3c680c20c4b43875a47"),
+]
+GOLDEN_CONFIG = "50d3156c9abed88e3aa00ab4b69196ae4f4370046b14e3faaa9a60dac3fd325c"
+
+
+def _digest(capsys, argv) -> str:
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse reports help and usage errors this way
+        code = exc.code
+    captured = capsys.readouterr()
+    return hashlib.sha256(json.dumps([code, captured.out, captured.err]).encode()).hexdigest()
+
+
+pinned_argparse = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="help and usage text as CPython 3.11 formats it"
+)
+
+
+@pinned_argparse
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a[:2]) or "<none>" for a, _ in GOLDEN])
+def test_golden_output(monkeypatch, capsys, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _digest(capsys, argv) == digest
+
+
+@pinned_argparse
+def test_golden_config_output(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 2, "r": 3, "alpha": "1/3", "n": 1, "check_product": True}))
+    assert _digest(capsys, ("dirichlet-solve", "--config", str(cfg))) == GOLDEN_CONFIG

@@ -3,12 +3,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dl_harmonics.dl_graph import DLParams, dl_neighbours, dls_neighbours, factor_map
+from dl_harmonics import lamplighter
+from dl_harmonics.dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours, factor_map
 from dl_harmonics.lamplighter import (
     BoundaryConfig,
     GeneratorModel,
     GroupElement,
+    cayley_check,
     cayley_neighbours,
     config_from_json,
     config_to_json,
@@ -259,6 +262,82 @@ def test_json_round_trips():
     rng = random.Random(RNG_SEED + 8)
     for _ in range(50):
         a = rand_element(rng, 3)
-        assert element_from_json(json.loads(json.dumps(element_to_json(a)))) == a
+        assert element_from_json(json.loads(json.dumps(element_to_json(a))), 3) == a
         xi = rand_config(rng, 3, rng.choice(("+", "-")))
-        assert config_from_json(json.loads(json.dumps(config_to_json(xi)))) == xi
+        assert config_from_json(json.loads(json.dumps(config_to_json(xi))), 3) == xi
+
+
+def test_json_decoders_check_lamps_against_q():
+    assert element_from_json({"k": 0, "eta": [[0, 5]]}, 6) == GroupElement(((0, 5),), 0)
+    assert element_from_json({"k": 1, "eta": [[2, 0], [-1, 2]]}, 3) == GroupElement(((-1, 2),), 1)
+    with pytest.raises(ValueError, match=r"label 5 at 0 outside range\(0, 2\)"):
+        element_from_json({"k": 0, "eta": [[0, 5]]}, 2)
+    with pytest.raises(ValueError, match=r"label -1 at 3 outside range\(0, 2\)"):
+        element_from_json({"k": 0, "eta": [[3, -1]]}, 2)
+    with pytest.raises(ValueError, match=r"label 7 at 1 outside range\(0, 3\)"):
+        config_from_json({"side": "+", "labels": [[1, 7]]}, 3)
+
+
+def ref_encode(a):
+    """``encode`` through dicts and ``TreeVertex.make``, as first written."""
+    k = a.k
+    x1 = TreeVertex.make(k, {j: v for j, v in a.eta if j <= k})
+    x2 = TreeVertex.make(-k, {1 - n: v for n, v in a.eta if n >= k + 1})
+    return DLVertex(x1, x2)
+
+
+def outcome(f, a):
+    try:
+        return f(a)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@st.composite
+def group_elements(draw):
+    k = draw(st.integers(-5, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-1, 3)), max_size=7))
+    if draw(st.booleans()):
+        return GroupElement.make(pairs, k, draw(st.sampled_from((2, 3, 4))))
+    # unsorted or repeated sites, zero or negative lamps
+    return GroupElement(tuple(pairs), k)
+
+
+@settings(max_examples=400, deadline=None)
+@given(group_elements())
+def test_encode_matches_make_reference(a):
+    assert outcome(encode, a) == outcome(ref_encode, a)
+
+
+def test_encode_splits_a_canonical_eta_as_it_stands(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("canonical eta went through TreeVertex.make")
+
+    monkeypatch.setattr(TreeVertex, "make", refuse)
+    a = GroupElement(((-2, 1), (0, 1), (3, 2), (5, 1)), 1)
+    assert encode(a) == DLVertex(
+        TreeVertex(1, ((-2, 1), (0, 1))), TreeVertex(-1, ((-4, 1), (-2, 2)))
+    )
+
+
+@pytest.mark.parametrize("q, support, position_range", [(2, 0, 0), (2, 1, 2), (3, 1, 1), (2, 2, 1)])
+def test_cayley_check_window(q, support, position_range):
+    assert cayley_check(q, support, position_range) == {
+        "elements": q ** (2 * support + 1) * (2 * position_range + 1),
+        "bijective": True,
+        "walk_switch_matches_dl": True,
+        "switch_walk_switch_matches_dls": True,
+    }
+
+
+def test_cayley_check_reports_a_mismatch(monkeypatch):
+    monkeypatch.setattr(lamplighter, "dls_neighbours", dl_neighbours)
+    res = cayley_check(2, 1, 1)
+    assert res["walk_switch_matches_dl"] is True
+    assert res["switch_walk_switch_matches_dls"] is False
+
+
+def test_cayley_check_rejects_bad_windows():
+    for args in ((1, 1, 1), (2, -1, 1), (2, 1, -1)):
+        with pytest.raises(ValueError):
+            cayley_check(*args)

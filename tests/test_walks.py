@@ -316,6 +316,8 @@ def test_estimate_validates_input():
         estimate_f(op, o, o, trials=0, horizon=5, seed=1)
     with pytest.raises(ValueError):
         estimate_f(op, o, o, trials=5, horizon=-1, seed=1)
+    with pytest.raises(ValueError, match="escape_radius"):
+        estimate_f(op, o, o, trials=5, horizon=5, seed=1, escape_radius=-1)
 
 
 # Estimator outputs pinned as literals: the sampler may change how it draws,
