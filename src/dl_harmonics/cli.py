@@ -20,14 +20,23 @@ from . import kernels as kn
 from . import lamplighter as lp
 from . import tree as tr
 from . import walks as wk
-from .serialize import estimate_to_json, frac_str, harmonic_from_json, parse_frac, table_to_json
+from .serialize import (
+    estimate_to_json,
+    frac_str,
+    harmonic_from_json,
+    parse_frac,
+    table_to_json,
+)
 
 _J = dict(sort_keys=True)
-_HALF = Fraction(1, 2)
 
 
 def _emit(obj) -> None:
     print(json.dumps(obj, **_J))
+
+
+def _frac(s) -> Fraction:
+    return parse_frac(s)
 
 
 def _params(args) -> dg.DLParams:
@@ -50,11 +59,25 @@ def _load_json_arg(text: str):
             return json.load(fh)
 
 
-def _decode(text: str, flag: str, decode):
-    """``decode`` the JSON given to ``flag``; bad or wrongly shaped JSON is a
-    ``ValueError`` whose message names ``flag``."""
+def _json_object(text: str, flag: str) -> dict:
+    """The JSON object given to ``flag``; malformed JSON or any other JSON
+    value is a ``ValueError`` whose message names ``flag``."""
     try:
-        return decode(_load_json_arg(text))
+        obj = _load_json_arg(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{flag}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _decode(text: str, flag: str, decode):
+    """``decode`` the JSON object given to ``flag``, where ``decode`` only reads
+    its fields into an object; a field of the wrong shape or value is a
+    ``ValueError`` whose message names ``flag``."""
+    obj = _json_object(text, flag)
+    try:
+        return decode(obj)
     except (TypeError, AttributeError, LookupError) as exc:
         raise ValueError(f"{flag}: JSON of the wrong shape ({exc!r})") from None
     except ValueError as exc:
@@ -75,24 +98,29 @@ def _cmd_kernel_eval(args) -> int:
     branch = params.q if args.side == 1 else params.r
     tr.check_labels(end, branch)
     tr.check_labels(x, branch)
-    value = kn.martin_kernel_tree(args.side, x, end, parse_frac(args.alpha), params)
-    _emit({"value": frac_str(value), "side": args.side, "alpha": frac_str(parse_frac(args.alpha))})
+    value = kn.martin_kernel_tree(args.side, x, end, _frac(args.alpha), params)
+    _emit({"value": frac_str(value), "side": args.side, "alpha": frac_str(_frac(args.alpha))})
     return 0
 
 
 def _cmd_harmonic_check(args) -> int:
-    h, params = _decode(args.spec, "--spec", harmonic_from_json)
-    alpha = parse_frac(args.alpha) if args.alpha is not None else h.alpha if h.terms else _HALF
+    spec = _json_object(args.spec, "--spec")
+    h, params = harmonic_from_json(spec)
+    alpha = _frac(args.alpha) if args.alpha is not None else (
+        h.alpha if h.terms else Fraction(1, 2)
+    )
     op = wk.operator_from_name(args.operator, params, alpha)
     rng = random.Random(args.seed)
     variant = "dls" if args.operator == "qalpha" else "dl"
-    sampled = (
-        dg.random_vertex(params, rng.randrange(args.radius + 1), rng, variant)
-        for _ in range(args.samples)
-    )
-    failures = [v for v in sampled if not wk.is_harmonic_at(op, h, v)]
+    failures = []
+    checked = 0
+    for _ in range(args.samples):
+        v = dg.random_vertex(params, rng.randrange(args.radius + 1), rng, variant)
+        checked += 1
+        if not wk.is_harmonic_at(op, h, v):
+            failures.append(v)
     out = {
-        "checked": args.samples,
+        "checked": checked,
         "failures": len(failures),
         "operator": args.operator,
         "alpha": frac_str(alpha),
@@ -108,7 +136,7 @@ def _cmd_harmonic_check(args) -> int:
 
 def _cmd_dirichlet_solve(args) -> int:
     params = _params(args)
-    alpha = parse_frac(args.alpha)
+    alpha = _frac(args.alpha)
     chain = dct.build_truncation(args.n, params, alpha, "dl")
     out = {
         "n": args.n,
@@ -134,24 +162,26 @@ def _cmd_dirichlet_solve(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    h, params = _decode(args.spec, "--spec", harmonic_from_json)
-    alpha = h.alpha if h.terms else parse_frac(args.alpha or "1/2")
+    spec = _json_object(args.spec, "--spec")
+    h, params = harmonic_from_json(spec)
+    alpha = h.alpha if h.terms else _frac(args.alpha or "1/2")
     dec = dct.decompose(h, args.n, params, alpha)
     out = {
         "n": dec.n,
         "alpha": frac_str(dec.alpha),
+        "h1": [[tr.vertex_to_json(x), frac_str(v)] for x, v in sorted(dec.h1.items(), key=lambda kv: (kv[0].level, kv[0].labels))],
+        "h2": [[tr.vertex_to_json(x), frac_str(v)] for x, v in sorted(dec.h2.items(), key=lambda kv: (kv[0].level, kv[0].labels))],
+        "lambda1": [[tr.vertex_to_json(x), frac_str(v)] for x, v in sorted(dec.lambda1.items(), key=lambda kv: (kv[0].level, kv[0].labels))],
+        "lambda2": [[tr.vertex_to_json(x), frac_str(v)] for x, v in sorted(dec.lambda2.items(), key=lambda kv: (kv[0].level, kv[0].labels))],
         "reconstructed_exactly": True,  # decompose raises otherwise
     }
-    for name in ("h1", "h2", "lambda1", "lambda2"):
-        values = sorted(getattr(dec, name).items(), key=lambda kv: (kv[0].level, kv[0].labels))
-        out[name] = [[tr.vertex_to_json(x), frac_str(v)] for x, v in values]
     _emit(out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     params = _params(args)
-    op = wk.operator_from_name(args.operator, params, parse_frac(args.alpha))
+    op = wk.operator_from_name(args.operator, params, _frac(args.alpha))
     decode, enc, origin = _picture(args.operator, params)
     start = _decode(args.start, "--start", decode) if args.start else origin()
     traj = wk.simulate(op, start, args.steps, args.seed)
@@ -163,11 +193,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate_f(args) -> int:
     params = _params(args)
-    op = wk.operator_from_name(args.operator, params, parse_frac(args.alpha))
+    op = wk.operator_from_name(args.operator, params, _frac(args.alpha))
     decode, _, origin = _picture(args.operator, params)
     x = _decode(getattr(args, "from"), "--from", decode) if getattr(args, "from") else origin()
     y = _decode(args.to, "--to", decode)
-    res = wk.estimate_f(op, x, y, args.trials, args.horizon, args.seed, args.escape_radius)
+    res = wk.estimate_f(
+        op, x, y, args.trials, args.horizon, args.seed, args.escape_radius
+    )
     _emit(estimate_to_json(res))
     return 0
 
@@ -183,15 +215,20 @@ def _cmd_defect(args) -> int:
     a = _decode(args.element, "--element", lambda obj: lp.element_from_json(obj, q))
     xi = _decode(args.boundary, "--boundary", lambda obj: lp.config_from_json(obj, q))
     out = {"side": xi.side, "q": q}
-    models = {"walk_switch": lp.GeneratorModel.WALK_SWITCH}
     if xi.side == "+":
         out["defect_plus"] = lp.defect_plus(a, xi)
         out["defect_oplus"] = lp.defect_oplus(a, xi)
-        models["switch_walk_switch"] = lp.GeneratorModel.SWITCH_WALK_SWITCH
+        out["kernel_walk_switch"] = frac_str(
+            kn.defect_kernel(lp.GeneratorModel.WALK_SWITCH, a, xi, q)
+        )
+        out["kernel_switch_walk_switch"] = frac_str(
+            kn.defect_kernel(lp.GeneratorModel.SWITCH_WALK_SWITCH, a, xi, q)
+        )
     else:
         out["defect_minus"] = lp.defect_minus(a, xi)
-    for key, model in models.items():
-        out[f"kernel_{key}"] = frac_str(kn.defect_kernel(model, a, xi, q))
+        out["kernel_walk_switch"] = frac_str(
+            kn.defect_kernel(lp.GeneratorModel.WALK_SWITCH, a, xi, q)
+        )
     _emit(out)
     return 0
 
@@ -200,14 +237,18 @@ def _cmd_graph_export(args) -> int:
     params = _params(args)
     if args.format == "dot":
         text = dg.export_dot(params, args.radius, args.variant)
-    else:  # a file gets no trailing newline, stdout does
-        text = json.dumps(dg.export_json(params, args.radius, args.variant), **_J)
-        text += "" if args.out else "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     else:
-        sys.stdout.write(text)
+        obj = dg.export_json(params, args.radius, args.variant)
+        if args.out:
+            with open(args.out, "w") as fh:
+                json.dump(obj, fh, **_J)
+        else:
+            _emit(obj)
     return 0
 
 
@@ -291,7 +332,8 @@ def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.Argum
 
 def _full_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="dl-harmonics", description="Exact harmonic analysis on horocyclic products of trees."
+        prog="dl-harmonics",
+        description="Exact harmonic analysis on horocyclic products of trees.",
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help, _, _) in _COMMANDS.items():
@@ -325,21 +367,26 @@ def _apply_config(argv: list[str]) -> list[str]:
     rest = argv[:i] + argv[i + 2 :]
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"expected a JSON object, got {type(cfg).__name__}")
     injected: list[str] = []
     for key, val in cfg.items():
         flag = "--" + str(key).replace("_", "-")
-        if val is True:
-            injected.append(flag)
-        elif val is not False:
+        if isinstance(val, bool):
+            if val:
+                injected.append(flag)
+        else:
             injected.extend([flag, json.dumps(val) if isinstance(val, (dict, list)) else str(val)])
-    return rest[:1] + injected + rest[1:]
+    if not rest:
+        return injected
+    return [rest[0]] + injected + rest[1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
-    except (OSError, ValueError, AttributeError) as exc:  # a config that is no JSON object
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not an object
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     args = _parse(argv)
@@ -349,7 +396,7 @@ def main(argv=None) -> int:
         # an exact verification inside the library failed
         _emit({"error": str(exc)})
         return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -197,23 +197,17 @@ def encode(a: GroupElement) -> DLVertex:
 
     First coordinate: level ``k``, labels ``eta(j)`` for ``j <= k``.
     Second coordinate: level ``-k``, labels ``eta(1 - j)`` for ``j <= -k``.
-    A canonical ``eta`` is split as it stands; any other is canonicalised.
+    ``eta`` is split as it stands; ``TreeVertex`` rejects one that is not
+    canonical, and a lamp that is not a non-negative integer is refused as
+    ``TreeVertex.make`` refuses it.
     """
     k, eta = a.k, a.eta
-    for _, v in eta:
-        if type(v) is not int or v <= 0:
-            break
-    else:
-        i = bisect_right(eta, k, key=itemgetter(0))
-        try:  # TreeVertex rejects unsorted or repeated sites
-            return DLVertex(
-                TreeVertex(k, eta[:i]),
-                TreeVertex(-k, tuple([(1 - n, v) for n, v in eta[i:][::-1]])),
-            )
-        except ValueError:
-            pass
-    x1 = TreeVertex.make(k, {j: v for j, v in eta if j <= k})
-    x2 = TreeVertex.make(-k, {1 - n: v for n, v in eta if n >= k + 1})
+    i = bisect_right(eta, k, key=itemgetter(0))
+    x1 = TreeVertex(k, eta[:i])
+    x2 = TreeVertex(-k, tuple([(1 - n, v) for n, v in reversed(eta[i:])]))
+    for j, v in x1.labels + x2.labels:
+        if not isinstance(v, int) or v < 0:
+            raise ValueError(f"label at {j} must be a non-negative integer, got {v!r}")
     return DLVertex(x1, x2)
 
 
@@ -263,22 +257,24 @@ class BoundaryConfig:
         return _lamp(self.labels, n)
 
 
-def _plus_defect(a: GroupElement, xi: BoundaryConfig, offset: int, name: str) -> int:
-    """The first ``n <= k`` with ``xi(n + offset) != eta(n + offset)`` (``k``
-    if none) minus the lowest ``n <= 0`` with ``xi(n + offset) != 0`` (0 if none)."""
-    if xi.side != "+":
-        raise ValueError(f"{name} needs a '+' side configuration")
-    keys = {n - offset for n, _ in xi.labels} | {n - offset for n, _ in a.eta}
-    cands = [n for n in keys if n <= a.k and xi.value(n + offset) != _lamp(a.eta, n + offset)]
-    low = [n - offset for n, _ in xi.labels if n <= offset]
-    return (min(cands) if cands else a.k) - (min(low) if low else 0)
+def _first_mismatch_at_most(limit: int, xi: BoundaryConfig, eta: Lamps, offset: int) -> int | None:
+    """min { n <= limit : xi(n + offset) != eta(n + offset) }, or None."""
+    keys = {n - offset for n, _ in xi.labels} | {n - offset for n, _ in eta}
+    cands = [n for n in keys if n <= limit and xi.value(n + offset) != _lamp(eta, n + offset)]
+    return min(cands) if cands else None
 
 
 def defect_plus(a: GroupElement, xi: BoundaryConfig) -> int:
     """How many sites beyond the fresh record the element already matches
     ``xi`` on, relative to the identity's own mismatch point.
     """
-    return _plus_defect(a, xi, 1, "defect_plus")
+    if xi.side != "+":
+        raise ValueError("defect_plus needs a '+' side configuration")
+    first = _first_mismatch_at_most(a.k, xi, a.eta, 1)
+    first = a.k if first is None else first
+    low = [n - 1 for n, v in xi.labels if n <= 1]
+    second = min(low) if low else 0
+    return first - second
 
 
 def defect_minus(a: GroupElement, xi: BoundaryConfig) -> int:
@@ -295,7 +291,13 @@ def defect_minus(a: GroupElement, xi: BoundaryConfig) -> int:
 def defect_oplus(a: GroupElement, xi: BoundaryConfig) -> int:
     """Variant of :func:`defect_plus` that also scores the lamp at the
     current position (the natural count for the switch-walk-switch moves)."""
-    return _plus_defect(a, xi, 0, "defect_oplus")
+    if xi.side != "+":
+        raise ValueError("defect_oplus needs a '+' side configuration")
+    first = _first_mismatch_at_most(a.k, xi, a.eta, 0)
+    first = a.k if first is None else first
+    low = [n for n, v in xi.labels if n <= 0]
+    second = min(low) if low else 0
+    return first - second
 
 
 def end_plus(xi: BoundaryConfig) -> TreeEnd:

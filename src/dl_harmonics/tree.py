@@ -52,6 +52,7 @@ __all__ = [
     "busemann_wrt_end",
     "check_labels",
     "shift",
+    "shift_end",
     "ball",
     "random_vertex",
     "vertex_to_json",
@@ -259,6 +260,12 @@ def busemann_wrt_end(x: TreeVertex, xi: TreeEnd) -> int:
 def shift(v: TreeVertex, m: int) -> TreeVertex:
     """Translate ``v`` by ``m`` levels along the level grading (an isometry)."""
     return TreeVertex(v.level + m, tuple((j + m, val) for j, val in v.labels))
+
+
+def shift_end(xi: TreeEnd, m: int) -> TreeEnd:
+    if xi.is_omega:
+        return xi
+    return TreeEnd(tuple((j + m, val) for j, val in xi.labels), False)
 
 
 def ball(q: int, radius: int, centre: TreeVertex = ROOT) -> list[TreeVertex]:

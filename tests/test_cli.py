@@ -370,7 +370,8 @@ def test_defect_rejects_bad_q_and_labels(capsys, argv, message):
         (("kernel-eval", "--end", '{"labels": [[1,', "--at", ROOT_JSON), "--end"),
         (("simulate", "--start", '{"x1": [1]}'), "--start"),
         (("estimate-f", "--to", '[{"level": 1}]'), "--to"),
-        (("harmonic-check", "--spec", '{"q": 2}'), "--spec"),
+        (("harmonic-check", "--spec", "[2]"), "--spec"),
+        (("decompose", "--spec", '{"q": 2,'), "--spec"),
     ],
 )
 def test_json_of_the_wrong_shape_names_the_argument(capsys, argv, flag):
@@ -378,6 +379,17 @@ def test_json_of_the_wrong_shape_names_the_argument(capsys, argv, flag):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag}: ")
     assert "No such file" not in err and "Traceback" not in err
+
+
+def test_a_library_fault_behind_spec_is_not_a_usage_error(monkeypatch):
+    from dl_harmonics import cli
+
+    def broken(obj):
+        raise TypeError("fault inside the library")
+
+    monkeypatch.setattr(cli, "harmonic_from_json", broken)
+    with pytest.raises(TypeError, match="fault inside the library"):
+        main(["harmonic-check", "--spec", KERNEL_SPEC])
 
 
 LEVEL1_JSON = '{"level": 1, "labels": [[1, 1]]}'

@@ -295,12 +295,10 @@ def outcome(f, a):
 
 @st.composite
 def group_elements(draw):
+    """Canonical elements; with ``q=None`` a lamp may be negative."""
     k = draw(st.integers(-5, 5))
     pairs = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-1, 3)), max_size=7))
-    if draw(st.booleans()):
-        return GroupElement.make(pairs, k, draw(st.sampled_from((2, 3, 4))))
-    # unsorted or repeated sites, zero or negative lamps
-    return GroupElement(tuple(pairs), k)
+    return GroupElement.make(pairs, k, draw(st.sampled_from((None, 2, 3, 4))))
 
 
 @settings(max_examples=400, deadline=None)
@@ -309,15 +307,14 @@ def test_encode_matches_make_reference(a):
     assert outcome(encode, a) == outcome(ref_encode, a)
 
 
-def test_encode_splits_a_canonical_eta_as_it_stands(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("canonical eta went through TreeVertex.make")
-
-    monkeypatch.setattr(TreeVertex, "make", refuse)
+def test_encode_splits_a_canonical_eta_and_rejects_another():
     a = GroupElement(((-2, 1), (0, 1), (3, 2), (5, 1)), 1)
     assert encode(a) == DLVertex(
         TreeVertex(1, ((-2, 1), (0, 1))), TreeVertex(-1, ((-4, 1), (-2, 2)))
     )
+    for eta in (((0, 1), (-1, 1)), ((0, 1), (0, 1)), ((0, 0),)):
+        with pytest.raises(ValueError):
+            encode(GroupElement(eta, 2))
 
 
 @pytest.mark.parametrize("q, support, position_range", [(2, 0, 0), (2, 1, 2), (3, 1, 1), (2, 2, 1)])
