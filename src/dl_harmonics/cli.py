@@ -2,8 +2,9 @@
 
 Exit codes: 0 = success / all checks passed, 1 = a mathematical check failed,
 2 = usage or configuration error.  All output is deterministic JSON (keys
-sorted); exact values are "NUM/DEN" strings.  A ``--config FILE`` option on
-every subcommand supplies defaults for the flags (explicit flags win).
+sorted); exact values are "NUM/DEN" strings.  A ``--config FILE`` (or
+``--config=FILE``) option on every subcommand supplies defaults for the
+flags (explicit flags win).
 """
 
 from __future__ import annotations
@@ -357,14 +358,19 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Turn ``--config FILE`` into injected default tokens (flags still win)."""
-    if "--config" not in argv:
+    """Turn ``--config FILE`` or ``--config=FILE`` into injected default
+    tokens (flags still win)."""
+    for i, token in enumerate(argv):
+        if token == "--config":
+            if i + 1 >= len(argv):
+                return argv  # let argparse report the missing value
+            path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
+            break
+        if token.startswith("--config="):
+            path, rest = token[len("--config=") :], argv[:i] + argv[i + 1 :]
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv  # let argparse report the missing value
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2 :]
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):

@@ -22,6 +22,14 @@ Martin kernels in closed form::
 where ``hor_xi(x) = busemann_wrt_end(x, xi)``; the exponent difference is
 always even, so no square roots appear and every value is an exact rational.
 
+Values are computed in Python integers.  ``F^-`` and ``rho2`` are held as
+numerator/denominator pairs (a ``KernelSpec`` resolves them once, when it is
+built), the exponent ``(hor_xi(x) - level(x)) // 2`` is read off the labels
+of ``x`` and ``xi`` without building a vertex, and a negative exponent swaps
+numerator and denominator.  ``HarmonicFunction`` sums its constant and its
+terms as one unreduced integer pair.  The one ``Fraction`` built per call is
+the returned value, so every value equals the plain ``Fraction`` formula.
+
 Functions on the horocyclic product are built by lifting a tree kernel
 through one coordinate; ``HarmonicFunction`` bundles non-negative
 combinations of lifted kernels plus a constant.  ``defect_kernel`` evaluates
@@ -45,7 +53,7 @@ from .lamplighter import (
     defect_oplus,
     defect_plus,
 )
-from .tree import TreeEnd, TreeVertex, _split_level, busemann_wrt_end
+from .tree import TreeEnd, TreeVertex, _half_excess, _split_level
 from .walks import _check_alpha
 
 __all__ = [
@@ -102,28 +110,48 @@ def _factors(side: int, alpha: Fraction, params: DLParams) -> tuple[Fraction, Fr
     return f_minus(up), rho_squared(up, branch)
 
 
+def _resolve(side: int, alpha: Fraction, params: DLParams) -> tuple[int, int, int, int]:
+    """``(F^-, rho2)`` of :func:`_factors` as numerator/denominator integers."""
+    fm, rho2 = _factors(side, alpha, params)
+    return (*fm.as_integer_ratio(), *rho2.as_integer_ratio())
+
+
+def _power_pair(factors: tuple[int, int, int, int], level: int, k: int) -> tuple[int, int]:
+    """Numerator and denominator, not reduced, of ``(F^-)**level * rho2**k``.
+
+    A negative exponent swaps its factor's numerator and denominator; both
+    factors are positive, so the denominator is too.
+    """
+    a, b, c, d = factors
+    if level < 0:
+        a, b, level = b, a, -level
+    if k < 0:
+        c, d, k = d, c, -k
+    return a**level * c**k, b**level * d**k
+
+
+def _kernel_pair(factors: tuple[int, int, int, int], x: TreeVertex, xi: TreeEnd) -> tuple[int, int]:
+    """``K(x, xi)`` as an unreduced integer pair."""
+    k = 0 if xi.is_omega else _half_excess(x.level, x.labels, xi.labels)
+    return _power_pair(factors, x.level, k)
+
+
 def tree_hitting_prob(x: TreeVertex, y: TreeVertex, alpha: Fraction, q: int) -> Fraction:
     """``F(x, y)``: probability the up-rate-``alpha`` tree walk ever hits ``y``.
 
     One factor ``F^-`` per descending edge and ``F^+ = rho2 / F^-`` per
     ascending edge of the geodesic ``x -> y``.
     """
-    fm, rho2 = _factors(1, alpha, DLParams(q, q))  # tree 1 of DL(q, q) is this walk
+    factors = _resolve(1, alpha, DLParams(q, q))  # tree 1 of DL(q, q) is this walk
     ups = y.level - _split_level(x.labels, y.labels, min(x.level, y.level))
-    return fm ** (x.level - y.level) * rho2 ** ups
+    return Fraction(*_power_pair(factors, x.level - y.level, ups))
 
 
 def martin_kernel_tree(
     side: int, x: TreeVertex, xi: TreeEnd, alpha: Fraction, params: DLParams
 ) -> Fraction:
     """Martin kernel ``K_side(x, xi)`` of the projected walk on tree ``side``."""
-    fm, rho2 = _factors(side, alpha, params)
-    if xi.is_omega:
-        return fm ** x.level
-    e = busemann_wrt_end(x, xi) - x.level
-    if e % 2:
-        raise AssertionError("horocycle indices of a vertex differ by an even amount")
-    return fm ** x.level * rho2 ** (e // 2)
+    return Fraction(*_kernel_pair(_resolve(side, alpha, params), x, xi))
 
 
 def drift_kernel(alpha: Fraction):
@@ -161,15 +189,27 @@ class KernelSpec:
     alpha: Fraction
     params: DLParams
 
+    def __post_init__(self) -> None:
+        # The integer (F^-, rho2) are resolved once, outside the fields.  Bad
+        # input leaves None here, so every evaluation raises in _resolve.
+        try:
+            factors = _resolve(self.side, self.alpha, self.params)
+        except (TypeError, ValueError):
+            factors = None
+        object.__setattr__(self, "_factor_ints", factors)
+
     @property
     def is_minimal(self) -> bool:
         """Kernels at word ends are minimal; the omega-kernel only at a = 1/2
         (where it is the constant 1)."""
         return (not self.end.is_omega) or self.alpha == Fraction(1, 2)
 
+    def _pair(self, v: DLVertex) -> tuple[int, int]:
+        factors = self._factor_ints or _resolve(self.side, self.alpha, self.params)
+        return _kernel_pair(factors, v.x1 if self.side == 1 else v.x2, self.end)
+
     def evaluate(self, v: DLVertex) -> Fraction:
-        x = v.x1 if self.side == 1 else v.x2
-        return martin_kernel_tree(self.side, x, self.end, self.alpha, self.params)
+        return Fraction(*self._pair(v))
 
 
 @dataclass(frozen=True)
@@ -180,11 +220,21 @@ class HarmonicFunction:
     constant: Fraction = Fraction(0)
     minimal: bool = False
 
+    def __post_init__(self) -> None:
+        # Integer pairs of the constant and the coefficients, outside the fields.
+        object.__setattr__(self, "_constant", Fraction(self.constant).as_integer_ratio())
+        terms = tuple((*Fraction(c).as_integer_ratio(), s) for c, s in self.terms)
+        object.__setattr__(self, "_terms", terms)
+
     def __call__(self, v: DLVertex) -> Fraction:
-        total = self.constant
-        for coeff, spec in self.terms:
-            total += coeff * spec.evaluate(v)
-        return total
+        # constant + sum coeff_i * K_i(v) over one common integer pair; the
+        # only Fraction built is the returned value.
+        num, den = self._constant
+        for a, b, spec in self._terms:
+            kn, kd = spec._pair(v)
+            d = b * kd
+            num, den = num * d + a * kn * den, den * d
+        return Fraction(num, den)
 
     @property
     def alpha(self) -> Fraction:

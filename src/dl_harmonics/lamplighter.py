@@ -33,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -134,14 +135,20 @@ class GeneratorModel(Enum):
 
 def generators(model: GeneratorModel, q: int) -> list[GroupElement]:
     """The generating set of the model; each set is closed under inversion."""
+    return list(_generators(model, q))
+
+
+@lru_cache(maxsize=64)
+def _generators(model: GeneratorModel, q: int) -> tuple[GroupElement, ...]:
+    """The generating set, built once per ``(model, q)``."""
     if model is GeneratorModel.WALK_SWITCH:
         ups = [GroupElement(delta(1, l), 1) for l in range(q)]
         downs = [GroupElement(delta(0, l), -1) for l in range(q)]
-        return ups + downs
+        return tuple(ups + downs)
     if model is GeneratorModel.WALK_OR_SWITCH:
         moves = [GroupElement((), 1), GroupElement((), -1)]
         switches = [GroupElement(delta(0, l), 0) for l in range(1, q)]
-        return moves + switches
+        return tuple(moves + switches)
     if model is GeneratorModel.SWITCH_WALK_SWITCH:
         out = []
         for l in range(q):
@@ -150,12 +157,12 @@ def generators(model: GeneratorModel, q: int) -> list[GroupElement]:
         for l in range(q):
             for m in range(q):
                 out.append(GroupElement.make({0: l, -1: m}, -1, q))
-        return out
+        return tuple(out)
     raise ValueError(f"unknown generator model {model!r}")
 
 
 def cayley_neighbours(a: GroupElement, model: GeneratorModel, q: int) -> list[GroupElement]:
-    return [multiply(a, s, q) for s in generators(model, q)]
+    return [multiply(a, s, q) for s in _generators(model, q)]
 
 
 def cayley_check(q: int, support: int, position_range: int) -> dict[str, int | bool]:
@@ -175,7 +182,7 @@ def cayley_check(q: int, support: int, position_range: int) -> dict[str, int | b
     encoded = [encode(a) for a in elements]
 
     def matches(model: GeneratorModel, neighbours) -> bool:
-        gens = generators(model, q)
+        gens = _generators(model, q)
         return all(
             {encode(multiply(a, s, q)) for s in gens} == set(neighbours(v, params))
             for a, v in zip(elements, encoded)
@@ -264,17 +271,23 @@ def _first_mismatch_at_most(limit: int, xi: BoundaryConfig, eta: Lamps, offset: 
     return min(cands) if cands else None
 
 
+def _defect_at(a: GroupElement, xi: BoundaryConfig, offset: int, name: str) -> int:
+    """The ``'+'`` side defect whose lamps are read ``offset`` sites ahead:
+    1 for :func:`defect_plus`, 0 for :func:`defect_oplus`."""
+    if xi.side != "+":
+        raise ValueError(f"{name} needs a '+' side configuration")
+    first = _first_mismatch_at_most(a.k, xi, a.eta, offset)
+    first = a.k if first is None else first
+    low = [n - offset for n, _ in xi.labels if n <= offset]
+    second = min(low) if low else 0
+    return first - second
+
+
 def defect_plus(a: GroupElement, xi: BoundaryConfig) -> int:
     """How many sites beyond the fresh record the element already matches
     ``xi`` on, relative to the identity's own mismatch point.
     """
-    if xi.side != "+":
-        raise ValueError("defect_plus needs a '+' side configuration")
-    first = _first_mismatch_at_most(a.k, xi, a.eta, 1)
-    first = a.k if first is None else first
-    low = [n - 1 for n, v in xi.labels if n <= 1]
-    second = min(low) if low else 0
-    return first - second
+    return _defect_at(a, xi, 1, "defect_plus")
 
 
 def defect_minus(a: GroupElement, xi: BoundaryConfig) -> int:
@@ -291,13 +304,7 @@ def defect_minus(a: GroupElement, xi: BoundaryConfig) -> int:
 def defect_oplus(a: GroupElement, xi: BoundaryConfig) -> int:
     """Variant of :func:`defect_plus` that also scores the lamp at the
     current position (the natural count for the switch-walk-switch moves)."""
-    if xi.side != "+":
-        raise ValueError("defect_oplus needs a '+' side configuration")
-    first = _first_mismatch_at_most(a.k, xi, a.eta, 0)
-    first = a.k if first is None else first
-    low = [n for n, v in xi.labels if n <= 0]
-    second = min(low) if low else 0
-    return first - second
+    return _defect_at(a, xi, 0, "defect_oplus")
 
 
 def end_plus(xi: BoundaryConfig) -> TreeEnd:

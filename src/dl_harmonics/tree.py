@@ -52,7 +52,6 @@ __all__ = [
     "busemann_wrt_end",
     "check_labels",
     "shift",
-    "shift_end",
     "ball",
     "random_vertex",
     "vertex_to_json",
@@ -253,19 +252,31 @@ def busemann_wrt_end(x: TreeVertex, xi: TreeEnd) -> int:
     """
     if xi.is_omega:
         return x.level
-    c = confluent_root(x, xi)
-    return distance(x, c) - distance(ROOT, c)
+    return x.level + 2 * _half_excess(x.level, x.labels, xi.labels)
+
+
+def _half_excess(level: int, labels: Labels, end_labels: Labels) -> int:
+    """``(busemann_wrt_end(x, xi) - level(x)) // 2`` for a word end ``xi``,
+    read off ``x``'s level and labels and ``xi``'s labels; no vertex is built.
+
+    ``bx`` and ``bxi`` are where the rays from the root to ``x`` and ``xi``
+    leave the root's omega-ray (the zero word).  When they leave at
+    different levels, ``c = x ∧ xi`` sits on that ray at the higher one and
+    the index is ``level(x) + 2 max(0, bxi - bx)``.  Otherwise both words
+    agree up to ``bx`` and ``c`` is where they split, at level
+    ``s >= bx``; then the index is ``level(x) - 2 (s - bx)``.
+    """
+    m = min(level, 0)
+    bx = min(labels[0][0] - 1, m) if labels else m
+    bxi = min(end_labels[0][0] - 1, 0) if end_labels else 0
+    if bx != bxi:
+        return max(0, bxi - bx)
+    return bx - _split_level(labels, end_labels, level)
 
 
 def shift(v: TreeVertex, m: int) -> TreeVertex:
     """Translate ``v`` by ``m`` levels along the level grading (an isometry)."""
     return TreeVertex(v.level + m, tuple((j + m, val) for j, val in v.labels))
-
-
-def shift_end(xi: TreeEnd, m: int) -> TreeEnd:
-    if xi.is_omega:
-        return xi
-    return TreeEnd(tuple((j + m, val) for j, val in xi.labels), False)
 
 
 def ball(q: int, radius: int, centre: TreeVertex = ROOT) -> list[TreeVertex]:

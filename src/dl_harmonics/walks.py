@@ -100,19 +100,27 @@ def _check_dl_state(v: DLVertex, params: DLParams) -> None:
     check_labels(v.x2, params.r)
 
 
+def _set_row(op, *blocks: tuple[Fraction, int]) -> None:
+    """Store a transition row as ``(weight, count)`` blocks and spelled out
+    weight by weight, in the order of the walk's neighbour list."""
+    object.__setattr__(op, "_blocks", blocks)
+    object.__setattr__(op, "_weights", tuple(p for p, n in blocks for _ in range(n)))
+
+
 @dataclass(frozen=True)
 class DLWalk:
     """The drifted simple walk on DL(q, r)."""
 
     params: DLParams
     alpha: Fraction
+    _blocks: tuple = field(init=False, compare=False, repr=False)
     _weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         alpha = _check_alpha(self.alpha)
         q, r = self.params.q, self.params.r
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "_weights", (alpha / q,) * q + ((1 - alpha) / r,) * r)
+        _set_row(self, (alpha / q, q), ((1 - alpha) / r, r))
 
     def validate_state(self, v: DLVertex) -> None:
         _check_dl_state(v, self.params)
@@ -128,12 +136,13 @@ class TreeWalk:
     branch: int
     up: Fraction
     kind: str = "tree"
+    _blocks: tuple = field(init=False, compare=False, repr=False)
     _weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         up = _check_alpha(self.up)
         object.__setattr__(self, "up", up)
-        object.__setattr__(self, "_weights", (up / self.branch,) * self.branch + (1 - up,))
+        _set_row(self, (up / self.branch, self.branch), (1 - up, 1))
 
     def validate_state(self, v: TreeVertex) -> None:
         if not isinstance(v, TreeVertex):
@@ -162,15 +171,14 @@ class SiblingWalk:
 
     params: DLParams
     alpha: Fraction
+    _blocks: tuple = field(init=False, compare=False, repr=False)
     _weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         alpha = _check_alpha(self.alpha)
         q, r = self.params.q, self.params.r
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(
-            self, "_weights", (alpha / (q * q),) * (q * q) + ((1 - alpha) / (q * r),) * (q * r)
-        )
+        _set_row(self, (alpha / (q * q), q * q), ((1 - alpha) / (q * r), q * r))
 
     def validate_state(self, v: DLVertex) -> None:
         _check_dl_state(v, self.params)
@@ -242,8 +250,21 @@ def transitions(op, v):
 
 
 def apply(op, h, v) -> Fraction:
-    """One application of the transition operator: ``sum_w p(v, w) h(w)``."""
-    return sum(p * h(w) for w, p in op.transitions(v))
+    """One application of the transition operator: ``sum_w p(v, w) h(w)``.
+
+    A walk whose row is stored as blocks of equal weight sums ``h`` over each
+    block and multiplies once per block; an exact sum does not depend on the
+    order of its terms.
+    """
+    row = op.transitions(v)
+    blocks = getattr(op, "_blocks", None)
+    if blocks is None:
+        return sum(p * h(w) for w, p in row)
+    total, start = 0, 0
+    for p, n in blocks:
+        total += p * sum(h(w) for w, _ in row[start : start + n])
+        start += n
+    return total
 
 
 def is_harmonic_at(op, h, v) -> bool:

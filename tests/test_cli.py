@@ -238,6 +238,18 @@ def test_config_defaults_and_precedence(tmp_path, capsys):
     assert json.loads(out)["alpha"] == "1/2"
 
 
+def test_config_equals_spelling(tmp_path, capsys):
+    # ``--config=FILE`` is the same option as ``--config FILE``
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 2, "r": 3, "n": 1}))
+    spaced = run(capsys, "dirichlet-solve", "--config", str(cfg))
+    joined = run(capsys, "dirichlet-solve", f"--config={cfg}")
+    assert spaced == joined
+    assert spaced[0] == 0 and json.loads(spaced[1])["size"] == 19
+    code, out, err = run(capsys, "dirichlet-solve", f"--config={tmp_path / 'no.json'}")
+    assert code == 2 and out == "" and "cannot read config" in err
+
+
 def test_bad_inputs_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "kernel-eval", "--end", "{not json", "--at", ROOT_JSON)
     assert code == 2 and "error" in err

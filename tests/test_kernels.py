@@ -1,8 +1,12 @@
+import hashlib
 import random
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from dl_harmonics import dl_graph
 
 from dl_harmonics.dl_graph import DLParams, origin
 from dl_harmonics.kernels import (
@@ -33,8 +37,10 @@ from dl_harmonics.tree import (
     ROOT,
     TreeEnd,
     TreeVertex,
-    busemann_wrt_end,
+    ball,
     confluent_omega,
+    confluent_root,
+    distance,
     successor,
 )
 from dl_harmonics.walks import DLVertex
@@ -269,6 +275,23 @@ def test_lift_sides():
         lift(3, lambda x: x.level)
 
 
+def ref_half_excess(x, xi):
+    """``(hor_xi(x) - level(x)) / 2`` from the confluent ``x ∧ xi`` built as a vertex."""
+    c = confluent_root(x, xi)
+    excess = distance(x, c) - distance(ROOT, c) - x.level
+    assert excess % 2 == 0
+    return excess // 2
+
+
+def ref_kernel(side, x, xi, alpha, p):
+    """``K(x, xi) = (F^-)^level * rho2^k`` in plain Fraction arithmetic."""
+    up, branch = (alpha, p.q) if side == 1 else (1 - alpha, p.r)
+    fm = min(Fraction(1), (1 - up) / up)
+    rho2 = min((1 - up) / (up * branch), up / ((1 - up) * branch))
+    k = 0 if xi.is_omega else ref_half_excess(x, xi)
+    return fm**x.level * rho2**k
+
+
 def test_kernel_equals_inline_powers():
     # K(x, xi) = F^-(up) ** level * rho2(up, branch) ** k, evaluated from
     # scratch, on both sides and on both sides of the symmetric point
@@ -280,10 +303,93 @@ def test_kernel_equals_inline_powers():
                 lvl = rng.randrange(-3, 4)
                 x = TreeVertex.make(lvl, {j: rng.randrange(branch) for j in range(lvl - 3, lvl + 1)})
                 xi = TreeEnd.word({j: rng.randrange(branch) for j in range(-3, 4)})
-                k = (busemann_wrt_end(x, xi) - lvl) // 2
+                k = ref_half_excess(x, xi)
                 want = f_minus(up) ** lvl * rho_squared(up, branch) ** k
                 assert martin_kernel_tree(side, x, xi, alpha, p) == want
                 assert martin_kernel_tree(side, x, OMEGA, alpha, p) == f_minus(up) ** lvl
+
+
+@st.composite
+def tree_vertex(draw, branch):
+    lvl = draw(st.integers(-6, 6))
+    labels = draw(st.dictionaries(st.integers(lvl - 8, lvl), st.integers(0, branch - 1), max_size=6))
+    return TreeVertex.make(lvl, labels)
+
+
+@st.composite
+def tree_end(draw, branch, near):
+    if draw(st.integers(0, 4)) == 0:
+        return OMEGA
+    # share a prefix of ``near``'s word, so that splits above the root occur
+    cut = draw(st.integers(-9, 6))
+    shared = {j: v for j, v in near.labels if j <= cut}
+    rest = draw(st.dictionaries(st.integers(cut + 1, 8), st.integers(0, branch - 1), max_size=6))
+    return TreeEnd.word({**shared, **rest})
+
+
+@st.composite
+def kernel_case(draw):
+    p = draw(st.sampled_from((DLParams(2, 3), DLParams(3, 2), DLParams(2, 2))))
+    alpha = draw(st.sampled_from((Fraction(1, 4), THIRD, HALF, Fraction(3, 5), Fraction(3, 4))))
+    x1 = draw(tree_vertex(p.q))
+    x2 = draw(tree_vertex(p.r))
+    xi1 = draw(tree_end(p.q, x1))
+    xi2 = draw(tree_end(p.r, x2))
+    coeffs = draw(st.lists(st.fractions(0, 5, max_denominator=9), min_size=3, max_size=3))
+    return p, alpha, DLVertex(x1, x2), xi1, xi2, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_case())
+def test_kernels_and_combinations_equal_fraction_formula(case):
+    p, alpha, v, xi1, xi2, (c0, c1, c2) = case
+    k1 = ref_kernel(1, v.x1, xi1, alpha, p)
+    k2 = ref_kernel(2, v.x2, xi2, alpha, p)
+    s1, s2 = KernelSpec(1, xi1, alpha, p), KernelSpec(2, xi2, alpha, p)
+    assert martin_kernel_tree(1, v.x1, xi1, alpha, p) == k1
+    assert martin_kernel_tree(2, v.x2, xi2, alpha, p) == k2
+    assert s1.evaluate(v) == k1 and s2.evaluate(v) == k2
+    assert combine([(c1, s1), (c2, s2)], c0)(v) == c0 + c1 * k1 + c2 * k2
+    assert minimal_kernel(s2)(v) == k2
+
+
+def kernel_grid_lines():
+    """Kernel, hitting and combination values on a fixed grid, one per line."""
+    for q, r in ((2, 3), (3, 2)):
+        p = DLParams(q, r)
+        for alpha in (THIRD, HALF, Fraction(3, 4)):
+            for side, branch in ((1, q), (2, r)):
+                top = branch - 1
+                ends = (OMEGA, TreeEnd.word({}), TreeEnd.word({1: 1}),
+                        TreeEnd.word({-2: 1, 2: top}), TreeEnd.word({-1: top, 0: 1, 3: 1}))
+                xs = ball(branch, 3)
+                for x in xs:
+                    for xi in ends:
+                        yield str(martin_kernel_tree(side, x, xi, alpha, p))
+                    if side == 1:
+                        for y in xs[::5]:
+                            yield str(tree_hitting_prob(x, y, alpha, q))
+            h = combine(
+                [
+                    (Fraction(1, 3), KernelSpec(1, TreeEnd.word({-1: 1, 2: q - 1}), alpha, p)),
+                    (Fraction(5, 2), KernelSpec(2, TreeEnd.word({0: r - 1, 1: 1}), alpha, p)),
+                    (Fraction(2), KernelSpec(1, OMEGA, alpha, p)),
+                ],
+                Fraction(7, 5),
+            )
+            for v in dl_graph.ball(p, 3):
+                yield str(h(v))
+
+
+# SHA-256 of ``kernel_grid_lines`` joined by newlines, taken when every
+# kernel was still a product of Fraction powers.
+GOLDEN_KERNEL_GRID = (4761, "f9b364c1265cbfb414f24c6053e7e3363a7ddd7e379ffcbd42b3665b112b717f")
+
+
+def test_kernel_grid_golden_digest():
+    lines = list(kernel_grid_lines())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == GOLDEN_KERNEL_GRID
 
 
 def test_factors_served_from_cache():

@@ -94,6 +94,18 @@ def test_generator_sets():
             assert {inverse(g, q) for g in gens} == gens  # symmetric set
 
 
+def test_generators_return_a_fresh_list():
+    for model in GeneratorModel:
+        first = generators(model, 3)
+        want = list(first)
+        first.append(identity())
+        first[0] = identity()
+        assert generators(model, 3) == want
+        assert generators(model, 3) is not generators(model, 3)
+    with pytest.raises(ValueError):
+        generators("walk-switch", 2)
+
+
 def test_encode_golden():
     p = DLParams(2, 2)
     assert encode(identity()) == __import__("dl_harmonics").origin(p)

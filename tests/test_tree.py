@@ -24,6 +24,7 @@ from dl_harmonics.tree import (
     vertex_from_json,
     vertex_to_json,
 )
+from dl_harmonics.tree import _half_excess
 
 RNG_SEED = 20240811
 
@@ -340,3 +341,17 @@ def test_split_level_matches_vertex_building_reference(case):
     for x in (a, b):
         assert confluent_root(x, xi) == ref_confluent_root(x, xi)
         assert busemann_wrt_end(x, xi) == ref_busemann(x, xi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_pair_and_end())
+def test_half_excess_matches_vertex_building_reference(case):
+    # the label-only helper against d(x, c) - d(o, c) with c = x ∧ xi built
+    # as a vertex; the excess over level(x) is always even
+    a, b, xi = case
+    for x in (a, b):
+        c = confluent_root(x, xi)
+        excess = distance(x, c) - distance(ROOT, c) - x.level
+        assert excess % 2 == 0
+        assert _half_excess(x.level, x.labels, xi.labels) == excess // 2
+        assert busemann_wrt_end(x, xi) == x.level + excess
