@@ -3,8 +3,8 @@
 Exit codes: 0 = success / all checks passed, 1 = a mathematical check failed,
 2 = usage or configuration error.  All output is deterministic JSON (keys
 sorted); exact values are "NUM/DEN" strings.  A ``--config FILE`` (or
-``--config=FILE``) option on every subcommand supplies defaults for the
-flags (explicit flags win).
+``--config=FILE``, spelled in full) option on every subcommand supplies
+defaults for the flags (explicit flags win).
 """
 
 from __future__ import annotations
@@ -396,6 +396,11 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     args = _parse(argv)
+    if args.config is not None:
+        # _apply_config took out every full spelling, so argparse matched an
+        # abbreviation such as --conf, whose file nothing would read.
+        print("error: spell the option in full: --config FILE or --config=FILE", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except AssertionError as exc:

@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from math import gcd, isqrt, lcm, prod
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -65,7 +65,6 @@ __all__ = [
     "represent",
     "decompose",
     "kernel_approx",
-    "exact_rank",
 ]
 
 
@@ -197,12 +196,76 @@ def build_truncation(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class HittingTable:
-    """Exact table ``F[x][y]`` of boundary-hitting probabilities."""
+    """Exact table ``F[x][y]`` of boundary-hitting probabilities, kept as
+    integer columns: ``nums[i, b] = F(vertices[i], boundary[b]) * dens[b]``,
+    where ``dens[b]`` is the lcm of the reduced denominators in column ``b``.
+    This form is canonical, so two tables are equal exactly when their
+    entries are.  ``rows`` (tuples of Fractions) is built on first read.
+    """
 
     chain: FiniteChain
-    rows: tuple  # rows[i][b] over chain.vertices x chain.boundary
+    nums: np.ndarray  # read-only, object dtype (Python ints), |vertices| x |boundary|
+    dens: tuple
+
+    def __init__(self, chain: FiniteChain, rows) -> None:
+        nums = np.array([[x.numerator for x in row] for row in rows], dtype=object)
+        dens = np.array([[x.denominator for x in row] for row in rows], dtype=object)
+        common = np.lcm.reduce(dens, axis=0)
+        self._store(chain, nums * (common // dens), common)
+
+    @classmethod
+    def _from_columns(cls, chain: FiniteChain, nums: np.ndarray, dens) -> HittingTable:
+        """The table ``nums[:, b] / dens[b]``; takes ownership of ``nums``."""
+        table = object.__new__(cls)
+        table._store(chain, nums, dens)
+        return table
+
+    def _store(self, chain, nums, dens) -> None:
+        dens = list(dens)
+        for b, d in enumerate(dens):
+            g = gcd(d, *nums[:, b])  # what the column and its denominator still share
+            if g > 1:
+                nums[:, b] //= g
+                dens[b] = d // g
+        nums.flags.writeable = False
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "dens", tuple(dens))
+
+    def __eq__(self, other):
+        if not isinstance(other, HittingTable):
+            return NotImplemented
+        return (
+            self.chain == other.chain
+            and self.dens == other.dens
+            and bool((self.nums == other.nums).all())
+        )
+
+    def __hash__(self):
+        return hash((self.chain, self.dens))
+
+    @property
+    def rows(self) -> tuple:
+        """``rows[i][b] = F(vertices[i], boundary[b])`` as Fractions, built on
+        first use."""
+        cache = self.__dict__
+        if "_rows" not in cache:
+            # Equal entries of a column share one Fraction: tables repeat
+            # few distinct values, so most entries cost one dict lookup.
+            seen = [{0: Fraction(0)} for _ in self.dens]
+            rows = []
+            for row in self.nums.tolist():
+                out = []
+                for x, d, known in zip(row, self.dens, seen):
+                    f = known.get(x)
+                    if f is None:
+                        f = known[x] = Fraction(x, d)
+                    out.append(f)
+                rows.append(tuple(out))
+            cache["_rows"] = tuple(rows)
+        return cache["_rows"]
 
     @property
     def boundary_index(self) -> dict:
@@ -273,9 +336,10 @@ def _denominator(x: int, modulus: int, bound: int) -> int | None:
 
 
 def _reconstruct(residues: np.ndarray, modulus: int):
-    """Rationals congruent to ``residues``, each column over one common
-    denominator, with numerators and denominators at most
-    ``isqrt(modulus // 2)``; None when no such candidate exists."""
+    """Rationals congruent to ``residues`` as integer columns ``(nums, dens)``:
+    entry ``(i, b)`` is ``nums[i, b] / dens[b]``, with every numerator and
+    denominator at most ``isqrt(modulus // 2)``; None when no such candidate
+    exists."""
     bound = isqrt(modulus // 2)
     half = modulus // 2
     dens = np.ones(residues.shape[1], dtype=object)
@@ -285,7 +349,7 @@ def _reconstruct(residues: np.ndarray, modulus: int):
         big = (nums > bound) | (nums < -bound)
         cols = np.flatnonzero(big.any(axis=0))
         if not cols.size:
-            return [[Fraction(n, d) for n, d in zip(row, dens)] for row in nums.tolist()]
+            return nums, dens
         for b in cols:
             i = int(np.argmax(big[:, b]))
             e = _denominator(int(nums[i, b]) % modulus, modulus, bound)
@@ -300,7 +364,8 @@ def _modular_solve(system: list[dict[int, int]], m: int, nb: int, accept: Callab
     first ``m`` columns, ``B`` in the last ``nb``).
 
     ``X`` is eliminated modulo one prime after another, combined by CRT and
-    reconstructed as rationals.  Each candidate goes to ``accept``, which
+    reconstructed as rationals.  Each candidate, in the integer column form
+    ``(nums, dens)`` of ``_reconstruct``, goes to ``accept``, which
     returns the certified result or raises AssertionError; a rejected
     candidate, or a failed reconstruction, adds a prime, and a prime that
     divides ``det A`` is skipped.  Hadamard's bound caps the work: once the
@@ -382,14 +447,15 @@ def hitting_table(chain: FiniteChain, op=None) -> HittingTable:
                 eq[m + b_index[w]] = eq.get(m + b_index[w], 0) + s
         system.append(eq)
 
-    one, zero = Fraction(1), Fraction(0)
-    delta = {y: tuple(one if c == b else zero for c in range(nb)) for y, b in b_index.items()}
+    at_interior = [index[v] for v in interior]
+    at_boundary = [index[y] for y in chain.boundary]
 
-    def accept(x: list[list[Fraction]]) -> HittingTable:
-        rows = tuple(
-            delta[v] if v in delta else tuple(x[i_index[v]]) for v in chain.vertices
-        )
-        table = HittingTable(chain, rows)
+    def accept(candidate) -> HittingTable:
+        nums, dens = candidate
+        full = np.zeros((len(chain.vertices), nb), dtype=object)
+        full[at_interior] = nums
+        full[at_boundary, range(nb)] = dens  # Kronecker boundary rows
+        table = HittingTable._from_columns(chain, full, dens)
         _verify_table(table, scaled_rows)
         return table
 
@@ -397,18 +463,15 @@ def hitting_table(chain: FiniteChain, op=None) -> HittingTable:
 
 
 def _verify_table(table: HittingTable, scaled_rows) -> None:
-    """Check the postconditions exactly, in integers: each boundary column
-    goes over one common denominator, and rows are compared entry by entry."""
+    """Check the postconditions exactly on the table's integer columns."""
     chain = table.chain
+    ints = table.nums  # entry (x, b) times common[b]
+    common = np.array(table.dens, dtype=object)
     index = chain.index
-    nums = np.array([[x.numerator for x in row] for row in table.rows], dtype=object)
-    dens = np.array([[x.denominator for x in row] for row in table.rows], dtype=object)
-    common = np.lcm.reduce(dens, axis=0)
-    ints = nums * (common // dens)  # entry (x, b) times common[b]
     at_boundary = ints[[index[y] for y in chain.boundary]]
     if not (at_boundary == np.diag(common)).all():
         raise AssertionError("boundary rows of the hitting table are not Kronecker deltas")
-    total = np.lcm.reduce(common)
+    total = lcm(*table.dens)
     if not ((ints * (total // common)).sum(axis=1) == total).all():
         raise AssertionError("hitting probabilities of a row do not sum to 1")
     for v, denom, terms in scaled_rows:
@@ -509,17 +572,30 @@ def verify_product_formula(
     if table is None:
         table = hitting_table(chain, op)
     n, params, alpha = chain.n, chain.params, chain.alpha
-    checked = 0
+    # Column b reads F1 (slab 0) or F2 (slab 1) at position k of its slab.
+    leaves: tuple[list, list] = ([], [])
+    where = []
+    for y in chain.boundary:
+        s = 0 if y.x2 == chain.a2 else 1
+        where.append((s, len(leaves[s])))
+        leaves[s].append(y.x1 if s == 0 else y.x2)
+    # Each closed-form value once per distinct (x_i, y_i) pair.
+    sides = ((params.q, alpha), (params.r, 1 - alpha))
+    closed: tuple[dict, dict] = ({}, {})
+    for x in chain.vertices:
+        for s, part in enumerate((x.x1, x.x2)):
+            if part not in closed[s]:
+                branch, up = sides[s]
+                closed[s][part] = [restricted_hitting(n, branch, up, part, y) for y in leaves[s]]
+    dens = table.dens
     bad = []
-    for x, row in zip(chain.vertices, table.rows):
-        for y, got in zip(chain.boundary, row):
-            if y.x2 == chain.a2:
-                want = restricted_hitting(n, params.q, alpha, x.x1, y.x1)
-            else:
-                want = restricted_hitting(n, params.r, 1 - alpha, x.x2, y.x2)
-            checked += 1
-            if got != want:
-                bad.append((x, y, got, want))
+    for x, row in zip(chain.vertices, table.nums.tolist()):
+        wants = (closed[0][x.x1], closed[1][x.x2])
+        for b, (num, (s, k)) in enumerate(zip(row, where)):
+            want = wants[s][k]
+            if num * want.denominator != want.numerator * dens[b]:
+                bad.append((x, chain.boundary[b], Fraction(num, dens[b]), want))
+    checked = len(chain.vertices) * len(chain.boundary)
     return ProductReport(checked, tuple(bad))
 
 
@@ -535,14 +611,13 @@ def represent(
     missing = [y for y in chain.boundary if y not in boundary_data]
     if missing:
         raise ValueError(f"boundary data missing at {len(missing)} vertices")
-    values = {}
-    for x in chain.vertices:
-        row = table.rows[chain.index[x]]
-        values[x] = sum(
-            (row[b] * Fraction(boundary_data[y]) for b, y in enumerate(chain.boundary)),
-            Fraction(0),
-        )
-    return values
+    # h(x) = sum_b nums[x, b] * (data_b / dens[b]), over one denominator.
+    coeffs = [Fraction(boundary_data[y]) / d for y, d in zip(chain.boundary, table.dens)]
+    common = lcm(*(c.denominator for c in coeffs))
+    weights = np.array([c.numerator * (common // c.denominator) for c in coeffs], dtype=object)
+    return {
+        x: Fraction(total, common) for x, total in zip(chain.vertices, table.nums.dot(weights).tolist())
+    }
 
 
 @dataclass(frozen=True)
@@ -646,25 +721,3 @@ def kernel_approx(chain: FiniteChain | TruncationStage, x: TreeVertex, target) -
     if denom == 0:
         raise ValueError("target has zero harmonic measure from the root at this stage")
     return restricted_hitting(n, branch, up, x, y) / denom
-
-
-def exact_rank(rows: Iterable[Iterable[Fraction]]) -> int:
-    """Rank over the rationals by plain exact elimination."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    col = 0
-    ncols = len(mat[0]) if mat else 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col]:
-                factor = mat[i][col] / pv
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
-    return rank

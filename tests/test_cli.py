@@ -250,6 +250,16 @@ def test_config_equals_spelling(tmp_path, capsys):
     assert code == 2 and out == "" and "cannot read config" in err
 
 
+@pytest.mark.parametrize("spelling", (("--conf", "{}"), ("--con={}",)))
+def test_abbreviated_config_exits_2(tmp_path, capsys, spelling):
+    # argparse takes a unique prefix of --config as the option itself, but
+    # only the full spellings are read as a config file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 2, "r": 3, "n": 1}))
+    code, out, err = run(capsys, "dirichlet-solve", *(t.format(cfg) for t in spelling))
+    assert code == 2 and out == "" and "--config" in err
+
+
 def test_bad_inputs_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "kernel-eval", "--end", "{not json", "--at", ROOT_JSON)
     assert code == 2 and "error" in err
@@ -499,3 +509,30 @@ def test_golden_config_output(monkeypatch, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"q": 2, "r": 3, "alpha": "1/3", "n": 1, "check_product": True}))
     assert _digest(capsys, ("dirichlet-solve", "--config", str(cfg))) == GOLDEN_CONFIG
+
+
+# SHA-256 of dirichlet-solve stdout (its --out path replaced by "<out>") and
+# of the --out file, taken when hitting tables were still stored as rows of
+# Fractions.  They pin the exact tables whatever their storage.
+DIRICHLET_SHA256 = [
+    (("--q", "2", "--r", "2", "--n", "2", "--alpha", "1/3", "--check-product"),
+     "8a8f6a0e716dfa93a1d86e1ccbf2f22dbcd64455dcbe1314f6e0ac0cef9975e2",
+     "b65937bf06901ce308ab6e6e5bab4d95492daf13a473a7ed9541ba8d18239608"),
+    (("--q", "3", "--r", "3", "--n", "1", "--alpha", "2/3"),
+     "6210c6698f88b2e3ddfa57a3d9adc06f5f4701224de5046e6d2a7051ce3e7b16",
+     "390308f3a365e0394e6fc32b59ddfe636a90a18f6b42949e82e82f3006e426ea"),
+    (("--q", "2", "--r", "3", "--n", "2", "--alpha", "3/5"),
+     "e2326cdcca2aef42722615d1f9bb01a2d95cbeb5f81249ab393976dd555ee123",
+     "3387bbd5987a4ba9e03ab62d53f146bd4d431843ab1963eb14acf53511ad8d57"),
+]
+
+
+@pytest.mark.parametrize("argv, out_digest, file_digest", DIRICHLET_SHA256,
+                         ids=[" ".join(a[1:6:2]) for a, _, _ in DIRICHLET_SHA256])
+def test_dirichlet_solve_output_is_unchanged(tmp_path, capsys, argv, out_digest, file_digest):
+    path = str(tmp_path / "table.json")
+    code, out, _ = run(capsys, "dirichlet-solve", *argv, "--out", path)
+    assert code == 0
+    assert hashlib.sha256(out.replace(path, "<out>").encode()).hexdigest() == out_digest
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == file_digest

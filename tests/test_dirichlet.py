@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -11,7 +12,6 @@ from dl_harmonics.dirichlet import (
     closed_tree_table,
     decompose,
     edge_factors,
-    exact_rank,
     hitting_table,
     kernel_approx,
     represent,
@@ -46,6 +46,28 @@ def gauss_jordan(a, b):
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     return [row[m:] for row in aug]
+
+
+def exact_rank(rows):
+    """Independent oracle: rank over the rationals by plain exact elimination."""
+    mat = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    col = 0
+    ncols = len(mat[0]) if mat else 0
+    while rank < len(mat) and col < ncols:
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        for i in range(rank + 1, len(mat)):
+            if mat[i][col]:
+                factor = mat[i][col] / pv
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 def solve_dense(chain, op):
@@ -108,6 +130,45 @@ def test_lookup_dicts_built_once():
     other = dct.HittingTable(fresh, t.rows)
     assert t == other and hash(t) == hash(other)
     assert repr(c) == repr(fresh)
+
+
+def test_table_from_rows_equals_the_solved_table():
+    for p, n, alpha in ((DLParams(2, 2), 1, HALF), (DLParams(2, 3), 1, THIRD)):
+        c = build_truncation(n, p, alpha, "dl")
+        t = hitting_table(c)
+        again = dct.HittingTable(c, t.rows)
+        assert again == t and hash(again) == hash(t)
+        assert again.dens == t.dens and (again.nums == t.nums).all()
+        assert again.rows == t.rows
+
+
+def test_solved_columns_are_reduced_to_the_lcm(monkeypatch):
+    # A reconstruction whose column denominators carry a spare factor still
+    # gives the canonical table.
+    reconstruct = dct._reconstruct
+    seen = []
+
+    def spare_factor(residues, modulus):
+        out = reconstruct(residues, modulus)
+        if out is None:
+            return None
+        nums, dens = out
+        nums, dens = nums.copy(), dens.copy()
+        nums[:, ::2] *= 6
+        dens[::2] *= 6
+        seen.append(tuple(dens))
+        return nums, dens
+
+    c = build_truncation(1, DLParams(2, 3), THIRD, "dl")
+    want = hitting_table(c)
+    monkeypatch.setattr(dct, "_reconstruct", spare_factor)
+    got = hitting_table(c)
+    assert seen and seen[-1] != want.dens
+    assert got == want and hash(got) == hash(want)
+    assert got.dens == want.dens and (got.nums == want.nums).all()
+    assert got == dct.HittingTable(c, got.rows)
+    for b, d in enumerate(got.dens):
+        assert d == lcm(*(row[b].denominator for row in got.rows))
 
 
 def test_golden_row_at_origin():
@@ -267,6 +328,43 @@ def test_product_formula_stage1():
         verify_product_formula(build_truncation(1, DLParams(2, 2), THIRD, "tree1"))
 
 
+def test_product_formula_reports_each_tampered_entry():
+    c = build_truncation(1, DLParams(2, 3), THIRD, "dl")
+    t = hitting_table(c)
+    rows = [list(row) for row in t.rows]
+    changed = {(c.interior[0], c.boundary[0]), (c.interior[-1], c.boundary[-1])}
+    for x, y in changed:
+        rows[c.index[x]][t.boundary_index[y]] += Fraction(1, 7)
+    tampered = dct.HittingTable(c, tuple(map(tuple, rows)))
+    report = verify_product_formula(c, table=tampered)
+    assert report.checked == len(c.vertices) * len(c.boundary)
+    assert {(x, y) for x, y, _, _ in report.discrepancies} == changed
+    for x, y, got, want in report.discrepancies:
+        assert type(got) is Fraction
+        assert got == t.value(x, y) + Fraction(1, 7) and want == t.value(x, y)
+    assert verify_product_formula(c, table=t).discrepancies == ()
+
+
+boundary_values = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-50, 50), st.integers(1, 60)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_represent_equals_the_row_sum(data):
+    c = build_truncation(1, DLParams(2, 3), Fraction(2, 5), "dl")
+    t = hitting_table(c)
+    boundary = {y: data.draw(boundary_values) for y in c.boundary}
+    values = represent(c, boundary, table=t)
+    assert list(values) == list(c.vertices)
+    for x, row in zip(c.vertices, t.rows):
+        want = sum((row[b] * Fraction(boundary[y]) for b, y in enumerate(c.boundary)), Fraction(0))
+        assert type(values[x]) is Fraction and values[x] == want
+
+
 def test_represent_constants_and_deltas():
     c = build_truncation(1, DLParams(2, 2), HALF, "dl")
     t = hitting_table(c)
@@ -403,7 +501,9 @@ def as_system(a, b):
 
 
 def exact_residual(a, b):
-    def accept(x):
+    def accept(candidate):
+        nums, dens = candidate
+        x = [[Fraction(n, d) for n, d in zip(row, dens)] for row in nums.tolist()]
         for i, row in enumerate(a):
             for c in range(len(b[i])):
                 if sum(row[j] * x[j][c] for j in range(len(row))) != b[i][c]:
