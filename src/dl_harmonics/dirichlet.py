@@ -15,12 +15,14 @@ product walk.  Sizes: ``|S| = sum_{k=-n}^{n} q^{n+k} r^{n-k}`` and
 ``hitting_table`` solves the boundary-hitting system exactly: unknowns are the
 interior values of ``F(., y)`` for every boundary ``y`` at once.  Rows are
 scaled to integers and eliminated modulo 31-bit primes (vectorised int64
-Gauss-Jordan); the residues are combined by CRT and rational reconstruction
-(Wang) turns them into fractions.  A table is accepted only when it passes
-the exact integer check against the sparse defining equations (Kronecker
-boundary rows, unit row sums, residual identically zero); otherwise another
-prime is added, up to Hadamard's bound, beyond which the reconstruction is
-unique.
+Gauss-Jordan); the residues are combined by CRT (in int64 while the modulus
+fits) and rational reconstruction (Wang) turns them into fractions, once per
+distinct residue: a table holds few distinct values.  A table is accepted
+only when it passes the exact integer check against the sparse defining
+equations (Kronecker boundary rows, unit row sums, residual identically
+zero), run in int64 when ``max|nums|`` times the row weights provably stays
+below 2**63 and on Python ints otherwise; a failed check adds another prime,
+up to Hadamard's bound, beyond which the reconstruction is unique.
 
 On a single tree the same probabilities factor over geodesic edges.  The
 per-level factors obey scalar recursions (``d_k``: reach the predecessor from
@@ -31,7 +33,8 @@ level ``k`` before the boundary, ``u_k``: reach one fixed successor)::
 
 so tree tables, the product-formula cross-check, the finite splitting
 ``h = h1 + h2``, and the stage-``n`` kernel approximants all come out in
-closed form with no matrix solve.
+closed form with no matrix solve.  A geodesic product depends only on the
+levels of ``x ⋏ y``, ``x`` and ``y``, and is computed once per such triple.
 """
 
 from __future__ import annotations
@@ -287,6 +290,11 @@ _PRIMES = (
 )
 
 
+# Largest dense elimination matrix ``hitting_table`` allocates: DL(2,2) n=5
+# needs 0.77 GiB, n=6 would need 17.9 GiB.
+_MAX_SOLVE_BYTES = 2 << 30
+
+
 def _moduli():
     """The hard-coded primes, then ever smaller primes by trial division."""
     yield from _PRIMES
@@ -323,39 +331,48 @@ def _eliminate(aug: np.ndarray, m: int, p: int):
     return aug[:, m:]
 
 
-def _denominator(x: int, modulus: int, bound: int) -> int | None:
-    """Rational reconstruction (Wang): the denominator ``d <= bound`` of the
-    fraction ``n / d`` with ``|n| <= bound`` congruent to ``x``, or None."""
+def _rational(x: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """Rational reconstruction (Wang): the fraction ``num / den`` with
+    ``|num| <= bound`` and ``0 < den <= bound`` congruent to ``x``, or None."""
     r0, r1, t0, t1 = modulus, x, 0, 1
     while r1 > bound:
         quo = r0 // r1
         r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
     if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
         return None
-    return abs(t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _reconstruct(residues: np.ndarray, modulus: int):
     """Rationals congruent to ``residues`` as integer columns ``(nums, dens)``:
-    entry ``(i, b)`` is ``nums[i, b] / dens[b]``, with every numerator and
-    denominator at most ``isqrt(modulus // 2)``; None when no such candidate
-    exists."""
+    entry ``(i, b)`` is ``nums[i, b] / dens[b]``, with every entry's
+    numerator and denominator, and every ``dens[b]``, at most
+    ``isqrt(modulus // 2)``; None when no such candidate exists.
+
+    Wang reconstruction runs once per distinct residue; the rest is numpy in
+    the dtype of ``residues`` (``int64`` below a 2**63 modulus, where every
+    product below stays under ``bound**2 < 2**62``, else object).
+    """
     bound = isqrt(modulus // 2)
-    half = modulus // 2
-    dens = np.ones(residues.shape[1], dtype=object)
-    while True:
-        nums = residues * dens % modulus
-        nums = np.where(nums > half, nums - modulus, nums)
-        big = (nums > bound) | (nums < -bound)
-        cols = np.flatnonzero(big.any(axis=0))
-        if not cols.size:
-            return nums, dens
-        for b in cols:
-            i = int(np.argmax(big[:, b]))
-            e = _denominator(int(nums[i, b]) % modulus, modulus, bound)
-            if e is None or dens[b] * e > bound:
-                return None
-            dens[b] *= e
+    values, inverse = np.unique(residues, return_inverse=True)
+    nums = np.empty(len(values), dtype=residues.dtype)
+    dens = np.empty(len(values), dtype=residues.dtype)
+    for k, x in enumerate(values.tolist()):
+        fraction = _rational(x, modulus, bound)
+        if fraction is None:
+            return None
+        nums[k], dens[k] = fraction
+    inverse = inverse.reshape(residues.shape)
+    den = dens[inverse]
+    # In int64 the lcm can wrap only once it has passed ``bound``; a value in
+    # [1, bound] that every denominator divides is a common multiple within
+    # the bound, so it proves there was no wrap and that it is the lcm.
+    common = np.lcm.reduce(den, axis=0)
+    if not ((common >= 1) & (common <= bound)).all() or (common % den).any():
+        return None
+    np.floor_divide(common, den, out=den)  # in place: each entry's scale
+    den *= nums[inverse]
+    return den.astype(object), common.astype(object)
 
 
 def _modular_solve(system: list[dict[int, int]], m: int, nb: int, accept: Callable):
@@ -389,11 +406,14 @@ def _modular_solve(system: list[dict[int, int]], m: int, nb: int, accept: Callab
             if skipped * skipped > det_bound_sq:
                 raise ValueError("singular system")
             continue
+        # CRT residues stay int64 while the modulus fits in one.
+        dtype = np.int64 if modulus * p < 2**63 else object
         if residues is None:
-            residues = x.astype(object)
+            residues = x.astype(dtype)
         else:
             lift = (x - (residues % p).astype(np.int64)) % p * pow(modulus, -1, p) % p
-            residues = residues + modulus * lift.astype(object)
+            residues = residues.astype(dtype) + modulus * lift.astype(dtype)
+        del aug, x  # free the elimination matrix before reconstructing
         modulus *= p
         final = modulus // 2 >= minor_bound_sq
         candidate = _reconstruct(residues, modulus)
@@ -413,16 +433,23 @@ def hitting_table(chain: FiniteChain, op=None) -> HittingTable:
 
     A table is accepted only when these postconditions hold exactly:
     boundary rows are Kronecker deltas, every row sums to 1, and the
-    defining sparse equations hold with residual zero.
+    defining sparse equations hold with residual zero.  A chain whose dense
+    ``int64`` system would pass ``_MAX_SOLVE_BYTES`` raises ValueError
+    before any of it is built.
     """
+    interior = chain.interior
+    m, nb = len(interior), len(chain.boundary)
+    need = 8 * m * (m + nb)  # bytes of one int64 [A | B]
+    if need > _MAX_SOLVE_BYTES:
+        raise ValueError(
+            f"the dense solve needs a {need / 2**30:.1f} GiB matrix "
+            f"(cap {_MAX_SOLVE_BYTES / 2**30:.0f} GiB)"
+        )
     if op is None:
         op = default_operator(chain)
     index = chain.index
-    nb = len(chain.boundary)
     b_index = {y: b for b, y in enumerate(chain.boundary)}
-    interior = chain.interior
     i_index = {v: i for i, v in enumerate(interior)}
-    m = len(interior)
 
     # Each interior row scaled to integers, ``denom F(v, .) = sum_w s F(w, .)``
     # over vertex positions (kept for verification), and as a row of A | B.
@@ -463,20 +490,51 @@ def hitting_table(chain: FiniteChain, op=None) -> HittingTable:
 
 
 def _verify_table(table: HittingTable, scaled_rows) -> None:
-    """Check the postconditions exactly on the table's integer columns."""
+    """Check the postconditions exactly on the table's integer columns.
+
+    The checks run in int64 when bounds prove that no sum can overflow:
+    ``max|nums| * sum_b (lcm(dens) // dens[b])`` for the row sums and
+    ``max|nums| * (denom + sum|s|)`` for the residual of each scaled row.
+    Otherwise the same expressions run on Python ints.
+    """
     chain = table.chain
-    ints = table.nums  # entry (x, b) times common[b]
-    common = np.array(table.dens, dtype=object)
+    total = lcm(*table.dens)
+    scale = [total // d for d in table.dens]
+    # Row i reads denom_i * F(at_i, .) = sum_t coeffs[i][t] * F(slots[i][t], .),
+    # padded with zero terms to a common width.
+    at = [v for v, _, _ in scaled_rows]
+    denoms = [denom for _, denom, _ in scaled_rows]
+    width = max(len(terms) for _, _, terms in scaled_rows)
+    slots = [[j for j, _ in terms] + [0] * (width - len(terms)) for _, _, terms in scaled_rows]
+    coeffs = [[s for _, s in terms] + [0] * (width - len(terms)) for _, _, terms in scaled_rows]
+    weight = max(d + sum(map(abs, row)) for d, row in zip(denoms, coeffs))
+    try:
+        ints = table.nums.astype(np.int64)
+    except OverflowError:  # an entry outgrows int64
+        ints = table.nums
+    else:
+        big = max(-int(ints.min()), int(ints.max()))
+        if max(big * sum(scale), big * weight, total, weight) >= 2**63:
+            ints = table.nums
+    dtype = ints.dtype
+
     index = chain.index
     at_boundary = ints[[index[y] for y in chain.boundary]]
-    if not (at_boundary == np.diag(common)).all():
+    if not (at_boundary == np.diag(np.array(table.dens, dtype=dtype))).all():
         raise AssertionError("boundary rows of the hitting table are not Kronecker deltas")
-    total = lcm(*table.dens)
-    if not ((ints * (total // common)).sum(axis=1) == total).all():
+    if not ((ints * np.array(scale, dtype=dtype)).sum(axis=1) == total).all():
         raise AssertionError("hitting probabilities of a row do not sum to 1")
-    for v, denom, terms in scaled_rows:
-        if not (sum(s * ints[j] for j, s in terms) == denom * ints[v]).all():
-            raise AssertionError("exact residual of the Dirichlet solve is nonzero")
+    # The residual, one term slot at a time.
+    slots = np.array(slots, dtype=np.intp)
+    coeffs = np.array(coeffs, dtype=dtype)
+    residual = ints[at] * np.array(denoms, dtype=dtype)[:, None]
+    term = np.empty_like(residual)
+    for t in range(width):
+        np.take(ints, slots[:, t], axis=0, out=term)
+        term *= coeffs[:, t, None]
+        residual -= term
+    if residual.any():
+        raise AssertionError("exact residual of the Dirichlet solve is nonzero")
 
 
 # ---------------------------------------------------------------------------
@@ -514,15 +572,22 @@ def _edge_factors(n: int, branch: int, up: Fraction):
     return MappingProxyType(d), MappingProxyType(u)
 
 
-def _geodesic_product(d: Mapping, u: Mapping, x: TreeVertex, y: TreeVertex) -> Fraction:
-    """Down factors from ``x`` to ``x ⋏ y``, then up factors from there to ``y``."""
-    c = confluent_omega(x, y).level
+@lru_cache(maxsize=4096)
+def _level_product(n: int, branch: int, up: Fraction, c: int, lx: int, ly: int) -> Fraction:
+    """Down factors from level ``lx`` to ``c``, then up factors from ``c`` to
+    ``ly``: the geodesic product of any ``x``, ``y`` with ``x ⋏ y`` at level
+    ``c``, one cached value per level triple."""
+    d, u = _edge_factors(n, branch, up)
     out = Fraction(1)
-    for k in range(c + 1, x.level + 1):
+    for k in range(c + 1, lx + 1):
         out *= d[k]
-    for k in range(c, y.level):
+    for k in range(c, ly):
         out *= u[k]
     return out
+
+
+def _geodesic_product(n: int, branch: int, up: Fraction, x: TreeVertex, y: TreeVertex) -> Fraction:
+    return _level_product(n, branch, up, confluent_omega(x, y).level, x.level, y.level)
 
 
 def _in_tree_chain(v: TreeVertex, n: int) -> bool:
@@ -535,18 +600,19 @@ def restricted_hitting(n: int, branch: int, up: Fraction, x: TreeVertex, y: Tree
     """``F(x, y)`` before the stage-``n`` boundary, by geodesic edge products."""
     if not (_in_tree_chain(x, n) and _in_tree_chain(y, n)):
         raise ValueError("both endpoints must lie in the truncation")
-    d, u = edge_factors(n, branch, up)
-    return _geodesic_product(d, u, x, y)
+    if not isinstance(up, Fraction):
+        up = Fraction(up)  # a Fraction is passed on as is: the cache matches it by identity
+    return _geodesic_product(n, branch, up, x, y)
 
 
 def closed_tree_table(chain: FiniteChain) -> HittingTable:
     """The full tree hitting table from the closed-form edge factors."""
     up, branch = _chain_rate(chain)
-    d, u = edge_factors(chain.n, branch, up)
+    n = chain.n
     bset = set(chain.boundary)
     zero = Fraction(0)
     rows = tuple(
-        tuple(zero if x in bset and x != y else _geodesic_product(d, u, x, y) for y in chain.boundary)
+        tuple(zero if x in bset and x != y else _geodesic_product(n, branch, up, x, y) for y in chain.boundary)
         for x in chain.vertices
     )
     return HittingTable(chain, rows)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -494,6 +497,28 @@ def _digest(capsys, argv) -> str:
 pinned_argparse = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11), reason="help and usage text as CPython 3.11 formats it"
 )
+
+
+def test_dirichlet_solve_past_the_dense_cap_exits_2(tmp_path, capsys):
+    # DL(2,2) n = 6 passes the vertex cap (53,248 vertices) but its dense
+    # system would need 17.9 GiB; it is refused before that is allocated.
+    out_file = tmp_path / "table.json"
+    code, out, err = run(capsys, "dirichlet-solve", "--n", "6", "--out", str(out_file))
+    assert code == 2 and out == ""
+    assert "17.9 GiB" in err
+    assert not out_file.exists()
+
+
+def test_cli_import_loads_no_heavy_dependency():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    probe = (
+        "import sys, dl_harmonics.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy', 'networkx'}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pinned_argparse

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from dl_harmonics.dirichlet import (
 )
 from dl_harmonics.dl_graph import DLParams, DLVertex, origin
 from dl_harmonics.kernels import KernelSpec, martin_kernel_tree
-from dl_harmonics.tree import OMEGA, ROOT, TreeEnd, TreeVertex
+from dl_harmonics.tree import OMEGA, ROOT, TreeEnd, TreeVertex, predecessor
 from dl_harmonics.walks import DLWalk, p1_walk
 
 RNG_SEED = 16180
@@ -613,7 +614,8 @@ def test_rejected_table_is_final_at_the_hadamard_bound(monkeypatch):
         hitting_table(build_truncation(1, DLParams(2, 2), HALF, "dl"))
 
 
-def test_verify_table_catches_each_defect(monkeypatch):
+def solved_with_rows(monkeypatch, chain):
+    """The solved table of ``chain`` and the scaled rows it was verified on."""
     seen = []
     verify = dct._verify_table
 
@@ -622,9 +624,27 @@ def test_verify_table_catches_each_defect(monkeypatch):
         verify(table, scaled_rows)
 
     monkeypatch.setattr(dct, "_verify_table", recording)
-    c = build_truncation(1, DLParams(2, 3), THIRD, "dl")
-    table = hitting_table(c)
-    scaled_rows = seen[-1]
+    table = hitting_table(chain)
+    monkeypatch.setattr(dct, "_verify_table", verify)
+    return table, seen[-1]
+
+
+@pytest.mark.parametrize(
+    "alpha, bits",
+    [
+        (THIRD, range(1, 32)),  # checked in int64
+        # entries fit in int64 but their products with the row weights may not
+        (Fraction(10**15 + 37, 3 * 10**15 + 1), range(32, 64)),
+        (Fraction(10**20 + 39, 3 * 10**20 + 7), range(64, 200)),  # entries outgrow int64
+    ],
+)
+def test_verify_table_catches_each_defect(monkeypatch, alpha, bits):
+    # Each defect is caught whether the check runs in int64 or on Python ints.
+    verify = dct._verify_table
+    c = build_truncation(1, DLParams(2, 3), alpha, "dl")
+    table, scaled_rows = solved_with_rows(monkeypatch, c)
+    assert max(max(abs(x) for x in table.nums.flat), *table.dens).bit_length() in bits
+    verify(table, scaled_rows)
 
     def tampered(v, change):
         rows = list(table.rows)
@@ -639,12 +659,162 @@ def test_verify_table_catches_each_defect(monkeypatch):
         row[b - 1] += Fraction(1, 10**9)
         return tuple(row)
 
+    def one_entry(row):
+        b = len(row) // 2
+        row[b] += Fraction(1, 7)
+        return tuple(row)
+
     x = c.interior[0]
     y = c.boundary[0]
     for bad, message in (
         (tampered(x, moved), "residual"),
+        (tampered(x, one_entry), "sum to 1"),
         (tampered(x, lambda row: (row[0] + 1, *row[1:])), "sum to 1"),
         (tampered(y, lambda row: tuple(reversed(row))), "Kronecker"),
     ):
         with pytest.raises(AssertionError, match=message):
             verify(bad, scaled_rows)
+
+
+P0, P1, P2 = dct._PRIMES[:3]
+F = Fraction
+
+# (modulus, residue dtype, columns): every entry and every column lcm lies
+# within isqrt(modulus // 2); below 2**63 the solver keeps residues in int64.
+RECONSTRUCTIBLE = {
+    "one prime": (P0, np.int64, [
+        [F(1, 3), F(-2, 7), F(5, 21), F(0), F(1)],
+        [F(-100, 9), F(9, 100), F(1), F(32767), F(-1, 2)],
+    ]),
+    "two primes": (P0 * P1, np.int64, [
+        [F(123456789, 1000003), F(-987654321, 999), F(1, 27), F(0)],
+        [F(2**30), F(-5), F(0), F(1)],
+        [F(1, 2), F(1, 2), F(-1, 2), F(1, 2)],
+    ]),
+    "three primes": (P0 * P1 * P2, object, [
+        [F(10**13 + 7, 10**6 + 3), F(-(10**12), 999983), F(1, 2)],
+        [F(-1), F(0), F(7, 3)],
+    ]),
+}
+
+
+def residues_of(columns, modulus, dtype):
+    """The ``m x nb`` residues mod ``modulus`` of Fraction columns."""
+    rows = zip(*columns)
+    return np.array(
+        [[f.numerator * pow(f.denominator, -1, modulus) % modulus for f in row] for row in rows],
+        dtype=dtype,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(RECONSTRUCTIBLE))
+def test_reconstruct_returns_the_exact_columns(case):
+    modulus, dtype, columns = RECONSTRUCTIBLE[case]
+    assert (modulus < 2**63) == (dtype is np.int64)
+    nums, dens = dct._reconstruct(residues_of(columns, modulus, dtype), modulus)
+    assert nums.dtype == object and dens.dtype == object
+    assert all(type(x) is int for x in (*nums.flat, *dens))
+    for b, column in enumerate(columns):
+        assert dens[b] == lcm(*(f.denominator for f in column))
+        assert [F(x, dens[b]) for x in nums[:, b]] == column
+
+
+def _has_small_rational(x, modulus, bound):
+    """Brute force: some ``n / d`` with ``|n|, d <= bound`` is ``x`` mod ``modulus``."""
+    for d in range(1, bound + 1):
+        n = x * d % modulus
+        if n <= bound or n >= modulus - bound:
+            return True
+    return False
+
+
+def test_reconstruct_rejects_a_residue_with_no_small_rational():
+    modulus, dtype, columns = RECONSTRUCTIBLE["one prime"]
+    bound = isqrt(modulus // 2)
+    bad = next(x for x in range(modulus // 3, modulus) if not _has_small_rational(x, modulus, bound))
+    residues = residues_of(columns, modulus, dtype)
+    assert dct._reconstruct(residues, modulus) is not None
+    residues[2, 1] = bad
+    assert dct._reconstruct(residues, modulus) is None
+
+
+def _primes_below(n, count):
+    return [p for p in range(n, n - 10**4, -1) if _is_prime(p)][:count]
+
+
+@pytest.mark.parametrize(
+    "modulus, denominators",
+    [
+        (P0, [181, 191]),  # lcm 34571, just past the bound 32767
+        (P0, _primes_below(32767, 5)),  # the int64 lcm wraps around
+        (P0 * P1, _primes_below(10**9, 3)),  # the int64 lcm wraps around
+        # lcm 2**64 + 5: the int64 lcm wraps to 5, inside the bound
+        (P0 * P1, [823996703, 36760123, 609]),
+    ],
+)
+def test_reconstruct_rejects_a_column_lcm_past_the_bound(modulus, denominators):
+    bound = isqrt(modulus // 2)
+    assert all(d <= bound for d in denominators) and lcm(*denominators) > bound
+    columns = [[F(1, d) for d in denominators], [F(1)] * len(denominators)]
+    assert dct._reconstruct(residues_of(columns, modulus, np.int64), modulus) is None
+    # the same entries pass when the column shares one denominator
+    columns = [[F(k, denominators[0]) for k in range(len(denominators))]]
+    assert dct._reconstruct(residues_of(columns, modulus, np.int64), modulus) is not None
+
+
+def edge_by_edge(n, branch, up, x, y):
+    """Test-local oracle: walk the geodesic ``x -> y`` one edge at a time."""
+    d, u = edge_factors(n, branch, up)
+    out = Fraction(1)
+    while x != y:
+        if x.level >= y.level:
+            out *= d[x.level]  # x steps down to its predecessor
+            x = predecessor(x)
+        else:
+            out *= u[y.level - 1]  # the last edge into y goes up
+            y = predecessor(y)
+    return out
+
+
+@pytest.mark.parametrize("branch", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_restricted_hitting_equals_an_edge_by_edge_product(n, branch):
+    # Every pair on the small chains; 1,500 seeded pairs on the larger ones.
+    rng = random.Random(RNG_SEED + 10 * n + branch)
+    vertices = build_truncation(n, DLParams(branch, 2), HALF, "tree1").vertices
+    if len(vertices) ** 2 <= 1000:
+        pairs = [(x, y) for x in vertices for y in vertices]
+    else:
+        pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(1500)]
+    for up in (HALF, THIRD, Fraction(3, 5)):
+        for x, y in pairs:
+            assert restricted_hitting(n, branch, up, x, y) == edge_by_edge(n, branch, up, x, y)
+
+
+def test_level_product_cache_has_a_fixed_size():
+    # Two pairs with the same levels (x ⋏ y at level 0, x at 1, y at 2)
+    # share one cached value.
+    restricted_hitting(3, 2, HALF, TreeVertex.make(1, {1: 1}), TreeVertex.make(2, {2: 0}))
+    first = dct._level_product.cache_info()
+    restricted_hitting(3, 2, HALF, TreeVertex.make(1, {1: 1}), TreeVertex.make(2, {2: 1}))
+    second = dct._level_product.cache_info()
+    assert second.hits == first.hits + 1 and second.misses == first.misses
+    assert isinstance(first.maxsize, int) and second.maxsize == first.maxsize
+
+
+def test_hitting_table_refuses_a_dense_solve_past_the_cap(monkeypatch):
+    c = build_truncation(1, DLParams(2, 2), HALF, "dl")
+    m, nb = len(c.interior), len(c.boundary)
+    monkeypatch.setattr(dct, "_MAX_SOLVE_BYTES", 8 * m * (m + nb))
+    hitting_table(c)
+    monkeypatch.setattr(dct, "_MAX_SOLVE_BYTES", 8 * m * (m + nb) - 1)
+    with pytest.raises(ValueError, match="GiB"):
+        hitting_table(c)
+
+
+def test_dense_solve_cap_keeps_dl22_n5():
+    # DL(2,2) n = 5: 11,264 vertices, 2,048 of them on the boundary.
+    size = sum(2 ** (5 + k) * 2 ** (5 - k) for k in range(-5, 6))
+    nb = 2 * 2**10
+    m = size - nb
+    assert 8 * m * (m + nb) <= dct._MAX_SOLVE_BYTES
