@@ -629,17 +629,7 @@ def solved_with_rows(monkeypatch, chain):
     return table, seen[-1]
 
 
-@pytest.mark.parametrize(
-    "alpha, bits",
-    [
-        (THIRD, range(1, 32)),  # checked in int64
-        # entries fit in int64 but their products with the row weights may not
-        (Fraction(10**15 + 37, 3 * 10**15 + 1), range(32, 64)),
-        (Fraction(10**20 + 39, 3 * 10**20 + 7), range(64, 200)),  # entries outgrow int64
-    ],
-)
-def test_verify_table_catches_each_defect(monkeypatch, alpha, bits):
-    # Each defect is caught whether the check runs in int64 or on Python ints.
+def assert_verify_catches_each_defect(monkeypatch, alpha, bits):
     verify = dct._verify_table
     c = build_truncation(1, DLParams(2, 3), alpha, "dl")
     table, scaled_rows = solved_with_rows(monkeypatch, c)
@@ -674,6 +664,24 @@ def test_verify_table_catches_each_defect(monkeypatch, alpha, bits):
     ):
         with pytest.raises(AssertionError, match=message):
             verify(bad, scaled_rows)
+
+
+def test_verify_table_catches_each_defect(monkeypatch):
+    # small entries: the check runs in int64
+    assert_verify_catches_each_defect(monkeypatch, THIRD, range(1, 32))
+
+
+@pytest.mark.parametrize(
+    "alpha, bits",
+    [
+        # entries fit in int64 but their products with the row weights may not
+        (Fraction(10**15 + 37, 3 * 10**15 + 1), range(32, 64)),
+        (Fraction(10**20 + 39, 3 * 10**20 + 7), range(64, 200)),  # entries outgrow int64
+    ],
+)
+def test_verify_table_catches_each_defect_with_wide_entries(monkeypatch, alpha, bits):
+    # Each defect is caught also where the check falls back to Python ints.
+    assert_verify_catches_each_defect(monkeypatch, alpha, bits)
 
 
 P0, P1, P2 = dct._PRIMES[:3]
