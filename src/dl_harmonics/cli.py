@@ -138,6 +138,7 @@ def _cmd_harmonic_check(args) -> int:
 def _cmd_dirichlet_solve(args) -> int:
     params = _params(args)
     alpha = _frac(args.alpha)
+    dct.check_solve_size(args.n, params)  # before any vertex is enumerated
     chain = dct.build_truncation(args.n, params, alpha, "dl")
     out = {
         "n": args.n,

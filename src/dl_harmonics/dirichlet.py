@@ -13,16 +13,23 @@ product walk.  Sizes: ``|S| = sum_{k=-n}^{n} q^{n+k} r^{n-k}`` and
 ``|bd S| = q^{2n} + r^{2n}``.
 
 ``hitting_table`` solves the boundary-hitting system exactly: unknowns are the
-interior values of ``F(., y)`` for every boundary ``y`` at once.  Rows are
-scaled to integers and eliminated modulo 31-bit primes (vectorised int64
-Gauss-Jordan); the residues are combined by CRT (in int64 while the modulus
-fits) and rational reconstruction (Wang) turns them into fractions, once per
-distinct residue: a table holds few distinct values.  A table is accepted
-only when it passes the exact integer check against the sparse defining
-equations (Kronecker boundary rows, unit row sums, residual identically
-zero), run in int64 when ``max|nums|`` times the row weights provably stays
-below 2**63 and on Python ints otherwise; a failed check adds another prime,
-up to Hadamard's bound, beyond which the reconstruction is unique.
+interior values of ``F(., y)`` for every boundary ``y`` at once.  Each
+horocycle ``H_k`` is joined only to ``H_{k-1}`` and ``H_{k+1}``, so the system
+is block tridiagonal, with level blocks of ``q^{n+k} r^{n-k}`` vertices.  Its
+rows are scaled to integers and read off the order in which the truncation
+lists its vertices (no vertex objects), then solved modulo primes below
+2**31 level by level: each level's Schur complement is inverted (Gauss-Jordan
+up to 64 rows, 2 x 2 block inversion above), and the block products run as
+float64 ``matmul`` on 11-bit digits, exact below 2**53 (the delayed
+reduction of Dumas, Giorgi and Pernet, FFLAS-FFPACK).  The residues are
+combined by CRT (in int64 while the modulus fits) and rational
+reconstruction (Wang) turns them into fractions, once per distinct residue:
+a table holds few distinct values.  A table is accepted only when it passes
+the exact integer check against the sparse defining equations (Kronecker
+boundary rows, unit row sums, residual identically zero), run in int64 when
+``max|nums|`` times the row weights provably stays below 2**63 and on Python
+ints otherwise; a failed check adds another prime, up to Hadamard's bound,
+beyond which the reconstruction is unique.
 
 On a single tree the same probabilities factor over geodesic edges.  The
 per-level factors obey scalar recursions (``d_k``: reach the predecessor from
@@ -42,10 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import accumulate, product as _cartesian
 from math import gcd, isqrt, lcm, prod
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -60,6 +67,7 @@ __all__ = [
     "ProductReport",
     "Decomposition",
     "build_truncation",
+    "check_solve_size",
     "hitting_table",
     "closed_tree_table",
     "edge_factors",
@@ -290,9 +298,12 @@ _PRIMES = (
 )
 
 
-# Largest dense elimination matrix ``hitting_table`` allocates: DL(2,2) n=5
-# needs 0.77 GiB, n=6 would need 17.9 GiB.
+# Largest estimate ``check_solve_size`` lets through: DL(2,2) n=5 needs
+# 0.6 GiB, n=6 12.4 GiB.
 _MAX_SOLVE_BYTES = 2 << 30
+
+# Largest pivot block ``_inverse`` inverts by Gauss-Jordan with row pivoting.
+_BASE = 64
 
 
 def _moduli():
@@ -305,30 +316,296 @@ def _moduli():
             yield p
 
 
-def _eliminate(aug: np.ndarray, m: int, p: int):
-    """Gauss-Jordan on ``[A | B]`` (residues mod ``p``, reduced in place).
+def _walk_shape(kind: str, params: DLParams) -> tuple[int, int]:
+    """``(ups, downs)``: a level-``k`` vertex of the stage-``n`` chain is a
+    digit pair ``(i1, i2)`` with ``i1 < ups**(n+k)`` and ``i2 < downs**(n-k)``,
+    and the walk moves from it to ``ups`` vertices above and ``downs`` below.
+    A tree chain is the case ``downs = 1``; ``tree2`` counts its levels up
+    the second tree."""
+    if kind == "dl":
+        return params.q, params.r
+    if kind == "tree1":
+        return params.q, 1
+    if kind == "tree2":
+        return params.r, 1
+    raise ValueError(f"unknown chain kind {kind!r}")
 
-    Returns ``A^-1 B mod p``, or None when a column has no nonzero pivot,
-    i.e. when ``p`` divides ``det A``.  Products of two residues stay below
-    2**62, so every step is exact in int64.
+
+def _geometric(a: int, b: int, steps: int) -> int:
+    """``sum_{j=1}^{steps-1} a**j * b**(steps-j)``."""
+    if a == b:
+        return (steps - 1) * a**steps
+    return a * b * (a ** (steps - 1) - b ** (steps - 1)) // (a - b)
+
+
+def check_solve_size(n: int, params: DLParams, kind: str = "dl") -> int:
+    """Bytes of the int64 arrays that ``hitting_table`` holds for the
+    stage-``n`` chain, from the level sizes ``s_k`` alone: the level inverses
+    (``8 sum s_k**2``) and four interior-by-boundary arrays (carried right
+    sides, solution, CRT residues and lift).  Raises ValueError naming the
+    estimate past ``_MAX_SOLVE_BYTES``; nothing is enumerated.
     """
-    for k in range(m):
-        nz = np.flatnonzero(aug[k:, k])
-        if not nz.size:
+    if n < 1:
+        raise ValueError("truncation stage must be >= 1")
+    ups, downs = _walk_shape(kind, params)
+    interior = _geometric(ups, downs, 2 * n)
+    need = 8 * (_geometric(ups * ups, downs * downs, 2 * n) + 4 * interior * (ups ** (2 * n) + downs ** (2 * n)))
+    if need > _MAX_SOLVE_BYTES:
+        tenths = (10 * need + (1 << 29)) >> 30
+        raise ValueError(
+            f"the exact solve needs {tenths // 10}.{tenths % 10} GiB "
+            f"(cap {_MAX_SOLVE_BYTES >> 30} GiB)"
+        )
+    return need
+
+
+class _Layout(NamedTuple):
+    """The chain's level layout and the walk's moves, read off the order in
+    which ``build_truncation`` lists the vertices.
+
+    Level ``k`` is the product of level ``k`` of the first tree and level
+    ``-k`` of the second, each in successor-label order, so ``(k, i1, i2)``
+    sits at ``off[k] + i1 * downs**(n-k) + i2``.  A move up goes to
+    ``(k+1, i1*ups + l, i2 // downs)``, a move down to
+    ``(k-1, i1 // ups, i2*downs + m)``.  Row ``i`` of the interior reads
+    ``denom F(at_i, .) = sum_t coeffs[t] F(slots[i, t], .)``, with the
+    positions ``at`` of the interior contiguous and the slots in the order of
+    the walk's ``transitions`` (``ups`` moves up, then the moves down).
+    """
+
+    size: list  # vertices per level, levels -n..n
+    ups: int
+    denom: int
+    coeffs: tuple  # scaled weight of each slot
+    slots: np.ndarray  # |interior| x len(coeffs) vertex positions
+
+    @property
+    def interior(self) -> slice:
+        return slice(self.size[0], sum(self.size) - self.size[-1])
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """Positions of the boundary, levels ``-n`` and ``n``, in column order."""
+        return np.concatenate((np.arange(self.size[0]), np.arange(self.interior.stop, sum(self.size))))
+
+
+def _layout(chain: FiniteChain) -> _Layout:
+    n = chain.n
+    ups, downs = _walk_shape(chain.kind, chain.params)
+    up = chain.alpha if chain.kind == "dl" else _chain_rate(chain)[0]
+    w_up, w_down = up / ups, (1 - up) / downs
+    denom = lcm(w_up.denominator, w_down.denominator)
+    s_up = w_up.numerator * (denom // w_up.denominator)
+    s_down = w_down.numerator * (denom // w_down.denominator)
+    size = [ups ** (n + k) * downs ** (n - k) for k in range(-n, n + 1)]
+    off = list(accumulate(size, initial=0))
+    blocks = []
+    for j in range(1, 2 * n):  # interior levels k = j - n
+        i1, i2 = np.divmod(np.arange(size[j]), downs ** (2 * n - j))
+        above = (i1 * ups) * downs ** (2 * n - j - 1) + i2 // downs + off[j + 1]
+        below = (i1 // ups) * downs ** (2 * n - j + 1) + i2 * downs + off[j - 1]
+        blocks.append(np.stack(
+            [above + l * downs ** (2 * n - j - 1) for l in range(ups)]
+            + [below + m for m in range(downs)],
+            axis=1,
+        ))
+    return _Layout(size, ups, denom, (s_up,) * ups + (s_down,) * downs, np.concatenate(blocks))
+
+
+def _block_system(lay: _Layout) -> list:
+    """The interior system ``A X = B`` in the level blocks of ``_block_solve``:
+    ``denom`` on the diagonal, ``-coeff`` towards an interior neighbour and
+    ``+coeff`` in the column of a boundary one.  Boundary column ``b`` is
+    position ``b`` on level ``-n`` and then position ``b - size[0]`` of
+    level ``n``."""
+    size, ups, denom, coeffs = lay.size, lay.ups, lay.denom, lay.coeffs
+    s_up, s_down = coeffs[0], coeffs[-1]
+    off = list(accumulate(size, initial=0))
+    last = len(size) - 2  # index of the last interior level
+    levels = []
+    for j in range(1, last + 1):
+        s = size[j]
+        # positions relative to level j - 1, then within levels j - 1 and j + 1
+        rows = lay.slots[off[j] - off[1] : off[j + 1] - off[1]] - off[j - 1]
+        above, below = rows[:, :ups] - size[j - 1] - s, rows[:, ups:]
+        cols, vals, down = [np.arange(s)[:, None]], [denom], None
+        if j == 1:  # moves down reach level -n: boundary columns 0 .. size[0] - 1
+            cols.append(s + below)
+            vals += coeffs[ups:]
+        else:
+            down = (below, -s_down, -s_up)
+        if j == last:  # moves up reach level n
+            cols.append(s + size[0] + above)
+            vals += coeffs[:ups]
+        cols = np.concatenate(cols, axis=1)
+        levels.append((cols, np.repeat(np.array([vals]), s, axis=0), down))
+    return levels
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``a @ b mod p`` for int64 residues below 2**31, through float64
+    ``matmul`` (delayed reduction): ``a`` is cut into 11-bit digits, so each
+    product stays below 2**42 and a sum of up to 2**11 of them is exact."""
+    s = len(a)
+    out = None
+    for j in range(0, a.shape[1], 1 << 11):
+        part = a[:, j : j + (1 << 11)]
+        digits = np.empty((3 * s, part.shape[1]))
+        digits[:s] = part >> 22
+        digits[s : 2 * s] = (part >> 11) & 2047
+        digits[2 * s :] = part & 2047
+        c = (digits @ b[j : j + (1 << 11)].astype(np.float64)).astype(np.int64)
+        # Below 2**51 * 2**11 + 2**53 < 2**63, then below 2**42 + 2**53.
+        c = (((c[:s] << 11) + c[s : 2 * s]) % p << 11) + c[2 * s :]
+        out = c % p if out is None else (out + c) % p
+    return out
+
+
+def _inverse(a: np.ndarray, p: int) -> np.ndarray | None:
+    """``a^-1 mod p``, or None when a pivot block is singular mod ``p``.
+
+    Up to ``_BASE`` rows: Gauss-Jordan with row pivoting, so None means
+    ``p | det a``.  Larger: the inverse of the leading half, then of its
+    Schur complement, recursively, with no pivoting across the halves.
+    """
+    s = len(a)
+    if s <= _BASE:
+        # In place: column k of the result takes the place of column k of a.
+        a = a.copy()
+        swaps = []
+        for k in range(s):
+            if not a[k, k]:
+                nz = np.flatnonzero(a[k:, k])
+                if not nz.size:
+                    return None
+                a[[k, k + nz[0]]] = a[[k + nz[0], k]]
+                swaps.append((k, k + nz[0]))
+            inv = pow(int(a[k, k]), -1, p)
+            a[k, k] = 1
+            a[k] = a[k] * inv % p
+            f = a[:, k].copy()
+            f[k] = 0
+            if f.any():
+                a[:, k] = 0
+                a[k, k] = inv
+                a -= f[:, None] * a[k]
+                a %= p
+        for k, j in reversed(swaps):  # undo the row swaps on the columns
+            a[:, [k, j]] = a[:, [j, k]]
+        return a
+    h = s // 2
+    i11 = _inverse(a[:h, :h], p)
+    if i11 is None:
+        return None
+    if not (a[h:, :h].any() or a[:h, h:].any()):  # block diagonal, as a first level is
+        i22 = _inverse(a[h:, h:], p)
+        if i22 is None:
             return None
-        if nz[0]:
-            aug[[k, k + nz[0]]] = aug[[k + nz[0], k]]
-        aug[k, k:] = aug[k, k:] * pow(int(aug[k, k]), -1, p) % p
-        below = k + 1 + np.flatnonzero(aug[k + 1 :, k])
-        if below.size:
-            aug[below, k:] = (aug[below, k:] - aug[below, k, None] * aug[k, k:]) % p
-    # The left block is now unit upper triangular: clear it column by column
-    # from the right, carrying only the right-hand sides.
-    for k in range(m - 1, 0, -1):
-        above = np.flatnonzero(aug[:k, k])
-        if above.size:
-            aug[above, m:] = (aug[above, m:] - aug[above, k, None] * aug[k, m:]) % p
-    return aug[:, m:]
+        out = np.zeros_like(a)
+        out[:h, :h], out[h:, h:] = i11, i22
+        return out
+    left = _mulmod(a[h:, :h], i11, p)  # A21 A11^-1
+    right = _mulmod(i11, a[:h, h:], p)  # A11^-1 A12
+    i22 = _inverse((a[h:, h:] - _mulmod(left, a[:h, h:], p)) % p, p)
+    if i22 is None:
+        return None
+    out = np.empty_like(a)
+    out[h:, h:] = i22
+    out[h:, :h] = -_mulmod(i22, left, p) % p
+    out[:h, h:] = -_mulmod(right, i22, p) % p
+    out[:h, :h] = (i11 - _mulmod(right, out[h:, :h], p)) % p
+    return out
+
+
+def _base_blocks(s: int) -> int:
+    """How many ``_BASE``-sized pivot blocks ``_inverse`` splits ``s`` rows into."""
+    return 1 if s <= _BASE else _base_blocks(s // 2) + _base_blocks(s - s // 2)
+
+
+def _gather(x: np.ndarray, idx: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
+    """``sum_t x[idx[:, t]] mod p`` along ``axis``: ``x`` times a 0/1
+    pattern with ``idx.shape[1]`` ones per row (``axis = 0``: from the left,
+    ``axis = 1``: its transpose from the right)."""
+    out = np.take(x, idx[:, 0], axis=axis)
+    for t in range(1, idx.shape[1]):
+        out += np.take(x, idx[:, t], axis=axis)
+    return out % p
+
+
+def _block_solve(levels: list, nb: int, p: int) -> np.ndarray | None:
+    """``A^-1 B mod p`` (int64) for a block-tridiagonal integer system, or
+    None when a pivot block is singular mod ``p``.
+
+    ``levels[k] = (cols, coefs, down)`` gives block row ``k``: row ``i`` has
+    entry ``coefs[i, t]`` in column ``cols[i, t]``, a column of block ``k``
+    itself below ``len(cols)`` and column ``cols[i, t] - len(cols)`` of
+    ``B`` above (no column twice in a row).  ``down = (idx, c_low, c_up)``,
+    None for the first block, couples block ``k`` to block ``k - 1`` through
+    a pattern ``G`` with distinct entries in each row of ``idx`` and its
+    transpose: ``A[i, idx[i, t]] = c_low`` and ``A[idx[i, t], i] = c_up``.
+    Forward, the Schur complements ``S_k = A_kk - c_low c_up G S_{k-1}^-1 G^T``
+    are inverted and ``Y_k = S_k^-1 R_k`` is carried over the span of
+    boundary columns reached so far; back-substitution then gives
+    ``X_k = Y_k - S_k^-1 U_k X_{k+1}``.  One block is plain dense
+    elimination of ``A^-1 B``.
+    """
+    inverses, carried = [], []  # per block: S_k^-1, and (lo, Y_k)
+    for cols, coefs, down in levels:
+        s = len(cols)
+        vals = (coefs % p).astype(np.int64)
+        own = cols < s
+        a = np.zeros((s, s), dtype=np.int64)
+        a[own.nonzero()[0], cols[own]] = vals[own]
+        reach = cols[~own] - s
+        spans = [(int(reach.min()), int(reach.max()) + 1)] if reach.size else []
+        if down is not None:
+            idx, c_low, c_up = down
+            g = _gather(inverses[-1], idx, p)  # G S^-1, then G S^-1 G^T
+            a = (a - c_low * c_up % p * _gather(g, idx, p, axis=1)) % p
+            plo, prev = carried[-1]
+            spans.append((plo, plo + prev.shape[1]))
+        lo = min((l for l, _ in spans), default=0)
+        r = np.zeros((s, max((h for _, h in spans), default=0) - lo), dtype=np.int64)
+        r[(~own).nonzero()[0], reach - lo] = vals[~own]
+        if down is not None:
+            span = slice(plo - lo, plo - lo + prev.shape[1])
+            r[:, span] = (r[:, span] - c_low % p * _gather(prev, idx, p)) % p
+        inv = _inverse(a, p)
+        if inv is None:
+            return None
+        inverses.append(inv)
+        carried.append((lo, _mulmod(inv, r, p)))
+    x = np.zeros((sum(len(cols) for cols, _, _ in levels), nb), dtype=np.int64)
+    end = len(x)
+    for k in range(len(levels) - 1, -1, -1):
+        lo, y = carried[k]
+        xk = x[end - len(y) : end]
+        if k + 1 < len(levels) and levels[k + 1][2] is not None:
+            idx, _, c_up = levels[k + 1][2]
+            u = c_up % p * _gather(inverses[k], idx, p, axis=1) % p  # S_k^-1 U_k
+            xk[:] = -_mulmod(u, x[end : end + len(idx)], p) % p
+        xk[:, lo : lo + y.shape[1]] += y
+        xk %= p
+        end -= len(y)
+    return x
+
+
+def _hadamard(levels: list) -> tuple[int, int]:
+    """``prod_i |A_i|^2`` and ``prod_i |(A | B)_i|^2`` over the rows."""
+    det_sq = minor_sq = 1
+    for k, (cols, coefs, down) in enumerate(levels):
+        s = len(cols)
+        sq = np.asarray(coefs, dtype=object) ** 2
+        a_sq = np.where(cols < s, sq, 0).sum(axis=1)
+        b_sq = sq.sum(axis=1) - a_sq
+        if down is not None:
+            a_sq += down[0].shape[1] * down[1] ** 2
+        up = levels[k + 1][2] if k + 1 < len(levels) else None
+        if up is not None:
+            a_sq += np.bincount(up[0].ravel(), minlength=s).astype(object) * up[2] ** 2
+        det_sq *= prod(a_sq.tolist())
+        minor_sq *= prod((a_sq + b_sq).tolist())
+    return det_sq, minor_sq
 
 
 def _rational(x: int, modulus: int, bound: int) -> tuple[int, int] | None:
@@ -349,12 +626,19 @@ def _reconstruct(residues: np.ndarray, modulus: int):
     numerator and denominator, and every ``dens[b]``, at most
     ``isqrt(modulus // 2)``; None when no such candidate exists.
 
-    Wang reconstruction runs once per distinct residue; the rest is numpy in
-    the dtype of ``residues`` (``int64`` below a 2**63 modulus, where every
-    product below stays under ``bound**2 < 2**62``, else object).
+    Wang reconstruction runs once per distinct residue, first on those of
+    every 97th entry, so that a modulus too small for the table mostly fails
+    before the whole matrix is sorted; the rest is numpy in the dtype of
+    ``residues`` (``int64`` below a 2**63 modulus, where every product below
+    stays under ``bound**2 < 2**62``, else object).
     """
     bound = isqrt(modulus // 2)
-    values, inverse = np.unique(residues, return_inverse=True)
+    if any(_rational(x, modulus, bound) is None for x in set(residues.ravel()[::97].tolist())):
+        return None
+    flat = np.sort(residues, axis=None)
+    values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+    del flat
+    inverse = np.searchsorted(values, residues)
     nums = np.empty(len(values), dtype=residues.dtype)
     dens = np.empty(len(values), dtype=residues.dtype)
     for k, x in enumerate(values.tolist()):
@@ -362,7 +646,6 @@ def _reconstruct(residues: np.ndarray, modulus: int):
         if fraction is None:
             return None
         nums[k], dens[k] = fraction
-    inverse = inverse.reshape(residues.shape)
     den = dens[inverse]
     # In int64 the lcm can wrap only once it has passed ``bound``; a value in
     # [1, bound] that every denominator divides is a common multiple within
@@ -375,35 +658,33 @@ def _reconstruct(residues: np.ndarray, modulus: int):
     return den.astype(object), common.astype(object)
 
 
-def _modular_solve(system: list[dict[int, int]], m: int, nb: int, accept: Callable):
-    """Solve ``A X = B`` exactly for an integer system given row by row:
-    ``system[i][j]`` is entry ``j`` of row ``i`` of ``A | B`` (``A`` in the
-    first ``m`` columns, ``B`` in the last ``nb``).
+def _modular_solve(levels: list, nb: int, accept: Callable):
+    """Solve ``A X = B`` exactly for an integer system given in the level
+    blocks of ``_block_solve`` (``A`` has ``m`` rows, ``B`` has ``nb``
+    columns).
 
-    ``X`` is eliminated modulo one prime after another, combined by CRT and
+    ``X`` is solved modulo one prime after another, combined by CRT and
     reconstructed as rationals.  Each candidate, in the integer column form
     ``(nums, dens)`` of ``_reconstruct``, goes to ``accept``, which
     returns the certified result or raises AssertionError; a rejected
-    candidate, or a failed reconstruction, adds a prime, and a prime that
-    divides ``det A`` is skipped.  Hadamard's bound caps the work: once the
-    skipped primes multiply past ``|det A| <= prod_i |A_i|``, ``A`` is
-    singular; once the used primes multiply past ``2 prod_i |(A | B)_i|^2``,
-    which bounds every minor and hence every numerator and denominator of
-    ``X``, the reconstruction is unique and a rejection is final.
+    candidate, or a failed reconstruction, adds a prime, and a prime at
+    which a pivot block is singular is skipped.  Hadamard's bound caps the
+    work.  A skipped prime divides the leading principal minor of ``A`` that
+    ends with its pivot block, one of ``blocks`` minors each at most
+    ``prod_i |A_i|``; once the skipped primes multiply past their product,
+    one of those minors is zero (with one block, ``A`` is singular).  Once
+    the used primes multiply past ``2 prod_i |(A | B)_i|^2``, which bounds
+    every minor and hence every numerator and denominator of ``X``, the
+    reconstruction is unique and a rejection is final.
     """
-    rows = np.array([i for i, eq in enumerate(system) for _ in eq], dtype=np.intp)
-    cols = np.array([j for eq in system for j in eq], dtype=np.intp)
-    vals = np.array([v for eq in system for v in eq.values()], dtype=object)
-    det_bound_sq = prod(sum(v * v for j, v in eq.items() if j < m) for eq in system)
-    minor_bound_sq = prod(sum(v * v for v in eq.values()) for eq in system)
+    det_bound_sq, minor_bound_sq = _hadamard(levels)
+    blocks = sum(_base_blocks(len(cols)) for cols, _, _ in levels)
     modulus, residues, skipped = 1, None, 1
     for p in _moduli():
-        aug = np.zeros((m, m + nb), dtype=np.int64)
-        aug[rows, cols] = (vals % p).astype(np.int64)
-        x = _eliminate(aug, m, p)
+        x = _block_solve(levels, nb, p)
         if x is None:
             skipped *= p
-            if skipped * skipped > det_bound_sq:
+            if (skipped * skipped).bit_length() > blocks * det_bound_sq.bit_length():
                 raise ValueError("singular system")
             continue
         # CRT residues stay int64 while the modulus fits in one.
@@ -413,7 +694,7 @@ def _modular_solve(system: list[dict[int, int]], m: int, nb: int, accept: Callab
         else:
             lift = (x - (residues % p).astype(np.int64)) % p * pow(modulus, -1, p) % p
             residues = residues.astype(dtype) + modulus * lift.astype(dtype)
-        del aug, x  # free the elimination matrix before reconstructing
+        del x  # free the solution mod p before reconstructing
         modulus *= p
         final = modulus // 2 >= minor_bound_sq
         candidate = _reconstruct(residues, modulus)
@@ -428,86 +709,43 @@ def _modular_solve(system: list[dict[int, int]], m: int, nb: int, accept: Callab
                 raise
 
 
-def hitting_table(chain: FiniteChain, op=None) -> HittingTable:
+def hitting_table(chain: FiniteChain) -> HittingTable:
     """Solve for all boundary columns at once and certify the solution.
 
-    A table is accepted only when these postconditions hold exactly:
-    boundary rows are Kronecker deltas, every row sums to 1, and the
-    defining sparse equations hold with residual zero.  A chain whose dense
-    ``int64`` system would pass ``_MAX_SOLVE_BYTES`` raises ValueError
-    before any of it is built.
+    The system is assembled from the chain's level layout and eliminated
+    level by level.  A table is accepted only when these postconditions
+    hold exactly: boundary rows are Kronecker deltas, every row sums to 1,
+    and the defining sparse equations hold with residual zero.  A chain past
+    ``check_solve_size`` raises ValueError before any of it is built.
     """
-    interior = chain.interior
-    m, nb = len(interior), len(chain.boundary)
-    need = 8 * m * (m + nb)  # bytes of one int64 [A | B]
-    if need > _MAX_SOLVE_BYTES:
-        raise ValueError(
-            f"the dense solve needs a {need / 2**30:.1f} GiB matrix "
-            f"(cap {_MAX_SOLVE_BYTES / 2**30:.0f} GiB)"
-        )
-    if op is None:
-        op = default_operator(chain)
-    index = chain.index
-    b_index = {y: b for b, y in enumerate(chain.boundary)}
-    i_index = {v: i for i, v in enumerate(interior)}
-
-    # Each interior row scaled to integers, ``denom F(v, .) = sum_w s F(w, .)``
-    # over vertex positions (kept for verification), and as a row of A | B.
-    scaled_rows: list[tuple[int, int, list[tuple[int, int]]]] = []
-    system: list[dict[int, int]] = []
-    for v in interior:
-        row = []
-        for w, p in op.transitions(v):
-            j = index.get(w)
-            if j is None:
-                raise ValueError("operator leaves the chain from an interior vertex")
-            row.append((j, p))
-        denom = lcm(*(p.denominator for _, p in row))
-        terms = [(j, p.numerator * (denom // p.denominator)) for j, p in row]
-        scaled_rows.append((index[v], denom, terms))
-        eq = {i_index[v]: denom}
-        for j, s in terms:
-            w = chain.vertices[j]
-            if w in i_index:
-                eq[i_index[w]] = eq.get(i_index[w], 0) - s
-            else:
-                eq[m + b_index[w]] = eq.get(m + b_index[w], 0) + s
-        system.append(eq)
-
-    at_interior = [index[v] for v in interior]
-    at_boundary = [index[y] for y in chain.boundary]
+    check_solve_size(chain.n, chain.params, chain.kind)
+    lay = _layout(chain)
+    nb = len(chain.boundary)
 
     def accept(candidate) -> HittingTable:
         nums, dens = candidate
         full = np.zeros((len(chain.vertices), nb), dtype=object)
-        full[at_interior] = nums
-        full[at_boundary, range(nb)] = dens  # Kronecker boundary rows
+        full[lay.interior] = nums
+        full[lay.boundary, range(nb)] = dens  # Kronecker boundary rows
         table = HittingTable._from_columns(chain, full, dens)
-        _verify_table(table, scaled_rows)
+        _verify_table(table, lay)
         return table
 
-    return _modular_solve(system, m, nb, accept)
+    return _modular_solve(_block_system(lay), nb, accept)
 
 
-def _verify_table(table: HittingTable, scaled_rows) -> None:
-    """Check the postconditions exactly on the table's integer columns.
+def _verify_table(table: HittingTable, lay: _Layout) -> None:
+    """Check the postconditions exactly on the table's integer columns,
+    against the scaled rows of the layout.
 
     The checks run in int64 when bounds prove that no sum can overflow:
     ``max|nums| * sum_b (lcm(dens) // dens[b])`` for the row sums and
-    ``max|nums| * (denom + sum|s|)`` for the residual of each scaled row.
+    ``max|nums| * (denom + sum|coeffs|)`` for the residual of each row.
     Otherwise the same expressions run on Python ints.
     """
-    chain = table.chain
     total = lcm(*table.dens)
     scale = [total // d for d in table.dens]
-    # Row i reads denom_i * F(at_i, .) = sum_t coeffs[i][t] * F(slots[i][t], .),
-    # padded with zero terms to a common width.
-    at = [v for v, _, _ in scaled_rows]
-    denoms = [denom for _, denom, _ in scaled_rows]
-    width = max(len(terms) for _, _, terms in scaled_rows)
-    slots = [[j for j, _ in terms] + [0] * (width - len(terms)) for _, _, terms in scaled_rows]
-    coeffs = [[s for _, s in terms] + [0] * (width - len(terms)) for _, _, terms in scaled_rows]
-    weight = max(d + sum(map(abs, row)) for d, row in zip(denoms, coeffs))
+    weight = lay.denom + sum(map(abs, lay.coeffs))
     try:
         ints = table.nums.astype(np.int64)
     except OverflowError:  # an entry outgrows int64
@@ -518,20 +756,17 @@ def _verify_table(table: HittingTable, scaled_rows) -> None:
             ints = table.nums
     dtype = ints.dtype
 
-    index = chain.index
-    at_boundary = ints[[index[y] for y in chain.boundary]]
+    at_boundary = ints[lay.boundary]
     if not (at_boundary == np.diag(np.array(table.dens, dtype=dtype))).all():
         raise AssertionError("boundary rows of the hitting table are not Kronecker deltas")
     if not ((ints * np.array(scale, dtype=dtype)).sum(axis=1) == total).all():
         raise AssertionError("hitting probabilities of a row do not sum to 1")
-    # The residual, one term slot at a time.
-    slots = np.array(slots, dtype=np.intp)
-    coeffs = np.array(coeffs, dtype=dtype)
-    residual = ints[at] * np.array(denoms, dtype=dtype)[:, None]
+    # The residual, one move slot at a time.
+    residual = ints[lay.interior] * lay.denom
     term = np.empty_like(residual)
-    for t in range(width):
-        np.take(ints, slots[:, t], axis=0, out=term)
-        term *= coeffs[:, t, None]
+    for t, c in enumerate(lay.coeffs):
+        np.take(ints, lay.slots[:, t], axis=0, out=term)
+        term *= c
         residual -= term
     if residual.any():
         raise AssertionError("exact residual of the Dirichlet solve is nonzero")
@@ -624,56 +859,70 @@ class ProductReport:
     discrepancies: tuple
 
 
-def verify_product_formula(
-    chain: FiniteChain, op=None, table: HittingTable | None = None
-) -> ProductReport:
+def _confluent_levels(n: int, branch: int, level: int) -> np.ndarray:
+    """Level of ``x ⋏ y`` for ``x`` on ``level`` (rows) and ``y`` a leaf
+    (columns) of the stage-``n`` tree, both numbered in the order of
+    ``build_truncation``, where ancestors are digit prefixes: ``x ⋏ y`` is
+    on ``level - d`` for the least ``d`` at which ``x // branch**d`` and the
+    ancestor of ``y`` on ``level`` agree."""
+    x = np.arange(branch ** (n + level))[:, None]
+    y = np.arange(branch ** (2 * n))[None, :] // branch ** (n - level)
+    out = np.empty((x.size, y.size), dtype=np.intp)
+    for d in range(n + level, -1, -1):  # the apex, then ever closer ancestors
+        out[x // branch**d == y // branch**d] = level - d
+    return out
+
+
+def verify_product_formula(chain: FiniteChain, table: HittingTable | None = None) -> ProductReport:
     """Cross-check the product identity on the two boundary slabs.
 
     ``F(x1 x2, (y1, a2)) = F1(x1, y1)`` and ``F(x1 x2, (a1, y2)) = F2(x2, y2)``
     for every vertex and boundary leaf; the product side is an exact matrix
-    solve, the tree side the independent closed-form route.
+    solve, the tree side the independent closed-form route, one value per
+    level triple ``(x_i ⋏ y_i, x_i, y_i)`` compared as an integer column
+    entry.
     """
     if chain.kind != "dl":
         raise ValueError("the product identity lives on the product chain")
     if table is None:
-        table = hitting_table(chain, op)
-    n, params, alpha = chain.n, chain.params, chain.alpha
-    # Column b reads F1 (slab 0) or F2 (slab 1) at position k of its slab.
-    leaves: tuple[list, list] = ([], [])
-    where = []
-    for y in chain.boundary:
-        s = 0 if y.x2 == chain.a2 else 1
-        where.append((s, len(leaves[s])))
-        leaves[s].append(y.x1 if s == 0 else y.x2)
-    # Each closed-form value once per distinct (x_i, y_i) pair.
-    sides = ((params.q, alpha), (params.r, 1 - alpha))
-    closed: tuple[dict, dict] = ({}, {})
-    for x in chain.vertices:
-        for s, part in enumerate((x.x1, x.x2)):
-            if part not in closed[s]:
-                branch, up = sides[s]
-                closed[s][part] = [restricted_hitting(n, branch, up, part, y) for y in leaves[s]]
-    dens = table.dens
-    bad = []
-    for x, row in zip(chain.vertices, table.nums.tolist()):
-        wants = (closed[0][x.x1], closed[1][x.x2])
-        for b, (num, (s, k)) in enumerate(zip(row, where)):
-            want = wants[s][k]
-            if num * want.denominator != want.numerator * dens[b]:
-                bad.append((x, chain.boundary[b], Fraction(num, dens[b]), want))
+        table = hitting_table(chain)
+    n, q, r, alpha = chain.n, chain.params.q, chain.params.r, chain.alpha
+    dens = np.array(table.dens, dtype=object)
+    left = r ** (2 * n)  # columns (a1, y2), then (y1, a2)
+    # Per slab: (branch, up rate, its columns, vertex level -> slab level).
+    slabs = ((r, 1 - alpha, slice(0, left), -1), (q, alpha, slice(left, None), 1))
+    bad, start = [], 0
+    for k in range(-n, n + 1):
+        size1, size2 = q ** (n + k), r ** (n - k)  # vertex (i1, i2) at start + i1*size2 + i2
+        parts, closed = [], []
+        for branch, up, cols, sign in slabs:
+            level = sign * k
+            conf = _confluent_levels(n, branch, level)
+            values = [_level_product(n, branch, up, c, level, n) for c in range(-n, level + 1)]
+            num = np.array([f.numerator for f in values], dtype=object)[:, None]
+            den = np.array([f.denominator for f in values], dtype=object)[:, None]
+            over = dens[cols][None, :]
+            # F = num / den is the entry num * (over // den) of a column over
+            # ``over``, and no entry of it when den does not divide ``over``.
+            want = np.where(over % den == 0, num * (over // den), None)
+            grid = np.take_along_axis(want, conf + n, axis=0)
+            parts.append(np.tile(grid, (size1, 1)) if sign < 0 else np.repeat(grid, size2, axis=0))
+            closed.append((conf, values))
+        rows = table.nums[start : start + size1 * size2]
+        for i, b in zip(*np.nonzero(rows != np.concatenate(parts, axis=1))):
+            conf, values = closed[0] if b < left else closed[1]
+            c = conf[i % size2, b] if b < left else conf[i // size2, b - left]
+            x = chain.vertices[start + i]
+            bad.append((x, chain.boundary[b], Fraction(rows[i, b], dens[b]), values[c + n]))
+        start += size1 * size2
     checked = len(chain.vertices) * len(chain.boundary)
     return ProductReport(checked, tuple(bad))
 
 
-def represent(
-    chain: FiniteChain,
-    boundary_data: Mapping,
-    op=None,
-    table: HittingTable | None = None,
-) -> dict:
+def represent(chain: FiniteChain, boundary_data: Mapping, table: HittingTable | None = None) -> dict:
     """Solve the Dirichlet problem: the unique harmonic extension of the data."""
     if table is None:
-        table = hitting_table(chain, op)
+        table = hitting_table(chain)
     missing = [y for y in chain.boundary if y not in boundary_data]
     if missing:
         raise ValueError(f"boundary data missing at {len(missing)} vertices")

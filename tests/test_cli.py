@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dl_harmonics import cli
 from dl_harmonics.cli import main
 
 ROOT_JSON = '{"level": 0, "labels": []}'
@@ -499,13 +500,17 @@ pinned_argparse = pytest.mark.skipif(
 )
 
 
-def test_dirichlet_solve_past_the_dense_cap_exits_2(tmp_path, capsys):
-    # DL(2,2) n = 6 passes the vertex cap (53,248 vertices) but its dense
-    # system would need 17.9 GiB; it is refused before that is allocated.
+def test_dirichlet_solve_past_the_dense_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # DL(2,2) n = 6 passes the vertex cap (53,248 vertices) but its solve
+    # would need 12.4 GiB; it is refused before any vertex is enumerated.
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("the chain was enumerated")
+
+    monkeypatch.setattr(cli.dct, "build_truncation", enumerate_nothing)
     out_file = tmp_path / "table.json"
     code, out, err = run(capsys, "dirichlet-solve", "--n", "6", "--out", str(out_file))
     assert code == 2 and out == ""
-    assert "17.9 GiB" in err
+    assert "12.4 GiB" in err
     assert not out_file.exists()
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import isqrt, lcm
@@ -21,6 +23,7 @@ from dl_harmonics.dirichlet import (
 )
 from dl_harmonics.dl_graph import DLParams, DLVertex, origin
 from dl_harmonics.kernels import KernelSpec, martin_kernel_tree
+from dl_harmonics.serialize import table_to_json
 from dl_harmonics.tree import OMEGA, ROOT, TreeEnd, TreeVertex, predecessor
 from dl_harmonics.walks import DLWalk, p1_walk
 
@@ -346,6 +349,40 @@ def test_product_formula_reports_each_tampered_entry():
     assert verify_product_formula(c, table=t).discrepancies == ()
 
 
+def product_report_by_pairs(chain, table):
+    """Test-local oracle: the product check entry by entry, through
+    ``restricted_hitting`` and the table's Fraction rows."""
+    n, p, alpha = chain.n, chain.params, chain.alpha
+    bad = []
+    for x, row in zip(chain.vertices, table.rows):
+        for y, got in zip(chain.boundary, row):
+            if y.x2 == chain.a2:
+                want = restricted_hitting(n, p.q, alpha, x.x1, y.x1)
+            else:
+                want = restricted_hitting(n, p.r, 1 - alpha, x.x2, y.x2)
+            if got != want:
+                bad.append((x, y, got, want))
+    return dct.ProductReport(len(chain.vertices) * len(chain.boundary), tuple(bad))
+
+
+@pytest.mark.parametrize("q, r, n, alpha", [(2, 3, 2, THIRD), (3, 2, 2, Fraction(3, 5)), (3, 3, 1, Fraction(2, 3))])
+def test_product_report_equals_the_pairwise_check(q, r, n, alpha):
+    c = build_truncation(n, DLParams(q, r), alpha, "dl")
+    t = hitting_table(c)
+    assert verify_product_formula(c, table=t) == product_report_by_pairs(c, t)
+    rng = random.Random(RNG_SEED + 100 * q + 10 * r + n)
+    rows = [list(row) for row in t.rows]
+    for _ in range(6):  # single entries, boundary rows included
+        rows[rng.randrange(len(rows))][rng.randrange(len(c.boundary))] += Fraction(1, 7)
+    for b in (0, len(c.boundary) - 1):  # whole columns at 0: dens 1
+        for row in rows:
+            row[b] = Fraction(0)
+    tampered = dct.HittingTable(c, tuple(map(tuple, rows)))
+    report = verify_product_formula(c, table=tampered)
+    assert report == product_report_by_pairs(c, tampered)
+    assert len(report.discrepancies) > 6
+
+
 boundary_values = st.one_of(
     st.integers(-50, 50),
     st.fractions(min_value=-50, max_value=50, max_denominator=60),
@@ -497,8 +534,10 @@ def test_exact_rank():
 
 
 def as_system(a, b):
-    """``A | B`` row by row, as the solver takes it."""
-    return [{j: x for j, x in enumerate(a[i] + b[i]) if x} for i in range(len(a))]
+    """``A | B`` as one dense block, as the solver takes it."""
+    width = len(a) + len(b[0])
+    cols = np.broadcast_to(np.arange(width), (len(a), width))
+    return [(cols, np.array([a[i] + b[i] for i in range(len(a))], dtype=object), None)]
 
 
 def exact_residual(a, b):
@@ -515,21 +554,21 @@ def exact_residual(a, b):
 
 
 def modular_solve(a, b):
-    return dct._modular_solve(as_system(a, b), len(a), len(b[0]), exact_residual(a, b))
+    return dct._modular_solve(as_system(a, b), len(b[0]), exact_residual(a, b))
 
 
 @pytest.fixture
 def primes_used(monkeypatch):
     """Every modulus the solver eliminates with, and whether it was skipped."""
     used = []
-    eliminate = dct._eliminate
+    block_solve = dct._block_solve
 
-    def recording(aug, m, p):
-        x = eliminate(aug, m, p)
+    def recording(levels, nb, p):
+        x = block_solve(levels, nb, p)
         used.append((p, x is None))
         return x
 
-    monkeypatch.setattr(dct, "_eliminate", recording)
+    monkeypatch.setattr(dct, "_block_solve", recording)
     return used
 
 
@@ -812,17 +851,151 @@ def test_level_product_cache_has_a_fixed_size():
 
 def test_hitting_table_refuses_a_dense_solve_past_the_cap(monkeypatch):
     c = build_truncation(1, DLParams(2, 2), HALF, "dl")
-    m, nb = len(c.interior), len(c.boundary)
-    monkeypatch.setattr(dct, "_MAX_SOLVE_BYTES", 8 * m * (m + nb))
+    need = dct.check_solve_size(1, DLParams(2, 2))
+    monkeypatch.setattr(dct, "_MAX_SOLVE_BYTES", need)
     hitting_table(c)
-    monkeypatch.setattr(dct, "_MAX_SOLVE_BYTES", 8 * m * (m + nb) - 1)
+    monkeypatch.setattr(dct, "_MAX_SOLVE_BYTES", need - 1)
     with pytest.raises(ValueError, match="GiB"):
         hitting_table(c)
 
 
+@pytest.mark.parametrize("kind", ["dl", "tree1", "tree2"])
+@pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_solve_size_from_the_level_sizes(n, q, r, kind):
+    # The closed form equals the sum over the enumerated level sizes.
+    a, b = {"dl": (q, r), "tree1": (q, 1), "tree2": (r, 1)}[kind]
+    sizes = [a ** (n + k) * b ** (n - k) for k in range(-n, n + 1)]
+    interior, nb = sizes[1:-1], sizes[0] + sizes[-1]
+    want = 8 * (sum(s * s for s in interior) + 4 * sum(interior) * nb)
+    if want <= dct._MAX_SOLVE_BYTES:
+        assert dct.check_solve_size(n, DLParams(q, r), kind) == want
+    else:
+        with pytest.raises(ValueError, match="GiB"):
+            dct.check_solve_size(n, DLParams(q, r), kind)
+
+
 def test_dense_solve_cap_keeps_dl22_n5():
     # DL(2,2) n = 5: 11,264 vertices, 2,048 of them on the boundary.
-    size = sum(2 ** (5 + k) * 2 ** (5 - k) for k in range(-5, 6))
-    nb = 2 * 2**10
-    m = size - nb
-    assert 8 * m * (m + nb) <= dct._MAX_SOLVE_BYTES
+    assert dct.check_solve_size(5, DLParams(2, 2)) <= dct._MAX_SOLVE_BYTES
+    with pytest.raises(ValueError, match="12.4 GiB"):
+        dct.check_solve_size(6, DLParams(2, 2))
+
+
+def system_from_transitions(chain):
+    """Test-local oracle: the scaled interior rows from the walk's own
+    ``transitions`` and the chain's vertex index."""
+    op = dct.default_operator(chain)
+    at, denoms, slots, coeffs = [], [], [], []
+    for v in chain.interior:
+        moves = op.transitions(v)
+        denom = lcm(*(p.denominator for _, p in moves))
+        at.append(chain.index[v])
+        denoms.append(denom)
+        slots.append([chain.index[w] for w, _ in moves])
+        coeffs.append(tuple(p.numerator * (denom // p.denominator) for _, p in moves))
+    return at, denoms, slots, coeffs
+
+
+@pytest.mark.parametrize("kind", ["dl", "tree1", "tree2"])
+@pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_layout_rows_equal_the_walk_transitions(n, q, r, kind):
+    c = build_truncation(n, DLParams(q, r), Fraction(2, 5), kind)
+    lay = dct._layout(c)
+    at, denoms, slots, coeffs = system_from_transitions(c)
+    assert sum(lay.size) == len(c.vertices)
+    assert at == list(range(len(c.vertices))[lay.interior])
+    assert lay.boundary.tolist() == [c.index[y] for y in c.boundary]
+    assert set(denoms) == {lay.denom} and set(coeffs) == {lay.coeffs}
+    assert lay.slots.tolist() == slots
+
+
+# SHA-256 of ``json.dumps(table_to_json(...))`` for DL(2,2) n = 4, alpha 1/2
+# (2,304 vertices, 512 boundary columns), as the dense per-pivot solver gave it.
+DL22_N4_SHA256 = "8966e74b5c48e120fd40fec76cf74e8ce4afc6300f7fdd40e479fade527e86fe"
+
+
+def test_dl22_n4_table_is_pinned():
+    t = hitting_table(build_truncation(4, DLParams(2, 2), HALF, "dl"))
+    assert hashlib.sha256(json.dumps(table_to_json(t)).encode()).hexdigest() == DL22_N4_SHA256
+
+
+def pivot_divisible_system():
+    """``A = [[P0, 1], [1, 0]]`` (determinant -1) as two 1 x 1 blocks: block
+    elimination modulo ``P0`` meets the zero pivot block ``[P0]``."""
+    one = np.array([[0, 1]])
+    levels = [
+        (one, np.array([[P0, 1]], dtype=object), None),
+        (one, np.array([[0, 2]], dtype=object), (np.array([[0]]), 1, 1)),
+    ]
+    return levels, [[P0, 1], [1, 0]], [[1], [2]]
+
+
+@st.composite
+def block_systems(draw):
+    """Small block-tridiagonal integer systems in the solver's level form,
+    with the dense ``A`` and ``B`` they stand for."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    nb = draw(st.integers(1, 3))
+    entry = st.integers(-9, 9)
+    nonzero = st.integers(-9, 9).filter(bool)
+    m = sum(sizes)
+    a = [[0] * m for _ in range(m)]
+    b = [[0] * nb for _ in range(m)]
+    levels, start = [], 0
+    for k, s in enumerate(sizes):
+        block = [[draw(entry) for _ in range(s + nb)] for _ in range(s)]
+        for i, row in enumerate(block):
+            a[start + i][start : start + s] = row[:s]
+            b[start + i] = row[s:]
+        down = None
+        if k:
+            prev = sizes[k - 1]
+            width = draw(st.integers(1, prev))
+            idx = [draw(st.permutations(range(prev)))[:width] for _ in range(s)]
+            c_low, c_up = draw(nonzero), draw(nonzero)
+            for i, row in enumerate(idx):
+                for j in row:
+                    a[start + i][start - prev + j] += c_low
+                    a[start - prev + j][start + i] += c_up
+            down = (np.array(idx), c_low, c_up)
+        cols = np.broadcast_to(np.arange(s + nb), (s, s + nb))
+        levels.append((cols, np.array(block, dtype=object), down))
+        start += s
+    return levels, a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_systems())
+@example(pivot_divisible_system())
+def test_block_solve_equals_gauss_jordan(system):
+    # Solved exactly when every leading block is nonsingular; otherwise the
+    # elimination, which does not pivot across blocks, reports it.
+    levels, a, b = system
+    ends = np.cumsum([len(cols) for cols, _, _ in levels]).tolist()
+    solve = lambda: dct._modular_solve(levels, len(b[0]), exact_residual(a, b))
+    if all(gauss_jordan([row[:e] for row in a[:e]], [[0]] * e) is not None for e in ends):
+        assert solve() == gauss_jordan(a, b)
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            solve()
+
+
+def test_prime_dividing_a_block_pivot_is_skipped(primes_used):
+    levels, a, b = pivot_divisible_system()
+    assert dct._modular_solve(levels, 1, exact_residual(a, b)) == gauss_jordan(a, b)
+    assert primes_used[0] == (P0, True)
+    assert not any(skipped for _, skipped in primes_used[1:])
+
+
+@pytest.mark.parametrize("s", [1, 5, dct._BASE, dct._BASE + 1, 3 * dct._BASE + 7])
+def test_inverse_is_an_inverse_mod_p(s):
+    # Above the base size the inverse goes through Schur complements; the
+    # check multiplies back in int64, with the inverse cut in 16-bit halves.
+    rng = random.Random(RNG_SEED + s)
+    p = P1
+    a = np.array([[rng.randrange(p) for _ in range(s)] for _ in range(s)], dtype=np.int64)
+    inv = dct._inverse(a, p)
+    product = ((a @ (inv >> 16)) % p * 2**16 + a @ (inv & 0xFFFF)) % p
+    assert (product == np.eye(s, dtype=np.int64)).all()
