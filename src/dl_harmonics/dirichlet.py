@@ -158,14 +158,8 @@ def build_truncation(
     a1 = TreeVertex(-n, ())
     a2 = TreeVertex(-n, ())
 
-    if kind == "dl":
-        size = sum(q ** (n + k) * r ** (n - k) for k in range(-n, n + 1))
-    elif kind == "tree1":
-        size = sum(q ** (n + k) for k in range(-n, n + 1))
-    elif kind == "tree2":
-        size = sum(r ** (n + k) for k in range(-n, n + 1))
-    else:
-        raise ValueError(f"unknown chain kind {kind!r}")
+    ups, downs = _walk_shape(kind, params)
+    size = sum(ups ** (n + k) * downs ** (n - k) for k in range(-n, n + 1))
     if size > max_size:
         raise ValueError(f"truncation would have {size} vertices (cap {max_size})")
 
