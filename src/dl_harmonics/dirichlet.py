@@ -706,10 +706,11 @@ def _modular_solve(levels: list, nb: int, accept: Callable):
 def hitting_table(chain: FiniteChain) -> HittingTable:
     """Solve for all boundary columns at once and certify the solution.
 
-    The system is assembled from the chain's level layout and eliminated
-    level by level.  A table is accepted only when these postconditions
-    hold exactly: boundary rows are Kronecker deltas, every row sums to 1,
-    and the defining sparse equations hold with residual zero.  A chain past
+    The system is assembled from the level layout in which
+    ``build_truncation`` lists the vertices, and eliminated level by level.
+    A table is accepted only when these postconditions hold exactly:
+    boundary rows are Kronecker deltas, every row sums to 1, and the
+    defining sparse equations hold with residual zero.  A chain past
     ``check_solve_size`` raises ValueError before any of it is built.
     """
     check_solve_size(chain.n, chain.params, chain.kind)
