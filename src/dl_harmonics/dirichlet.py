@@ -1,4 +1,4 @@
-"""Finite truncations, exact Dirichlet solves, and the two-sided splitting.
+"""Finite truncations, exact hitting tables, and the two-sided splitting.
 
 The stage-``n`` truncation of the product graph is the horocyclic product of
 two rooted subtrees of height ``2n``: the first-tree part ``S1`` hangs below
@@ -12,24 +12,22 @@ which coincides (asserted at build time) with the one-step exit set of the
 product walk.  Sizes: ``|S| = sum_{k=-n}^{n} q^{n+k} r^{n-k}`` and
 ``|bd S| = q^{2n} + r^{2n}``.
 
-``hitting_table`` solves the boundary-hitting system exactly: unknowns are the
-interior values of ``F(., y)`` for every boundary ``y`` at once.  Each
-horocycle ``H_k`` is joined only to ``H_{k-1}`` and ``H_{k+1}``, so the system
-is block tridiagonal, with level blocks of ``q^{n+k} r^{n-k}`` vertices.  Its
-rows are scaled to integers and read off the order in which the truncation
-lists its vertices (no vertex objects), then solved modulo primes below
-2**31 level by level: each level's Schur complement is inverted (Gauss-Jordan
-up to 64 rows, 2 x 2 block inversion above), and the block products run as
-float64 ``matmul`` on 11-bit digits, exact below 2**53 (the delayed
-reduction of Dumas, Giorgi and Pernet, FFLAS-FFPACK).  The residues are
-combined by CRT (in int64 while the modulus fits) and rational
-reconstruction (Wang) turns them into fractions, once per distinct residue:
-a table holds few distinct values.  A table is accepted only when it passes
-the exact integer check against the sparse defining equations (Kronecker
-boundary rows, unit row sums, residual identically zero), run in int64 when
-``max|nums|`` times the row weights provably stays below 2**63 and on Python
-ints otherwise; a failed check adds another prime, up to Hadamard's bound,
-beyond which the reconstruction is unique.
+``hitting_table`` certifies rather than solves.  Fix a boundary column
+``(y1, a2)``: the stabiliser of ``y1`` in Aut(S1) x Aut(S2) fixes the column
+and preserves the walk, so ``F(x1 x2, (y1, a2))`` depends only on the class
+``(k, c)``, the level ``k`` of ``x1`` and the level ``c`` of ``x1 ⋏ y1``.
+The walk is strongly lumpable onto these classes (Kemeny and Snell, *Finite
+Markov Chains*, 1960, section 6.3), the lumped chain is the first tree's
+walk lumped the same way, and its solution is the geodesic product
+``F1(x1, y1)`` below; the columns ``(a1, y2)`` mirror this with ``r`` and
+``1 - alpha``.  The table is laid out from one closed-form value per class
+and accepted only when it passes the exact integer check against the sparse
+defining equations (Kronecker boundary rows, unit row sums, residual
+identically zero), run in int64 when ``max|nums|`` times the row weights
+provably stays below 2**63 and on Python ints otherwise.  The Dirichlet
+problem on a truncation has a unique solution, as every interior vertex
+reaches the boundary, so a table that passes the check is that solution:
+the check is the proof, and no elimination runs.
 
 On a single tree the same probabilities factor over geodesic edges.  The
 per-level factors obey scalar recursions (``d_k``: reach the predecessor from
@@ -38,7 +36,7 @@ level ``k`` before the boundary, ``u_k``: reach one fixed successor)::
     d_n = 0,      d_k = (1-a) / (1 - a d_{k+1})
     u_{-n} = 0,   u_k = (a/q) / (1 - (1-a) u_{k-1} - a (q-1)/q d_{k+1})
 
-so tree tables, the product-formula cross-check, the finite splitting
+so hitting tables, the product-formula cross-check, the finite splitting
 ``h = h1 + h2``, and the stage-``n`` kernel approximants all come out in
 closed form with no matrix solve.  A geodesic product depends only on the
 levels of ``x ⋏ y``, ``x`` and ``y``, and is computed once per such triple.
@@ -50,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product as _cartesian
-from math import gcd, isqrt, lcm, prod
+from math import lcm
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -222,18 +220,16 @@ class HittingTable:
 
     @classmethod
     def _from_columns(cls, chain: FiniteChain, nums: np.ndarray, dens) -> HittingTable:
-        """The table ``nums[:, b] / dens[b]``; takes ownership of ``nums``."""
+        """The table ``nums[:, b] / dens[b]`` from canonical columns; takes
+        ownership of ``nums``."""
         table = object.__new__(cls)
         table._store(chain, nums, dens)
         return table
 
     def _store(self, chain, nums, dens) -> None:
-        dens = list(dens)
-        for b, d in enumerate(dens):
-            g = gcd(d, *nums[:, b])  # what the column and its denominator still share
-            if g > 1:
-                nums[:, b] //= g
-                dens[b] = d // g
+        # Both constructors pass canonical columns: dens[b] is the lcm of the
+        # column's reduced denominators, so no prime divides it together with
+        # every numerator of the column, and nothing is left to reduce.
         nums.flags.writeable = False
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "nums", nums)
@@ -284,30 +280,9 @@ class HittingTable:
         return self.rows[self.chain.index[x]][self.boundary_index[y]]
 
 
-# Moduli of the multi-modular solve: the largest primes below 2**31, so that
-# the product of two residues fits in an int64.
-_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579,
-    2147483563, 2147483549, 2147483543, 2147483497,
-)
-
-
 # Largest estimate ``check_solve_size`` lets through: DL(2,2) n=5 needs
-# 0.6 GiB, n=6 12.4 GiB.
+# 0.6 GiB, n=6 12.0 GiB.
 _MAX_SOLVE_BYTES = 2 << 30
-
-# Largest pivot block ``_inverse`` inverts by Gauss-Jordan with row pivoting.
-_BASE = 64
-
-
-def _moduli():
-    """The hard-coded primes, then ever smaller primes by trial division."""
-    yield from _PRIMES
-    p = _PRIMES[-1]
-    while True:
-        p -= 2
-        if all(p % f for f in range(3, isqrt(p) + 1, 2)):
-            yield p
 
 
 def _walk_shape(kind: str, params: DLParams) -> tuple[int, int]:
@@ -333,21 +308,23 @@ def _geometric(a: int, b: int, steps: int) -> int:
 
 
 def check_solve_size(n: int, params: DLParams, kind: str = "dl") -> int:
-    """Bytes of the int64 arrays that ``hitting_table`` holds for the
-    stage-``n`` chain, from the level sizes ``s_k`` alone: the level inverses
-    (``8 sum s_k**2``) and four interior-by-boundary arrays (carried right
-    sides, solution, CRT residues and lift).  Raises ValueError naming the
-    estimate past ``_MAX_SOLVE_BYTES``; nothing is enumerated.
+    """Bytes that ``hitting_table`` holds at its peak for the stage-``n``
+    chain, from the level sizes alone: the table (one word per entry) and
+    the temporaries of its certificate, an int64 copy of the table and the
+    interior-by-boundary residual and term, ``8 (2 |S| + 2 m) |bd S|`` for
+    ``m`` interior vertices.  Raises ValueError naming the estimate past
+    ``_MAX_SOLVE_BYTES``; nothing is enumerated.
     """
     if n < 1:
         raise ValueError("truncation stage must be >= 1")
     ups, downs = _walk_shape(kind, params)
     interior = _geometric(ups, downs, 2 * n)
-    need = 8 * (_geometric(ups * ups, downs * downs, 2 * n) + 4 * interior * (ups ** (2 * n) + downs ** (2 * n)))
+    nb = ups ** (2 * n) + downs ** (2 * n)
+    need = 16 * (2 * interior + nb) * nb  # |S| = m + |bd S|
     if need > _MAX_SOLVE_BYTES:
         tenths = (10 * need + (1 << 29)) >> 30
         raise ValueError(
-            f"the exact solve needs {tenths // 10}.{tenths % 10} GiB "
+            f"the exact hitting table needs {tenths // 10}.{tenths % 10} GiB "
             f"(cap {_MAX_SOLVE_BYTES >> 30} GiB)"
         )
     return need
@@ -386,7 +363,7 @@ class _Layout(NamedTuple):
 def _layout(chain: FiniteChain) -> _Layout:
     n = chain.n
     ups, downs = _walk_shape(chain.kind, chain.params)
-    up = chain.alpha if chain.kind == "dl" else _chain_rate(chain)[0]
+    up = _up_rate(chain)
     w_up, w_down = up / ups, (1 - up) / downs
     denom = lcm(w_up.denominator, w_down.denominator)
     s_up = w_up.numerator * (denom // w_up.denominator)
@@ -406,327 +383,22 @@ def _layout(chain: FiniteChain) -> _Layout:
     return _Layout(size, ups, denom, (s_up,) * ups + (s_down,) * downs, np.concatenate(blocks))
 
 
-def _block_system(lay: _Layout) -> list:
-    """The interior system ``A X = B`` in the level blocks of ``_block_solve``:
-    ``denom`` on the diagonal, ``-coeff`` towards an interior neighbour and
-    ``+coeff`` in the column of a boundary one.  Boundary column ``b`` is
-    position ``b`` on level ``-n`` and then position ``b - size[0]`` of
-    level ``n``."""
-    size, ups, denom, coeffs = lay.size, lay.ups, lay.denom, lay.coeffs
-    s_up, s_down = coeffs[0], coeffs[-1]
-    off = list(accumulate(size, initial=0))
-    last = len(size) - 2  # index of the last interior level
-    levels = []
-    for j in range(1, last + 1):
-        s = size[j]
-        # positions relative to level j - 1, then within levels j - 1 and j + 1
-        rows = lay.slots[off[j] - off[1] : off[j + 1] - off[1]] - off[j - 1]
-        above, below = rows[:, :ups] - size[j - 1] - s, rows[:, ups:]
-        cols, vals, down = [np.arange(s)[:, None]], [denom], None
-        if j == 1:  # moves down reach level -n: boundary columns 0 .. size[0] - 1
-            cols.append(s + below)
-            vals += coeffs[ups:]
-        else:
-            down = (below, -s_down, -s_up)
-        if j == last:  # moves up reach level n
-            cols.append(s + size[0] + above)
-            vals += coeffs[:ups]
-        cols = np.concatenate(cols, axis=1)
-        levels.append((cols, np.repeat(np.array([vals]), s, axis=0), down))
-    return levels
-
-
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """``a @ b mod p`` for int64 residues below 2**31, through float64
-    ``matmul`` (delayed reduction): ``a`` is cut into 11-bit digits, so each
-    product stays below 2**42 and a sum of up to 2**11 of them is exact."""
-    s = len(a)
-    out = None
-    for j in range(0, a.shape[1], 1 << 11):
-        part = a[:, j : j + (1 << 11)]
-        digits = np.empty((3 * s, part.shape[1]))
-        digits[:s] = part >> 22
-        digits[s : 2 * s] = (part >> 11) & 2047
-        digits[2 * s :] = part & 2047
-        c = (digits @ b[j : j + (1 << 11)].astype(np.float64)).astype(np.int64)
-        # Below 2**51 * 2**11 + 2**53 < 2**63, then below 2**42 + 2**53.
-        c = (((c[:s] << 11) + c[s : 2 * s]) % p << 11) + c[2 * s :]
-        out = c % p if out is None else (out + c) % p
-    return out
-
-
-def _inverse(a: np.ndarray, p: int) -> np.ndarray | None:
-    """``a^-1 mod p``, or None when a pivot block is singular mod ``p``.
-
-    Up to ``_BASE`` rows: Gauss-Jordan with row pivoting, so None means
-    ``p | det a``.  Larger: the inverse of the leading half, then of its
-    Schur complement, recursively, with no pivoting across the halves.
-    """
-    s = len(a)
-    if s <= _BASE:
-        # In place: column k of the result takes the place of column k of a.
-        a = a.copy()
-        swaps = []
-        for k in range(s):
-            if not a[k, k]:
-                nz = np.flatnonzero(a[k:, k])
-                if not nz.size:
-                    return None
-                a[[k, k + nz[0]]] = a[[k + nz[0], k]]
-                swaps.append((k, k + nz[0]))
-            inv = pow(int(a[k, k]), -1, p)
-            a[k, k] = 1
-            a[k] = a[k] * inv % p
-            f = a[:, k].copy()
-            f[k] = 0
-            if f.any():
-                a[:, k] = 0
-                a[k, k] = inv
-                a -= f[:, None] * a[k]
-                a %= p
-        for k, j in reversed(swaps):  # undo the row swaps on the columns
-            a[:, [k, j]] = a[:, [j, k]]
-        return a
-    h = s // 2
-    i11 = _inverse(a[:h, :h], p)
-    if i11 is None:
-        return None
-    if not (a[h:, :h].any() or a[:h, h:].any()):  # block diagonal, as a first level is
-        i22 = _inverse(a[h:, h:], p)
-        if i22 is None:
-            return None
-        out = np.zeros_like(a)
-        out[:h, :h], out[h:, h:] = i11, i22
-        return out
-    left = _mulmod(a[h:, :h], i11, p)  # A21 A11^-1
-    right = _mulmod(i11, a[:h, h:], p)  # A11^-1 A12
-    i22 = _inverse((a[h:, h:] - _mulmod(left, a[:h, h:], p)) % p, p)
-    if i22 is None:
-        return None
-    out = np.empty_like(a)
-    out[h:, h:] = i22
-    out[h:, :h] = -_mulmod(i22, left, p) % p
-    out[:h, h:] = -_mulmod(right, i22, p) % p
-    out[:h, :h] = (i11 - _mulmod(right, out[h:, :h], p)) % p
-    return out
-
-
-def _base_blocks(s: int) -> int:
-    """How many ``_BASE``-sized pivot blocks ``_inverse`` splits ``s`` rows into."""
-    return 1 if s <= _BASE else _base_blocks(s // 2) + _base_blocks(s - s // 2)
-
-
-def _gather(x: np.ndarray, idx: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
-    """``sum_t x[idx[:, t]] mod p`` along ``axis``: ``x`` times a 0/1
-    pattern with ``idx.shape[1]`` ones per row (``axis = 0``: from the left,
-    ``axis = 1``: its transpose from the right)."""
-    out = np.take(x, idx[:, 0], axis=axis)
-    for t in range(1, idx.shape[1]):
-        out += np.take(x, idx[:, t], axis=axis)
-    return out % p
-
-
-def _block_solve(levels: list, nb: int, p: int) -> np.ndarray | None:
-    """``A^-1 B mod p`` (int64) for a block-tridiagonal integer system, or
-    None when a pivot block is singular mod ``p``.
-
-    ``levels[k] = (cols, coefs, down)`` gives block row ``k``: row ``i`` has
-    entry ``coefs[i, t]`` in column ``cols[i, t]``, a column of block ``k``
-    itself below ``len(cols)`` and column ``cols[i, t] - len(cols)`` of
-    ``B`` above (no column twice in a row).  ``down = (idx, c_low, c_up)``,
-    None for the first block, couples block ``k`` to block ``k - 1`` through
-    a pattern ``G`` with distinct entries in each row of ``idx`` and its
-    transpose: ``A[i, idx[i, t]] = c_low`` and ``A[idx[i, t], i] = c_up``.
-    Forward, the Schur complements ``S_k = A_kk - c_low c_up G S_{k-1}^-1 G^T``
-    are inverted and ``Y_k = S_k^-1 R_k`` is carried over the span of
-    boundary columns reached so far; back-substitution then gives
-    ``X_k = Y_k - S_k^-1 U_k X_{k+1}``.  One block is plain dense
-    elimination of ``A^-1 B``.
-    """
-    inverses, carried = [], []  # per block: S_k^-1, and (lo, Y_k)
-    for cols, coefs, down in levels:
-        s = len(cols)
-        vals = (coefs % p).astype(np.int64)
-        own = cols < s
-        a = np.zeros((s, s), dtype=np.int64)
-        a[own.nonzero()[0], cols[own]] = vals[own]
-        reach = cols[~own] - s
-        spans = [(int(reach.min()), int(reach.max()) + 1)] if reach.size else []
-        if down is not None:
-            idx, c_low, c_up = down
-            g = _gather(inverses[-1], idx, p)  # G S^-1, then G S^-1 G^T
-            a = (a - c_low * c_up % p * _gather(g, idx, p, axis=1)) % p
-            plo, prev = carried[-1]
-            spans.append((plo, plo + prev.shape[1]))
-        lo = min((l for l, _ in spans), default=0)
-        r = np.zeros((s, max((h for _, h in spans), default=0) - lo), dtype=np.int64)
-        r[(~own).nonzero()[0], reach - lo] = vals[~own]
-        if down is not None:
-            span = slice(plo - lo, plo - lo + prev.shape[1])
-            r[:, span] = (r[:, span] - c_low % p * _gather(prev, idx, p)) % p
-        inv = _inverse(a, p)
-        if inv is None:
-            return None
-        inverses.append(inv)
-        carried.append((lo, _mulmod(inv, r, p)))
-    x = np.zeros((sum(len(cols) for cols, _, _ in levels), nb), dtype=np.int64)
-    end = len(x)
-    for k in range(len(levels) - 1, -1, -1):
-        lo, y = carried[k]
-        xk = x[end - len(y) : end]
-        if k + 1 < len(levels) and levels[k + 1][2] is not None:
-            idx, _, c_up = levels[k + 1][2]
-            u = c_up % p * _gather(inverses[k], idx, p, axis=1) % p  # S_k^-1 U_k
-            xk[:] = -_mulmod(u, x[end : end + len(idx)], p) % p
-        xk[:, lo : lo + y.shape[1]] += y
-        xk %= p
-        end -= len(y)
-    return x
-
-
-def _hadamard(levels: list) -> tuple[int, int]:
-    """``prod_i |A_i|^2`` and ``prod_i |(A | B)_i|^2`` over the rows."""
-    det_sq = minor_sq = 1
-    for k, (cols, coefs, down) in enumerate(levels):
-        s = len(cols)
-        sq = np.asarray(coefs, dtype=object) ** 2
-        a_sq = np.where(cols < s, sq, 0).sum(axis=1)
-        b_sq = sq.sum(axis=1) - a_sq
-        if down is not None:
-            a_sq += down[0].shape[1] * down[1] ** 2
-        up = levels[k + 1][2] if k + 1 < len(levels) else None
-        if up is not None:
-            a_sq += np.bincount(up[0].ravel(), minlength=s).astype(object) * up[2] ** 2
-        det_sq *= prod(a_sq.tolist())
-        minor_sq *= prod((a_sq + b_sq).tolist())
-    return det_sq, minor_sq
-
-
-def _rational(x: int, modulus: int, bound: int) -> tuple[int, int] | None:
-    """Rational reconstruction (Wang): the fraction ``num / den`` with
-    ``|num| <= bound`` and ``0 < den <= bound`` congruent to ``x``, or None."""
-    r0, r1, t0, t1 = modulus, x, 0, 1
-    while r1 > bound:
-        quo = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
-    if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
-def _reconstruct(residues: np.ndarray, modulus: int):
-    """Rationals congruent to ``residues`` as integer columns ``(nums, dens)``:
-    entry ``(i, b)`` is ``nums[i, b] / dens[b]``, with every entry's
-    numerator and denominator, and every ``dens[b]``, at most
-    ``isqrt(modulus // 2)``; None when no such candidate exists.
-
-    Wang reconstruction runs once per distinct residue, first on those of
-    every 97th entry, so that a modulus too small for the table mostly fails
-    before the whole matrix is sorted; the rest is numpy in the dtype of
-    ``residues`` (``int64`` below a 2**63 modulus, where every product below
-    stays under ``bound**2 < 2**62``, else object).
-    """
-    bound = isqrt(modulus // 2)
-    if any(_rational(x, modulus, bound) is None for x in set(residues.ravel()[::97].tolist())):
-        return None
-    flat = np.sort(residues, axis=None)
-    values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
-    del flat
-    inverse = np.searchsorted(values, residues)
-    nums = np.empty(len(values), dtype=residues.dtype)
-    dens = np.empty(len(values), dtype=residues.dtype)
-    for k, x in enumerate(values.tolist()):
-        fraction = _rational(x, modulus, bound)
-        if fraction is None:
-            return None
-        nums[k], dens[k] = fraction
-    den = dens[inverse]
-    # In int64 the lcm can wrap only once it has passed ``bound``; a value in
-    # [1, bound] that every denominator divides is a common multiple within
-    # the bound, so it proves there was no wrap and that it is the lcm.
-    common = np.lcm.reduce(den, axis=0)
-    if not ((common >= 1) & (common <= bound)).all() or (common % den).any():
-        return None
-    np.floor_divide(common, den, out=den)  # in place: each entry's scale
-    den *= nums[inverse]
-    return den.astype(object), common.astype(object)
-
-
-def _modular_solve(levels: list, nb: int, accept: Callable):
-    """Solve ``A X = B`` exactly for an integer system given in the level
-    blocks of ``_block_solve`` (``A`` has ``m`` rows, ``B`` has ``nb``
-    columns).
-
-    ``X`` is solved modulo one prime after another, combined by CRT and
-    reconstructed as rationals.  Each candidate, in the integer column form
-    ``(nums, dens)`` of ``_reconstruct``, goes to ``accept``, which
-    returns the certified result or raises AssertionError; a rejected
-    candidate, or a failed reconstruction, adds a prime, and a prime at
-    which a pivot block is singular is skipped.  Hadamard's bound caps the
-    work.  A skipped prime divides the leading principal minor of ``A`` that
-    ends with its pivot block, one of ``blocks`` minors each at most
-    ``prod_i |A_i|``; once the skipped primes multiply past their product,
-    one of those minors is zero (with one block, ``A`` is singular).  Once
-    the used primes multiply past ``2 prod_i |(A | B)_i|^2``, which bounds
-    every minor and hence every numerator and denominator of ``X``, the
-    reconstruction is unique and a rejection is final.
-    """
-    det_bound_sq, minor_bound_sq = _hadamard(levels)
-    blocks = sum(_base_blocks(len(cols)) for cols, _, _ in levels)
-    modulus, residues, skipped = 1, None, 1
-    for p in _moduli():
-        x = _block_solve(levels, nb, p)
-        if x is None:
-            skipped *= p
-            if (skipped * skipped).bit_length() > blocks * det_bound_sq.bit_length():
-                raise ValueError("singular system")
-            continue
-        # CRT residues stay int64 while the modulus fits in one.
-        dtype = np.int64 if modulus * p < 2**63 else object
-        if residues is None:
-            residues = x.astype(dtype)
-        else:
-            lift = (x - (residues % p).astype(np.int64)) % p * pow(modulus, -1, p) % p
-            residues = residues.astype(dtype) + modulus * lift.astype(dtype)
-        del x  # free the solution mod p before reconstructing
-        modulus *= p
-        final = modulus // 2 >= minor_bound_sq
-        candidate = _reconstruct(residues, modulus)
-        if candidate is None:
-            if final:
-                raise AssertionError("rational reconstruction failed within the Hadamard bound")
-            continue
-        try:
-            return accept(candidate)
-        except AssertionError:
-            if final:
-                raise
-
-
 def hitting_table(chain: FiniteChain) -> HittingTable:
-    """Solve for all boundary columns at once and certify the solution.
+    """The exact boundary-hitting table, laid out from the closed form and
+    certified.
 
-    The system is assembled from the level layout in which
-    ``build_truncation`` lists the vertices, and eliminated level by level.
-    A table is accepted only when these postconditions hold exactly:
+    The table is accepted only when these postconditions hold exactly:
     boundary rows are Kronecker deltas, every row sums to 1, and the
-    defining sparse equations hold with residual zero.  A chain past
+    defining sparse equations hold with residual zero; otherwise
+    AssertionError.  The Dirichlet problem on the truncation has one
+    solution, so a table that passes is that solution.  A chain past
     ``check_solve_size`` raises ValueError before any of it is built.
     """
     check_solve_size(chain.n, chain.params, chain.kind)
-    lay = _layout(chain)
-    nb = len(chain.boundary)
-
-    def accept(candidate) -> HittingTable:
-        nums, dens = candidate
-        full = np.zeros((len(chain.vertices), nb), dtype=object)
-        full[lay.interior] = nums
-        full[lay.boundary, range(nb)] = dens  # Kronecker boundary rows
-        table = HittingTable._from_columns(chain, full, dens)
-        _verify_table(table, lay)
-        return table
-
-    return _modular_solve(_block_system(lay), nb, accept)
+    dens = _closed_dens(chain)
+    table = HittingTable._from_columns(chain, _closed_form(chain, dens), dens)
+    _verify_table(table, _layout(chain))
+    return table
 
 
 def _verify_table(table: HittingTable, lay: _Layout) -> None:
@@ -777,6 +449,11 @@ def _chain_rate(chain: FiniteChain) -> tuple[Fraction, int]:
     if chain.kind == "tree2":
         return 1 - chain.alpha, chain.params.r
     raise ValueError("closed-form factors live on tree chains")
+
+
+def _up_rate(chain: FiniteChain) -> Fraction:
+    """Probability that the chain's walk moves up its first tree."""
+    return chain.alpha if chain.kind == "dl" else _chain_rate(chain)[0]
 
 
 def edge_factors(n: int, branch: int, up: Fraction) -> tuple[Mapping[int, Fraction], Mapping[int, Fraction]]:
@@ -836,16 +513,11 @@ def restricted_hitting(n: int, branch: int, up: Fraction, x: TreeVertex, y: Tree
 
 
 def closed_tree_table(chain: FiniteChain) -> HittingTable:
-    """The full tree hitting table from the closed-form edge factors."""
-    up, branch = _chain_rate(chain)
-    n = chain.n
-    bset = set(chain.boundary)
-    zero = Fraction(0)
-    rows = tuple(
-        tuple(zero if x in bset and x != y else _geodesic_product(n, branch, up, x, y) for y in chain.boundary)
-        for x in chain.vertices
-    )
-    return HittingTable(chain, rows)
+    """The full tree hitting table from the closed-form edge factors: the
+    tree case of ``hitting_table``."""
+    if chain.kind == "dl":
+        raise ValueError("closed-form factors live on tree chains")
+    return hitting_table(chain)
 
 
 @dataclass(frozen=True)
@@ -868,48 +540,108 @@ def _confluent_levels(n: int, branch: int, level: int) -> np.ndarray:
     return out
 
 
+def _slabs(chain: FiniteChain) -> tuple:
+    """The boundary slabs in column order, as ``(branch, up rate, sign)``.
+
+    A level-``k`` vertex ``(i1, i2)`` of the layout sees the first slab, the
+    leaves ``y2`` of the second tree (columns ``(a1, y2)``), through ``i2`` on
+    level ``-k`` of that tree, and the second slab, the leaves ``y1``
+    (columns ``(y1, a2)``), through ``i1`` on level ``k``: the product
+    formula ``F(x1 x2, (a1, y2)) = F2(x2, y2)``, ``F(x1 x2, (y1, a2)) =
+    F1(x1, y1)``.  A tree chain is the case ``downs = 1``: its second tree
+    is a line, whose one leaf is the apex, and the line's up factors are the
+    tree's down factors."""
+    ups, downs = _walk_shape(chain.kind, chain.params)
+    up = _up_rate(chain)
+    return ((downs, 1 - up, -1), (ups, up, 1))
+
+
+def _classes(n: int, branch: int, level: int) -> range:
+    """Levels of ``x ⋏ y`` that every leaf ``y`` meets among the ``x`` on
+    ``level``: all from ``-n`` to ``level`` (an ``x`` branching off the
+    leaf's ancestors there), and on a line only ``level``."""
+    return range(-n if branch > 1 else level, level + 1)
+
+
+def _closed_dens(chain: FiniteChain) -> list:
+    """The canonical column denominators of the closed-form table: per slab,
+    the lcm of the denominators of the classes its columns meet."""
+    n = chain.n
+    dens = []
+    for branch, up, sign in _slabs(chain):
+        common = lcm(*(
+            _level_product(n, branch, up, c, sign * k, n).denominator
+            for k in range(-n, n + 1)
+            for c in _classes(n, branch, sign * k)
+        ))
+        dens += [common] * branch ** (2 * n)
+    return dens
+
+
+def _closed_form(chain: FiniteChain, dens) -> np.ndarray:
+    """The closed-form table as integer columns over ``dens``: entry
+    ``(i, b)`` is ``F(vertices[i], boundary[b]) * dens[b]``, or None where
+    ``dens[b]`` is no multiple of that value's denominator.
+
+    By the stabiliser of the column's leaf, ``F`` depends only on the class
+    ``(k, c)``: the level ``k`` of the vertex on the slab's tree and the level
+    ``c`` of its confluent with the leaf.  So each level of each slab is one
+    closed-form value per class (``_level_product``), laid out by
+    ``_confluent_levels`` and repeated across the other coordinate.
+    """
+    n = chain.n
+    ups, downs = _walk_shape(chain.kind, chain.params)
+    dens = np.array(dens, dtype=object)
+    out = np.empty((len(chain.vertices), len(dens)), dtype=object)
+    slabs = _slabs(chain)
+    start = 0
+    for k in range(-n, n + 1):
+        size1, size2 = ups ** (n + k), downs ** (n - k)
+        # vertex (i1, i2) of level k at start + i1*size2 + i2: a view, as
+        # ``out`` is C-contiguous
+        level_rows = out[start : start + size1 * size2].reshape(size1, size2, -1)
+        lo = 0
+        for branch, up, sign in slabs:
+            level = sign * k
+            cols = slice(lo, lo + branch ** (2 * n))
+            classes = _classes(n, branch, level)
+            values = [_level_product(n, branch, up, c, level, n) for c in classes]
+            num = np.array([f.numerator for f in values], dtype=object)[:, None]
+            den = np.array([f.denominator for f in values], dtype=object)[:, None]
+            over = dens[None, cols]
+            # F = num / den is the entry num * (over // den) of a column over
+            # ``over``, and no entry of it when den does not divide ``over``.
+            want = np.where(over % den == 0, num * (over // den), None)
+            grid = np.take_along_axis(want, _confluent_levels(n, branch, level) - classes.start, axis=0)
+            level_rows[:, :, cols] = grid[None] if sign < 0 else grid[:, None]
+            lo = cols.stop
+        start += size1 * size2
+    return out
+
+
 def verify_product_formula(chain: FiniteChain, table: HittingTable | None = None) -> ProductReport:
     """Cross-check the product identity on the two boundary slabs.
 
     ``F(x1 x2, (y1, a2)) = F1(x1, y1)`` and ``F(x1 x2, (a1, y2)) = F2(x2, y2)``
-    for every vertex and boundary leaf; the product side is an exact matrix
-    solve, the tree side the independent closed-form route, one value per
-    level triple ``(x_i ⋏ y_i, x_i, y_i)`` compared as an integer column
-    entry.
+    for every vertex and boundary leaf: the table's integer columns against
+    the closed form over the same denominators, one value per level triple
+    ``(x_i ⋏ y_i, x_i, y_i)``.  ``hitting_table`` builds its tables from
+    that closed form, so this is a check of tables that come from elsewhere.
     """
     if chain.kind != "dl":
         raise ValueError("the product identity lives on the product chain")
     if table is None:
         table = hitting_table(chain)
     n, q, r, alpha = chain.n, chain.params.q, chain.params.r, chain.alpha
-    dens = np.array(table.dens, dtype=object)
     left = r ** (2 * n)  # columns (a1, y2), then (y1, a2)
-    # Per slab: (branch, up rate, its columns, vertex level -> slab level).
-    slabs = ((r, 1 - alpha, slice(0, left), -1), (q, alpha, slice(left, None), 1))
-    bad, start = [], 0
-    for k in range(-n, n + 1):
-        size1, size2 = q ** (n + k), r ** (n - k)  # vertex (i1, i2) at start + i1*size2 + i2
-        parts, closed = [], []
-        for branch, up, cols, sign in slabs:
-            level = sign * k
-            conf = _confluent_levels(n, branch, level)
-            values = [_level_product(n, branch, up, c, level, n) for c in range(-n, level + 1)]
-            num = np.array([f.numerator for f in values], dtype=object)[:, None]
-            den = np.array([f.denominator for f in values], dtype=object)[:, None]
-            over = dens[cols][None, :]
-            # F = num / den is the entry num * (over // den) of a column over
-            # ``over``, and no entry of it when den does not divide ``over``.
-            want = np.where(over % den == 0, num * (over // den), None)
-            grid = np.take_along_axis(want, conf + n, axis=0)
-            parts.append(np.tile(grid, (size1, 1)) if sign < 0 else np.repeat(grid, size2, axis=0))
-            closed.append((conf, values))
-        rows = table.nums[start : start + size1 * size2]
-        for i, b in zip(*np.nonzero(rows != np.concatenate(parts, axis=1))):
-            conf, values = closed[0] if b < left else closed[1]
-            c = conf[i % size2, b] if b < left else conf[i // size2, b - left]
-            x = chain.vertices[start + i]
-            bad.append((x, chain.boundary[b], Fraction(rows[i, b], dens[b]), values[c + n]))
-        start += size1 * size2
+    bad = []
+    for i, b in zip(*np.nonzero(table.nums != _closed_form(chain, table.dens))):
+        x, y = chain.vertices[i], chain.boundary[b]
+        if b < left:
+            want = _geodesic_product(n, r, 1 - alpha, x.x2, y.x2)
+        else:
+            want = _geodesic_product(n, q, alpha, x.x1, y.x1)
+        bad.append((x, y, Fraction(table.nums[i, b], table.dens[b]), want))
     checked = len(chain.vertices) * len(chain.boundary)
     return ProductReport(checked, tuple(bad))
 

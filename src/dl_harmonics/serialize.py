@@ -73,6 +73,7 @@ def table_to_json(table: HittingTable) -> dict:
         enc = vertex_to_json_pair
     else:
         enc = vertex_to_json
+    columns = map(_column_strings, table.nums.T.tolist(), table.dens)
     return {
         "kind": chain.kind,
         "n": chain.n,
@@ -81,8 +82,15 @@ def table_to_json(table: HittingTable) -> dict:
         "alpha": frac_str(chain.alpha),
         "vertices": [enc(v) for v in chain.vertices],
         "boundary": [enc(v) for v in chain.boundary],
-        "F": [[frac_str(x) for x in row] for row in table.rows],
+        "F": [list(row) for row in zip(*columns)],
     }
+
+
+def _column_strings(column: list, den: int) -> list:
+    """The entries ``x / den`` of one table column as strings, each distinct
+    value formatted once: a table holds few distinct values."""
+    text = {x: frac_str(Fraction(x, den)) for x in set(column)}
+    return [text[x] for x in column]
 
 
 def estimate_to_json(res: EstimateResult) -> dict:

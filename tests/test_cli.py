@@ -502,7 +502,7 @@ pinned_argparse = pytest.mark.skipif(
 
 def test_dirichlet_solve_past_the_dense_cap_exits_2(tmp_path, capsys, monkeypatch):
     # DL(2,2) n = 6 passes the vertex cap (53,248 vertices) but its solve
-    # would need 12.4 GiB; it is refused before any vertex is enumerated.
+    # would need 12.0 GiB; it is refused before any vertex is enumerated.
     def enumerate_nothing(*args, **kwargs):
         raise AssertionError("the chain was enumerated")
 
@@ -510,7 +510,7 @@ def test_dirichlet_solve_past_the_dense_cap_exits_2(tmp_path, capsys, monkeypatc
     out_file = tmp_path / "table.json"
     code, out, err = run(capsys, "dirichlet-solve", "--n", "6", "--out", str(out_file))
     assert code == 2 and out == ""
-    assert "12.4 GiB" in err
+    assert "12.0 GiB" in err
     assert not out_file.exists()
 
 

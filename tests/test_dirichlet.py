@@ -2,13 +2,12 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
-import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dl_harmonics import dirichlet as dct
+from dl_harmonics import cli, dirichlet as dct
 from dl_harmonics.dirichlet import (
     TruncationStage,
     build_truncation,
@@ -35,7 +34,8 @@ THIRD = Fraction(1, 3)
 
 def gauss_jordan(a, b):
     """Independent oracle: ``A^-1 B`` by Gauss-Jordan over Fractions, no
-    shared code with the package's modular solver; None if A is singular."""
+    shared code with the package; None if A is singular.  Each elimination
+    subtracts only the pivot row's nonzero entries."""
     m = len(a)
     aug = [[Fraction(x) for x in a[i] + b[i]] for i in range(m)]
     for col in range(m):
@@ -44,11 +44,13 @@ def gauss_jordan(a, b):
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
         pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+        pivot = aug[col] = [x / pv for x in aug[col]]
+        support = [(j, y) for j, y in enumerate(pivot) if y]
+        for i, row in enumerate(aug):
+            f = row[col]
+            if i != col and f:
+                for j, y in support:
+                    row[j] -= f * y
     return [row[m:] for row in aug]
 
 
@@ -146,33 +148,33 @@ def test_table_from_rows_equals_the_solved_table():
         assert again.rows == t.rows
 
 
-def test_solved_columns_are_reduced_to_the_lcm(monkeypatch):
-    # A reconstruction whose column denominators carry a spare factor still
-    # gives the canonical table.
-    reconstruct = dct._reconstruct
-    seen = []
+# Every chain with q, r in {2, 3}, n <= 2 and each kind; alpha 12345/67891
+# gives wide denominators wherever the dense oracle below stays fast.
+ORACLE_SWEEP = [
+    (n, DLParams(q, r), Fraction(2, 5) if kind == "dl" and n == 2 else Fraction(12345, 67891), kind)
+    for kind in ("dl", "tree1", "tree2")
+    for q in (2, 3)
+    for r in (2, 3)
+    for n in (1, 2)
+]
 
-    def spare_factor(residues, modulus):
-        out = reconstruct(residues, modulus)
-        if out is None:
-            return None
-        nums, dens = out
-        nums, dens = nums.copy(), dens.copy()
-        nums[:, ::2] *= 6
-        dens[::2] *= 6
-        seen.append(tuple(dens))
-        return nums, dens
 
-    c = build_truncation(1, DLParams(2, 3), THIRD, "dl")
-    want = hitting_table(c)
-    monkeypatch.setattr(dct, "_reconstruct", spare_factor)
-    got = hitting_table(c)
-    assert seen and seen[-1] != want.dens
-    assert got == want and hash(got) == hash(want)
-    assert got.dens == want.dens and (got.nums == want.nums).all()
-    assert got == dct.HittingTable(c, got.rows)
-    for b, d in enumerate(got.dens):
-        assert d == lcm(*(row[b].denominator for row in got.rows))
+def assert_columns_reduced_to_the_lcm(table):
+    for column, d in zip(table.nums.T.tolist(), table.dens):
+        assert type(d) is int
+        assert d == lcm(*(Fraction(x, d).denominator for x in column))
+
+
+def test_solved_columns_are_reduced_to_the_lcm():
+    # Both constructors give canonical columns: the common denominator of a
+    # column is the lcm of its entries' reduced denominators.
+    for args in ORACLE_SWEEP:
+        c = build_truncation(*args)
+        t = hitting_table(c)
+        assert_columns_reduced_to_the_lcm(t)
+        again = dct.HittingTable(c, t.rows)
+        assert_columns_reduced_to_the_lcm(again)
+        assert again.dens == t.dens and (again.nums == t.nums).all()
 
 
 def test_golden_row_at_origin():
@@ -187,19 +189,13 @@ def test_golden_row_at_origin():
 
 
 def test_table_matches_dense_oracle():
-    for p, n, alpha, kind in (
-        (DLParams(2, 2), 1, HALF, "dl"),
-        (DLParams(2, 3), 1, THIRD, "dl"),
-        (DLParams(2, 2), 2, Fraction(2, 5), "tree1"),
-    ):
-        c = build_truncation(n, p, alpha, kind)
+    # The certified closed form against a plain solve of the full system.
+    for args in ORACLE_SWEEP:
+        c = build_truncation(*args)
         t = hitting_table(c)
-        from dl_harmonics.dirichlet import default_operator
-
-        want = solve_dense(c, default_operator(c))
-        for x in c.vertices:
-            for y in c.boundary:
-                assert t.value(x, y) == want[(x, y)]
+        want = solve_dense(c, dct.default_operator(c))
+        for x, row in zip(c.vertices, t.rows):
+            assert list(row) == [want[(x, y)] for y in c.boundary]
 
 
 def test_table_matches_monte_carlo():
@@ -294,9 +290,12 @@ def test_restricted_hitting_golden():
 def test_closed_form_equals_matrix_solve():
     for alpha in (THIRD, HALF):
         c = build_truncation(2, DLParams(2, 2), alpha, "tree1")
-        assert closed_tree_table(c).rows == hitting_table(c).rows
+        want = solve_dense(c, dct.default_operator(c))
+        assert closed_tree_table(c).rows == tuple(tuple(want[(x, y)] for y in c.boundary) for x in c.vertices)
     c = build_truncation(1, DLParams(2, 3), THIRD, "tree2")
-    assert closed_tree_table(c).rows == hitting_table(c).rows
+    assert closed_tree_table(c) == hitting_table(c)
+    with pytest.raises(ValueError):
+        closed_tree_table(build_truncation(1, DLParams(2, 3), THIRD, "dl"))
 
 
 def test_slab_goldens():
@@ -530,127 +529,7 @@ def test_exact_rank():
 
 
 # ---------------------------------------------------------------------------
-# The multi-modular solver.
-
-
-def as_system(a, b):
-    """``A | B`` as one dense block, as the solver takes it."""
-    width = len(a) + len(b[0])
-    cols = np.broadcast_to(np.arange(width), (len(a), width))
-    return [(cols, np.array([a[i] + b[i] for i in range(len(a))], dtype=object), None)]
-
-
-def exact_residual(a, b):
-    def accept(candidate):
-        nums, dens = candidate
-        x = [[Fraction(n, d) for n, d in zip(row, dens)] for row in nums.tolist()]
-        for i, row in enumerate(a):
-            for c in range(len(b[i])):
-                if sum(row[j] * x[j][c] for j in range(len(row))) != b[i][c]:
-                    raise AssertionError("residual")
-        return x
-
-    return accept
-
-
-def modular_solve(a, b):
-    return dct._modular_solve(as_system(a, b), len(b[0]), exact_residual(a, b))
-
-
-@pytest.fixture
-def primes_used(monkeypatch):
-    """Every modulus the solver eliminates with, and whether it was skipped."""
-    used = []
-    block_solve = dct._block_solve
-
-    def recording(levels, nb, p):
-        x = block_solve(levels, nb, p)
-        used.append((p, x is None))
-        return x
-
-    monkeypatch.setattr(dct, "_block_solve", recording)
-    return used
-
-
-@st.composite
-def integer_systems(draw):
-    m = draw(st.integers(1, 5))
-    nb = draw(st.integers(1, 3))
-    size = draw(st.sampled_from((1, 100, 10**12)))
-    entry = st.integers(-size, size)
-    a = [[draw(entry) for _ in range(m)] for _ in range(m)]
-    b = [[draw(entry) for _ in range(nb)] for _ in range(m)]
-    return a, b
-
-
-@settings(max_examples=60, deadline=None)
-@given(integer_systems())
-@example(([[0, 1], [1, 0]], [[1], [2]]))  # the first pivot needs a row swap
-def test_modular_solve_equals_gauss_jordan(system):
-    a, b = system
-    want = gauss_jordan(a, b)
-    assume(want is not None)
-    assert modular_solve(a, b) == want
-
-
-def test_large_denominator_alpha_needs_several_primes(primes_used):
-    alpha = Fraction(12345, 67891)
-    for p, n, kind in ((DLParams(2, 2), 1, "dl"), (DLParams(2, 2), 2, "tree1")):
-        primes_used.clear()
-        c = build_truncation(n, p, alpha, kind)
-        t = hitting_table(c)
-        assert len(primes_used) > 1
-        want = solve_dense(c, dct.default_operator(c))
-        for x in c.vertices:
-            for y in c.boundary:
-                assert t.value(x, y) == want[(x, y)]
-
-
-def test_prime_dividing_the_determinant_is_skipped(primes_used):
-    p0 = dct._PRIMES[0]
-    a = [[2, 1], [1, (p0 + 1) // 2]]  # det = p0
-    b = [[1], [0]]
-    assert modular_solve(a, b) == gauss_jordan(a, b)
-    assert primes_used[0] == (p0, True)
-    assert not any(skipped for _, skipped in primes_used[1:])
-
-
-def test_singular_system_raises():
-    with pytest.raises(ValueError, match="singular"):
-        modular_solve([[1, 2], [2, 4]], [[1], [2]])
-    # Hadamard's bound here outgrows the product of the hard-coded primes,
-    # so the proof of singularity draws further primes
-    k = 2**400
-    with pytest.raises(ValueError, match="singular"):
-        modular_solve([[k, k], [k, k]], [[1], [1]])
-
-
-def _is_prime(n):
-    if n < 2 or n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def test_moduli_are_primes_below_2_to_31():
-    moduli = dct._moduli()
-    first = [next(moduli) for _ in range(len(dct._PRIMES) + 3)]
-    assert tuple(first[: len(dct._PRIMES)]) == dct._PRIMES
-    assert all(_is_prime(p) and p < 2**31 for p in first)
-    assert len(set(first)) == len(first)
-
-
-def test_rejected_table_is_final_at_the_hadamard_bound(monkeypatch):
-    def reject(table, scaled_rows):
-        raise AssertionError("exact residual of the Dirichlet solve is nonzero")
-
-    monkeypatch.setattr(dct, "_verify_table", reject)
-    with pytest.raises(AssertionError, match="residual"):
-        hitting_table(build_truncation(1, DLParams(2, 2), HALF, "dl"))
+# The certificate.
 
 
 def solved_with_rows(monkeypatch, chain):
@@ -723,90 +602,25 @@ def test_verify_table_catches_each_defect_with_wide_entries(monkeypatch, alpha, 
     assert_verify_catches_each_defect(monkeypatch, alpha, bits)
 
 
-P0, P1, P2 = dct._PRIMES[:3]
-F = Fraction
+def test_certificate_rejects_a_corrupted_class_value(monkeypatch, capsys):
+    # One wrong closed-form value, F1 from level 0 to a leaf above it on
+    # DL(2,2) n = 1, alpha 1/3: the table laid out from it fails the exact
+    # check, and the command line reports the failure as JSON with exit 1.
+    level_product = dct._level_product
+    corrupted = (1, 2, THIRD, 0, 0, 1)
 
-# (modulus, residue dtype, columns): every entry and every column lcm lies
-# within isqrt(modulus // 2); below 2**63 the solver keeps residues in int64.
-RECONSTRUCTIBLE = {
-    "one prime": (P0, np.int64, [
-        [F(1, 3), F(-2, 7), F(5, 21), F(0), F(1)],
-        [F(-100, 9), F(9, 100), F(1), F(32767), F(-1, 2)],
-    ]),
-    "two primes": (P0 * P1, np.int64, [
-        [F(123456789, 1000003), F(-987654321, 999), F(1, 27), F(0)],
-        [F(2**30), F(-5), F(0), F(1)],
-        [F(1, 2), F(1, 2), F(-1, 2), F(1, 2)],
-    ]),
-    "three primes": (P0 * P1 * P2, object, [
-        [F(10**13 + 7, 10**6 + 3), F(-(10**12), 999983), F(1, 2)],
-        [F(-1), F(0), F(7, 3)],
-    ]),
-}
+    def one_wrong(*triple):
+        value = level_product(*triple)
+        return value * 2 if triple == corrupted else value
 
-
-def residues_of(columns, modulus, dtype):
-    """The ``m x nb`` residues mod ``modulus`` of Fraction columns."""
-    rows = zip(*columns)
-    return np.array(
-        [[f.numerator * pow(f.denominator, -1, modulus) % modulus for f in row] for row in rows],
-        dtype=dtype,
-    )
-
-
-@pytest.mark.parametrize("case", sorted(RECONSTRUCTIBLE))
-def test_reconstruct_returns_the_exact_columns(case):
-    modulus, dtype, columns = RECONSTRUCTIBLE[case]
-    assert (modulus < 2**63) == (dtype is np.int64)
-    nums, dens = dct._reconstruct(residues_of(columns, modulus, dtype), modulus)
-    assert nums.dtype == object and dens.dtype == object
-    assert all(type(x) is int for x in (*nums.flat, *dens))
-    for b, column in enumerate(columns):
-        assert dens[b] == lcm(*(f.denominator for f in column))
-        assert [F(x, dens[b]) for x in nums[:, b]] == column
-
-
-def _has_small_rational(x, modulus, bound):
-    """Brute force: some ``n / d`` with ``|n|, d <= bound`` is ``x`` mod ``modulus``."""
-    for d in range(1, bound + 1):
-        n = x * d % modulus
-        if n <= bound or n >= modulus - bound:
-            return True
-    return False
-
-
-def test_reconstruct_rejects_a_residue_with_no_small_rational():
-    modulus, dtype, columns = RECONSTRUCTIBLE["one prime"]
-    bound = isqrt(modulus // 2)
-    bad = next(x for x in range(modulus // 3, modulus) if not _has_small_rational(x, modulus, bound))
-    residues = residues_of(columns, modulus, dtype)
-    assert dct._reconstruct(residues, modulus) is not None
-    residues[2, 1] = bad
-    assert dct._reconstruct(residues, modulus) is None
-
-
-def _primes_below(n, count):
-    return [p for p in range(n, n - 10**4, -1) if _is_prime(p)][:count]
-
-
-@pytest.mark.parametrize(
-    "modulus, denominators",
-    [
-        (P0, [181, 191]),  # lcm 34571, just past the bound 32767
-        (P0, _primes_below(32767, 5)),  # the int64 lcm wraps around
-        (P0 * P1, _primes_below(10**9, 3)),  # the int64 lcm wraps around
-        # lcm 2**64 + 5: the int64 lcm wraps to 5, inside the bound
-        (P0 * P1, [823996703, 36760123, 609]),
-    ],
-)
-def test_reconstruct_rejects_a_column_lcm_past_the_bound(modulus, denominators):
-    bound = isqrt(modulus // 2)
-    assert all(d <= bound for d in denominators) and lcm(*denominators) > bound
-    columns = [[F(1, d) for d in denominators], [F(1)] * len(denominators)]
-    assert dct._reconstruct(residues_of(columns, modulus, np.int64), modulus) is None
-    # the same entries pass when the column shares one denominator
-    columns = [[F(k, denominators[0]) for k in range(len(denominators))]]
-    assert dct._reconstruct(residues_of(columns, modulus, np.int64), modulus) is not None
+    chain = build_truncation(1, DLParams(2, 2), THIRD, "dl")
+    hitting_table(chain)
+    monkeypatch.setattr(dct, "_level_product", one_wrong)
+    with pytest.raises(AssertionError):
+        hitting_table(chain)
+    code = cli.main(["dirichlet-solve", "--n", "1", "--alpha", "1/3"])
+    out = capsys.readouterr().out
+    assert code == 1 and set(json.loads(out)) == {"error"}
 
 
 def edge_by_edge(n, branch, up, x, y):
@@ -867,7 +681,7 @@ def test_solve_size_from_the_level_sizes(n, q, r, kind):
     a, b = {"dl": (q, r), "tree1": (q, 1), "tree2": (r, 1)}[kind]
     sizes = [a ** (n + k) * b ** (n - k) for k in range(-n, n + 1)]
     interior, nb = sizes[1:-1], sizes[0] + sizes[-1]
-    want = 8 * (sum(s * s for s in interior) + 4 * sum(interior) * nb)
+    want = 8 * (2 * sum(sizes) + 2 * sum(interior)) * nb
     if want <= dct._MAX_SOLVE_BYTES:
         assert dct.check_solve_size(n, DLParams(q, r), kind) == want
     else:
@@ -878,7 +692,7 @@ def test_solve_size_from_the_level_sizes(n, q, r, kind):
 def test_dense_solve_cap_keeps_dl22_n5():
     # DL(2,2) n = 5: 11,264 vertices, 2,048 of them on the boundary.
     assert dct.check_solve_size(5, DLParams(2, 2)) <= dct._MAX_SOLVE_BYTES
-    with pytest.raises(ValueError, match="12.4 GiB"):
+    with pytest.raises(ValueError, match="12.0 GiB"):
         dct.check_solve_size(6, DLParams(2, 2))
 
 
@@ -919,83 +733,3 @@ DL22_N4_SHA256 = "8966e74b5c48e120fd40fec76cf74e8ce4afc6300f7fdd40e479fade527e86
 def test_dl22_n4_table_is_pinned():
     t = hitting_table(build_truncation(4, DLParams(2, 2), HALF, "dl"))
     assert hashlib.sha256(json.dumps(table_to_json(t)).encode()).hexdigest() == DL22_N4_SHA256
-
-
-def pivot_divisible_system():
-    """``A = [[P0, 1], [1, 0]]`` (determinant -1) as two 1 x 1 blocks: block
-    elimination modulo ``P0`` meets the zero pivot block ``[P0]``."""
-    one = np.array([[0, 1]])
-    levels = [
-        (one, np.array([[P0, 1]], dtype=object), None),
-        (one, np.array([[0, 2]], dtype=object), (np.array([[0]]), 1, 1)),
-    ]
-    return levels, [[P0, 1], [1, 0]], [[1], [2]]
-
-
-@st.composite
-def block_systems(draw):
-    """Small block-tridiagonal integer systems in the solver's level form,
-    with the dense ``A`` and ``B`` they stand for."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    nb = draw(st.integers(1, 3))
-    entry = st.integers(-9, 9)
-    nonzero = st.integers(-9, 9).filter(bool)
-    m = sum(sizes)
-    a = [[0] * m for _ in range(m)]
-    b = [[0] * nb for _ in range(m)]
-    levels, start = [], 0
-    for k, s in enumerate(sizes):
-        block = [[draw(entry) for _ in range(s + nb)] for _ in range(s)]
-        for i, row in enumerate(block):
-            a[start + i][start : start + s] = row[:s]
-            b[start + i] = row[s:]
-        down = None
-        if k:
-            prev = sizes[k - 1]
-            width = draw(st.integers(1, prev))
-            idx = [draw(st.permutations(range(prev)))[:width] for _ in range(s)]
-            c_low, c_up = draw(nonzero), draw(nonzero)
-            for i, row in enumerate(idx):
-                for j in row:
-                    a[start + i][start - prev + j] += c_low
-                    a[start - prev + j][start + i] += c_up
-            down = (np.array(idx), c_low, c_up)
-        cols = np.broadcast_to(np.arange(s + nb), (s, s + nb))
-        levels.append((cols, np.array(block, dtype=object), down))
-        start += s
-    return levels, a, b
-
-
-@settings(max_examples=80, deadline=None)
-@given(block_systems())
-@example(pivot_divisible_system())
-def test_block_solve_equals_gauss_jordan(system):
-    # Solved exactly when every leading block is nonsingular; otherwise the
-    # elimination, which does not pivot across blocks, reports it.
-    levels, a, b = system
-    ends = np.cumsum([len(cols) for cols, _, _ in levels]).tolist()
-    solve = lambda: dct._modular_solve(levels, len(b[0]), exact_residual(a, b))
-    if all(gauss_jordan([row[:e] for row in a[:e]], [[0]] * e) is not None for e in ends):
-        assert solve() == gauss_jordan(a, b)
-    else:
-        with pytest.raises(ValueError, match="singular"):
-            solve()
-
-
-def test_prime_dividing_a_block_pivot_is_skipped(primes_used):
-    levels, a, b = pivot_divisible_system()
-    assert dct._modular_solve(levels, 1, exact_residual(a, b)) == gauss_jordan(a, b)
-    assert primes_used[0] == (P0, True)
-    assert not any(skipped for _, skipped in primes_used[1:])
-
-
-@pytest.mark.parametrize("s", [1, 5, dct._BASE, dct._BASE + 1, 3 * dct._BASE + 7])
-def test_inverse_is_an_inverse_mod_p(s):
-    # Above the base size the inverse goes through Schur complements; the
-    # check multiplies back in int64, with the inverse cut in 16-bit halves.
-    rng = random.Random(RNG_SEED + s)
-    p = P1
-    a = np.array([[rng.randrange(p) for _ in range(s)] for _ in range(s)], dtype=np.int64)
-    inv = dct._inverse(a, p)
-    product = ((a @ (inv >> 16)) % p * 2**16 + a @ (inv & 0xFFFF)) % p
-    assert (product == np.eye(s, dtype=np.int64)).all()
