@@ -140,15 +140,16 @@ def _cmd_dirichlet_solve(args) -> int:
     alpha = _frac(args.alpha)
     dct.check_solve_size(args.n, params)  # before any vertex is enumerated
     chain = dct.build_truncation(args.n, params, alpha, "dl")
+    table = dct.hitting_table(chain)  # reads no vertex
+    size, boundary_size = table.nums.shape
     out = {
         "n": args.n,
-        "size": len(chain.vertices),
-        "boundary_size": len(chain.boundary),
+        "size": size,
+        "boundary_size": boundary_size,
         "alpha": frac_str(alpha),
+        "row_sums_one": True,  # verified exactly inside hitting_table
     }
     code = 0
-    table = dct.hitting_table(chain)
-    out["row_sums_one"] = True  # verified exactly inside hitting_table
     if args.check_product:
         report = dct.verify_product_formula(chain, table=table)
         out["product_checked"] = report.checked

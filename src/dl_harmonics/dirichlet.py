@@ -8,9 +8,12 @@ leaves at level ``n``; ``S2`` mirrors it in the second tree.  The product
 
     (leaves of S1) x {a2}   union   {a1} x (leaves of S2),
 
-which coincides (asserted at build time) with the one-step exit set of the
-product walk.  Sizes: ``|S| = sum_{k=-n}^{n} q^{n+k} r^{n-k}`` and
-``|bd S| = q^{2n} + r^{2n}``.
+which coincides (asserted on first read of ``vertices``) with the one-step
+exit set of the product walk.  Sizes: ``|S| = sum_{k=-n}^{n} q^{n+k} r^{n-k}``
+and ``|bd S| = q^{2n} + r^{2n}``.  A ``FiniteChain`` is the description
+``(kind, n, params, alpha)``; its vertices are enumerated only when read,
+and tables, their certificate and the product check run from the level
+sizes without them.
 
 ``hitting_table`` certifies rather than solves.  Fix a boundary column
 ``(y1, a2)``: the stabiliser of ``y1`` in Aut(S1) x Aut(S2) fixes the column
@@ -56,7 +59,7 @@ import numpy as np
 
 from .dl_graph import DLParams, DLVertex
 from .tree import ROOT, TreeEnd, TreeVertex, confluent_omega, predecessor, successor
-from .walks import DLWalk, TreeWalk, apply as _apply_op, p1_walk, p2_walk
+from .walks import DLWalk, TreeWalk, p1_walk, p2_walk
 
 __all__ = [
     "FiniteChain",
@@ -77,27 +80,65 @@ __all__ = [
 ]
 
 
+def _cached(build) -> property:
+    """A read-only property computed by ``build(self)`` on first read and
+    kept in the instance ``__dict__``, outside the dataclass fields."""
+    key = "_" + build.__name__
+
+    def get(self):
+        cache = self.__dict__
+        if key not in cache:
+            cache[key] = build(self)
+        return cache[key]
+
+    return property(get, doc=build.__doc__)
+
+
 @dataclass(frozen=True)
 class FiniteChain:
-    """A finite vertex set with marked boundary, ready for exact solves."""
+    """The stage-``n`` truncation as a description: ``(kind, n, params,
+    alpha)`` fix every vertex, so equality and hashing read only those.
+
+    ``vertices`` is enumerated on first read, level by level as ``_Layout``
+    numbers them, and the walk-exit check runs then; ``boundary`` (levels
+    ``-n`` and ``n``) and ``interior`` are slices of it.  The exact layer
+    (``hitting_table``, ``verify_product_formula``) works from the level
+    sizes and reads no vertex.
+    """
 
     kind: str  # "dl", "tree1" or "tree2"
     n: int
     params: DLParams
     alpha: Fraction
-    vertices: tuple
-    boundary: tuple
-    interior: tuple
-    a1: TreeVertex
-    a2: TreeVertex
+
+    @_cached
+    def vertices(self) -> tuple:
+        """Every vertex, levels ``-n..n``, enumerated on first read."""
+        return _enumerate(self)
+
+    @_cached
+    def boundary(self) -> tuple:
+        """Levels ``-n`` and ``n``, in the order of the table's columns."""
+        size, v = _level_sizes(self.kind, self.params, self.n), self.vertices
+        return v[: size[0]] + v[len(v) - size[-1] :]
+
+    @_cached
+    def interior(self) -> tuple:
+        size, v = _level_sizes(self.kind, self.params, self.n), self.vertices
+        return v[size[0] : len(v) - size[-1]]
+
+    @_cached
+    def index(self) -> dict:
+        """Position of each vertex in ``vertices``."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @property
-    def index(self) -> dict:
-        """Position of each vertex in ``vertices``, built on first use."""
-        cache = self.__dict__
-        if "_index" not in cache:
-            cache["_index"] = {v: i for i, v in enumerate(self.vertices)}
-        return cache["_index"]
+    def a1(self) -> TreeVertex:
+        """The apex of ``S1``, the all-zero vertex on level ``-n``; ``a2``,
+        the apex of ``S2``, is the same vertex of the second tree."""
+        return TreeVertex(-self.n, ())
+
+    a2 = a1
 
 
 @dataclass(frozen=True)
@@ -144,23 +185,27 @@ def build_truncation(
     kind: str = "dl",
     max_size: int = 500_000,
 ) -> FiniteChain:
-    """Enumerate the stage-``n`` truncation and mark its boundary.
-
-    The boundary is computed from the walk (positive one-step exit
-    probability) and asserted to coincide with the two-leaf-set description.
+    """The stage-``n`` truncation, checked against ``max_size`` from its
+    level sizes; its vertices are enumerated on first read of ``vertices``.
     """
     if n < 1:
         raise ValueError("truncation stage must be >= 1")
     alpha = Fraction(alpha)
-    q, r = params.q, params.r
-    a1 = TreeVertex(-n, ())
-    a2 = TreeVertex(-n, ())
-
-    ups, downs = _walk_shape(kind, params)
-    size = sum(ups ** (n + k) * downs ** (n - k) for k in range(-n, n + 1))
+    size = sum(_level_sizes(kind, params, n))
     if size > max_size:
         raise ValueError(f"truncation would have {size} vertices (cap {max_size})")
+    return FiniteChain(kind, n, params, alpha)
 
+
+def _enumerate(chain: FiniteChain) -> tuple:
+    """The chain's vertices, level by level.
+
+    The boundary is computed from the walk (positive one-step exit
+    probability) and asserted to coincide with the two-leaf-set description.
+    """
+    n, params, alpha, kind = chain.n, chain.params, chain.alpha, chain.kind
+    q, r = params.q, params.r
+    a1, a2 = chain.a1, chain.a2
     if kind == "dl":
         lv1 = _tree_levels(n, q)
         lv2 = _tree_levels(n, r)
@@ -191,12 +236,7 @@ def build_truncation(
         # interior levels never exit: their tree neighbours stay within range
     if walk_boundary != formula_boundary:
         raise AssertionError("walk exit set differs from the two-leaf-set boundary")
-
-    boundary = tuple(v for v in vertices if v in formula_boundary)
-    interior = tuple(v for v in vertices if v not in formula_boundary)
-    return FiniteChain(
-        kind, n, params, alpha, tuple(vertices), boundary, interior, a1, a2
-    )
+    return tuple(vertices)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -300,6 +340,12 @@ def _walk_shape(kind: str, params: DLParams) -> tuple[int, int]:
     raise ValueError(f"unknown chain kind {kind!r}")
 
 
+def _level_sizes(kind: str, params: DLParams, n: int) -> list:
+    """Vertices per level of the stage-``n`` chain, levels ``-n..n``."""
+    ups, downs = _walk_shape(kind, params)
+    return [ups ** (n + k) * downs ** (n - k) for k in range(-n, n + 1)]
+
+
 def _geometric(a: int, b: int, steps: int) -> int:
     """``sum_{j=1}^{steps-1} a**j * b**(steps-j)``."""
     if a == b:
@@ -332,7 +378,7 @@ def check_solve_size(n: int, params: DLParams, kind: str = "dl") -> int:
 
 class _Layout(NamedTuple):
     """The chain's level layout and the walk's moves, read off the order in
-    which ``build_truncation`` lists the vertices.
+    which ``FiniteChain.vertices`` lists them.
 
     Level ``k`` is the product of level ``k`` of the first tree and level
     ``-k`` of the second, each in successor-label order, so ``(k, i1, i2)``
@@ -368,7 +414,7 @@ def _layout(chain: FiniteChain) -> _Layout:
     denom = lcm(w_up.denominator, w_down.denominator)
     s_up = w_up.numerator * (denom // w_up.denominator)
     s_down = w_down.numerator * (denom // w_down.denominator)
-    size = [ups ** (n + k) * downs ** (n - k) for k in range(-n, n + 1)]
+    size = _level_sizes(chain.kind, chain.params, n)
     off = list(accumulate(size, initial=0))
     blocks = []
     for j in range(1, 2 * n):  # interior levels k = j - n
@@ -529,7 +575,7 @@ class ProductReport:
 def _confluent_levels(n: int, branch: int, level: int) -> np.ndarray:
     """Level of ``x ⋏ y`` for ``x`` on ``level`` (rows) and ``y`` a leaf
     (columns) of the stage-``n`` tree, both numbered in the order of
-    ``build_truncation``, where ancestors are digit prefixes: ``x ⋏ y`` is
+    ``FiniteChain.vertices``, where ancestors are digit prefixes: ``x ⋏ y`` is
     on ``level - d`` for the least ``d`` at which ``x // branch**d`` and the
     ancestor of ``y`` on ``level`` agree."""
     x = np.arange(branch ** (n + level))[:, None]
@@ -590,16 +636,16 @@ def _closed_form(chain: FiniteChain, dens) -> np.ndarray:
     ``_confluent_levels`` and repeated across the other coordinate.
     """
     n = chain.n
-    ups, downs = _walk_shape(chain.kind, chain.params)
+    ups, _ = _walk_shape(chain.kind, chain.params)
+    sizes = _level_sizes(chain.kind, chain.params, n)
     dens = np.array(dens, dtype=object)
-    out = np.empty((len(chain.vertices), len(dens)), dtype=object)
+    out = np.empty((sum(sizes), len(dens)), dtype=object)
     slabs = _slabs(chain)
     start = 0
-    for k in range(-n, n + 1):
-        size1, size2 = ups ** (n + k), downs ** (n - k)
-        # vertex (i1, i2) of level k at start + i1*size2 + i2: a view, as
+    for k, size in zip(range(-n, n + 1), sizes):
+        # vertex (i1, i2) of level k at start + i1*downs**(n-k) + i2: a view, as
         # ``out`` is C-contiguous
-        level_rows = out[start : start + size1 * size2].reshape(size1, size2, -1)
+        level_rows = out[start : start + size].reshape(ups ** (n + k), -1, len(dens))
         lo = 0
         for branch, up, sign in slabs:
             level = sign * k
@@ -615,7 +661,7 @@ def _closed_form(chain: FiniteChain, dens) -> np.ndarray:
             grid = np.take_along_axis(want, _confluent_levels(n, branch, level) - classes.start, axis=0)
             level_rows[:, :, cols] = grid[None] if sign < 0 else grid[:, None]
             lo = cols.stop
-        start += size1 * size2
+        start += size
     return out
 
 
@@ -634,7 +680,7 @@ def verify_product_formula(chain: FiniteChain, table: HittingTable | None = None
         table = hitting_table(chain)
     n, q, r, alpha = chain.n, chain.params.q, chain.params.r, chain.alpha
     left = r ** (2 * n)  # columns (a1, y2), then (y1, a2)
-    bad = []
+    bad = []  # vertices are read only to name a discrepancy
     for i, b in zip(*np.nonzero(table.nums != _closed_form(chain, table.dens))):
         x, y = chain.vertices[i], chain.boundary[b]
         if b < left:
@@ -642,8 +688,7 @@ def verify_product_formula(chain: FiniteChain, table: HittingTable | None = None
         else:
             want = _geodesic_product(n, q, alpha, x.x1, y.x1)
         bad.append((x, y, Fraction(table.nums[i, b], table.dens[b]), want))
-    checked = len(chain.vertices) * len(chain.boundary)
-    return ProductReport(checked, tuple(bad))
+    return ProductReport(table.nums.size, tuple(bad))
 
 
 def represent(chain: FiniteChain, boundary_data: Mapping, table: HittingTable | None = None) -> dict:
@@ -675,57 +720,78 @@ class Decomposition:
     lambda2: dict
 
 
+def _slab_extension(n: int, branch: int, up: Fraction, levels: dict, slab: list) -> dict:
+    """``x -> sum_y F(x, y) slab[y]`` on every vertex ``x`` of the stage-``n``
+    tree, ``y`` running over its leaves, in ``(level, labels)`` order.
+
+    ``F(x, y)`` is ``P(c) = _level_product(n, branch, up, c, k, n)`` for ``x``
+    on level ``k`` and ``x ⋏ y`` on level ``c``.  With ``below[c][a]`` the
+    slab summed under vertex ``a`` of level ``c`` (ancestors are digit
+    prefixes, as in ``_confluent_levels``), a leaf lies under the ancestor of
+    ``x`` on every level up to that of ``x ⋏ y``, so its weights
+    ``P(c) - P(c - 1)`` over those levels, with ``P(-n - 1) = 0``, sum to
+    ``F(x, y)``.
+    """
+    below = {n: slab}
+    for c in range(n - 1, -n - 1, -1):
+        prev = below[c + 1]
+        below[c] = [sum(prev[a : a + branch]) for a in range(0, len(prev), branch)]
+    out = []
+    for k in range(-n, n + 1):
+        products = [_level_product(n, branch, up, c, k, n) for c in range(-n, k + 1)]
+        weights = [(c, p - prev) for c, p, prev in zip(range(-n, k + 1), products, [0, *products])]
+        for i, x in enumerate(levels[k]):
+            out.append((x, sum(w * below[c][i // branch ** (k - c)] for c, w in weights)))
+    out.sort(key=lambda item: (item[0].level, item[0].labels))
+    return dict(out)
+
+
 def decompose(h: Callable, n: int, params: DLParams, alpha: Fraction) -> Decomposition:
     """Split ``h`` (harmonic inside the stage-``n`` truncation) as
     ``h(x1 x2) = h1(x1) + h2(x2)`` exactly, via the boundary slabs.
 
     ``h`` must be a pure function of the vertex: it is evaluated exactly
     once per vertex of the truncation, and every check below reads those
-    values.  ``lambda_i`` are the boundary weights normalised by the
-    convention ``lambda_i(a_i) = 0``; the reconstruction is verified exactly
-    on all of S.
+    values.  Harmonicity is checked on the rows of ``_layout``, and ``h_i``
+    is the slab's extension into ``S_i`` by classes (``_slab_extension``),
+    with no vertex-pair sum.  ``lambda_i`` are the boundary weights
+    normalised by the convention ``lambda_i(a_i) = 0``; the reconstruction
+    is verified exactly on all of S.
     """
     alpha = Fraction(alpha)
     chain = build_truncation(n, params, alpha, "dl")
-    hv = {v: h(v) for v in chain.vertices}
-    # build_truncation checks that the walk exits only through the boundary,
-    # so ``hv`` holds every neighbour of an interior vertex.
-    op = DLWalk(params, alpha)
-    for v in chain.interior:
-        if _apply_op(op, hv.__getitem__, v) != hv[v]:
-            raise ValueError(f"h is not harmonic on the interior; witness {v}")
+    values = [h(v) for v in chain.vertices]
+    # The walk exits only through the boundary (checked as the vertices are
+    # enumerated), so every slot of an interior row holds a vertex of S.
+    lay = _layout(chain)
+    at = lay.interior.start
+    for i, slots in enumerate(lay.slots.tolist()):
+        if sum(c * values[j] for c, j in zip(lay.coeffs, slots)) != lay.denom * values[at + i]:
+            raise ValueError(f"h is not harmonic on the interior; witness {chain.vertices[at + i]}")
 
     q, r = params.q, params.r
     a1, a2 = chain.a1, chain.a2
-    slab1 = {y.x1: hv[y] for y in chain.boundary if y.x2 == a2}
-    slab2 = {y.x2: hv[y] for y in chain.boundary if y.x1 == a1}
-
-    side1 = sorted({v.x1 for v in chain.vertices}, key=lambda t: (t.level, t.labels))
-    side2 = sorted({v.x2 for v in chain.vertices}, key=lambda t: (t.level, t.labels))
-    h1 = {
-        x: sum((restricted_hitting(n, q, alpha, x, y) * b for y, b in slab1.items()), Fraction(0))
-        for x in side1
-    }
-    h2 = {
-        x: sum((restricted_hitting(n, r, 1 - alpha, x, y) * b for y, b in slab2.items()), Fraction(0))
-        for x in side2
-    }
+    lv1, lv2 = _tree_levels(n, q), _tree_levels(n, r)
+    # Level n of S is (y1, a2) and level -n is (a1, y2), each in leaf order.
+    slab1, slab2 = values[len(values) - lay.size[-1] :], values[: lay.size[0]]
+    h1 = _slab_extension(n, q, alpha, lv1, slab1)
+    h2 = _slab_extension(n, r, 1 - alpha, lv2, slab2)
 
     # Normalised boundary weights.  Leaves separated from the root by the
     # apex carry zero harmonic measure from o, so they have no finite
     # normalised weight and are omitted.
     lambda1 = {a1: Fraction(0)}
-    for y, b in slab1.items():
+    for y, b in zip(lv1[n], slab1):
         f = restricted_hitting(n, q, alpha, ROOT, y)
         if f:
             lambda1[y] = b / f
     lambda2 = {a2: Fraction(0)}
-    for y, b in slab2.items():
+    for y, b in zip(lv2[n], slab2):
         f = restricted_hitting(n, r, 1 - alpha, ROOT, y)
         if f:
             lambda2[y] = b / f
 
-    for v, value in hv.items():
+    for v, value in zip(chain.vertices, values):
         if h1[v.x1] + h2[v.x2] != value:
             raise AssertionError(f"splitting failed to reconstruct h at {v}")
 

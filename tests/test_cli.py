@@ -366,6 +366,20 @@ def test_failed_exact_check_exits_1(monkeypatch, capsys):
     assert "Traceback" not in out + err
 
 
+def test_dirichlet_solve_without_out_enumerates_no_vertex(monkeypatch, capsys):
+    from dl_harmonics import dirichlet
+
+    argv = ("dirichlet-solve", "--q", "2", "--r", "3", "--n", "2", "--alpha", "1/3", "--check-product")
+    want = run(capsys, *argv)
+
+    def never(chain):
+        raise RuntimeError("the vertices were enumerated")
+
+    monkeypatch.setattr(dirichlet, "_enumerate", never)
+    assert run(capsys, *argv) == want
+    assert json.loads(want[1])["size"] == 211 and want[0] == 0
+
+
 DEFECT_PLUS = '{"side": "+", "labels": []}'
 
 

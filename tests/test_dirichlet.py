@@ -21,10 +21,10 @@ from dl_harmonics.dirichlet import (
     verify_product_formula,
 )
 from dl_harmonics.dl_graph import DLParams, DLVertex, origin
-from dl_harmonics.kernels import KernelSpec, martin_kernel_tree
+from dl_harmonics.kernels import KernelSpec, combine, martin_kernel_tree
 from dl_harmonics.serialize import table_to_json
 from dl_harmonics.tree import OMEGA, ROOT, TreeEnd, TreeVertex, predecessor
-from dl_harmonics.walks import DLWalk, p1_walk
+from dl_harmonics.walks import DLWalk, apply, p1_walk
 
 RNG_SEED = 16180
 
@@ -136,6 +136,60 @@ def test_lookup_dicts_built_once():
     other = dct.HittingTable(fresh, t.rows)
     assert t == other and hash(t) == hash(other)
     assert repr(c) == repr(fresh)
+
+
+def never_enumerate(chain):
+    raise RuntimeError("the vertices were enumerated")
+
+
+def test_exact_layer_reads_no_vertex(monkeypatch):
+    # Truncations, tables, their certificate and the product check run from
+    # the level sizes alone.
+    monkeypatch.setattr(dct, "_enumerate", never_enumerate)
+    for kind, shape in (("dl", (211, 97)), ("tree1", (31, 17)), ("tree2", (121, 82))):
+        c = build_truncation(2, DLParams(2, 3), THIRD, kind)
+        assert c == build_truncation(2, DLParams(2, 3), THIRD, kind)
+        assert hash(c) == hash(build_truncation(2, DLParams(2, 3), THIRD, kind))
+        assert hitting_table(c).nums.shape == shape
+    c = build_truncation(2, DLParams(2, 3), THIRD, "dl")
+    assert verify_product_formula(c) == dct.ProductReport(211 * 97, ())
+    with pytest.raises(RuntimeError, match="enumerated"):
+        c.vertices
+
+
+def test_walk_exit_check_runs_on_first_read(monkeypatch):
+    # A walk that never leaves its vertex has no exit set: the chain and its
+    # table are built from the level sizes, and reading the vertices fails.
+    monkeypatch.setattr(DLWalk, "transitions", lambda self, v: [(v, Fraction(1))])
+    c = build_truncation(1, DLParams(2, 2), HALF, "dl")
+    hitting_table(c)
+    for read in ("vertices", "vertices", "boundary", "interior", "index"):  # nothing cached
+        with pytest.raises(AssertionError, match="walk exit set differs"):
+            getattr(c, read)
+
+
+def two_leaf_partition(chain):
+    """Test-local oracle: the boundary and the interior as filters of
+    ``vertices`` by the two-leaf-set description."""
+    n, apex = chain.n, TreeVertex(-chain.n, ())
+    if chain.kind == "dl":
+        on = lambda v: (v.x1.level == n and v.x2 == apex) or (v.x1 == apex and v.x2.level == n)
+    else:
+        on = lambda v: v == apex or v.level == n
+    return tuple(v for v in chain.vertices if on(v)), tuple(v for v in chain.vertices if not on(v))
+
+
+@pytest.mark.parametrize("kind", ["dl", "tree1", "tree2"])
+@pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lazy_partition_equals_the_two_leaf_sets(n, q, r, kind):
+    c = build_truncation(n, DLParams(q, r), Fraction(2, 5), kind)
+    fresh = build_truncation(n, DLParams(q, r), Fraction(2, 5), kind)
+    assert (c.boundary, c.interior) == two_leaf_partition(c)
+    assert c.boundary is c.boundary and c.interior is c.interior
+    assert len(set(c.vertices)) == len(c.vertices)
+    # enumerated or not, chains compare and hash by their description
+    assert c == fresh and hash(c) == hash(fresh)
 
 
 def test_table_from_rows_equals_the_solved_table():
@@ -470,6 +524,64 @@ def test_decompose_rejects_non_harmonic():
     p = DLParams(2, 2)
     with pytest.raises(ValueError):
         decompose(lambda v: Fraction(v.x1.level * v.x1.level), 1, p, HALF)
+
+
+def decompose_by_pairs(h, n, params, alpha):
+    """Test-local oracle: the splitting one (vertex, leaf) pair at a time,
+    through ``restricted_hitting``, with harmonicity by ``walks.apply``;
+    returns ``(h1, h2, lambda1, lambda2)``."""
+    chain = build_truncation(n, params, alpha, "dl")
+    hv = {v: h(v) for v in chain.vertices}
+    op = DLWalk(params, alpha)
+    for v in chain.interior:
+        if apply(op, hv.__getitem__, v) != hv[v]:
+            raise ValueError(f"h is not harmonic on the interior; witness {v}")
+    key = lambda t: (t.level, t.labels)
+    parts = []
+    for side, branch, up in ((1, params.q, alpha), (2, params.r, 1 - alpha)):
+        coord = (lambda v: v.x1) if side == 1 else (lambda v: v.x2)
+        apex = chain.a1 if side == 1 else chain.a2
+        other = (lambda v: v.x2) if side == 1 else (lambda v: v.x1)
+        slab = {coord(y): hv[y] for y in chain.boundary if other(y) == apex}
+        tree = sorted({coord(v) for v in chain.vertices}, key=key)
+        hi = {x: sum((restricted_hitting(n, branch, up, x, y) * b for y, b in slab.items()), Fraction(0)) for x in tree}
+        lam = {apex: Fraction(0)}
+        for y, b in slab.items():
+            f = restricted_hitting(n, branch, up, ROOT, y)
+            if f:
+                lam[y] = b / f
+        parts.append((hi, lam))
+    (h1, lambda1), (h2, lambda2) = parts
+    return h1, h2, lambda1, lambda2
+
+
+@pytest.mark.parametrize("alpha", [HALF, THIRD, Fraction(2, 3)])
+@pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_decompose_equals_the_pairwise_splitting(n, q, r, alpha):
+    p = DLParams(q, r)
+    rng = random.Random(RNG_SEED + 1000 * n + 100 * q + 10 * r + alpha.denominator)
+    for _ in range(2):
+        terms = []
+        for side in (1, 2):
+            branch = q if side == 1 else r
+            end = TreeEnd.word({j: rng.randrange(1, branch) for j in range(-n, n + 1) if rng.random() < 0.4})
+            terms.append((Fraction(rng.randrange(1, 6), rng.randrange(1, 6)), KernelSpec(side, end, alpha, p)))
+        h = combine(terms, Fraction(rng.randrange(0, 4), 3))
+        dec = decompose(h, n, p, alpha)
+        want = decompose_by_pairs(h, n, p, alpha)
+        got = (dec.h1, dec.h2, dec.lambda1, dec.lambda2)
+        assert [list(part.items()) for part in got] == [list(part.items()) for part in want]
+        assert all(type(v) is Fraction for part in got for v in part.values())
+    # A defect at one interior vertex: the same witness as the walk's own rows.
+    chain = build_truncation(n, p, alpha, "dl")
+    spot = chain.interior[rng.randrange(len(chain.interior))]
+    broken = lambda v: h(v) + (v == spot)
+    with pytest.raises(ValueError) as want:
+        decompose_by_pairs(broken, n, p, alpha)
+    with pytest.raises(ValueError) as got:
+        decompose(broken, n, p, alpha)
+    assert str(got.value) == str(want.value)
 
 
 def test_kernel_approx_normalised_and_guarded():
