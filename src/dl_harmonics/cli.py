@@ -169,15 +169,11 @@ def _cmd_decompose(args) -> int:
     h, params = harmonic_from_json(spec)
     alpha = h.alpha if h.terms else _frac(args.alpha or "1/2")
     dec = dct.decompose(h, args.n, params, alpha)
-    out = {
-        "n": dec.n,
-        "alpha": frac_str(dec.alpha),
-        "h1": [[tr.vertex_to_json(x), frac_str(v)] for x, v in sorted(dec.h1.items(), key=lambda kv: (kv[0].level, kv[0].labels))],
-        "h2": [[tr.vertex_to_json(x), frac_str(v)] for x, v in sorted(dec.h2.items(), key=lambda kv: (kv[0].level, kv[0].labels))],
-        "lambda1": [[tr.vertex_to_json(x), frac_str(v)] for x, v in sorted(dec.lambda1.items(), key=lambda kv: (kv[0].level, kv[0].labels))],
-        "lambda2": [[tr.vertex_to_json(x), frac_str(v)] for x, v in sorted(dec.lambda2.items(), key=lambda kv: (kv[0].level, kv[0].labels))],
-        "reconstructed_exactly": True,  # decompose raises otherwise
-    }
+    # decompose raises unless the reconstruction is exact
+    out = {"n": dec.n, "alpha": frac_str(dec.alpha), "reconstructed_exactly": True}
+    for name in ("h1", "h2", "lambda1", "lambda2"):
+        # a vertex is the tuple (level, labels), so vertices sort by level, then labels
+        out[name] = [[tr.vertex_to_json(x), frac_str(v)] for x, v in sorted(getattr(dec, name).items())]
     _emit(out)
     return 0
 

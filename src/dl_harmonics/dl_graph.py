@@ -21,6 +21,7 @@ transported through ``factor_map``, is ``DL(q, r)`` again.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -70,10 +71,11 @@ class DLParams:
             raise ValueError("branching numbers must be at least 2")
 
 
-@dataclass(frozen=True)
-class DLVertex:
-    x1: TreeVertex
-    x2: TreeVertex
+class DLVertex(namedtuple("DLVertex", ("x1", "x2"))):
+    """A vertex ``x1 x2``: the tuple of its tree coordinates, hashed and
+    compared in C as that tuple."""
+
+    __slots__ = ()
 
 
 def origin(params: DLParams) -> DLVertex:

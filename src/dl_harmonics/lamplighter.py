@@ -31,6 +31,7 @@ is from matching it, normalised to vanish at the identity.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -39,7 +40,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours
-from .tree import TreeEnd, TreeVertex
+from .tree import TreeEnd, _vertex
 
 __all__ = [
     "GroupElement",
@@ -90,12 +91,11 @@ def _lamp(lamps: Lamps, n: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Lamp configuration (canonical sorted support tuple) and position."""
+class GroupElement(namedtuple("GroupElement", ("eta", "k"), defaults=((), 0))):
+    """Lamp configuration (canonical sorted support tuple) and position: the
+    tuple ``(eta, k)``, hashed and compared in C as that tuple."""
 
-    eta: Lamps = ()
-    k: int = 0
+    __slots__ = ()
 
     @classmethod
     def make(cls, eta: Mapping[int, int] | Iterable[tuple[int, int]], k: int, q: int | None = None) -> "GroupElement":
@@ -115,6 +115,8 @@ def delta(n: int, value: int) -> Lamps:
 
 
 def multiply(a: GroupElement, b: GroupElement, q: int) -> GroupElement:
+    if not b.eta:
+        return GroupElement(a.eta, a.k + b.k)
     lamps = dict(a.eta)
     for n, v in b.eta:
         m = n + a.k
@@ -165,14 +167,26 @@ def cayley_neighbours(a: GroupElement, model: GeneratorModel, q: int) -> list[Gr
     return [multiply(a, s, q) for s in _generators(model, q)]
 
 
+# Most group products and encodings ``cayley_check`` runs (15-20 s of work).
+_MAX_CAYLEY_PRODUCTS = 10**6
+
+
 def cayley_check(q: int, support: int, position_range: int) -> dict[str, int | bool]:
     """On all elements with lamps on sites ``|n| <= support`` and position
     ``|k| <= position_range``: their count, whether ``decode`` inverts the
     injective ``encode``, and whether the walk-switch and switch-walk-switch
-    Cayley neighbours encode to the ``DL`` and ``DLS`` neighbours."""
+    Cayley neighbours encode to the ``DL`` and ``DLS`` neighbours.  Refuses
+    a window past ``_MAX_CAYLEY_PRODUCTS`` before enumerating anything."""
     params = DLParams(q, q)
     if support < 0 or position_range < 0:
         raise ValueError("support and position_range must be non-negative")
+    # Each element is encoded once and multiplied by 2q + 2q^2 generators.  A
+    # capped exponent keeps the estimate small; capped, it alone passes the cap.
+    exponent = min(2 * support + 1, _MAX_CAYLEY_PRODUCTS.bit_length())
+    work = q**exponent * (2 * position_range + 1) * (1 + 2 * q + 2 * q * q)
+    if work > _MAX_CAYLEY_PRODUCTS:
+        raise ValueError(f"cayley-check needs at least {work} group products "
+                         f"and encodings (cap {_MAX_CAYLEY_PRODUCTS})")
     sites = range(-support, support + 1)
     elements = [
         GroupElement(tuple((n, v) for n, v in zip(sites, values) if v), k)
@@ -204,18 +218,25 @@ def encode(a: GroupElement) -> DLVertex:
 
     First coordinate: level ``k``, labels ``eta(j)`` for ``j <= k``.
     Second coordinate: level ``-k``, labels ``eta(1 - j)`` for ``j <= -k``.
-    ``eta`` is split as it stands; ``TreeVertex`` rejects one that is not
-    canonical, and a lamp that is not a non-negative integer is refused as
-    ``TreeVertex.make`` refuses it.
+    ``eta`` is split as it stands and refused, with their messages, where
+    the checked ``TreeVertex`` would refuse a coordinate (keys not strictly
+    increasing, a stored zero) or ``TreeVertex.make`` a lamp (not a
+    non-negative integer).
     """
     k, eta = a.k, a.eta
     i = bisect_right(eta, k, key=itemgetter(0))
-    x1 = TreeVertex(k, eta[:i])
-    x2 = TreeVertex(-k, tuple([(1 - n, v) for n, v in reversed(eta[i:])]))
-    for j, v in x1.labels + x2.labels:
+    x1, x2 = eta[:i], tuple([(1 - n, v) for n, v in reversed(eta[i:])])
+    prev = None
+    for n, v in eta:
+        if v == 0:
+            raise ValueError("zero labels must not be stored")
+        if prev is not None and n <= prev:
+            raise ValueError("label keys must be strictly increasing")
+        prev = n
+    for j, v in x1 + x2:
         if not isinstance(v, int) or v < 0:
             raise ValueError(f"label at {j} must be a non-negative integer, got {v!r}")
-    return DLVertex(x1, x2)
+    return DLVertex(_vertex(k, x1), _vertex(-k, x2))
 
 
 def decode(v: DLVertex, params: DLParams | None = None) -> GroupElement:

@@ -12,7 +12,8 @@ along its ray from ``omega``: ``labels[j]`` in ``{0, ..., q-1}`` is the label
 of the edge crossed when stepping from ``H_{j-1}`` up to ``H_j``.  All but
 finitely many labels are 0, zeros are not stored, and stored keys satisfy
 ``j <= level``, so equal vertices have equal (canonical) representations.
-The root is ``(0, {})``.
+The root is ``(0, {})``.  A vertex is the tuple ``(level, labels)`` (a
+``namedtuple``), built, hashed and compared in C: ``TreeVertex(0, ()) == (0, ())``.
 
 Ends other than ``omega`` are infinite upward label words, again with
 finitely many nonzero entries ("zero-tail" ends); the key of an end label is
@@ -33,6 +34,7 @@ just ``level(x)``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -61,6 +63,8 @@ __all__ = [
 ]
 
 Labels = tuple[tuple[int, int], ...]
+
+_new = tuple.__new__
 
 
 def _canon(mapping: Mapping[int, int] | Iterable[tuple[int, int]]) -> Labels:
@@ -99,17 +103,21 @@ def _upto(labels: Labels, j: int) -> Labels:
     return tuple((k, v) for k, v in labels if k <= j)
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(namedtuple("TreeVertex", ("level", "labels"))):
     """A vertex of the tree: horocycle level plus edge-label word.
 
     ``labels`` is a canonical sorted tuple of ``(j, value)`` pairs with
     ``value != 0`` and ``j <= level``.  Use :meth:`make` to build one from an
-    arbitrary mapping.
+    arbitrary mapping.  Direct construction checks the labels in
+    ``__post_init__``; maps whose results are canonical build unchecked.
     """
 
-    level: int
-    labels: Labels = ()
+    __slots__ = ()
+
+    def __new__(cls, level: int, labels: Labels = ()) -> "TreeVertex":
+        self = _new(cls, (level, labels))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         prev = None
@@ -127,6 +135,11 @@ class TreeVertex:
     @classmethod
     def make(cls, level: int, labels: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> "TreeVertex":
         return cls(level, _canon(labels))
+
+
+def _vertex(level: int, labels: Labels) -> TreeVertex:
+    """A ``TreeVertex`` built without validation, for canonical results."""
+    return _new(TreeVertex, (level, labels))
 
 
 ROOT = TreeVertex(0, ())
@@ -168,7 +181,10 @@ OMEGA = TreeEnd.omega()
 
 def predecessor(v: TreeVertex) -> TreeVertex:
     """One step towards ``omega``: drop the label entering ``v``'s level."""
-    return TreeVertex(v.level - 1, _upto(v.labels, v.level - 1))
+    level, labels = v.level, v.labels
+    if labels and labels[-1][0] == level:
+        labels = labels[:-1]
+    return _vertex(level - 1, labels)
 
 
 def successor(v: TreeVertex, label: int, q: int) -> TreeVertex:
@@ -176,8 +192,8 @@ def successor(v: TreeVertex, label: int, q: int) -> TreeVertex:
     if not 0 <= label < q:
         raise ValueError(f"label {label} outside range(0, {q})")
     if label == 0:
-        return TreeVertex(v.level + 1, v.labels)
-    return TreeVertex(v.level + 1, v.labels + ((v.level + 1, label),))
+        return _vertex(v.level + 1, v.labels)
+    return _vertex(v.level + 1, v.labels + ((v.level + 1, label),))
 
 
 def check_labels(v: TreeVertex | TreeEnd, q: int) -> None:
@@ -199,7 +215,7 @@ def neighbours(v: TreeVertex, q: int) -> list[TreeVertex]:
 def confluent_omega(a: TreeVertex, b: TreeVertex) -> TreeVertex:
     """Highest common vertex of the rays from ``omega`` to ``a`` and ``b``."""
     lvl = _split_level(a.labels, b.labels, min(a.level, b.level))
-    return TreeVertex(lvl, _upto(a.labels, lvl))
+    return _vertex(lvl, _upto(a.labels, lvl))
 
 
 def confluent_omega_end(v: TreeVertex, xi: TreeEnd) -> TreeVertex:
@@ -207,7 +223,7 @@ def confluent_omega_end(v: TreeVertex, xi: TreeEnd) -> TreeVertex:
     if xi.is_omega:
         raise ValueError("confluent with the reference end is undefined")
     lvl = _split_level(v.labels, xi.labels, v.level)
-    return TreeVertex(lvl, _upto(v.labels, lvl))
+    return _vertex(lvl, _upto(v.labels, lvl))
 
 
 def distance(a: TreeVertex, b: TreeVertex) -> int:
@@ -238,10 +254,10 @@ def confluent_root(x: TreeVertex, xi: TreeEnd) -> TreeVertex:
     bx = _split_level(x.labels, (), min(x.level, 0))
     bxi = _split_level(xi.labels, (), 0)
     if bx != bxi:
-        return TreeVertex(max(bx, bxi), ())
+        return _vertex(max(bx, bxi), ())
     # Both words are empty up to ``bx``, so they split where they differ.
     lvl = _split_level(x.labels, xi.labels, x.level)
-    return TreeVertex(lvl, _upto(x.labels, lvl))
+    return _vertex(lvl, _upto(x.labels, lvl))
 
 
 def busemann_wrt_end(x: TreeVertex, xi: TreeEnd) -> int:
@@ -276,7 +292,7 @@ def _half_excess(level: int, labels: Labels, end_labels: Labels) -> int:
 
 def shift(v: TreeVertex, m: int) -> TreeVertex:
     """Translate ``v`` by ``m`` levels along the level grading (an isometry)."""
-    return TreeVertex(v.level + m, tuple((j + m, val) for j, val in v.labels))
+    return _vertex(v.level + m, tuple([(j + m, val) for j, val in v.labels]))
 
 
 def ball(q: int, radius: int, centre: TreeVertex = ROOT) -> list[TreeVertex]:

@@ -47,7 +47,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,6 +83,9 @@ __all__ = [
     "EstimateResult",
     "operator_from_name",
 ]
+
+
+_EXACT = {int, Fraction}  # value types that ``apply`` sums as integer pairs
 
 
 def _check_alpha(alpha) -> Fraction:
@@ -254,17 +257,29 @@ def apply(op, h, v) -> Fraction:
 
     A walk whose row is stored as blocks of equal weight sums ``h`` over each
     block and multiplies once per block; an exact sum does not depend on the
-    order of its terms.
+    order of its terms.  When every value is an ``int`` or a ``Fraction``,
+    the sum is carried as one unreduced integer pair and the result is the
+    one ``Fraction`` built from it; other values (floats) are summed as they
+    are.
     """
     row = op.transitions(v)
     blocks = getattr(op, "_blocks", None)
     if blocks is None:
         return sum(p * h(w) for w, p in row)
-    total, start = 0, 0
+    values = [h(w) for w, _ in row]
+    it = iter(values)
+    if not {*map(type, values)} <= _EXACT:
+        return sum(p * sum(islice(it, n)) for p, n in blocks)
+    num, den = 0, 1
     for p, n in blocks:
-        total += p * sum(h(w) for w, _ in row[start : start + n])
-        start += n
-    return total
+        bn, bd = 0, 1
+        for x in islice(it, n):
+            xn, xd = x.as_integer_ratio()
+            bn, bd = (bn + xn, bd) if xd == bd else (bn * xd + xn * bd, bd * xd)
+        pn, pd = p.as_integer_ratio()
+        d = pd * bd
+        num, den = num * d + pn * bn * den, den * d
+    return Fraction(num, den)
 
 
 def is_harmonic_at(op, h, v) -> bool:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dl_harmonics import cli
+from dl_harmonics import cli, lamplighter
 from dl_harmonics.cli import main
 
 ROOT_JSON = '{"level": 0, "labels": []}'
@@ -176,6 +176,24 @@ def test_cayley_check(capsys):
     assert obj["bijective"] is True
     assert obj["walk_switch_matches_dl"] is True
     assert obj["switch_walk_switch_matches_dls"] is True
+
+
+def test_cayley_check_refuses_past_its_work_cap_before_enumerating(capsys, monkeypatch):
+    def unreachable(a):
+        raise RuntimeError("cayley-check enumerated a window it should refuse")
+
+    monkeypatch.setattr(lamplighter, "encode", unreachable)
+    monkeypatch.setattr(lamplighter, "multiply", unreachable)
+    code, out, err = run(capsys, "cayley-check", "--support", "1000000000")
+    assert (code, out) == (2, "")
+    assert "needs at least 68157440 group products" in err and "cap 1000000" in err
+    # just past the cap: 2**15 elements, 3 positions, 1 + 4 + 8 products each
+    code, _, err = run(capsys, "cayley-check", "--support", "7", "--position-range", "1")
+    assert code == 2 and "needs at least 1277952 group products" in err
+    code, _, err = run(capsys, "cayley-check", "--q", "1000000000")
+    assert code == 2 and "group products" in err
+    # the windows the tests and the benchmark check stay far below the cap
+    assert 3**3 * 3 * 25 * 100 < lamplighter._MAX_CAYLEY_PRODUCTS
 
 
 def test_defect(capsys):
@@ -422,7 +440,7 @@ def test_json_of_the_wrong_shape_names_the_argument(capsys, argv, flag):
 
 
 def test_a_library_fault_behind_spec_is_not_a_usage_error(monkeypatch):
-    from dl_harmonics import cli
+    from dl_harmonics import cli, lamplighter
 
     def broken(obj):
         raise TypeError("fault inside the library")

@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+from bisect import bisect_right
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -317,6 +319,31 @@ def group_elements(draw):
 @given(group_elements())
 def test_encode_matches_make_reference(a):
     assert outcome(encode, a) == outcome(ref_encode, a)
+
+
+def checked_split_encode(a):
+    """``encode`` as it was: the split built through the checked constructor."""
+    k, eta = a.k, a.eta
+    i = bisect_right(eta, k, key=itemgetter(0))
+    x1 = TreeVertex(k, eta[:i])
+    x2 = TreeVertex(-k, tuple([(1 - n, v) for n, v in reversed(eta[i:])]))
+    for j, v in x1.labels + x2.labels:
+        if not isinstance(v, int) or v < 0:
+            raise ValueError(f"label at {j} must be a non-negative integer, got {v!r}")
+    return DLVertex(x1, x2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(-1, 3)), max_size=6),
+    st.integers(-4, 4),
+)
+def test_encode_refuses_exactly_what_the_checked_split_refuses(pairs, k):
+    # any eta, canonical or not: the same vertex, or a ValueError from both
+    a = GroupElement(tuple(pairs), k)
+    want = outcome(checked_split_encode, a)
+    got = outcome(encode, a)
+    assert got == want or (got[0], want[0]) == ("ValueError", "ValueError")
 
 
 def test_encode_splits_a_canonical_eta_and_rejects_another():

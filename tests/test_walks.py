@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import zlib
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -485,3 +486,60 @@ def test_rekeyed_streams_draw_as_fresh_streams(seed):
         assert int(gen.integers(0, 6)) == int(ref.integers(0, 6))
         assert gen.integers(0, 8198, size=37).tolist() == ref.integers(0, 8198, size=37).tolist()
         assert gen.integers(0, 2**40, size=5).tolist() == ref.integers(0, 2**40, size=5).tolist()
+
+
+def _values(kind):
+    """An ``h`` of the given value kind, a fixed function of the vertex."""
+
+    def code(v):
+        return zlib.crc32(repr(v).encode())
+
+    return {
+        "fractions": lambda v: Fraction(code(v) % 97 - 40, code(v) % 13 + 1),
+        "ints": lambda v: code(v) % 23 - 11,
+        "mixed": lambda v: Fraction(code(v) % 31, 3) if code(v) % 2 else code(v) % 5,
+        "zeros": lambda v: 0 if code(v) % 2 else Fraction(0),
+        "floats": lambda v: (code(v) % 101) / 7.0,
+    }[kind]
+
+
+def _apply_cases():
+    p = DLParams(2, 3)
+    yield DLWalk(p, THIRD), p
+    yield SiblingWalk(p, Fraction(2, 5)), p
+    yield conjugate(DLWalk(p, THIRD), drift_kernel(THIRD)), p
+    yield project(SiblingWalk(p, Fraction(2, 5))), p
+    yield p1_walk(p, THIRD), None
+    yield p2_walk(p, Fraction(2, 7)), None
+
+
+@pytest.mark.parametrize("kind", ["fractions", "ints", "mixed", "zeros", "floats"])
+def test_apply_equals_the_term_by_term_sum(kind):
+    h = _values(kind)
+    rng = random.Random(RNG_SEED + 11)
+    for op, p in _apply_cases():
+        for _ in range(15):
+            v = random_vertex(p, 4, rng) if p else random_tree_vertex(rng)
+            got = apply(op, h, v)
+            want = sum(pr * h(w) for w, pr in op.transitions(v))
+            if kind == "floats":
+                assert got == pytest.approx(want, rel=1e-12) and type(got) is float
+                if hasattr(op, "_blocks"):
+                    assert got == blocked_float_sum(op, h, v)
+            else:
+                assert got == want and type(got) is Fraction
+
+
+def blocked_float_sum(op, h, v):
+    """Floats keep the sum ``apply`` always took: ``h`` summed per block of
+    equal weight, one product per block."""
+    row, total, start = op.transitions(v), 0, 0
+    for pr, n in op._blocks:
+        total += pr * sum(h(w) for w, _ in row[start : start + n])
+        start += n
+    return total
+
+
+def random_tree_vertex(rng):
+    level = rng.randrange(-4, 5)
+    return TreeVertex.make(level, {j: rng.randrange(3) for j in range(level - 6, level + 1)})
