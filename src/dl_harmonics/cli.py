@@ -36,10 +36,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, **_J))
 
 
-def _frac(s) -> Fraction:
-    return parse_frac(s)
-
-
 def _params(args) -> dg.DLParams:
     return dg.DLParams(args.q, args.r)
 
@@ -99,15 +95,15 @@ def _cmd_kernel_eval(args) -> int:
     branch = params.q if args.side == 1 else params.r
     tr.check_labels(end, branch)
     tr.check_labels(x, branch)
-    value = kn.martin_kernel_tree(args.side, x, end, _frac(args.alpha), params)
-    _emit({"value": frac_str(value), "side": args.side, "alpha": frac_str(_frac(args.alpha))})
+    value = kn.martin_kernel_tree(args.side, x, end, parse_frac(args.alpha), params)
+    _emit({"value": frac_str(value), "side": args.side, "alpha": frac_str(parse_frac(args.alpha))})
     return 0
 
 
 def _cmd_harmonic_check(args) -> int:
     spec = _json_object(args.spec, "--spec")
     h, params = harmonic_from_json(spec)
-    alpha = _frac(args.alpha) if args.alpha is not None else (
+    alpha = parse_frac(args.alpha) if args.alpha is not None else (
         h.alpha if h.terms else Fraction(1, 2)
     )
     op = wk.operator_from_name(args.operator, params, alpha)
@@ -137,7 +133,7 @@ def _cmd_harmonic_check(args) -> int:
 
 def _cmd_dirichlet_solve(args) -> int:
     params = _params(args)
-    alpha = _frac(args.alpha)
+    alpha = parse_frac(args.alpha)
     dct.check_solve_size(args.n, params)  # before any vertex is enumerated
     chain = dct.build_truncation(args.n, params, alpha, "dl")
     table = dct.hitting_table(chain)  # reads no vertex
@@ -167,7 +163,7 @@ def _cmd_dirichlet_solve(args) -> int:
 def _cmd_decompose(args) -> int:
     spec = _json_object(args.spec, "--spec")
     h, params = harmonic_from_json(spec)
-    alpha = h.alpha if h.terms else _frac(args.alpha or "1/2")
+    alpha = h.alpha if h.terms else parse_frac(args.alpha or "1/2")
     dec = dct.decompose(h, args.n, params, alpha)
     # decompose raises unless the reconstruction is exact
     out = {"n": dec.n, "alpha": frac_str(dec.alpha), "reconstructed_exactly": True}
@@ -180,7 +176,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _params(args)
-    op = wk.operator_from_name(args.operator, params, _frac(args.alpha))
+    op = wk.operator_from_name(args.operator, params, parse_frac(args.alpha))
     decode, enc, origin = _picture(args.operator, params)
     start = _decode(args.start, "--start", decode) if args.start else origin()
     traj = wk.simulate(op, start, args.steps, args.seed)
@@ -192,7 +188,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate_f(args) -> int:
     params = _params(args)
-    op = wk.operator_from_name(args.operator, params, _frac(args.alpha))
+    op = wk.operator_from_name(args.operator, params, parse_frac(args.alpha))
     decode, _, origin = _picture(args.operator, params)
     x = _decode(getattr(args, "from"), "--from", decode) if getattr(args, "from") else origin()
     y = _decode(args.to, "--to", decode)

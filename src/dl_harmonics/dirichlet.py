@@ -10,10 +10,11 @@ leaves at level ``n``; ``S2`` mirrors it in the second tree.  The product
 
 which coincides (asserted on first read of ``vertices``) with the one-step
 exit set of the product walk.  Sizes: ``|S| = sum_{k=-n}^{n} q^{n+k} r^{n-k}``
-and ``|bd S| = q^{2n} + r^{2n}``.  A ``FiniteChain`` is the description
-``(kind, n, params, alpha)``; its vertices are enumerated only when read,
-and tables, their certificate and the product check run from the level
-sizes without them.
+and ``|bd S| = q^{2n} + r^{2n}``.  A tree truncation is the case whose second
+tree is a line.  A ``FiniteChain`` is the description ``(kind, n, params,
+alpha)``, checked when it is built; its vertices are enumerated only when
+read, and tables, their certificate, the product check and the kernel
+approximants run from the description without them.
 
 ``hitting_table`` certifies rather than solves.  Fix a boundary column
 ``(y1, a2)``: the stabiliser of ``y1`` in Aut(S1) x Aut(S2) fixes the column
@@ -58,8 +59,8 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .dl_graph import DLParams, DLVertex
-from .tree import ROOT, TreeEnd, TreeVertex, confluent_omega, predecessor, successor
-from .walks import DLWalk, TreeWalk, p1_walk, p2_walk
+from .tree import ROOT, TreeEnd, TreeVertex, confluent_omega, successor
+from .walks import DLWalk, _check_alpha, p1_walk, p2_walk
 
 __all__ = [
     "FiniteChain",
@@ -98,6 +99,8 @@ def _cached(build) -> property:
 class FiniteChain:
     """The stage-``n`` truncation as a description: ``(kind, n, params,
     alpha)`` fix every vertex, so equality and hashing read only those.
+    Building one checks the kind, ``n >= 1`` and ``0 < alpha < 1``, and
+    stores ``alpha`` as a Fraction.
 
     ``vertices`` is enumerated on first read, level by level as ``_Layout``
     numbers them, and the walk-exit check runs then; ``boundary`` (levels
@@ -110,6 +113,12 @@ class FiniteChain:
     n: int
     params: DLParams
     alpha: Fraction
+
+    def __post_init__(self) -> None:
+        _walk_shape(self.kind, self.params)  # raises on an unknown kind
+        if self.n < 1:
+            raise ValueError("truncation stage must be >= 1")
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
     @_cached
     def vertices(self) -> tuple:
@@ -141,19 +150,9 @@ class FiniteChain:
     a2 = a1
 
 
-@dataclass(frozen=True)
-class TruncationStage:
-    """Symbolic stage-``n`` tree truncation (no vertex enumeration).
-
-    The closed-form route (``kernel_approx``, ``restricted_hitting``) only
-    needs the stage parameters, so deep stages stay cheap even where the
-    full vertex set would be astronomically large.
-    """
-
-    kind: str  # "tree1" or "tree2"
-    n: int
-    params: DLParams
-    alpha: Fraction
+# Another name for ``FiniteChain``, kept for the code that builds deep tree
+# stages under it.
+TruncationStage = FiniteChain
 
 
 def _tree_levels(n: int, branch: int) -> dict[int, list[TreeVertex]]:
@@ -173,69 +172,45 @@ def default_operator(chain: FiniteChain):
         return DLWalk(chain.params, chain.alpha)
     if chain.kind == "tree1":
         return p1_walk(chain.params, chain.alpha)
-    if chain.kind == "tree2":
-        return p2_walk(chain.params, chain.alpha)
-    raise ValueError(f"unknown chain kind {chain.kind!r}")
+    return p2_walk(chain.params, chain.alpha)
 
 
-def build_truncation(
-    n: int,
-    params: DLParams,
-    alpha: Fraction,
-    kind: str = "dl",
-    max_size: int = 500_000,
-) -> FiniteChain:
-    """The stage-``n`` truncation, checked against ``max_size`` from its
+# Most vertices ``build_truncation`` lets a chain have.
+_MAX_VERTICES = 500_000
+
+
+def build_truncation(n: int, params: DLParams, alpha: Fraction, kind: str = "dl") -> FiniteChain:
+    """The stage-``n`` truncation, refused past ``_MAX_VERTICES`` from its
     level sizes; its vertices are enumerated on first read of ``vertices``.
     """
-    if n < 1:
-        raise ValueError("truncation stage must be >= 1")
-    alpha = Fraction(alpha)
+    chain = FiniteChain(kind, n, params, alpha)
     size = sum(_level_sizes(kind, params, n))
-    if size > max_size:
-        raise ValueError(f"truncation would have {size} vertices (cap {max_size})")
-    return FiniteChain(kind, n, params, alpha)
+    if size > _MAX_VERTICES:
+        raise ValueError(f"truncation would have {size} vertices (cap {_MAX_VERTICES})")
+    return chain
 
 
 def _enumerate(chain: FiniteChain) -> tuple:
-    """The chain's vertices, level by level.
+    """The chain's vertices, level by level: level ``k`` of the ``ups``-tree
+    times level ``-k`` of the ``downs``-tree.  A tree chain's second tree is
+    the line ``downs = 1``, and its vertex is the first coordinate alone.
 
-    The boundary is computed from the walk (positive one-step exit
-    probability) and asserted to coincide with the two-leaf-set description.
+    Levels ``-n`` and ``n`` are the two leaf sets, and every vertex on them
+    is asserted to have a move out of the chain under ``default_operator``
+    (interior levels never exit: their tree neighbours stay within range).
     """
-    n, params, alpha, kind = chain.n, chain.params, chain.alpha, chain.kind
-    q, r = params.q, params.r
-    a1, a2 = chain.a1, chain.a2
-    if kind == "dl":
-        lv1 = _tree_levels(n, q)
-        lv2 = _tree_levels(n, r)
-        vertices = []
-        for k in range(-n, n + 1):
-            for x1, x2 in _cartesian(lv1[k], lv2[-k]):
-                vertices.append(DLVertex(x1, x2))
-        in_set = set(vertices)
-        formula_boundary = {
-            DLVertex(x1, a2) for x1 in lv1[n]
-        } | {DLVertex(a1, x2) for x2 in lv2[n]}
-        op = DLWalk(params, alpha)
-        level_of = lambda v: v.x1.level
-    else:
-        branch = q if kind == "tree1" else r
-        lv = _tree_levels(n, branch)
-        vertices = [v for k in range(-n, n + 1) for v in lv[k]]
-        in_set = set(vertices)
-        formula_boundary = {a1} | set(lv[n])
-        op = p1_walk(params, alpha) if kind == "tree1" else p2_walk(params, alpha)
-        level_of = lambda v: v.level
-
-    walk_boundary = set()
-    for v in vertices:
-        if level_of(v) in (-n, n):
-            if any(w not in in_set for w, _ in op.transitions(v)):
-                walk_boundary.add(v)
-        # interior levels never exit: their tree neighbours stay within range
-    if walk_boundary != formula_boundary:
-        raise AssertionError("walk exit set differs from the two-leaf-set boundary")
+    n = chain.n
+    ups, downs = _walk_shape(chain.kind, chain.params)
+    lv1, lv2 = _tree_levels(n, ups), _tree_levels(n, downs)
+    vertices = []
+    for k in range(-n, n + 1):
+        for x1, x2 in _cartesian(lv1[k], lv2[-k]):
+            vertices.append(DLVertex(x1, x2) if chain.kind == "dl" else x1)
+    in_set = set(vertices)
+    op = default_operator(chain)
+    for v in vertices[: len(lv2[n])] + vertices[-len(lv1[n]) :]:
+        if all(w in in_set for w, _ in op.transitions(v)):
+            raise AssertionError("walk exit set differs from the two-leaf-set boundary")
     return tuple(vertices)
 
 
@@ -287,34 +262,28 @@ class HittingTable:
     def __hash__(self):
         return hash((self.chain, self.dens))
 
-    @property
+    @_cached
     def rows(self) -> tuple:
         """``rows[i][b] = F(vertices[i], boundary[b])`` as Fractions, built on
         first use."""
-        cache = self.__dict__
-        if "_rows" not in cache:
-            # Equal entries of a column share one Fraction: tables repeat
-            # few distinct values, so most entries cost one dict lookup.
-            seen = [{0: Fraction(0)} for _ in self.dens]
-            rows = []
-            for row in self.nums.tolist():
-                out = []
-                for x, d, known in zip(row, self.dens, seen):
-                    f = known.get(x)
-                    if f is None:
-                        f = known[x] = Fraction(x, d)
-                    out.append(f)
-                rows.append(tuple(out))
-            cache["_rows"] = tuple(rows)
-        return cache["_rows"]
+        # Equal entries of a column share one Fraction: tables repeat few
+        # distinct values, so most entries cost one dict lookup.
+        seen = [{0: Fraction(0)} for _ in self.dens]
+        rows = []
+        for row in self.nums.tolist():
+            out = []
+            for x, d, known in zip(row, self.dens, seen):
+                f = known.get(x)
+                if f is None:
+                    f = known[x] = Fraction(x, d)
+                out.append(f)
+            rows.append(tuple(out))
+        return tuple(rows)
 
-    @property
+    @_cached
     def boundary_index(self) -> dict:
         """Column of each boundary vertex, built on first use."""
-        cache = self.__dict__
-        if "_boundary_index" not in cache:
-            cache["_boundary_index"] = {y: b for b, y in enumerate(self.chain.boundary)}
-        return cache["_boundary_index"]
+        return {y: b for b, y in enumerate(self.chain.boundary)}
 
     def value(self, x, y) -> Fraction:
         return self.rows[self.chain.index[x]][self.boundary_index[y]]
@@ -489,17 +458,10 @@ def _verify_table(table: HittingTable, lay: _Layout) -> None:
 # Closed-form route on a single tree.
 
 
-def _chain_rate(chain: FiniteChain) -> tuple[Fraction, int]:
-    if chain.kind == "tree1":
-        return chain.alpha, chain.params.q
-    if chain.kind == "tree2":
-        return 1 - chain.alpha, chain.params.r
-    raise ValueError("closed-form factors live on tree chains")
-
-
 def _up_rate(chain: FiniteChain) -> Fraction:
-    """Probability that the chain's walk moves up its first tree."""
-    return chain.alpha if chain.kind == "dl" else _chain_rate(chain)[0]
+    """Probability that the chain's walk moves up its first tree: ``1 -
+    alpha`` on ``tree2``, which climbs the second tree, else ``alpha``."""
+    return 1 - chain.alpha if chain.kind == "tree2" else chain.alpha
 
 
 def edge_factors(n: int, branch: int, up: Fraction) -> tuple[Mapping[int, Fraction], Mapping[int, Fraction]]:
@@ -510,12 +472,14 @@ def edge_factors(n: int, branch: int, up: Fraction) -> tuple[Mapping[int, Fracti
     successor (defined for ``-n <= k < n``).  Both are read-only views of
     one cached result per ``(n, branch, up)``; ``up`` is made a Fraction
     first, so that equal rates (``"1/2"``, ``Fraction(1, 2)``) share one.
+    An ``up`` outside (0, 1) raises ValueError.
     """
     return _edge_factors(n, branch, Fraction(up))
 
 
 @lru_cache(maxsize=256)
 def _edge_factors(n: int, branch: int, up: Fraction):
+    _check_alpha(up)  # a raise is never cached, so a hit skips the check
     d: dict[int, Fraction] = {n: Fraction(0)}
     for k in range(n - 1, -n, -1):
         d[k] = (1 - up) / (1 - up * d[k + 1])
@@ -798,16 +762,20 @@ def decompose(h: Callable, n: int, params: DLParams, alpha: Fraction) -> Decompo
     return Decomposition(n, params, alpha, h1, h2, lambda1, lambda2)
 
 
-def kernel_approx(chain: FiniteChain | TruncationStage, x: TreeVertex, target) -> Fraction:
-    """Stage-``n`` Martin kernel approximant ``F(x, y) / F(o, y)``.
+def kernel_approx(chain: FiniteChain, x: TreeVertex, target) -> Fraction:
+    """Stage-``n`` Martin kernel approximant ``F(x, y) / F(o, y)`` on a tree
+    chain.
 
     ``target`` may be a boundary vertex of the tree chain or an end: an end
     routes to the leaf whose cone contains it, and to the apex when its ray
-    leaves through the bottom (in particular for the reference end).  A
-    ``TruncationStage`` works as well as a materialized chain, and is the way
-    to reach deep stages.
+    leaves through the bottom (in particular for the reference end).  Only
+    the chain's description is read, by the geodesic edge products, so a
+    deep stage such as ``FiniteChain("tree1", 64, ...)`` enumerates nothing.
     """
-    up, branch = _chain_rate(chain)
+    if chain.kind == "dl":
+        raise ValueError("closed-form factors live on tree chains")
+    up = _up_rate(chain)
+    branch, _ = _walk_shape(chain.kind, chain.params)
     n = chain.n
     if not _in_tree_chain(x, n) or abs(x.level) >= n or confluent_omega(x, ROOT).level <= -n:
         raise ValueError("x must lie in the interior of the truncation (n too small)")

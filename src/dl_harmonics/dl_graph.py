@@ -203,21 +203,7 @@ def _neighbour_fn(params: DLParams, variant: str):
 
 def ball(params: DLParams, radius: int, variant: str = "dl") -> list[DLVertex]:
     """All vertices within graph distance ``radius`` of the origin (BFS order)."""
-    nbrs = _neighbour_fn(params, variant)
-    o = origin(params)
-    seen = {o}
-    frontier = [o]
-    out = [o]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for w in nbrs(v):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    out.append(w)
-        frontier = nxt
-    return out
+    return _tree._bfs(origin(params), _neighbour_fn(params, variant), radius)
 
 
 def random_vertex(params: DLParams, radius: int, rng, variant: str = "dl") -> DLVertex:

@@ -295,21 +295,27 @@ def shift(v: TreeVertex, m: int) -> TreeVertex:
     return _vertex(v.level + m, tuple([(j + m, val) for j, val in v.labels]))
 
 
-def ball(q: int, radius: int, centre: TreeVertex = ROOT) -> list[TreeVertex]:
-    """All vertices within tree distance ``radius`` of ``centre`` (BFS order)."""
-    seen = {centre}
-    frontier = [centre]
-    out = [centre]
+def _bfs(start, nbrs, radius: int) -> list:
+    """Every vertex within ``radius`` steps of ``start``, where ``nbrs(v)``
+    lists the neighbours of ``v``, in breadth-first order."""
+    seen = {start}
+    frontier = [start]
+    out = [start]
     for _ in range(radius):
         nxt = []
         for v in frontier:
-            for w in neighbours(v, q):
+            for w in nbrs(v):
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
                     out.append(w)
         frontier = nxt
     return out
+
+
+def ball(q: int, radius: int, centre: TreeVertex = ROOT) -> list[TreeVertex]:
+    """All vertices within tree distance ``radius`` of ``centre`` (BFS order)."""
+    return _bfs(centre, lambda v: neighbours(v, q), radius)
 
 
 def random_vertex(q: int, radius: int, rng) -> TreeVertex:

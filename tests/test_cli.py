@@ -326,6 +326,29 @@ def test_negative_size_exits_2(capsys, argv):
     assert f"argument {argv[1]}: expected a non-negative integer, got '{argv[2]}'" in captured.err
 
 
+CONSTANT_SPEC = json.dumps({"q": 2, "r": 2, "alpha": "1/2", "constant": "3/1", "terms": []})
+
+
+@pytest.mark.parametrize("alpha", ["3/2", "0", "1", "-1/3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel-eval", "--end", END_JSON, "--at", ROOT_JSON),
+        ("harmonic-check", "--spec", CONSTANT_SPEC, "--samples", "2"),
+        ("dirichlet-solve", "--n", "1"),
+        ("decompose", "--spec", CONSTANT_SPEC, "--n", "1"),  # no terms: --alpha is the rate
+        ("simulate", "--steps", "2"),
+        ("estimate-f", "--to", ROOT_JSON, "--trials", "2", "--horizon", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_alpha_outside_the_unit_interval_exits_2(capsys, argv, alpha):
+    # ``--alpha=VALUE``, so that argparse passes "-1/3" on as a value
+    code, out, err = run(capsys, *argv, f"--alpha={alpha}")
+    assert code == 2 and out == ""
+    assert "alpha must lie strictly between 0 and 1" in err
+
+
 def test_kernel_eval_rejects_out_of_range_label(capsys):
     code, out, err = run(
         capsys, "kernel-eval", "--q", "2", "--end", '{"omega": true}',

@@ -123,6 +123,27 @@ def test_truncation_validation():
         build_truncation(1, DLParams(2, 2), HALF, "cube")
 
 
+BAD_ALPHAS = [Fraction(3, 2), 0, 1, Fraction(-1, 3)]
+
+
+@pytest.mark.parametrize("build", [build_truncation, lambda n, p, a, kind: dct.FiniteChain(kind, n, p, a)])
+def test_chains_are_checked_when_built(build):
+    p = DLParams(2, 3)
+    for alpha in BAD_ALPHAS:
+        for kind in ("dl", "tree1", "tree2"):
+            with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+                build(2, p, alpha, kind)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="stage must be >= 1"):
+            build(n, p, HALF, "tree1")
+    with pytest.raises(ValueError, match="unknown chain kind 'cube'"):
+        build(2, p, HALF, "cube")
+    # alpha is stored as a Fraction, so equal rates make equal chains
+    c = build(2, p, "1/3", "dl")
+    assert c.alpha == THIRD and type(c.alpha) is Fraction
+    assert c == build(2, p, THIRD, "dl") and hash(c) == hash(build(2, p, THIRD, "dl"))
+
+
 def test_lookup_dicts_built_once():
     c = build_truncation(1, DLParams(2, 2), HALF, "dl")
     fresh = build_truncation(1, DLParams(2, 2), HALF, "dl")
@@ -339,6 +360,17 @@ def test_restricted_hitting_golden():
     assert restricted_hitting(1, 2, HALF, ROOT, ROOT) == 1
     with pytest.raises(ValueError):
         restricted_hitting(1, 2, HALF, TreeVertex.make(3, {}), ROOT)
+
+
+def test_up_rate_outside_the_unit_interval_is_refused():
+    hits = dct._edge_factors.cache_info().hits
+    for up in BAD_ALPHAS:
+        for _ in range(2):  # a refusal is not cached: the second call refuses again
+            with pytest.raises(ValueError, match="strictly between 0 and 1"):
+                edge_factors(2, 2, up)
+            with pytest.raises(ValueError, match="strictly between 0 and 1"):
+                restricted_hitting(3, 2, Fraction(up), ROOT, TreeVertex(3, ()))
+    assert dct._edge_factors.cache_info().hits == hits
 
 
 def test_closed_form_equals_matrix_solve():
@@ -623,6 +655,20 @@ def test_kernel_approx_converges():
         assert errs[-1] < final_bound
     assert martin_kernel_tree(1, x, xi, THIRD, p) == 4
     assert martin_kernel_tree(1, x, xi, HALF, p) == 2
+
+
+def test_deep_stage_reads_no_vertex(monkeypatch):
+    # A stage-64 tree chain has about 2**129 vertices; kernel_approx reads
+    # only its description, and ``TruncationStage`` names the same class.
+    monkeypatch.setattr(dct, "_enumerate", never_enumerate)
+    assert dct.TruncationStage is dct.FiniteChain
+    p = DLParams(2, 2)
+    x, xi = TreeVertex.make(1, {1: 1}), TreeEnd.word({1: 1})
+    got = kernel_approx(dct.FiniteChain("tree1", 64, p, THIRD), x, xi)
+    assert got == kernel_approx(TruncationStage("tree1", 64, p, THIRD), x, xi)
+    assert abs(got - martin_kernel_tree(1, x, xi, THIRD, p)) < Fraction(1, 10**12)
+    with pytest.raises(ValueError, match="tree chains"):
+        kernel_approx(dct.FiniteChain("dl", 64, p, THIRD), x, xi)
 
 
 def test_exact_rank():
