@@ -164,6 +164,9 @@ def _cmd_decompose(args) -> int:
     spec = _json_object(args.spec, "--spec")
     h, params = harmonic_from_json(spec)
     alpha = h.alpha if h.terms else parse_frac(args.alpha or "1/2")
+    if h.terms and args.alpha is not None and parse_frac(args.alpha) != alpha:
+        # the kernels of the spec are harmonic for its own alpha only
+        raise ValueError(f"--alpha {args.alpha} differs from the spec's alpha {frac_str(alpha)}")
     dec = dct.decompose(h, args.n, params, alpha)
     # decompose raises unless the reconstruction is exact
     out = {"n": dec.n, "alpha": frac_str(dec.alpha), "reconstructed_exactly": True}

@@ -23,8 +23,11 @@ streams keyed by ``(seed, trial)`` -- bit-reproducible across runs and
 platforms; ``simulate`` uses trial index 0.
 
 ``DLWalk``, the tree walks and ``SiblingWalk`` have the same row at every
-state, so ``estimate_f`` steps them through a table of moves on sparse label
-words.  Otherwise, and always in ``simulate``, rows come from
+state, so ``estimate_f`` steps them through a table of moves on the meet
+state: per tree coordinate, the run's level and the level of its confluent
+with the target.  Hitting the target, the distance to it and the ruin bound
+read only these two numbers (the projection argument, applied to paths), so
+no label word is built.  Otherwise, and always in ``simulate``, rows come from
 ``transitions``, computed once per distinct state within a call (for the
 first 1024 distinct states; later ones are recomputed on each visit):
 ``transitions`` (and the ``g`` of a conjugated walk) must therefore be a
@@ -201,15 +204,28 @@ class ConjugatedWalk:
         self.base.validate_state(v)
 
     def transitions(self, v):
+        """``(w, p * g(w) / g(v))`` over the base row.  With a ``Fraction``
+        weight and exact values of ``g``, each weight is one ``Fraction``
+        built from integer parts; it equals the product, which is also a
+        ``Fraction`` then."""
         gv = self.g(v)
         if gv <= 0:
             raise ValueError("conjugating function must be strictly positive")
+        exact = type(gv) in _EXACT
+        if exact:
+            vn, vd = gv.as_integer_ratio()
         out = []
         for w, p in self.base.transitions(v):
             gw = self.g(w)
-            if gw <= 0:
+            if exact and type(p) is Fraction and type(gw) in _EXACT:
+                wn, wd = gw.as_integer_ratio()
+                if wn <= 0:  # an exact value has the sign of its numerator
+                    raise ValueError("conjugating function must be strictly positive")
+                out.append((w, Fraction(p.numerator * wn * vd, p.denominator * wd * vn)))
+            elif gw <= 0:
                 raise ValueError("conjugating function must be strictly positive")
-            out.append((w, p * gw / gv))
+            else:
+                out.append((w, p * gw / gv))
         return out
 
 
@@ -350,10 +366,8 @@ def _philox_streams(seed: int) -> Callable[[int], np.random.Generator]:
 
 def _integer_row(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
     """Common denominator and integer weights of an exact distribution row."""
-    denom = 1
-    for w in weights:
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
-    counts = [int(w * denom) for w in weights]
+    denom = math.lcm(*(w.denominator for w in weights))
+    counts = [w.numerator * (denom // w.denominator) for w in weights]
     if sum(counts) != denom:
         raise ValueError("transition row does not sum to 1")
     return denom, counts
@@ -440,48 +454,6 @@ class EstimateResult:
     escape_radius: int
 
 
-class _TreeCursor:
-    """One tree coordinate of a run: its start, its target, and the current
-    level and sparse label word.
-
-    The step loop keeps the level and the mismatch count (positions where
-    the word disagrees with the target's) in locals, and stores the level
-    back before asking for ``confluent_level`` or ``distance``.
-    """
-
-    __slots__ = ("lv0", "labs0", "mism0", "lv", "labs", "ylv", "ylabs")
-
-    def __init__(self, x: TreeVertex, y: TreeVertex):
-        self.lv0 = x.level
-        self.labs0 = dict(x.labels)
-        self.ylv = y.level
-        self.ylabs = dict(y.labels)
-        self.mism0 = sum(
-            1
-            for j in set(self.labs0) | set(self.ylabs)
-            if j <= self.lv0 and self.labs0.get(j, 0) != self.ylabs.get(j, 0)
-        )
-
-    def reset(self) -> tuple[int, dict, int]:
-        """Back to the start; returns ``(level, labels, mismatches)``."""
-        self.lv = self.lv0
-        self.labs = dict(self.labs0)
-        return self.lv, self.labs, self.mism0
-
-    def confluent_level(self) -> int:
-        m = min(self.lv, self.ylv)
-        bad = [
-            j
-            for j in set(self.labs) | set(self.ylabs)
-            if j <= m and self.labs.get(j, 0) != self.ylabs.get(j, 0)
-        ]
-        return min(bad) - 1 if bad else m
-
-    def distance(self) -> int:
-        c = self.confluent_level()
-        return (self.lv - c) + (self.ylv - c)
-
-
 def _ruin_bound(up: float, lv: int, ylv: int, conf_level: int, margin: int) -> float:
     """Upper bound on ever hitting the target from the current state.
 
@@ -529,95 +501,89 @@ def _fast_plan(op):
 
 
 def _fast_counts(plan, x, y, trials, horizon, seed, escape_radius, escape_tol):
-    """``(hits, escaped, truncated)`` of :func:`estimate_f` on the fast path."""
+    """``(hits, escaped, truncated)`` of :func:`estimate_f` on the fast path.
+
+    A run keeps two integers per tree coordinate: its level ``lv`` and the
+    level ``c`` of its confluent with the target (the meet).  Whether the run
+    stands on the target, its distance to it and the ruin bound read only
+    these, and a move changes the meet only where it touches the target's
+    ray, so the label word itself is never built.
+    """
     weights, moves, pair, up_rate, margin = plan
     denom, counts = _integer_row(weights)
     if denom <= 4096:
         table = []
-        for move, c in zip(moves, counts):
-            table.extend([move] * c)
+        for move, n in zip(moves, counts):
+            table.extend([move] * n)
         pick = table.__getitem__
     else:
         cum = list(accumulate(counts))
         pick = lambda d: moves[bisect_right(cum, d)]
-    c1 = _TreeCursor(x.x1, y.x1) if pair else _TreeCursor(x, y)
-    c2 = _TreeCursor(x.x2, y.x2) if pair else None
-    ylv1, ylabs1 = c1.ylv, c1.ylabs
+    if x == y:
+        return trials, 0, 0
+    x1, y1 = (x.x1, y.x1) if pair else (x, y)
+    lv10, c10, ylv1, ylab1 = x1.level, confluent_omega(x1, y1).level, y1.level, dict(y1.labels).get
     # A single tree walk gets a second coordinate that never moves and
     # always matches, so one hit test serves both shapes.
-    ylv2, ylabs2 = (c2.ylv, c2.ylabs) if pair else (0, None)
-    lv2 = mism2 = 0
+    lv20 = c20 = ylv2 = 0
+    if pair:
+        lv20, c20, ylv2, ylab2 = x.x2.level, confluent_omega(x.x2, y.x2).level, y.x2.level, dict(y.x2.labels).get
     drift = up_rate != 0.5
     stream = _philox_streams(seed)
     hits = escaped = truncated = 0
     for trial in range(trials):
-        lv1, labs1, mism1 = c1.reset()
-        if pair:
-            lv2, labs2, mism2 = c2.reset()
-        if mism1 == 0 and lv1 == ylv1 and mism2 == 0 and lv2 == ylv2:
-            hits += 1
-            continue
+        lv1, c1, lv2, c2 = lv10, c10, lv20, c20
         gen = stream(trial)
-        outcome = None
-        step = 0
-        while step < horizon:
-            chunk = min(1024, horizon - step)
-            for up, l1, sw, l2 in map(pick, gen.integers(0, denom, size=chunk).tolist()):
-                if not up:
-                    if labs1.pop(lv1, 0) != ylabs1.get(lv1, 0):
-                        mism1 -= 1
-                    lv1 -= 1
-                if sw is not None:
-                    old = labs1.pop(lv1, 0)
-                    if sw:
-                        labs1[lv1] = sw
-                    yv = ylabs1.get(lv1, 0)
-                    mism1 += (sw != yv) - (old != yv)
+        hit = False
+        # Draws come in chunks of 1024, taken 64 at a time: the ruin bound is
+        # checked after every 64 steps.
+        for start in range(0, horizon, 64):
+            if start % 1024 == 0:
+                draws = map(pick, gen.integers(0, denom, size=min(1024, horizon - start)).tolist())
+            for up, l1, sw, l2 in islice(draws, 64):
+                # A run on the target's ray (c == lv) stays on it going down,
+                # and going up only along the target's own label.  A switch
+                # of the label at lv moves the meet only when the run agrees
+                # with the target below lv and lv is at most the target's.
                 if up:
+                    if sw is not None and lv1 <= ylv1 and c1 >= lv1 - 1:
+                        c1 = lv1 if sw == ylab1(lv1, 0) else lv1 - 1
+                    if c1 == lv1 < ylv1 and l1 == ylab1(lv1 + 1, 0):
+                        c1 += 1
                     lv1 += 1
-                    if l1:
-                        labs1[lv1] = l1
-                    if l1 != ylabs1.get(lv1, 0):
-                        mism1 += 1
                     if pair:
-                        if labs2.pop(lv2, 0) != ylabs2.get(lv2, 0):
-                            mism2 -= 1
+                        if c2 == lv2:
+                            c2 -= 1
                         lv2 -= 1
-                elif pair:
-                    lv2 += 1
-                    if l2:
-                        labs2[lv2] = l2
-                    if l2 != ylabs2.get(lv2, 0):
-                        mism2 += 1
-                step += 1
-                if mism1 == 0 and lv1 == ylv1 and mism2 == 0 and lv2 == ylv2:
-                    outcome = "hit"
+                else:
+                    if c1 == lv1:
+                        c1 -= 1
+                    lv1 -= 1
+                    if sw is not None and lv1 <= ylv1 and c1 >= lv1 - 1:
+                        c1 = lv1 if sw == ylab1(lv1, 0) else lv1 - 1
+                    if pair:
+                        if c2 == lv2 < ylv2 and l2 == ylab2(lv2 + 1, 0):
+                            c2 += 1
+                        lv2 += 1
+                # The level sum is fixed, so lv1 == ylv1 puts lv2 on ylv2.
+                if c1 == ylv1 == lv1 and c2 == ylv2:
+                    hit = True
                     break
-                if drift and step % 64 == 0:
-                    c1.lv = lv1
-                    if _ruin_bound(up_rate, lv1, ylv1, c1.confluent_level(), margin) < escape_tol:
-                        outcome = "escaped"
-                        break
-            if outcome is not None:
+            if hit or (drift and _ruin_bound(up_rate, lv1, ylv1, c1, margin) < escape_tol):
                 break
-        if outcome == "hit":
+        if hit:
             hits += 1
-            continue
-        if outcome == "escaped":
-            escaped += 1
-            continue
-        c1.lv = lv1
-        if drift and _ruin_bound(up_rate, lv1, ylv1, c1.confluent_level(), margin) < escape_tol:
-            escaped += 1
-            continue
-        dist = c1.distance()
-        if pair:
-            c2.lv = lv2
-            dist += c2.distance() - abs(lv1 - ylv1)
-        if dist > escape_radius:
+        elif drift and _ruin_bound(up_rate, lv1, ylv1, c1, margin) < escape_tol:
             escaped += 1
         else:
-            truncated += 1
+            # The DL distance: both tree distances, less the level gap they share.
+            dist = (lv1 - c1) + (ylv1 - c1)
+            if pair:
+                dist += (lv2 - c2) + (ylv2 - c2) - abs(lv1 - ylv1)
+            if dist > escape_radius:
+                escaped += 1
+            else:
+                truncated += 1
     return hits, escaped, truncated
 
 
@@ -651,6 +617,13 @@ def _state_distance(op, v, y) -> int:
     return dl_distance(v, y)
 
 
+# Most steps (trials x horizon) ``estimate_f`` takes: 15-20 s of work on the
+# fast path, whose slowest walk (``SiblingWalk`` on DL(3, 3)) makes about
+# 2.7 million steps a second on one core of a 2-core x86_64 host.  A walk on
+# the generic path steps far slower, so the cap bounds it only loosely.
+_MAX_ESTIMATE_STEPS = 5 * 10**7
+
+
 def estimate_f(
     op,
     x,
@@ -680,11 +653,17 @@ def estimate_f(
     "escaped" if their final distance to ``y`` exceeds ``escape_radius``
     (default ``max(8, 2 d(x, y))``), "truncated" otherwise.  The
     classification never alters the estimate.
+
+    ``trials * horizon`` above ``_MAX_ESTIMATE_STEPS`` is refused before any
+    draw.
     """
     op.validate_state(x)
     op.validate_state(y)
     if trials <= 0 or horizon < 0:
         raise ValueError("trials must be positive and horizon non-negative")
+    if trials * horizon > _MAX_ESTIMATE_STEPS:
+        raise ValueError(f"estimate-f needs up to {trials * horizon} steps (trials x horizon; "
+                         f"cap {_MAX_ESTIMATE_STEPS})")
     if escape_radius is None:
         escape_radius = max(8, 2 * _state_distance(op, x, y))
     elif escape_radius < 0:

@@ -118,6 +118,17 @@ def test_decompose(capsys):
     assert len(obj["h1"]) == 31 and len(obj["h2"]) == 31  # distinct tree-1/2 vertices
 
 
+def test_decompose_refuses_an_alpha_other_than_the_spec_s(capsys):
+    for alpha in ("1/2", "3/2"):
+        code, out, err = run(capsys, "decompose", "--spec", KERNEL_SPEC, "--n", "1", f"--alpha={alpha}")
+        assert code == 2 and out == ""
+        assert f"--alpha {alpha} differs from the spec's alpha 1/3" in err
+    # the spec's own alpha, in any spelling, is accepted
+    want = run(capsys, "decompose", "--spec", KERNEL_SPEC, "--n", "1")
+    assert run(capsys, "decompose", "--spec", KERNEL_SPEC, "--n", "1", "--alpha", "2/6") == want
+    assert want[0] == 0
+
+
 def test_simulate_deterministic(capsys):
     args = ("simulate", "--steps", "25", "--seed", "9")
     code, out1, _ = run(capsys, *args)
@@ -164,6 +175,14 @@ def test_estimate_f(capsys):
     assert obj["hits"] + obj["escaped_runs"] + obj["truncated_runs"] == 200
     # downward drift hits the predecessor almost surely
     assert obj["point_estimate"] > 0.95
+
+
+def test_estimate_f_refuses_work_past_the_cap(capsys):
+    code, out, err = run(
+        capsys, "estimate-f", "--to", ROOT_JSON, "--trials", "100000", "--horizon", "1000"
+    )
+    assert code == 2 and out == ""
+    assert "estimate-f needs up to 100000000 steps" in err
 
 
 def test_cayley_check(capsys):

@@ -8,10 +8,13 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dl_harmonics import walks
 from dl_harmonics.dl_graph import (
     DLParams,
     DLVertex,
+    dl_distance,
     dl_neighbours,
     factor_map,
     origin,
@@ -25,7 +28,16 @@ from dl_harmonics.kernels import (
     martin_kernel_tree,
     tree_hitting_prob,
 )
-from dl_harmonics.tree import OMEGA, ROOT, TreeEnd, TreeVertex, predecessor, successor
+from dl_harmonics.tree import (
+    OMEGA,
+    ROOT,
+    TreeEnd,
+    TreeVertex,
+    confluent_omega,
+    distance as tree_distance,
+    predecessor,
+    successor,
+)
 from dl_harmonics.walks import (
     DLWalk,
     SiblingWalk,
@@ -42,7 +54,7 @@ from dl_harmonics.walks import (
     simulate,
     transitions,
 )
-from dl_harmonics.walks import _KEPT_ROWS, _philox_stream, _philox_streams
+from dl_harmonics.walks import _KEPT_ROWS, _philox_stream, _philox_streams, _ruin_bound
 
 RNG_SEED = 27182
 
@@ -198,6 +210,52 @@ def test_conjugation_rejects_signed_functions():
     op = conjugate(DLWalk(p, HALF), lift(1, lambda x: Fraction(x.level)))
     with pytest.raises(ValueError):
         op.transitions(origin(p))
+
+
+def _conjugation_cases():
+    p = DLParams(2, 3)
+    drift = drift_kernel(Fraction(2, 3))
+    cases = {
+        "fractions": (DLWalk(p, Fraction(2, 3)), drift),
+        "ints": (DLWalk(p, THIRD), lambda v: 3 ** (v.x1.level + 8)),
+        # ints at odd first levels, Fractions elsewhere
+        "mixed": (SiblingWalk(p, Fraction(2, 5)), lambda v: v.x1.level + 9 if v.x1.level % 2 else drift(v)),
+        "floats": (DLWalk(p, THIRD), lambda v: 1.5 ** v.x1.level),
+    }
+    return [pytest.param(kind, *case, id=kind) for kind, case in cases.items()]
+
+
+@pytest.mark.parametrize("kind, base, g", _conjugation_cases())
+def test_conjugated_rows_equal_the_product(kind, base, g):
+    op = conjugate(base, g)
+    h = _values("fractions")
+    rng = random.Random(RNG_SEED + 12)
+    for _ in range(20):
+        v = random_vertex(base.params, 4, rng)
+        row = op.transitions(v)
+        want = [(w, p * g(w) / g(v)) for w, p in base.transitions(v)]
+        assert row == want
+        kinds = {type(p) for _, p in row}
+        assert kinds == ({float} if kind == "floats" else {Fraction})
+        # apply and is_stochastic_at keep the plain term-by-term arithmetic
+        assert apply(op, h, v) == sum(p * h(w) for w, p in want)
+        assert is_stochastic_at(op, v) == (sum(p for _, p in want) == 1)
+        if kind != "floats":
+            assert is_stochastic_at(op, v) is (kind == "fractions")
+
+
+@pytest.mark.parametrize("kind", ["ints", "fractions", "floats"])
+def test_conjugation_rejects_a_non_positive_value_at_either_end(kind):
+    p = DLParams(2, 2)
+    o = origin(p)
+    up = dl_neighbours(o, p)[0]
+    value = {"ints": lambda n: n, "fractions": lambda n: Fraction(n, 3), "floats": float}[kind]
+    for bad in (0, -2):
+        at_start = conjugate(DLWalk(p, HALF), lambda v: value(bad if v == o else 1))
+        at_neighbour = conjugate(DLWalk(p, HALF), lambda v: value(bad if v == up else 1))
+        for op in (at_start, at_neighbour):
+            with pytest.raises(ValueError, match="conjugating function must be strictly positive"):
+                op.transitions(o)
 
 
 def test_projected_walk():
@@ -414,29 +472,56 @@ def test_simulate_computes_kept_rows_once():
     assert op.calls == len(kept) + sum(v not in kept for v in visited)
 
 
-def _reference_hits(op, x, y, trials, horizon, seed):
-    """Hits of ``estimate_f(..., escape_tol=0)`` recounted on real vertices.
+def _reference_counts(op, x, y, trials, horizon, seed, escape_tol=1e-12):
+    """``(hits, escaped, truncated)`` of ``estimate_f`` with its default
+    ``escape_radius``, recounted on real vertices.
 
     Every run takes its draws from ``_philox_stream(seed, trial)`` in chunks
     of at most 1024, and each draw picks the row entry whose cumulative
     integer weight first exceeds it, moving to ``op.transitions(v)[i][0]``.
+    A drifting walk applies ``_ruin_bound`` after every 64 steps and at the
+    horizon, with the level of ``confluent_omega`` of the first coordinates;
+    a run still alive is escaped when its final distance to ``y`` exceeds
+    the radius, truncated otherwise.
     """
+    tree = isinstance(op, TreeWalk)
+    dist = tree_distance if tree else dl_distance
+    radius = max(8, 2 * dist(x, y))
+    up = float(op.up if tree else op.alpha)
+    margin = 1 if isinstance(op, SiblingWalk) else 0
+
+    def ruined(v):
+        a, b = (v, y) if tree else (v.x1, y.x1)
+        bound = _ruin_bound(up, a.level, b.level, confluent_omega(a, b).level, margin)
+        return up != 0.5 and bound < escape_tol
+
     weights = [p for _, p in op.transitions(x)]
     denom = math.lcm(*(p.denominator for p in weights))
     cum = list(accumulate(int(p * denom) for p in weights))
-    hits = 0
+    counts = {"hit": 0, "escaped": 0, "truncated": 0}
     for trial in range(trials):
         gen = _philox_stream(seed, trial)
         v, step = x, 0
-        while v != y and step < horizon:
+        outcome = "hit" if v == y else None
+        while outcome is None and step < horizon:
             chunk = min(1024, horizon - step)
             for d in gen.integers(0, denom, size=chunk):
                 v = op.transitions(v)[bisect_right(cum, int(d))][0]
                 step += 1
                 if v == y:
+                    outcome = "hit"
                     break
-        hits += v == y
-    return hits
+                if step % 64 == 0 and ruined(v):
+                    outcome = "escaped"
+                    break
+        if outcome is None:
+            outcome = "escaped" if ruined(v) or dist(v, y) > radius else "truncated"
+        counts[outcome] += 1
+    return counts["hit"], counts["escaped"], counts["truncated"]
+
+
+def _counts(res):
+    return res.hits, res.escaped_runs, res.truncated_runs
 
 
 @pytest.mark.parametrize(
@@ -457,24 +542,78 @@ def _reference_hits(op, x, y, trials, horizon, seed):
     ],
 )
 def test_estimate_hits_match_reference_walk(op):
+    # all three counts, with the ruin bound on (the default) and off
     if isinstance(op, TreeWalk):
         x, y = ROOT, TreeVertex.make(0, {0: 1})
     else:
         x, y = origin(P23), DLVertex(TreeVertex.make(1, {1: 1}), TreeVertex.make(-1, {-1: 2}))
-    total = 0
+    total = [0, 0, 0]
     for seed in (5, 977, 2**63 + 5):
+        res = estimate_f(op, x, y, trials=20, horizon=120, seed=seed)
+        want = _reference_counts(op, x, y, 20, 120, seed)
+        assert _counts(res) == want
         res = estimate_f(op, x, y, trials=20, horizon=120, seed=seed, escape_tol=0.0)
-        want = _reference_hits(op, x, y, 20, 120, seed)
-        assert res.hits == want
-        total += want
-    assert total > 0
+        assert _counts(res) == _reference_counts(op, x, y, 20, 120, seed, escape_tol=0.0)
+        total = [t + w for t, w in zip(total, want)]
+    assert total[0] > 0 and total[1] + total[2] > 0
 
 
 def test_estimate_hits_match_reference_walk_over_chunks():
     op = p1_walk(P23, HALF)
     y = TreeVertex.make(1, {0: 1, 1: 1})
     res = estimate_f(op, ROOT, y, trials=8, horizon=1100, seed=3, escape_tol=0.0)
-    assert res.hits == _reference_hits(op, ROOT, y, 8, 1100, 3) > 0
+    assert _counts(res) == _reference_counts(op, ROOT, y, 8, 1100, 3) and res.hits > 0
+
+
+@st.composite
+def walk_start_target(draw):
+    """A fast-path walk, a start a few steps from the origin and a target at
+    most six steps from the start: off the start's ray, below it, above it,
+    or the start itself."""
+    kind = draw(st.sampled_from(("tree", "dl", "sibling")))
+    q, r = draw(st.sampled_from(((2, 2), (2, 3), (3, 2), (3, 3))))
+    alpha = draw(st.sampled_from((HALF, TWO_THIRDS, Fraction(2, 5), Fraction(7, 8))))
+    if kind == "tree":
+        op, v = TreeWalk(q, alpha), ROOT
+    else:
+        p = DLParams(q, r)
+        op, v = (DLWalk if kind == "dl" else SiblingWalk)(p, alpha), origin(p)
+    ends = []
+    for length in (4, 6):
+        for i in draw(st.lists(st.integers(0, 8), max_size=length)):
+            row = op.transitions(v)
+            v = row[i % len(row)][0]
+        ends.append(v)
+    return op, ends[0], ends[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    walk_start_target(),
+    st.integers(0, 150),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from((1e-12, 1e-3, 0.3)),  # loose bounds certify runs early
+)
+def test_estimate_counts_match_reference_walk_near_the_target(case, horizon, seed, escape_tol):
+    op, x, y = case
+    res = estimate_f(op, x, y, trials=4, horizon=horizon, seed=seed, escape_tol=escape_tol)
+    assert _counts(res) == _reference_counts(op, x, y, 4, horizon, seed, escape_tol)
+
+
+def test_estimate_refuses_work_past_the_cap_before_drawing(monkeypatch):
+    def no_streams(seed):
+        raise RuntimeError("a stream was keyed")
+
+    monkeypatch.setattr(walks, "_philox_streams", no_streams)
+    op, y = p1_walk(P23, HALF), TreeVertex.make(0, {0: 1})
+    cap = walks._MAX_ESTIMATE_STEPS
+    with pytest.raises(ValueError, match=f"needs up to {cap + 1} steps .*cap {cap}"):
+        estimate_f(op, ROOT, y, trials=cap + 1, horizon=1, seed=0)
+    with pytest.raises(ValueError, match=f"needs up to {2 * cap} steps"):
+        estimate_f(op, ROOT, y, trials=2, horizon=cap, seed=0)
+    # at the cap the run goes ahead and keys its streams
+    with pytest.raises(RuntimeError, match="keyed"):
+        estimate_f(op, ROOT, y, trials=1, horizon=cap, seed=0)
 
 
 @pytest.mark.parametrize("seed", [0, 41, 2**63, 2**64 - 1, -3])
