@@ -177,11 +177,31 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+# Most label entries (each vertex counting one more) in all the vertices
+# that ``simulate`` or ``graph-export`` builds, estimated before the first
+# is built.  At the cap either command works for 5-20 s on one core
+# of a 2-core x86_64 host (its worst case: graph-export of DL(3, 3)).
+_MAX_BUILT_ENTRIES = 5 * 10**7
+
+
+def _check_built_entries(command: str, entries: int, at_least: bool = False) -> None:
+    if entries > _MAX_BUILT_ENTRIES:
+        bound = "more than" if at_least else "up to"
+        raise ValueError(f"{command} would build vertices of {bound} {entries} label entries "
+                         f"in all (cap {_MAX_BUILT_ENTRIES})")
+
+
 def _cmd_simulate(args) -> int:
     params = _params(args)
     op = wk.operator_from_name(args.operator, params, parse_frac(args.alpha))
     decode, enc, origin = _picture(args.operator, params)
     start = _decode(args.start, "--start", decode) if args.start else origin()
+    # Each step builds the row of its state, one vertex per move; a vertex
+    # gains at most one label a step, two on a sibling move.
+    n, grow = args.steps, 2 if args.operator == "qalpha" else 1
+    coords = (start,) if isinstance(start, tr.TreeVertex) else (start.x1, start.x2)
+    first = 1 + sum(len(x.labels) for x in coords)
+    _check_built_entries("simulate", len(op._weights) * (n * first + grow * n * (n + 1) // 2))
     traj = wk.simulate(op, start, args.steps, args.seed)
     print(json.dumps(enc(traj.start), **_J))
     for v in traj.steps:
@@ -233,6 +253,14 @@ def _cmd_defect(args) -> int:
 
 def _cmd_graph_export(args) -> int:
     params = _params(args)
+    # The ball and its edges build every ball vertex's neighbours twice, and
+    # a vertex gains at most one label a move, two in DLS.  Past the capped
+    # radius the ball only grows, so its estimate is a floor.
+    radius = min(args.radius, _MAX_BUILT_ENTRIES.bit_length())
+    q, r = params.q, params.r
+    degree, grow = (q + r, 1) if args.variant == "dl" else (q * q + q * r, 2)
+    entries = 2 * degree * dg.ball_size(params, radius, args.variant) * (1 + grow * (radius + 1))
+    _check_built_entries("graph-export", entries, at_least=radius < args.radius)
     if args.format == "dot":
         text = dg.export_dot(params, args.radius, args.variant)
         if args.out:

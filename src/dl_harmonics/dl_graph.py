@@ -49,6 +49,7 @@ __all__ = [
     "factor_map",
     "translation_to",
     "ball",
+    "ball_size",
     "random_vertex",
     "dl_distance",
     "vertex_to_json_pair",
@@ -204,6 +205,47 @@ def _neighbour_fn(params: DLParams, variant: str):
 def ball(params: DLParams, radius: int, variant: str = "dl") -> list[DLVertex]:
     """All vertices within graph distance ``radius`` of the origin (BFS order)."""
     return _tree._bfs(origin(params), _neighbour_fn(params, variant), radius)
+
+
+def _level_shells(branch: int, level: int, radius: int) -> list[tuple[int, int]]:
+    """``(distance, count)`` of the tree vertices at ``level`` within
+    ``radius`` of the root, one pair per level ``m`` of their meet with it.
+
+    They lie at distance ``level - 2m``.  The meet ``m = min(0, level)`` is
+    the root's ray: one ancestor below the root, ``branch**level``
+    descendants above it.  Each lower ``m`` holds the
+    ``(branch - 1) branch**(level - m - 1)`` vertices that leave the ray there.
+    """
+    top = min(0, level)
+    shells = [(level - 2 * top, branch**level if level > 0 else 1)]
+    m = top - 1
+    while level - 2 * m <= radius:
+        shells.append((level - 2 * m, (branch - 1) * branch ** (level - m - 1)))
+        m -= 1
+    return [(d, n) for d, n in shells if d <= radius]
+
+
+def ball_size(params: DLParams, radius: int, variant: str = "dl") -> int:
+    """``len(ball(params, radius, variant))``, counted without building a vertex.
+
+    A DL vertex at levels ``(k, level_sum - k)`` lies at distance
+    ``d1 + d2 - |k|`` from the origin, where ``d1`` and ``d2`` are the tree
+    distances, so summing the tree shells by level counts the DL ball.  In
+    DLS the ``q`` members of a sibling class lie at the DL distance of their
+    image under ``factor_map``, except in the origin's own class, whose
+    ``q - 1`` other members lie at distance 2.
+    """
+    if variant not in ("dl", "dls"):
+        raise ValueError(f"unknown variant {variant!r}")
+    size = 0
+    for k in range(-radius, radius + 1):
+        for d1, n1 in _level_shells(params.q, k, radius):
+            for d2, n2 in _level_shells(params.r, -k, radius):
+                if d1 + d2 - abs(k) <= radius:
+                    size += n1 * n2
+    if variant == "dl":
+        return size
+    return 1 + (params.q - 1) * (radius >= 2) + params.q * (size - 1)
 
 
 def random_vertex(params: DLParams, radius: int, rng, variant: str = "dl") -> DLVertex:

@@ -161,6 +161,11 @@ def drift_kernel(alpha: Fraction):
     (both coordinates give this same function); constant 1 when
     ``alpha = 1/2``.  Conjugating the product walk by it swaps
     ``alpha <-> 1 - alpha``.
+
+    The returned function carries the marker attribute ``level_only = True``:
+    its value depends on the level alone, so ``g(w)/g(v)`` depends only on
+    the move, and ``estimate_f`` steps a walk conjugated by it on the meet
+    state.
     """
     alpha = _check_alpha(alpha)
     ratio = (1 - alpha) / alpha
@@ -168,6 +173,7 @@ def drift_kernel(alpha: Fraction):
     def g(v: DLVertex) -> Fraction:
         return ratio ** v.x1.level
 
+    g.level_only = True
     return g
 
 

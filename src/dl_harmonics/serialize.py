@@ -30,8 +30,32 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# Largest literal ``parse_frac`` builds: its digits (the exponent's
+# included) and the size of a decimal exponent.  ``Fraction("1e-9999999")``
+# would first build ``10**9999999``; at the bound a value has at most a few
+# thousand digits.
+_MAX_FRAC_DIGITS = 1000
+_MAX_FRAC_EXPONENT = 1000
+
+
 def parse_frac(s) -> Fraction:
-    return Fraction(str(s).strip())
+    """The ``Fraction`` of a literal such as ``"2/3"``, ``"0.25"`` or
+    ``"1e-3"``.  A literal with more than ``_MAX_FRAC_DIGITS`` digits or an
+    exponent beyond ``_MAX_FRAC_EXPONENT`` is refused before any number is
+    built, with a message that does not repeat it.  Every malformed literal,
+    a zero denominator included, is a ``ValueError``."""
+    text = str(s).strip()
+    digits = sum(map(str.isdigit, text))
+    if digits > _MAX_FRAC_DIGITS:
+        raise ValueError(f"a fraction literal may have at most {_MAX_FRAC_DIGITS} digits, got one with {digits}")
+    _, e, exponent = text.lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "")
+    if e and exponent.isdecimal() and int(exponent) > _MAX_FRAC_EXPONENT:
+        raise ValueError(f"a fraction literal's exponent must lie within +-{_MAX_FRAC_EXPONENT}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("a fraction literal must not have denominator 0") from None
 
 
 def harmonic_to_json(h: HarmonicFunction) -> dict:

@@ -27,7 +27,12 @@ state, so ``estimate_f`` steps them through a table of moves on the meet
 state: per tree coordinate, the run's level and the level of its confluent
 with the target.  Hitting the target, the distance to it and the ruin bound
 read only these two numbers (the projection argument, applied to paths), so
-no label word is built.  Otherwise, and always in ``simulate``, rows come from
+no label word is built.  A walk of these conjugated by a drift kernel (a
+``g`` marked ``level_only``, see ``kernels.drift_kernel``) has one row at
+every state too, read once from ``transitions`` at the start, and steps on
+the meet state with the base walk's moves, never stopping early: like the
+generic path, it classifies a run alive at the horizon by its final
+distance.  Otherwise, and always in ``simulate``, rows come from
 ``transitions``, computed once per distinct state within a call (for the
 first 1024 distinct states; later ones are recomputed on each visit):
 ``transitions`` (and the ``g`` of a conjugated walk) must therefore be a
@@ -51,7 +56,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,7 +99,10 @@ _EXACT = {int, Fraction}  # value types that ``apply`` sums as integer pairs
 def _check_alpha(alpha) -> Fraction:
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+        shown = str(alpha)
+        if len(shown) > 40:  # a long literal is not repeated back
+            shown = f"a number of {len(shown)} characters"
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {shown}")
     return alpha
 
 
@@ -365,7 +373,10 @@ def _philox_streams(seed: int) -> Callable[[int], np.random.Generator]:
 
 
 def _integer_row(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """Common denominator and integer weights of an exact distribution row."""
+    """Common denominator and integer weights of an exact distribution row;
+    raises unless every weight is non-negative and they sum to 1."""
+    if any(p < 0 for p in weights):
+        raise ValueError("cannot sample from a row with negative weights")
     denom = math.lcm(*(w.denominator for w in weights))
     counts = [w.numerator * (denom // w.denominator) for w in weights]
     if sum(counts) != denom:
@@ -389,10 +400,7 @@ def _row(op, v, rows: dict) -> tuple[list, int, list[int]]:
     row = rows.get(v)
     if row is None:
         trans = op.transitions(v)
-        weights = [p for _, p in trans]
-        if any(p < 0 for p in weights):
-            raise ValueError("cannot sample from a row with negative weights")
-        denom, counts = _integer_row(weights)  # raises if the row is not stochastic
+        denom, counts = _integer_row([p for _, p in trans])
         row = ([w for w, _ in trans], denom, list(accumulate(counts)))
         if len(rows) < _KEPT_ROWS:
             rows[v] = row
@@ -473,35 +481,66 @@ def _ruin_bound(up: float, lv: int, ylv: int, conf_level: int, margin: int) -> f
     return bound
 
 
-def _fast_plan(op):
-    """Per-draw moves for the walks whose row has one shape at every state.
+class _Plan(NamedTuple):
+    """Per-draw moves of a walk whose row has one shape at every state.
 
-    Returns ``(weights, moves, pair, up_rate, margin)``, or None for any
-    other operator.  ``pair`` says whether there is a second tree coordinate.
-    A move is ``(up, label1, switch, label2)``: when ``up`` is 1 the first
-    coordinate steps up along ``label1`` and the second steps down; when 0
-    the first steps down and the second steps up along ``label2``.  A
-    ``switch`` that is not None first replaces the first coordinate's label
-    at the lower of its two levels (a sibling move).
+    ``pair`` says whether there is a second tree coordinate.  A move is
+    ``(up, label1, switch, label2)``: when ``up`` is 1 the first coordinate
+    steps up along ``label1`` and the second steps down; when 0 the first
+    steps down and the second steps up along ``label2``.  A ``switch`` that
+    is not None first replaces the first coordinate's label at the lower of
+    its two levels (a sibling move).  ``weights`` are the move probabilities
+    in that order.  With ``ruin_bound`` a run may stop early on the
+    gambler's-ruin bound of a level process of up-rate ``up_rate`` (see
+    :func:`_ruin_bound`, which also takes ``margin``); without it a run never
+    stops early, and an unresolved run is classified by its final distance
+    only, as on the generic path.
+    """
+
+    weights: Sequence[Fraction]
+    moves: list
+    pair: bool
+    up_rate: float
+    margin: int
+    ruin_bound: bool = True
+
+
+def _fast_plan(op, x, horizon: int) -> _Plan | None:
+    """The :class:`_Plan` of ``op``, or None for an operator that needs the
+    generic path.
+
+    A :class:`ConjugatedWalk` has a plan when its ``g`` carries the marker
+    ``level_only`` (as :func:`~dl_harmonics.kernels.drift_kernel` sets it)
+    and its base has a plan.  Then ``g(w)/g(v)`` depends only on the move,
+    so the conjugated row read once from ``op.transitions(x)`` is the row at
+    every state; it keeps the base plan's moves.  The row is read only when
+    a run takes a step (``horizon > 0``), since the generic path reads no
+    row otherwise.
     """
     if isinstance(op, TreeWalk):
         moves = [(1, l, None, 0) for l in range(op.branch)] + [(0, 0, None, 0)]
-        return op._weights, moves, False, float(op.up), 0
+        return _Plan(op._weights, moves, False, float(op.up), 0)
     if isinstance(op, DLWalk):
         q, r = op.params.q, op.params.r
         moves = [(1, l, None, 0) for l in range(q)] + [(0, 0, None, m) for m in range(r)]
-        return op._weights, moves, True, float(op.alpha), 0
+        return _Plan(op._weights, moves, True, float(op.alpha), 0)
     if isinstance(op, SiblingWalk):
         q, r = op.params.q, op.params.r
         moves = [(1, l, m, 0) for m in range(q) for l in range(q)] + [
             (0, 0, m, mm) for m in range(q) for mm in range(r)
         ]
-        return op._weights, moves, True, float(op.alpha), 1
+        return _Plan(op._weights, moves, True, float(op.alpha), 1)
+    if isinstance(op, ConjugatedWalk) and horizon and getattr(op.g, "level_only", False):
+        base = _fast_plan(op.base, x, horizon)
+        if base is not None:
+            weights = [p for _, p in op.transitions(x)]
+            return base._replace(weights=weights, ruin_bound=False)
     return None
 
 
-def _fast_counts(plan, x, y, trials, horizon, seed, escape_radius, escape_tol):
-    """``(hits, escaped, truncated)`` of :func:`estimate_f` on the fast path.
+def _fast_counts(plan: _Plan, x, y, trials, horizon, seed, escape_radius, escape_tol):
+    """``(hits, escaped, truncated)`` of :func:`estimate_f` on the fast path,
+    for a start ``x`` other than the target ``y``.
 
     A run keeps two integers per tree coordinate: its level ``lv`` and the
     level ``c`` of its confluent with the target (the meet).  Whether the run
@@ -509,8 +548,8 @@ def _fast_counts(plan, x, y, trials, horizon, seed, escape_radius, escape_tol):
     these, and a move changes the meet only where it touches the target's
     ray, so the label word itself is never built.
     """
-    weights, moves, pair, up_rate, margin = plan
-    denom, counts = _integer_row(weights)
+    weights, moves, pair, up_rate, margin, ruin_bound = plan
+    denom, counts = _integer_row(weights)  # raises unless the row is a distribution
     if denom <= 4096:
         table = []
         for move, n in zip(moves, counts):
@@ -519,8 +558,6 @@ def _fast_counts(plan, x, y, trials, horizon, seed, escape_radius, escape_tol):
     else:
         cum = list(accumulate(counts))
         pick = lambda d: moves[bisect_right(cum, d)]
-    if x == y:
-        return trials, 0, 0
     x1, y1 = (x.x1, y.x1) if pair else (x, y)
     lv10, c10, ylv1, ylab1 = x1.level, confluent_omega(x1, y1).level, y1.level, dict(y1.labels).get
     # A single tree walk gets a second coordinate that never moves and
@@ -528,7 +565,7 @@ def _fast_counts(plan, x, y, trials, horizon, seed, escape_radius, escape_tol):
     lv20 = c20 = ylv2 = 0
     if pair:
         lv20, c20, ylv2, ylab2 = x.x2.level, confluent_omega(x.x2, y.x2).level, y.x2.level, dict(y.x2.labels).get
-    drift = up_rate != 0.5
+    drift = ruin_bound and up_rate != 0.5
     stream = _philox_streams(seed)
     hits = escaped = truncated = 0
     for trial in range(trials):
@@ -588,21 +625,20 @@ def _fast_counts(plan, x, y, trials, horizon, seed, escape_radius, escape_tol):
 
 
 def _generic_counts(op, x, y, trials, horizon, seed, escape_radius):
-    """``(hits, escaped, truncated)`` of :func:`estimate_f` through ``transitions``."""
+    """``(hits, escaped, truncated)`` of :func:`estimate_f` through
+    ``transitions``, for a start ``x`` other than the target ``y``."""
     stream = _philox_streams(seed)
     rows: dict = {}
     hits = escaped = truncated = 0
     for trial in range(trials):
         gen = stream(trial)
         v = x
-        hit_run = v == y
         for _ in range(horizon):
-            if hit_run:
-                break
             targets, denom, cum = _row(op, v, rows)
             v = targets[bisect_right(cum, int(gen.integers(0, denom)))]
-            hit_run = v == y
-        if hit_run:
+            if v == y:
+                break
+        if v == y:
             hits += 1
         elif _state_distance(op, v, y) > escape_radius:
             escaped += 1
@@ -669,8 +705,10 @@ def estimate_f(
     elif escape_radius < 0:
         raise ValueError("escape_radius must be non-negative")
 
-    plan = _fast_plan(op)
-    if plan is not None:
+    if x == y:
+        # every run starts on the target, so no row is read
+        hits, escaped, truncated = trials, 0, 0
+    elif (plan := _fast_plan(op, x, horizon)) is not None:
         hits, escaped, truncated = _fast_counts(
             plan, x, y, trials, horizon, seed, escape_radius, escape_tol
         )

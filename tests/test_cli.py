@@ -368,6 +368,47 @@ def test_alpha_outside_the_unit_interval_exits_2(capsys, argv, alpha):
     assert "alpha must lie strictly between 0 and 1" in err
 
 
+@pytest.mark.parametrize("alpha", ["1e-9999999", "1e400", "1" * 2000])
+def test_huge_alpha_exits_2_without_repeating_it(capsys, alpha):
+    code, out, err = run(capsys, "kernel-eval", "--end", END_JSON, "--at", ROOT_JSON, "--alpha", alpha)
+    assert code == 2 and out == "" and "000000" not in err and "111111" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, estimate",
+    [
+        # DL(2,2): 4 moves a step, the i-th vertex of at most 1 + i entries
+        (("simulate", "--steps", "5000"), "up to 50030000"),
+        (("simulate", "--steps", "10000000000"), "up to 200000000060000000000"),
+        (("graph-export", "--q", "100000", "--radius", "1"), "up to 60003000036"),
+        # the ball past radius 26 is not counted, and only grows
+        (("graph-export", "--radius", "1000000000"), "more than"),
+    ],
+    ids=["simulate", "simulate-huge", "graph-export-branching", "graph-export-radius"],
+)
+def test_over_budget_output_exits_2_before_any_vertex(capsys, monkeypatch, argv, estimate):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli.wk, "simulate", refuse)
+    monkeypatch.setattr(cli.dg, "ball", refuse)
+    code, out, err = run(capsys, *argv)
+    cap = cli._MAX_BUILT_ENTRIES
+    assert code == 2 and out == ""
+    assert f"{argv[0]} would build vertices of {estimate}" in err and f"(cap {cap})" in err
+
+
+def test_budget_estimates_of_small_outputs_stay_far_below_the_cap(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_check_built_entries", lambda command, entries, at_least=False: seen.append(entries))
+    for argv in (
+        ("simulate", "--q", "3", "--r", "3", "--operator", "qalpha", "--steps", "12"),
+        ("graph-export", "--q", "3", "--r", "3", "--variant", "dls", "--radius", "2"),
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert len(seen) == 2 and max(seen) < cli._MAX_BUILT_ENTRIES // 1000
+
+
 def test_kernel_eval_rejects_out_of_range_label(capsys):
     code, out, err = run(
         capsys, "kernel-eval", "--q", "2", "--end", '{"omega": true}',

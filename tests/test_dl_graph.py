@@ -7,6 +7,7 @@ from dl_harmonics.dl_graph import (
     DLParams,
     DLVertex,
     ball,
+    ball_size,
     check_vertex,
     dl_distance,
     dl_neighbours,
@@ -121,6 +122,16 @@ def test_factor_map_edge_preservation():
                 continue
             fw = factor_map(w, p)
             assert fv == fw or fw in dl_neighbours(fv, p)
+
+
+@pytest.mark.parametrize("variant", ["dl", "dls"])
+def test_ball_size_counts_the_ball(variant):
+    for q, r, level_sum in ((2, 2, 0), (2, 3, 0), (3, 2, 1), (3, 3, 0), (4, 2, -2)):
+        p = DLParams(q, r, level_sum)
+        for radius in range(6 if q * r < 9 else 5):
+            assert ball_size(p, radius, variant) == len(ball(p, radius, variant))
+    with pytest.raises(ValueError, match="unknown variant"):
+        ball_size(DLParams(2, 2), 1, "dlx")
 
 
 def test_ball_and_distance():

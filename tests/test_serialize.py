@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dl_harmonics import serialize
 from dl_harmonics.dirichlet import build_truncation, hitting_table
 from dl_harmonics.dl_graph import DLParams, origin
 from dl_harmonics.kernels import HarmonicFunction, KernelSpec, combine
@@ -32,6 +33,22 @@ def test_parse_frac():
     assert parse_frac("7") == 7
     with pytest.raises(ValueError):
         parse_frac("three halves")
+
+
+def test_parse_frac_refuses_a_huge_literal_before_building_it(monkeypatch):
+    assert parse_frac("1e-1000") == Fraction(1, 10**1000)
+    assert parse_frac("1" * 1000) == int("1" * 1000)
+    with pytest.raises(ValueError, match="denominator 0"):
+        parse_frac("1/0")
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(serialize, "Fraction", no_fraction)
+    for text in ("1e-9999999", " 1E+99999999", "2.5e1_001", "-1e1001", "1" * 1001, "1/" + "3" * 1000):
+        with pytest.raises(ValueError) as exc:
+            parse_frac(text)
+        assert text.strip() not in str(exc.value) and len(str(exc.value)) < 80
 
 
 def test_harmonic_round_trip():

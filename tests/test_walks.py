@@ -616,6 +616,90 @@ def test_estimate_refuses_work_past_the_cap_before_drawing(monkeypatch):
         estimate_f(op, ROOT, y, trials=1, horizon=cap, seed=0)
 
 
+@pytest.mark.parametrize("d", [6, 8198, 10**6, 2**32, 2**33 + 1])
+def test_array_draws_equal_scalar_draws(d):
+    # The meet-state path draws a run's steps in chunks of at most 1024, the
+    # generic path one scalar at a time; both read the same numbers.
+    for n in (1, 1023, 1024, 1025, 2100):
+        scalar = _philox_stream(19, n)
+        want = [int(scalar.integers(0, d)) for _ in range(n)]
+        assert _philox_stream(19, n).integers(0, d, size=n).tolist() == want
+        gen, chunked = _philox_stream(19, n), []
+        for start in range(0, n, 1024):
+            chunked += gen.integers(0, d, size=min(1024, n - start)).tolist()
+        assert chunked == want
+
+
+def _conjugated_sweep():
+    """Drift-conjugated DLWalk and SiblingWalk on DL(2,2), DL(2,3) and
+    DL(3,2) at four alphas and four horizons: 96 cases."""
+    for q, r in ((2, 2), (2, 3), (3, 2)):
+        p = DLParams(q, r)
+        for alpha in (THIRD, HALF, TWO_THIRDS, Fraction(12345, 67891)):
+            for base in (DLWalk(p, alpha), SiblingWalk(p, alpha)):
+                op = conjugate(base, drift_kernel(alpha))
+                for horizon in (0, 1, 30, 1100):
+                    yield op, origin(p), horizon
+
+
+def test_conjugated_counts_on_the_meet_state_equal_the_generic_path():
+    y = DLVertex(TreeVertex.make(1, {1: 1}), TreeVertex.make(-1, {-1: 1}))
+    cases = list(_conjugated_sweep())
+    assert len(cases) == 96
+    total = [0, 0, 0]
+    for op, o, horizon in cases:
+        assert (walks._fast_plan(op, o, horizon) is not None) == (horizon > 0)
+        trials = 1 if horizon > 1024 else 8
+        radius = max(8, 2 * dl_distance(o, y))
+        # no ruin bound: a loose escape_tol ends no run early
+        res = estimate_f(op, o, y, trials, horizon, seed=99, escape_tol=0.3)
+        want = walks._generic_counts(op, o, y, trials, horizon, 99, radius)
+        assert _counts(res) == want
+        total = [t + w for t, w in zip(total, want)]
+    assert all(total)  # hits, escapes and truncations all occur
+
+
+def test_recognised_conjugated_walk_reads_one_row(monkeypatch):
+    p = DLParams(2, 2)
+    o = origin(p)
+    y = DLVertex(TreeVertex.make(1, {1: 1}), TreeVertex.make(-1, {-1: 1}))
+    calls = []
+    real = walks.ConjugatedWalk.transitions
+
+    def counting(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(walks.ConjugatedWalk, "transitions", counting)
+    g = drift_kernel(TWO_THIRDS)
+    res = estimate_f(conjugate(DLWalk(p, TWO_THIRDS), g), o, y, 40, 40, 43)
+    assert _counts(res) == (4, 35, 1) and calls == [o]
+    # the same function without the marker steps on the generic path
+    calls.clear()
+    res = estimate_f(conjugate(DLWalk(p, TWO_THIRDS), lambda v: g(v)), o, y, 40, 40, 43)
+    assert _counts(res) == (4, 35, 1) and len(calls) > 1
+
+
+def test_conjugated_walk_edge_cases_behave_as_on_the_generic_path(monkeypatch):
+    p = DLParams(2, 2)
+    o = origin(p)
+    y = DLVertex(TreeVertex.make(1, {1: 1}), TreeVertex.make(-1, {-1: 1}))
+    mismatched = conjugate(DLWalk(p, THIRD), drift_kernel(TWO_THIRDS))
+    calls = []
+    real = walks.ConjugatedWalk.transitions
+    monkeypatch.setattr(walks.ConjugatedWalk, "transitions", lambda self, v: calls.append(v) or real(self, v))
+    # a start on the target reads no row, so the bad row goes unnoticed
+    assert _counts(estimate_f(mismatched, o, o, 5, 30, 1)) == (5, 0, 0) and calls == []
+    # so does a run of no steps; it is classified by its distance alone
+    res = estimate_f(mismatched, o, y, 5, 0, 1)
+    assert _counts(res) == walks._generic_counts(mismatched, o, y, 5, 0, 1, 8) and calls == []
+    # otherwise the row fails its check, with the generic path's error
+    with pytest.raises(ValueError, match="transition row does not sum to 1"):
+        walks._generic_counts(mismatched, o, y, 5, 30, 1, 8)
+    with pytest.raises(ValueError, match="transition row does not sum to 1"):
+        estimate_f(mismatched, o, y, 5, 30, 1)
+
+
 @pytest.mark.parametrize("seed", [0, 41, 2**63, 2**64 - 1, -3])
 def test_rekeyed_streams_draw_as_fresh_streams(seed):
     stream = _philox_streams(seed)
