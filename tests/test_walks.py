@@ -642,27 +642,28 @@ def _conjugated_sweep():
                     yield op, origin(p), horizon
 
 
+Y_CONJ = DLVertex(TreeVertex.make(1, {1: 1}), TreeVertex.make(-1, {-1: 1}))
+
+
 def test_conjugated_counts_on_the_meet_state_equal_the_generic_path():
-    y = DLVertex(TreeVertex.make(1, {1: 1}), TreeVertex.make(-1, {-1: 1}))
     cases = list(_conjugated_sweep())
     assert len(cases) == 96
     total = [0, 0, 0]
     for op, o, horizon in cases:
         assert (walks._fast_plan(op, o, horizon) is not None) == (horizon > 0)
         trials = 1 if horizon > 1024 else 8
-        radius = max(8, 2 * dl_distance(o, y))
+        radius = max(8, 2 * dl_distance(o, Y_CONJ))
         # no ruin bound: a loose escape_tol ends no run early
-        res = estimate_f(op, o, y, trials, horizon, seed=99, escape_tol=0.3)
-        want = walks._generic_counts(op, o, y, trials, horizon, 99, radius)
+        res = estimate_f(op, o, Y_CONJ, trials, horizon, seed=99, escape_tol=0.3)
+        want = walks._generic_counts(op, o, Y_CONJ, trials, horizon, 99, radius)
         assert _counts(res) == want
         total = [t + w for t, w in zip(total, want)]
     assert all(total)  # hits, escapes and truncations all occur
 
 
-def test_recognised_conjugated_walk_reads_one_row(monkeypatch):
-    p = DLParams(2, 2)
-    o = origin(p)
-    y = DLVertex(TreeVertex.make(1, {1: 1}), TreeVertex.make(-1, {-1: 1}))
+@pytest.fixture
+def conjugated_rows(monkeypatch):
+    """The states at which ``ConjugatedWalk.transitions`` is called."""
     calls = []
     real = walks.ConjugatedWalk.transitions
 
@@ -671,33 +672,36 @@ def test_recognised_conjugated_walk_reads_one_row(monkeypatch):
         return real(self, v)
 
     monkeypatch.setattr(walks.ConjugatedWalk, "transitions", counting)
-    g = drift_kernel(TWO_THIRDS)
-    res = estimate_f(conjugate(DLWalk(p, TWO_THIRDS), g), o, y, 40, 40, 43)
-    assert _counts(res) == (4, 35, 1) and calls == [o]
-    # the same function without the marker steps on the generic path
-    calls.clear()
-    res = estimate_f(conjugate(DLWalk(p, TWO_THIRDS), lambda v: g(v)), o, y, 40, 40, 43)
-    assert _counts(res) == (4, 35, 1) and len(calls) > 1
+    return calls
 
 
-def test_conjugated_walk_edge_cases_behave_as_on_the_generic_path(monkeypatch):
+def test_recognised_conjugated_walk_reads_one_row(conjugated_rows):
     p = DLParams(2, 2)
     o = origin(p)
-    y = DLVertex(TreeVertex.make(1, {1: 1}), TreeVertex.make(-1, {-1: 1}))
+    g = drift_kernel(TWO_THIRDS)
+    res = estimate_f(conjugate(DLWalk(p, TWO_THIRDS), g), o, Y_CONJ, 40, 40, 43)
+    assert _counts(res) == (4, 35, 1) and conjugated_rows == [o]
+    # the same function without the marker steps on the generic path
+    conjugated_rows.clear()
+    res = estimate_f(conjugate(DLWalk(p, TWO_THIRDS), lambda v: g(v)), o, Y_CONJ, 40, 40, 43)
+    assert _counts(res) == (4, 35, 1) and len(conjugated_rows) > 1
+
+
+def test_conjugated_walk_edge_cases_behave_as_on_the_generic_path(conjugated_rows):
+    p = DLParams(2, 2)
+    o = origin(p)
     mismatched = conjugate(DLWalk(p, THIRD), drift_kernel(TWO_THIRDS))
-    calls = []
-    real = walks.ConjugatedWalk.transitions
-    monkeypatch.setattr(walks.ConjugatedWalk, "transitions", lambda self, v: calls.append(v) or real(self, v))
     # a start on the target reads no row, so the bad row goes unnoticed
-    assert _counts(estimate_f(mismatched, o, o, 5, 30, 1)) == (5, 0, 0) and calls == []
+    assert _counts(estimate_f(mismatched, o, o, 5, 30, 1)) == (5, 0, 0) and conjugated_rows == []
     # so does a run of no steps; it is classified by its distance alone
-    res = estimate_f(mismatched, o, y, 5, 0, 1)
-    assert _counts(res) == walks._generic_counts(mismatched, o, y, 5, 0, 1, 8) and calls == []
+    res = estimate_f(mismatched, o, Y_CONJ, 5, 0, 1)
+    assert _counts(res) == walks._generic_counts(mismatched, o, Y_CONJ, 5, 0, 1, 8)
+    assert conjugated_rows == []
     # otherwise the row fails its check, with the generic path's error
     with pytest.raises(ValueError, match="transition row does not sum to 1"):
-        walks._generic_counts(mismatched, o, y, 5, 30, 1, 8)
+        walks._generic_counts(mismatched, o, Y_CONJ, 5, 30, 1, 8)
     with pytest.raises(ValueError, match="transition row does not sum to 1"):
-        estimate_f(mismatched, o, y, 5, 30, 1)
+        estimate_f(mismatched, o, Y_CONJ, 5, 30, 1)
 
 
 @pytest.mark.parametrize("seed", [0, 41, 2**63, 2**64 - 1, -3])
