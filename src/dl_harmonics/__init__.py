@@ -34,7 +34,6 @@ from .dl_graph import (
     dls_neighbours,
     factor_map,
     origin,
-    sibling_class,
 )
 from .lamplighter import (
     BoundaryConfig,

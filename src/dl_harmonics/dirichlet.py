@@ -60,7 +60,7 @@ import numpy as np
 
 from .dl_graph import DLParams, DLVertex
 from .tree import ROOT, TreeEnd, TreeVertex, confluent_omega, successor
-from .walks import DLWalk, _check_alpha, p1_walk, p2_walk
+from .walks import DLWalk, _check_alpha, _integer_row, p1_walk, p2_walk
 
 __all__ = [
     "FiniteChain",
@@ -379,10 +379,7 @@ def _layout(chain: FiniteChain) -> _Layout:
     n = chain.n
     ups, downs = _walk_shape(chain.kind, chain.params)
     up = _up_rate(chain)
-    w_up, w_down = up / ups, (1 - up) / downs
-    denom = lcm(w_up.denominator, w_down.denominator)
-    s_up = w_up.numerator * (denom // w_up.denominator)
-    s_down = w_down.numerator * (denom // w_down.denominator)
+    denom, coeffs = _integer_row([up / ups] * ups + [(1 - up) / downs] * downs)
     size = _level_sizes(chain.kind, chain.params, n)
     off = list(accumulate(size, initial=0))
     blocks = []
@@ -395,7 +392,7 @@ def _layout(chain: FiniteChain) -> _Layout:
             + [below + m for m in range(downs)],
             axis=1,
         ))
-    return _Layout(size, ups, denom, (s_up,) * ups + (s_down,) * downs, np.concatenate(blocks))
+    return _Layout(size, ups, denom, tuple(coeffs), np.concatenate(blocks))
 
 
 def hitting_table(chain: FiniteChain) -> HittingTable:

@@ -39,13 +39,11 @@ from . import tree as _tree
 __all__ = [
     "DLParams",
     "DLVertex",
-    "SiblingClass",
     "origin",
     "check_vertex",
     "dl_neighbours",
     "dls_neighbours",
     "siblings",
-    "sibling_class",
     "factor_map",
     "translation_to",
     "ball",
@@ -126,26 +124,6 @@ def dls_neighbours(v: DLVertex, params: DLParams) -> list[DLVertex]:
         for m in range(r)
     ]
     return up + down
-
-
-@dataclass(frozen=True)
-class SiblingClass:
-    """A sibling class of the first coordinate, named by its label-0 member."""
-
-    canonical: DLVertex
-
-    def members(self, params: DLParams) -> tuple[DLVertex, ...]:
-        """The ``q`` vertices of the class (shared ``x1`` predecessor)."""
-        return tuple(
-            DLVertex(u1, self.canonical.x2)
-            for u1 in siblings(self.canonical.x1, params.q)
-        )
-
-
-def sibling_class(v: DLVertex, params: DLParams) -> SiblingClass:
-    check_vertex(v, params)
-    rep = DLVertex(successor(predecessor(v.x1), 0, params.q), v.x2)
-    return SiblingClass(rep)
 
 
 def factor_map(v: DLVertex, params: DLParams) -> DLVertex:

@@ -188,7 +188,11 @@ def lift(side: int, tree_fn):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A single lifted Martin kernel: which tree, which end, which walk."""
+    """A single lifted Martin kernel: which tree, which end, which walk.
+
+    A side other than 1 or 2, or an alpha outside (0, 1), raises ValueError
+    when the spec is built.
+    """
 
     side: int
     end: TreeEnd
@@ -196,13 +200,9 @@ class KernelSpec:
     params: DLParams
 
     def __post_init__(self) -> None:
-        # The integer (F^-, rho2) are resolved once, outside the fields.  Bad
-        # input leaves None here, so every evaluation raises in _resolve.
-        try:
-            factors = _resolve(self.side, self.alpha, self.params)
-        except (TypeError, ValueError):
-            factors = None
-        object.__setattr__(self, "_factor_ints", factors)
+        # The integer (F^-, rho2) are resolved once, outside the fields; a
+        # bad side or alpha raises here.
+        object.__setattr__(self, "_factor_ints", _resolve(self.side, self.alpha, self.params))
 
     @property
     def is_minimal(self) -> bool:
@@ -211,8 +211,7 @@ class KernelSpec:
         return (not self.end.is_omega) or self.alpha == Fraction(1, 2)
 
     def _pair(self, v: DLVertex) -> tuple[int, int]:
-        factors = self._factor_ints or _resolve(self.side, self.alpha, self.params)
-        return _kernel_pair(factors, v.x1 if self.side == 1 else v.x2, self.end)
+        return _kernel_pair(self._factor_ints, v.x1 if self.side == 1 else v.x2, self.end)
 
     def evaluate(self, v: DLVertex) -> Fraction:
         return Fraction(*self._pair(v))

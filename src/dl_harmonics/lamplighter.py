@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours
-from .tree import TreeEnd, _vertex
+from .tree import TreeEnd, _check_word, _vertex
 
 __all__ = [
     "GroupElement",
@@ -226,13 +226,7 @@ def encode(a: GroupElement) -> DLVertex:
     k, eta = a.k, a.eta
     i = bisect_right(eta, k, key=itemgetter(0))
     x1, x2 = eta[:i], tuple([(1 - n, v) for n, v in reversed(eta[i:])])
-    prev = None
-    for n, v in eta:
-        if v == 0:
-            raise ValueError("zero labels must not be stored")
-        if prev is not None and n <= prev:
-            raise ValueError("label keys must be strictly increasing")
-        prev = n
+    _check_word(eta)
     for j, v in x1 + x2:
         if not isinstance(v, int) or v < 0:
             raise ValueError(f"label at {j} must be a non-negative integer, got {v!r}")
@@ -268,6 +262,9 @@ class BoundaryConfig:
     """A zero-tail lamp configuration at one end of the position axis.
 
     ``side`` is ``"+"`` (lamplighter walked off to ``+infinity``) or ``"-"``.
+    ``labels`` is a canonical sorted tuple of ``(site, value)`` pairs with
+    ``value != 0``, checked when built as a ``TreeEnd``'s are; use
+    :meth:`make` to build one from an arbitrary mapping.
     """
 
     side: str
@@ -276,6 +273,7 @@ class BoundaryConfig:
     def __post_init__(self) -> None:
         if self.side not in ("+", "-"):
             raise ValueError("side must be '+' or '-'")
+        _check_word(self.labels)
 
     @classmethod
     def make(cls, side: str, labels: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> "BoundaryConfig":
@@ -349,9 +347,7 @@ def element_to_json(a: GroupElement) -> dict:
 def _lamps_from_json(pairs, q: int) -> Lamps:
     """Canonical lamps from ``[[n, v], ...]``, each ``v`` in ``range(q)``."""
     lamps = _canon_lamps((int(n), int(v)) for n, v in pairs)
-    for n, v in lamps:
-        if not 0 <= v < q:
-            raise ValueError(f"label {v} at {n} outside range(0, {q})")
+    _check_word(lamps, q=q)
     return lamps
 
 

@@ -99,6 +99,27 @@ def _split_level(a: Labels, b: Labels, m: int) -> int:
     return j - 1 if j <= m else m
 
 
+def _check_word(labels: Labels, top: int | None = None, q: int | None = None) -> None:
+    """Reject a label word that is not canonical.
+
+    Each pair ``(j, v)`` is checked in turn: ``j <= top`` (when given), ``v``
+    in ``range(q)`` (when given), ``v != 0``, and ``j`` above the key before
+    it; the first fault raises.  The one check behind vertices, ends, lamp
+    configurations and boundary configurations.
+    """
+    prev = None
+    for j, v in labels:
+        if top is not None and j > top:
+            raise ValueError(f"label key {j} above vertex level {top}")
+        if q is not None and not 0 <= v < q:
+            raise ValueError(f"label {v} at {j} outside range(0, {q})")
+        if v == 0:
+            raise ValueError("zero labels must not be stored")
+        if prev is not None and j <= prev:
+            raise ValueError("label keys must be strictly increasing")
+        prev = j
+
+
 def _upto(labels: Labels, j: int) -> Labels:
     return tuple((k, v) for k, v in labels if k <= j)
 
@@ -120,17 +141,7 @@ class TreeVertex(namedtuple("TreeVertex", ("level", "labels"))):
         return self
 
     def __post_init__(self) -> None:
-        prev = None
-        for j, v in self.labels:
-            if j > self.level:
-                raise ValueError(
-                    f"label key {j} above vertex level {self.level}"
-                )
-            if v == 0:
-                raise ValueError("zero labels must not be stored")
-            if prev is not None and j <= prev:
-                raise ValueError("label keys must be strictly increasing")
-            prev = j
+        _check_word(self.labels, self.level)
 
     @classmethod
     def make(cls, level: int, labels: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> "TreeVertex":
@@ -159,13 +170,7 @@ class TreeEnd:
     def __post_init__(self) -> None:
         if self.is_omega and self.labels:
             raise ValueError("the reference end carries no labels")
-        prev = None
-        for j, v in self.labels:
-            if v == 0:
-                raise ValueError("zero labels must not be stored")
-            if prev is not None and j <= prev:
-                raise ValueError("label keys must be strictly increasing")
-            prev = j
+        _check_word(self.labels)
 
     @classmethod
     def omega(cls) -> "TreeEnd":
@@ -190,7 +195,7 @@ def predecessor(v: TreeVertex) -> TreeVertex:
 def successor(v: TreeVertex, label: int, q: int) -> TreeVertex:
     """The successor of ``v`` along edge ``label`` in ``{0, ..., q-1}``."""
     if not 0 <= label < q:
-        raise ValueError(f"label {label} outside range(0, {q})")
+        _check_word(((v.level + 1, label),), q=q)  # raises on the range
     if label == 0:
         return _vertex(v.level + 1, v.labels)
     return _vertex(v.level + 1, v.labels + ((v.level + 1, label),))
@@ -202,9 +207,7 @@ def check_labels(v: TreeVertex | TreeEnd, q: int) -> None:
     Labels are checked where input enters (walk start states, CLI vertices
     and ends), not on every step of a walk.
     """
-    for j, label in v.labels:
-        if not 0 <= label < q:
-            raise ValueError(f"label {label} at {j} outside range(0, {q})")
+    _check_word(v.labels, q=q)
 
 
 def neighbours(v: TreeVertex, q: int) -> list[TreeVertex]:

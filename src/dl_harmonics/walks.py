@@ -640,15 +640,17 @@ def _generic_counts(op, x, y, trials, horizon, seed, escape_radius):
                 break
         if v == y:
             hits += 1
-        elif _state_distance(op, v, y) > escape_radius:
+        elif _state_distance(v, y) > escape_radius:
             escaped += 1
         else:
             truncated += 1
     return hits, escaped, truncated
 
 
-def _state_distance(op, v, y) -> int:
-    if isinstance(op, TreeWalk):
+def _state_distance(v, y) -> int:
+    """Graph distance between two states of one walk: tree vertices (a tree
+    walk, or one conjugated) or vertices of a horocyclic product."""
+    if isinstance(y, TreeVertex):
         return tree_distance(v, y)
     return dl_distance(v, y)
 
@@ -701,7 +703,7 @@ def estimate_f(
         raise ValueError(f"estimate-f needs up to {trials * horizon} steps (trials x horizon; "
                          f"cap {_MAX_ESTIMATE_STEPS})")
     if escape_radius is None:
-        escape_radius = max(8, 2 * _state_distance(op, x, y))
+        escape_radius = max(8, 2 * _state_distance(x, y))
     elif escape_radius < 0:
         raise ValueError("escape_radius must be non-negative")
 

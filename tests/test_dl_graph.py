@@ -17,7 +17,6 @@ from dl_harmonics.dl_graph import (
     factor_map,
     origin,
     random_vertex,
-    sibling_class,
     siblings,
     translation_to,
 )
@@ -98,14 +97,13 @@ def test_sibling_classes():
         p = DLParams(q, r)
         for _ in range(60):
             v = random_vertex(p, rng.randrange(5), rng)
-            cls = sibling_class(v, p)
-            members = cls.members(p)
+            members = {DLVertex(u1, v.x2) for u1 in siblings(v.x1, q)}
             assert len(members) == q
-            assert cls.canonical in members
+            assert DLVertex(successor(predecessor(v.x1), 0, q), v.x2) in members
             assert v in members
             for l in range(q):
                 w = DLVertex(successor(predecessor(v.x1), l, q), v.x2)
-                assert sibling_class(w, p) == cls
+                assert {DLVertex(u1, w.x2) for u1 in siblings(w.x1, q)} == members
             assert len({factor_map(m, p) for m in members}) == 1
 
 
@@ -132,6 +130,18 @@ def test_ball_size_counts_the_ball(variant):
             assert ball_size(p, radius, variant) == len(ball(p, radius, variant))
     with pytest.raises(ValueError, match="unknown variant"):
         ball_size(DLParams(2, 2), 1, "dlx")
+
+
+def test_unknown_variant_is_refused():
+    p = DLParams(2, 2)
+    for build in (
+        lambda: ball(p, 1, "dlx"),
+        lambda: random_vertex(p, 2, random.Random(RNG_SEED), "dlx"),
+        lambda: export_dot(p, 1, "dlx"),
+        lambda: export_json(p, 1, "dlx"),
+    ):
+        with pytest.raises(ValueError, match="unknown variant 'dlx'"):
+            build()
 
 
 def test_ball_and_distance():

@@ -415,6 +415,15 @@ def test_bad_side_or_alpha_raises_on_every_call():
             tree_hitting_prob(ROOT, ROOT, Fraction(3, 2), 2)
 
 
+def test_kernel_spec_refuses_a_bad_side_or_alpha_when_built():
+    p = DLParams(2, 2)
+    xi = TreeEnd.word({1: 1})
+    with pytest.raises(ValueError, match="side must be 1 or 2"):
+        KernelSpec(3, xi, HALF, p)
+    with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+        KernelSpec(1, xi, Fraction(3, 2), p)
+
+
 def test_kernel_spec_fields_eq_hash_repr():
     p = DLParams(2, 3)
     xi = TreeEnd.word({1: 1})

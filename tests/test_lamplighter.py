@@ -144,6 +144,11 @@ def test_decode_requires_equal_branching():
         decode(v, p)
 
 
+def test_decode_refuses_a_vertex_off_the_level_sum_zero_sheet():
+    with pytest.raises(ValueError, match="vertex levels must sum to 0"):
+        decode(DLVertex(TreeVertex(1, ()), TreeVertex(0, ())))
+
+
 def test_neighbours_of_origin_are_generators():
     for q in (2, 3):
         p = DLParams(q, q)
@@ -180,6 +185,20 @@ def test_defect_minus_golden():
     assert defect_minus(identity(), zero) == 0
     a = GroupElement.make(delta(1, 1), 0, 2)
     assert defect_minus(a, zero) == -1
+
+
+def test_boundary_config_checks_its_side_and_labels():
+    with pytest.raises(ValueError, match="side must be '\\+' or '-'"):
+        BoundaryConfig("0", ())
+    # a non-canonical word would give a wrong count (5 instead of 1), so it
+    # is refused when built, as a TreeEnd's is
+    with pytest.raises(ValueError, match="label keys must be strictly increasing"):
+        BoundaryConfig("-", ((2, 1), (1, 1)))
+    with pytest.raises(ValueError, match="zero labels must not be stored"):
+        BoundaryConfig("+", ((1, 0),))
+    xi = BoundaryConfig.make("-", {2: 1, 1: 1, 0: 0})
+    assert xi == BoundaryConfig("-", ((1, 1), (2, 1)))
+    assert defect_minus(GroupElement(((2, 1),), -3), xi) == 1
 
 
 def test_defect_oplus_golden():

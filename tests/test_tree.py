@@ -19,6 +19,7 @@ from dl_harmonics.tree import (
     geodesic,
     neighbours,
     predecessor,
+    random_vertex as tree_random_vertex,
     shift,
     successor,
     vertex_from_json,
@@ -85,6 +86,23 @@ def test_vertex_validation():
         TreeVertex(0, ((0, 0),))  # zero labels must stay implicit
     assert TreeVertex.make(0, {0: 0}) == ROOT  # make() canonicalizes
     assert TreeVertex.make(0, {}) == ROOT
+
+
+def test_end_validation():
+    with pytest.raises(ValueError, match="the reference end carries no labels"):
+        TreeEnd(((1, 1),), True)
+    with pytest.raises(ValueError, match="zero labels must not be stored"):
+        TreeEnd(((1, 0),))
+    with pytest.raises(ValueError, match="label keys must be strictly increasing"):
+        TreeEnd(((2, 1), (1, 1)))
+    assert TreeEnd.word({2: 1, 1: 1, 3: 0}) == TreeEnd(((1, 1), (2, 1)))
+
+
+def test_successor_refuses_a_label_outside_the_branching():
+    with pytest.raises(ValueError, match=r"label 2 at 1 outside range\(0, 2\)"):
+        successor(ROOT, 2, 2)
+    with pytest.raises(ValueError, match=r"label -1 at 3 outside range\(0, 3\)"):
+        successor(TreeVertex(2, ()), -1, 3)
 
 
 def test_predecessor_examples():
@@ -355,3 +373,16 @@ def test_half_excess_matches_vertex_building_reference(case):
         assert excess % 2 == 0
         assert _half_excess(x.level, x.labels, xi.labels) == excess // 2
         assert busemann_wrt_end(x, xi) == x.level + excess
+
+
+def test_tree_random_vertex_stays_in_the_ball_and_repeats_for_a_seed():
+    for q in (2, 3):
+        for radius in range(7):
+            rng = random.Random(RNG_SEED + radius)
+            drawn = [tree_random_vertex(q, radius, rng) for _ in range(40)]
+            # ``radius`` steps on a bipartite tree: at most that far, same parity
+            assert all(distance(ROOT, v) <= radius for v in drawn)
+            assert all((distance(ROOT, v) - radius) % 2 == 0 for v in drawn)
+            assert all(0 < val < q for v in drawn for _, val in v.labels)
+            again = random.Random(RNG_SEED + radius)
+            assert [tree_random_vertex(q, radius, again) for _ in range(40)] == drawn

@@ -54,7 +54,7 @@ from dl_harmonics.walks import (
     simulate,
     transitions,
 )
-from dl_harmonics.walks import _KEPT_ROWS, _philox_stream, _philox_streams, _ruin_bound
+from dl_harmonics.walks import _KEPT_ROWS, _integer_row, _philox_stream, _philox_streams, _ruin_bound
 
 RNG_SEED = 27182
 
@@ -770,3 +770,29 @@ def blocked_float_sum(op, h, v):
 def random_tree_vertex(rng):
     level = rng.randrange(-4, 5)
     return TreeVertex.make(level, {j: rng.randrange(3) for j in range(level - 6, level + 1)})
+
+
+def test_integer_row_refuses_negative_weights_and_a_short_row():
+    assert _integer_row([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]) == (6, [3, 2, 1])
+    with pytest.raises(ValueError, match="negative weights"):
+        _integer_row([Fraction(3, 2), Fraction(-1, 2)])
+    with pytest.raises(ValueError, match="does not sum to 1"):
+        _integer_row([Fraction(1, 2), Fraction(1, 3)])
+
+
+def test_tree_walk_refuses_a_product_vertex():
+    p = DLParams(2, 2)
+    with pytest.raises(ValueError, match="tree walks move on tree vertices"):
+        p1_walk(p, HALF).validate_state(origin(p))
+
+
+def test_conjugated_tree_walk_estimates_on_tree_states():
+    # g = 1 leaves the walk as it is: the conjugate runs on the generic path
+    # and must count what the tree walk counts on the meet state
+    y = TreeVertex.make(1, {1: 1})
+    counts = []
+    for walk in (p1_walk(DLParams(2, 2), HALF), p2_walk(DLParams(2, 3), THIRD)):
+        plain = estimate_f(walk, ROOT, y, 50, 40, 1)
+        assert estimate_f(conjugate(walk, lambda v: 1), ROOT, y, 50, 40, 1) == plain
+        counts.append(_counts(plain))
+    assert counts == [(18, 22, 10), (16, 30, 4)]
