@@ -134,7 +134,7 @@ def _cmd_harmonic_check(args) -> int:
 def _cmd_dirichlet_solve(args) -> int:
     params = _params(args)
     alpha = parse_frac(args.alpha)
-    dct.check_solve_size(args.n, params)  # before any vertex is enumerated
+    dct.check_solve_size(args.n, params)  # the GiB refusal before the vertex cap
     chain = dct.build_truncation(args.n, params, alpha, "dl")
     table = dct.hitting_table(chain)  # reads no vertex
     size, boundary_size = table.nums.shape
@@ -253,9 +253,10 @@ def _cmd_defect(args) -> int:
 
 def _cmd_graph_export(args) -> int:
     params = _params(args)
-    # The ball and its edges build every ball vertex's neighbours twice, and
-    # a vertex gains at most one label a move, two in DLS.  Past the capped
-    # radius the ball only grows, so its estimate is a floor.
+    # The ball builds every ball vertex's neighbours and the edge scan those
+    # inside radius - 1 again, so at most twice; a vertex gains at most one
+    # label a move, two in DLS.  Past the capped radius the ball only grows,
+    # so its estimate is a floor.
     radius = min(args.radius, _MAX_BUILT_ENTRIES.bit_length())
     q, r = params.q, params.r
     degree, grow = (q + r, 1) if args.variant == "dl" else (q * q + q * r, 2)

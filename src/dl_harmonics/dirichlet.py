@@ -356,7 +356,8 @@ class _Layout(NamedTuple):
     ``(k-1, i1 // ups, i2*downs + m)``.  Row ``i`` of the interior reads
     ``denom F(at_i, .) = sum_t coeffs[t] F(slots[i, t], .)``, with the
     positions ``at`` of the interior contiguous and the slots in the order of
-    the walk's ``transitions`` (``ups`` moves up, then the moves down).
+    the walk's ``transitions`` (``ups`` moves up, then the moves down), whose
+    row ``default_operator(chain)`` scales to ``denom`` and ``coeffs``.
     """
 
     size: list  # vertices per level, levels -n..n
@@ -378,8 +379,7 @@ class _Layout(NamedTuple):
 def _layout(chain: FiniteChain) -> _Layout:
     n = chain.n
     ups, downs = _walk_shape(chain.kind, chain.params)
-    up = _up_rate(chain)
-    denom, coeffs = _integer_row([up / ups] * ups + [(1 - up) / downs] * downs)
+    denom, coeffs = _integer_row(default_operator(chain)._weights)
     size = _level_sizes(chain.kind, chain.params, n)
     off = list(accumulate(size, initial=0))
     blocks = []
@@ -407,8 +407,7 @@ def hitting_table(chain: FiniteChain) -> HittingTable:
     ``check_solve_size`` raises ValueError before any of it is built.
     """
     check_solve_size(chain.n, chain.params, chain.kind)
-    dens = _closed_dens(chain)
-    table = HittingTable._from_columns(chain, _closed_form(chain, dens), dens)
+    table = HittingTable._from_columns(chain, *_closed_form(chain))
     _verify_table(table, _layout(chain))
     return table
 
@@ -455,12 +454,6 @@ def _verify_table(table: HittingTable, lay: _Layout) -> None:
 # Closed-form route on a single tree.
 
 
-def _up_rate(chain: FiniteChain) -> Fraction:
-    """Probability that the chain's walk moves up its first tree: ``1 -
-    alpha`` on ``tree2``, which climbs the second tree, else ``alpha``."""
-    return 1 - chain.alpha if chain.kind == "tree2" else chain.alpha
-
-
 def edge_factors(n: int, branch: int, up: Fraction) -> tuple[Mapping[int, Fraction], Mapping[int, Fraction]]:
     """Per-level edge probabilities inside the stage-``n`` tree truncation.
 
@@ -500,14 +493,8 @@ def _level_product(n: int, branch: int, up: Fraction, c: int, lx: int, ly: int) 
     return out
 
 
-def _geodesic_product(n: int, branch: int, up: Fraction, x: TreeVertex, y: TreeVertex) -> Fraction:
-    return _level_product(n, branch, up, confluent_omega(x, y).level, x.level, y.level)
-
-
 def _in_tree_chain(v: TreeVertex, n: int) -> bool:
-    if not -n <= v.level <= n:
-        return False
-    return all(j > -n for j, _ in v.labels)
+    return -n <= v.level <= n and all(j > -n for j, _ in v.labels)
 
 
 def restricted_hitting(n: int, branch: int, up: Fraction, x: TreeVertex, y: TreeVertex) -> Fraction:
@@ -516,7 +503,7 @@ def restricted_hitting(n: int, branch: int, up: Fraction, x: TreeVertex, y: Tree
         raise ValueError("both endpoints must lie in the truncation")
     if not isinstance(up, Fraction):
         up = Fraction(up)  # a Fraction is passed on as is: the cache matches it by identity
-    return _geodesic_product(n, branch, up, x, y)
+    return _level_product(n, branch, up, confluent_omega(x, y).level, x.level, y.level)
 
 
 def closed_tree_table(chain: FiniteChain) -> HittingTable:
@@ -548,18 +535,20 @@ def _confluent_levels(n: int, branch: int, level: int) -> np.ndarray:
 
 
 def _slabs(chain: FiniteChain) -> tuple:
-    """The boundary slabs in column order, as ``(branch, up rate, sign)``.
+    """The boundary slabs in column order, as ``(branch, up rate, sign)``:
+    each tree of the chain with the rate at which its walk climbs it.
 
     A level-``k`` vertex ``(i1, i2)`` of the layout sees the first slab, the
     leaves ``y2`` of the second tree (columns ``(a1, y2)``), through ``i2`` on
     level ``-k`` of that tree, and the second slab, the leaves ``y1``
     (columns ``(y1, a2)``), through ``i1`` on level ``k``: the product
     formula ``F(x1 x2, (a1, y2)) = F2(x2, y2)``, ``F(x1 x2, (y1, a2)) =
-    F1(x1, y1)``.  A tree chain is the case ``downs = 1``: its second tree
-    is a line, whose one leaf is the apex, and the line's up factors are the
-    tree's down factors."""
+    F1(x1, y1)``.  The first tree climbs at ``alpha`` and the second at ``1 -
+    alpha``; ``tree2`` counts its levels up the second tree.  A tree chain is
+    the case ``downs = 1``: its second tree is a line, whose one leaf is the
+    apex, and the line's up factors are the tree's down factors."""
     ups, downs = _walk_shape(chain.kind, chain.params)
-    up = _up_rate(chain)
+    up = 1 - chain.alpha if chain.kind == "tree2" else chain.alpha
     return ((downs, 1 - up, -1), (ups, up, 1))
 
 
@@ -570,60 +559,48 @@ def _classes(n: int, branch: int, level: int) -> range:
     return range(-n if branch > 1 else level, level + 1)
 
 
-def _closed_dens(chain: FiniteChain) -> list:
-    """The canonical column denominators of the closed-form table: per slab,
-    the lcm of the denominators of the classes its columns meet."""
-    n = chain.n
-    dens = []
-    for branch, up, sign in _slabs(chain):
-        common = lcm(*(
-            _level_product(n, branch, up, c, sign * k, n).denominator
-            for k in range(-n, n + 1)
-            for c in _classes(n, branch, sign * k)
-        ))
-        dens += [common] * branch ** (2 * n)
-    return dens
-
-
-def _closed_form(chain: FiniteChain, dens) -> np.ndarray:
-    """The closed-form table as integer columns over ``dens``: entry
-    ``(i, b)`` is ``F(vertices[i], boundary[b]) * dens[b]``, or None where
-    ``dens[b]`` is no multiple of that value's denominator.
+def _closed_form(chain: FiniteChain) -> tuple[np.ndarray, list]:
+    """The closed-form table as canonical integer columns ``(nums, dens)``:
+    ``nums[i, b] = F(vertices[i], boundary[b]) * dens[b]``, where ``dens[b]``
+    is the lcm of the column's reduced denominators.
 
     By the stabiliser of the column's leaf, ``F`` depends only on the class
     ``(k, c)``: the level ``k`` of the vertex on the slab's tree and the level
     ``c`` of its confluent with the leaf.  So each level of each slab is one
-    closed-form value per class (``_level_product``), laid out by
+    closed-form value per class (``_level_product``), computed once.  Every
+    column of a slab meets every class, so its denominator is the lcm over
+    the slab's values; each level's scaled values are laid out by
     ``_confluent_levels`` and repeated across the other coordinate.
     """
     n = chain.n
     ups, _ = _walk_shape(chain.kind, chain.params)
     sizes = _level_sizes(chain.kind, chain.params, n)
-    dens = np.array(dens, dtype=object)
+    slabs = []  # (branch, sign, the scaled class values of each level -n..n)
+    dens = []
+    for branch, up, sign in _slabs(chain):
+        values = [
+            [_level_product(n, branch, up, c, sign * k, n) for c in _classes(n, branch, sign * k)]
+            for k in range(-n, n + 1)
+        ]
+        common = lcm(*(f.denominator for level in values for f in level))
+        scaled = [[f.numerator * (common // f.denominator) for f in level] for level in values]
+        slabs.append((branch, sign, [np.array(level, dtype=object) for level in scaled]))
+        dens += [common] * branch ** (2 * n)
     out = np.empty((sum(sizes), len(dens)), dtype=object)
-    slabs = _slabs(chain)
     start = 0
     for k, size in zip(range(-n, n + 1), sizes):
         # vertex (i1, i2) of level k at start + i1*downs**(n-k) + i2: a view, as
         # ``out`` is C-contiguous
         level_rows = out[start : start + size].reshape(ups ** (n + k), -1, len(dens))
         lo = 0
-        for branch, up, sign in slabs:
+        for branch, sign, scaled in slabs:
             level = sign * k
             cols = slice(lo, lo + branch ** (2 * n))
-            classes = _classes(n, branch, level)
-            values = [_level_product(n, branch, up, c, level, n) for c in classes]
-            num = np.array([f.numerator for f in values], dtype=object)[:, None]
-            den = np.array([f.denominator for f in values], dtype=object)[:, None]
-            over = dens[None, cols]
-            # F = num / den is the entry num * (over // den) of a column over
-            # ``over``, and no entry of it when den does not divide ``over``.
-            want = np.where(over % den == 0, num * (over // den), None)
-            grid = np.take_along_axis(want, _confluent_levels(n, branch, level) - classes.start, axis=0)
+            grid = scaled[n + k][_confluent_levels(n, branch, level) - _classes(n, branch, level).start]
             level_rows[:, :, cols] = grid[None] if sign < 0 else grid[:, None]
             lo = cols.stop
         start += size
-    return out
+    return out, dens
 
 
 def verify_product_formula(chain: FiniteChain, table: HittingTable | None = None) -> ProductReport:
@@ -631,24 +608,24 @@ def verify_product_formula(chain: FiniteChain, table: HittingTable | None = None
 
     ``F(x1 x2, (y1, a2)) = F1(x1, y1)`` and ``F(x1 x2, (a1, y2)) = F2(x2, y2)``
     for every vertex and boundary leaf: the table's integer columns against
-    the closed form over the same denominators, one value per level triple
-    ``(x_i ⋏ y_i, x_i, y_i)``.  ``hitting_table`` builds its tables from
-    that closed form, so this is a check of tables that come from elsewhere.
+    those of the closed form, compared directly when the denominators agree
+    and otherwise cross-multiplied by each other's, entry by entry.
+    ``hitting_table`` builds its tables from that closed form, so this is a
+    check of tables that come from elsewhere.
     """
     if chain.kind != "dl":
         raise ValueError("the product identity lives on the product chain")
     if table is None:
         table = hitting_table(chain)
-    n, q, r, alpha = chain.n, chain.params.q, chain.params.r, chain.alpha
-    left = r ** (2 * n)  # columns (a1, y2), then (y1, a2)
+    nums, dens = _closed_form(chain)
+    if table.dens == tuple(dens):  # canonical columns: equal exactly where the numerators are
+        wrong = table.nums != nums
+    else:
+        wrong = table.nums * np.array(dens, dtype=object) != nums * np.array(table.dens, dtype=object)
     bad = []  # vertices are read only to name a discrepancy
-    for i, b in zip(*np.nonzero(table.nums != _closed_form(chain, table.dens))):
-        x, y = chain.vertices[i], chain.boundary[b]
-        if b < left:
-            want = _geodesic_product(n, r, 1 - alpha, x.x2, y.x2)
-        else:
-            want = _geodesic_product(n, q, alpha, x.x1, y.x1)
-        bad.append((x, y, Fraction(table.nums[i, b], table.dens[b]), want))
+    for i, b in zip(*np.nonzero(wrong)):
+        got, want = Fraction(table.nums[i, b], table.dens[b]), Fraction(nums[i, b], dens[b])
+        bad.append((chain.vertices[i], chain.boundary[b], got, want))
     return ProductReport(table.nums.size, tuple(bad))
 
 
@@ -730,27 +707,19 @@ def decompose(h: Callable, n: int, params: DLParams, alpha: Fraction) -> Decompo
         if sum(c * values[j] for c, j in zip(lay.coeffs, slots)) != lay.denom * values[at + i]:
             raise ValueError(f"h is not harmonic on the interior; witness {chain.vertices[at + i]}")
 
-    q, r = params.q, params.r
-    a1, a2 = chain.a1, chain.a2
-    lv1, lv2 = _tree_levels(n, q), _tree_levels(n, r)
-    # Level n of S is (y1, a2) and level -n is (a1, y2), each in leaf order.
-    slab1, slab2 = values[len(values) - lay.size[-1] :], values[: lay.size[0]]
-    h1 = _slab_extension(n, q, alpha, lv1, slab1)
-    h2 = _slab_extension(n, r, 1 - alpha, lv2, slab2)
-
-    # Normalised boundary weights.  Leaves separated from the root by the
-    # apex carry zero harmonic measure from o, so they have no finite
-    # normalised weight and are omitted.
-    lambda1 = {a1: Fraction(0)}
-    for y, b in zip(lv1[n], slab1):
-        f = restricted_hitting(n, q, alpha, ROOT, y)
-        if f:
-            lambda1[y] = b / f
-    lambda2 = {a2: Fraction(0)}
-    for y, b in zip(lv2[n], slab2):
-        f = restricted_hitting(n, r, 1 - alpha, ROOT, y)
-        if f:
-            lambda2[y] = b / f
+    # Level -n of S is (a1, y2) and level n is (y1, a2), each in leaf order.  In
+    # the normalised boundary weights, leaves separated from the root by the
+    # apex carry zero harmonic measure from o and are omitted.
+    parts = []
+    for (branch, up, _), slab in zip(_slabs(chain), (values[: lay.size[0]], values[-lay.size[-1] :])):
+        levels = _tree_levels(n, branch)
+        weights = {chain.a1: Fraction(0)}
+        for y, b in zip(levels[n], slab):
+            f = restricted_hitting(n, branch, up, ROOT, y)
+            if f:
+                weights[y] = b / f
+        parts.append((_slab_extension(n, branch, up, levels, slab), weights))
+    (h2, lambda2), (h1, lambda1) = parts
 
     for v, value in zip(chain.vertices, values):
         if h1[v.x1] + h2[v.x2] != value:
@@ -771,8 +740,7 @@ def kernel_approx(chain: FiniteChain, x: TreeVertex, target) -> Fraction:
     """
     if chain.kind == "dl":
         raise ValueError("closed-form factors live on tree chains")
-    up = _up_rate(chain)
-    branch, _ = _walk_shape(chain.kind, chain.params)
+    branch, up, _ = _slabs(chain)[1]
     n = chain.n
     if not _in_tree_chain(x, n) or abs(x.level) >= n or confluent_omega(x, ROOT).level <= -n:
         raise ValueError("x must lie in the interior of the truncation (n too small)")

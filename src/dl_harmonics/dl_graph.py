@@ -251,12 +251,18 @@ def vertex_from_json_pair(obj: dict) -> DLVertex:
     return DLVertex(vertex_from_json(obj["x1"]), vertex_from_json(obj["x2"]))
 
 
-def _edges(vertices: list[DLVertex], params: DLParams, variant: str) -> list[tuple[int, int]]:
+def _edges(vertices: list[DLVertex], params: DLParams, variant: str, radius: int) -> list[tuple[int, int]]:
+    """The edges ``(i, j)``, ``i < j``, of the ball ``vertices`` in BFS order.
+
+    Every move changes the first level by one, so no edge joins two vertices
+    at the same distance from the origin: each edge is found from its inner
+    end, and only the ball of radius ``radius - 1`` is scanned.
+    """
     nbrs = _neighbour_fn(params, variant)
     index = {v: i for i, v in enumerate(vertices)}
+    inner = ball_size(params, radius - 1, variant) if radius > 0 else 0
     edges = set()
-    for v in vertices:
-        i = index[v]
+    for i, v in enumerate(vertices[:inner]):
         for w in nbrs(v):
             j = index.get(w)
             if j is not None and i < j:
@@ -271,7 +277,7 @@ def export_dot(params: DLParams, radius: int, variant: str = "dl") -> str:
     for i, v in enumerate(vertices):
         label = json.dumps(vertex_to_json_pair(v), sort_keys=True)
         lines.append(f'  n{i} [label={json.dumps(label)}];')
-    for i, j in _edges(vertices, params, variant):
+    for i, j in _edges(vertices, params, variant, radius):
         lines.append(f"  n{i} -- n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -280,7 +286,7 @@ def export_dot(params: DLParams, radius: int, variant: str = "dl") -> str:
 def export_json(params: DLParams, radius: int, variant: str = "dl") -> dict:
     """Adjacency-list export carrying the same content as the DOT form."""
     vertices = ball(params, radius, variant)
-    edges = _edges(vertices, params, variant)
+    edges = _edges(vertices, params, variant, radius)
     adjacency: list[list[int]] = [[] for _ in vertices]
     for i, j in edges:
         adjacency[i].append(j)

@@ -226,10 +226,10 @@ def encode(a: GroupElement) -> DLVertex:
     k, eta = a.k, a.eta
     i = bisect_right(eta, k, key=itemgetter(0))
     x1, x2 = eta[:i], tuple([(1 - n, v) for n, v in reversed(eta[i:])])
-    _check_word(eta)
-    for j, v in x1 + x2:
+    for j, v in x1 + x2:  # before the word check, to name the split key
         if not isinstance(v, int) or v < 0:
             raise ValueError(f"label at {j} must be a non-negative integer, got {v!r}")
+    _check_word(eta)
     return DLVertex(_vertex(k, x1), _vertex(-k, x2))
 
 

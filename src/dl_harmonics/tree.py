@@ -103,9 +103,9 @@ def _check_word(labels: Labels, top: int | None = None, q: int | None = None) ->
     """Reject a label word that is not canonical.
 
     Each pair ``(j, v)`` is checked in turn: ``j <= top`` (when given), ``v``
-    in ``range(q)`` (when given), ``v != 0``, and ``j`` above the key before
-    it; the first fault raises.  The one check behind vertices, ends, lamp
-    configurations and boundary configurations.
+    in ``range(q)`` (when given), ``v != 0``, ``v`` a non-negative integer,
+    and ``j`` above the key before it; the first fault raises.  The one check
+    behind vertices, ends, lamp configurations and boundary configurations.
     """
     prev = None
     for j, v in labels:
@@ -115,6 +115,8 @@ def _check_word(labels: Labels, top: int | None = None, q: int | None = None) ->
             raise ValueError(f"label {v} at {j} outside range(0, {q})")
         if v == 0:
             raise ValueError("zero labels must not be stored")
+        if not isinstance(v, int) or v < 0:
+            raise ValueError(f"label at {j} must be a non-negative integer, got {v!r}")
         if prev is not None and j <= prev:
             raise ValueError("label keys must be strictly increasing")
         prev = j

@@ -468,6 +468,26 @@ def test_product_report_equals_the_pairwise_check(q, r, n, alpha):
     assert len(report.discrepancies) > 6
 
 
+def test_product_formula_reports_entries_over_the_same_denominators():
+    # Two unequal entries of one column swapped: the column keeps its
+    # denominator, and both entries are reported.
+    c = build_truncation(2, DLParams(2, 3), THIRD, "dl")
+    t = hitting_table(c)
+    rows = [list(row) for row in t.rows]
+    b = len(c.boundary) - 1
+    i = len(c.vertices) // 2  # a row on level 0 of S
+    j = next(j for j in range(i + 1, len(rows)) if rows[j][b] != rows[i][b])
+    rows[i][b], rows[j][b] = rows[j][b], rows[i][b]
+    tampered = dct.HittingTable(c, tuple(map(tuple, rows)))
+    assert tampered.dens == t.dens
+    report = verify_product_formula(c, table=tampered)
+    assert report == product_report_by_pairs(c, tampered)
+    assert {(x, y) for x, y, _, _ in report.discrepancies} == {
+        (c.vertices[i], c.boundary[b]),
+        (c.vertices[j], c.boundary[b]),
+    }
+
+
 boundary_values = st.one_of(
     st.integers(-50, 50),
     st.fractions(min_value=-50, max_value=50, max_denominator=60),
@@ -655,6 +675,16 @@ def test_kernel_approx_converges():
         assert errs[-1] < final_bound
     assert martin_kernel_tree(1, x, xi, THIRD, p) == 4
     assert martin_kernel_tree(1, x, xi, HALF, p) == 2
+    # the second tree of DL(2, 3), which its chain climbs at 1 - alpha
+    p = DLParams(2, 3)
+    x = TreeVertex.make(1, {1: 2})
+    xi = TreeEnd.word({1: 2})
+    for alpha, want, final_bound in ((THIRD, 3, 2e-3), (Fraction(2, 3), 6, 3e-3)):
+        limit = martin_kernel_tree(2, x, xi, alpha, p)
+        assert limit == want
+        errs = [abs(kernel_approx(TruncationStage("tree2", n, p, alpha), x, xi) - limit) for n in range(2, 11)]
+        assert all(a > b for a, b in zip(errs, errs[1:]))
+        assert errs[-1] < final_bound
 
 
 def test_deep_stage_reads_no_vertex(monkeypatch):

@@ -202,3 +202,23 @@ def test_exports():
     for a, row in enumerate(adj):
         for b in row:
             assert a in adj[b]
+
+
+@pytest.mark.parametrize("variant", ["dl", "dls"])
+@pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 3)])
+def test_export_edges_equal_a_scan_of_every_ball_vertex(q, r, variant):
+    # The export scans only the inner ball; a scan from every vertex finds
+    # the same edges, so none joins two vertices of the outer shell.
+    p = DLParams(q, r)
+    nbrs = dl_neighbours if variant == "dl" else dls_neighbours
+    for radius in range(5):
+        data = export_json(p, radius, variant)
+        vertices = ball(p, radius, variant)
+        index = {v: i for i, v in enumerate(vertices)}
+        want = set()
+        for i, v in enumerate(vertices):
+            for w in nbrs(v, p):
+                if w in index:
+                    want.add((min(i, index[w]), max(i, index[w])))
+        assert data["edges"] == [list(e) for e in sorted(want)]
+        assert export_dot(p, radius, variant).count(" -- ") == len(want)

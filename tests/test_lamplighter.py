@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dl_harmonics import lamplighter
 from dl_harmonics.dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours, factor_map
+from dl_harmonics.kernels import defect_kernel
 from dl_harmonics.lamplighter import (
     BoundaryConfig,
     GeneratorModel,
@@ -33,7 +34,7 @@ from dl_harmonics.lamplighter import (
     inverse,
     multiply,
 )
-from dl_harmonics.tree import ROOT, TreeVertex, confluent_omega_end
+from dl_harmonics.tree import ROOT, TreeEnd, TreeVertex, confluent_omega_end
 
 RNG_SEED = 90125
 
@@ -199,6 +200,25 @@ def test_boundary_config_checks_its_side_and_labels():
     xi = BoundaryConfig.make("-", {2: 1, 1: 1, 0: 0})
     assert xi == BoundaryConfig("-", ((1, 1), (2, 1)))
     assert defect_minus(GroupElement(((2, 1),), -3), xi) == 1
+
+
+def test_a_negative_label_is_refused_by_every_word_constructor():
+    # -1 is not the lamp 1 mod 2: counted as it stands it gave defect_plus 0
+    # and a kernel of 1 where the lamp 1 gives 1 and 2, so it is refused
+    message = "label at 1 must be a non-negative integer, got -1"
+    for build in (
+        lambda: TreeVertex(1, ((1, -1),)),
+        lambda: TreeEnd(((1, -1),)),
+        lambda: BoundaryConfig("+", ((1, -1),)),
+        lambda: BoundaryConfig.make("+", {1: -1}),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+    with pytest.raises(ValueError, match="non-negative integer"):
+        TreeVertex(1, ((1, 1.0),))
+    a, lamp = GroupElement(((1, 1),), 1), BoundaryConfig.make("+", {1: 1})
+    assert defect_plus(a, lamp) == 1
+    assert defect_kernel(GeneratorModel.WALK_SWITCH, a, lamp, 2) == 2
 
 
 def test_defect_oplus_golden():
