@@ -34,7 +34,9 @@ Functions on the horocyclic product are built by lifting a tree kernel
 through one coordinate; ``HarmonicFunction`` bundles non-negative
 combinations of lifted kernels plus a constant.  ``defect_kernel`` evaluates
 the lamp-mismatch counts as powers of ``q`` -- the boundary kernels of the
-simple random walks in the group picture.
+simple random walks in the group picture.  Each count is ``-_half_excess`` of
+a tree word of ``encode(a)`` and an end word, the exponent ``_kernel_pair``
+reads, so at ``alpha = 1/2`` these are the tree kernels read through ``encode``.
 """
 
 from __future__ import annotations

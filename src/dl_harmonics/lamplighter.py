@@ -24,13 +24,17 @@ the walk-switch Cayley graph is exactly ``DL(q, q)`` and the
 switch-walk-switch Cayley graph is exactly the sibling-augmented variant.
 
 ``BoundaryConfig`` describes a zero-tail lamp configuration at one of the two
-ends of the position axis; the three defect counts measure how far an element
-is from matching it, normalised to vanish at the identity.
+ends of the position axis, and ``end_plus``/``end_minus`` read it as an end of
+the first/second tree.  The three defect counts measure how far an element is
+from matching it, normalised to vanish at the identity; each is the tree's
+horocycle index read through ``encode``, ``-_half_excess`` of a tree word of
+the element and the word of the end.  ``_tree_words`` and ``_mirror`` are the
+one dictionary from lamps to tree words, so no lamp is read site by site.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -40,7 +44,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours
-from .tree import TreeEnd, _check_word, _vertex
+from .tree import TreeEnd, _canon, _check_word, _half_excess, _json_int, _vertex
 
 __all__ = [
     "GroupElement",
@@ -70,27 +74,6 @@ __all__ = [
 Lamps = tuple[tuple[int, int], ...]
 
 
-def _canon_lamps(mapping: Mapping[int, int] | Iterable[tuple[int, int]], q: int | None = None) -> Lamps:
-    items = dict(mapping)
-    out = []
-    for n in sorted(items):
-        v = items[n]
-        if q is not None:
-            v %= q
-        if v:
-            out.append((n, v))
-    return tuple(out)
-
-
-def _lamp(lamps: Lamps, n: int) -> int:
-    for m, v in lamps:
-        if m == n:
-            return v
-        if m > n:
-            break
-    return 0
-
-
 class GroupElement(namedtuple("GroupElement", ("eta", "k"), defaults=((), 0))):
     """Lamp configuration (canonical sorted support tuple) and position: the
     tuple ``(eta, k)``, hashed and compared in C as that tuple."""
@@ -99,10 +82,7 @@ class GroupElement(namedtuple("GroupElement", ("eta", "k"), defaults=((), 0))):
 
     @classmethod
     def make(cls, eta: Mapping[int, int] | Iterable[tuple[int, int]], k: int, q: int | None = None) -> "GroupElement":
-        return cls(_canon_lamps(eta, q), k)
-
-    def lamp(self, n: int) -> int:
-        return _lamp(self.eta, n)
+        return cls(_canon(eta, q), k)
 
 
 def identity() -> GroupElement:
@@ -126,7 +106,7 @@ def multiply(a: GroupElement, b: GroupElement, q: int) -> GroupElement:
 
 def inverse(a: GroupElement, q: int) -> GroupElement:
     lamps = {n - a.k: (-v) % q for n, v in a.eta}
-    return GroupElement(_canon_lamps(lamps), -a.k)
+    return GroupElement(_canon(lamps), -a.k)
 
 
 class GeneratorModel(Enum):
@@ -213,6 +193,19 @@ def cayley_check(q: int, support: int, position_range: int) -> dict[str, int | b
     }
 
 
+def _tree_words(a: GroupElement) -> tuple[Lamps, Lamps]:
+    """The label words of ``encode(a)``: the lamps at sites ``<= k``, and the
+    :func:`_mirror` of those above ``k``."""
+    i = bisect_right(a.eta, a.k, key=itemgetter(0))
+    return a.eta[:i], _mirror(a.eta[i:])
+
+
+def _mirror(word: Lamps) -> Lamps:
+    """Site ``n`` becomes key ``1 - n``, in reversed order, so a sorted word
+    stays sorted: the second tree's reading of lamps, and its own inverse."""
+    return tuple([(1 - n, v) for n, v in reversed(word)])
+
+
 def encode(a: GroupElement) -> DLVertex:
     """Identify a group element with a vertex of ``DL(q, q)``.
 
@@ -223,26 +216,22 @@ def encode(a: GroupElement) -> DLVertex:
     increasing, a stored zero) or ``TreeVertex.make`` a lamp (not a
     non-negative integer).
     """
-    k, eta = a.k, a.eta
-    i = bisect_right(eta, k, key=itemgetter(0))
-    x1, x2 = eta[:i], tuple([(1 - n, v) for n, v in reversed(eta[i:])])
+    x1, x2 = _tree_words(a)
     for j, v in x1 + x2:  # before the word check, to name the split key
         if not isinstance(v, int) or v < 0:
             raise ValueError(f"label at {j} must be a non-negative integer, got {v!r}")
-    _check_word(eta)
-    return DLVertex(_vertex(k, x1), _vertex(-k, x2))
+    _check_word(a.eta)
+    return DLVertex(_vertex(a.k, x1), _vertex(-a.k, x2))
 
 
 def decode(v: DLVertex, params: DLParams | None = None) -> GroupElement:
-    """Inverse of :func:`encode`; requires a ``DL(q, q)`` ambient graph."""
+    """Inverse of :func:`encode`; requires a ``DL(q, q)`` ambient graph.  The
+    two words lie on either side of the position, so they concatenate."""
     if params is not None and params.q != params.r:
         raise ValueError("group decoding needs equal branching numbers (q = r)")
     if v.x1.level + v.x2.level != 0:
         raise ValueError("vertex levels must sum to 0")
-    lamps = dict(v.x1.labels)
-    for j, val in v.x2.labels:
-        lamps[1 - j] = val
-    return GroupElement(_canon_lamps(lamps), v.x1.level)
+    return GroupElement(v.x1.labels + _mirror(v.x2.labels), v.x1.level)
 
 
 def factor_config(a: GroupElement) -> GroupElement:
@@ -250,11 +239,10 @@ def factor_config(a: GroupElement) -> GroupElement:
 
     Encodes to exactly ``factor_map(encode(a))``.
     """
-    lamps = {n + 1: v for n, v in a.eta if n <= a.k - 1}
-    for n, v in a.eta:
-        if n >= a.k + 1:
-            lamps[n] = v
-    return GroupElement(_canon_lamps(lamps), a.k)
+    eta, k = a.eta, a.k
+    below = eta[:bisect_left(eta, k, key=itemgetter(0))]
+    above = eta[bisect_right(eta, k, key=itemgetter(0)):]
+    return GroupElement(tuple([(n + 1, v) for n, v in below]) + above, k)
 
 
 @dataclass(frozen=True)
@@ -277,67 +265,48 @@ class BoundaryConfig:
 
     @classmethod
     def make(cls, side: str, labels: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> "BoundaryConfig":
-        return cls(side, _canon_lamps(labels))
-
-    def value(self, n: int) -> int:
-        return _lamp(self.labels, n)
+        return cls(side, _canon(labels))
 
 
-def _first_mismatch_at_most(limit: int, xi: BoundaryConfig, eta: Lamps, offset: int) -> int | None:
-    """min { n <= limit : xi(n + offset) != eta(n + offset) }, or None."""
-    keys = {n - offset for n, _ in xi.labels} | {n - offset for n, _ in eta}
-    cands = [n for n in keys if n <= limit and xi.value(n + offset) != _lamp(eta, n + offset)]
-    return min(cands) if cands else None
-
-
-def _defect_at(a: GroupElement, xi: BoundaryConfig, offset: int, name: str) -> int:
-    """The ``'+'`` side defect whose lamps are read ``offset`` sites ahead:
-    1 for :func:`defect_plus`, 0 for :func:`defect_oplus`."""
-    if xi.side != "+":
-        raise ValueError(f"{name} needs a '+' side configuration")
-    first = _first_mismatch_at_most(a.k, xi, a.eta, offset)
-    first = a.k if first is None else first
-    low = [n - offset for n, _ in xi.labels if n <= offset]
-    second = min(low) if low else 0
-    return first - second
+def _side_labels(xi: BoundaryConfig, side: str, name: str) -> Lamps:
+    """``xi``'s labels; ``name`` refuses a configuration on the other side."""
+    if xi.side != side:
+        raise ValueError(f"{name} needs a '{side}' side configuration")
+    return xi.labels
 
 
 def defect_plus(a: GroupElement, xi: BoundaryConfig) -> int:
     """How many sites beyond the fresh record the element already matches
-    ``xi`` on, relative to the identity's own mismatch point.
+    ``xi`` on, relative to the identity's own mismatch point: the level of
+    ``encode(a).x1 ⋏ end_plus(xi)`` less that of ``o ⋏ end_plus(xi)``.
     """
-    return _defect_at(a, xi, 1, "defect_plus")
+    labels = _side_labels(xi, "+", "defect_plus")
+    return -_half_excess(a.k, _tree_words(a)[0], labels)
 
 
 def defect_minus(a: GroupElement, xi: BoundaryConfig) -> int:
-    if xi.side != "-":
-        raise ValueError("defect_minus needs a '-' side configuration")
-    keys = {n for n, _ in xi.labels} | {n for n, _ in a.eta}
-    cands = [n for n in keys if n > a.k and xi.value(n) != a.lamp(n)]
-    first = max(cands) if cands else a.k
-    high = [n for n, _ in xi.labels if n > 0]
-    second = max(high) if high else 0
-    return second - first
+    """The ``'-'`` side count, read in the second tree through
+    :func:`end_minus`."""
+    labels = _mirror(_side_labels(xi, "-", "defect_minus"))
+    return -_half_excess(-a.k, _tree_words(a)[1], labels)
 
 
 def defect_oplus(a: GroupElement, xi: BoundaryConfig) -> int:
     """Variant of :func:`defect_plus` that also scores the lamp at the
-    current position (the natural count for the switch-walk-switch moves)."""
-    return _defect_at(a, xi, 0, "defect_oplus")
+    current position (the natural count for the switch-walk-switch moves):
+    ``defect_plus`` of ``factor_config(a)`` against ``xi`` moved up one site."""
+    up = tuple([(n + 1, v) for n, v in _side_labels(xi, "+", "defect_oplus")])
+    return -_half_excess(a.k, _tree_words(factor_config(a))[0], up)
 
 
 def end_plus(xi: BoundaryConfig) -> TreeEnd:
     """The end of the first tree whose ray reads off ``xi``'s lamps."""
-    if xi.side != "+":
-        raise ValueError("end_plus needs a '+' side configuration")
-    return TreeEnd.word(dict(xi.labels))
+    return TreeEnd(_side_labels(xi, "+", "end_plus"))
 
 
 def end_minus(xi: BoundaryConfig) -> TreeEnd:
     """The end of the second tree carrying ``xi``: site ``n`` maps to key ``1 - n``."""
-    if xi.side != "-":
-        raise ValueError("end_minus needs a '-' side configuration")
-    return TreeEnd.word({1 - n: v for n, v in xi.labels})
+    return TreeEnd(_mirror(_side_labels(xi, "-", "end_minus")))
 
 
 def element_to_json(a: GroupElement) -> dict:
@@ -346,13 +315,13 @@ def element_to_json(a: GroupElement) -> dict:
 
 def _lamps_from_json(pairs, q: int) -> Lamps:
     """Canonical lamps from ``[[n, v], ...]``, each ``v`` in ``range(q)``."""
-    lamps = _canon_lamps((int(n), int(v)) for n, v in pairs)
+    lamps = _canon((_json_int(n, "site"), _json_int(v, "lamp")) for n, v in pairs)
     _check_word(lamps, q=q)
     return lamps
 
 
 def element_from_json(obj: dict, q: int) -> GroupElement:
-    return GroupElement(_lamps_from_json(obj.get("eta", []), q), int(obj["k"]))
+    return GroupElement(_lamps_from_json(obj.get("eta", []), q), _json_int(obj["k"], "k"))
 
 
 def config_to_json(xi: BoundaryConfig) -> dict:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .dl_graph import DLParams, vertex_to_json_pair
 from .dirichlet import HittingTable
 from .kernels import HarmonicFunction, KernelSpec, combine
-from .tree import check_labels, end_from_json, end_to_json, vertex_to_json
+from .tree import _json_int, check_labels, end_from_json, end_to_json, vertex_to_json
 from .walks import EstimateResult
 
 __all__ = [
@@ -75,11 +75,11 @@ def harmonic_to_json(h: HarmonicFunction) -> dict:
 
 
 def harmonic_from_json(obj: dict) -> tuple[HarmonicFunction, DLParams]:
-    params = DLParams(int(obj["q"]), int(obj["r"]))
+    params = DLParams(_json_int(obj["q"], "q"), _json_int(obj["r"], "r"))
     alpha = parse_frac(obj["alpha"])
     terms = []
     for t in obj.get("terms", []):
-        side = int(t["side"])
+        side = _json_int(t["side"], "side")
         end = end_from_json(t["end"])
         check_labels(end, params.q if side == 1 else params.r)
         spec = KernelSpec(side, end, alpha, params)

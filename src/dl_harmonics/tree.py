@@ -67,17 +67,16 @@ Labels = tuple[tuple[int, int], ...]
 _new = tuple.__new__
 
 
-def _canon(mapping: Mapping[int, int] | Iterable[tuple[int, int]]) -> Labels:
-    """Canonical label tuple: sorted keys, zero values dropped."""
+def _canon(mapping: Mapping[int, int] | Iterable[tuple[int, int]], q: int | None = None) -> Labels:
+    """Canonical label tuple: values reduced mod ``q`` (when given), zeros
+    dropped, keys sorted.  Values are not checked here: every word built from
+    it reaches ``_check_word`` in a constructor."""
     items = dict(mapping)
     out = []
     for j in sorted(items):
-        v = items[j]
-        if v == 0:
-            continue
-        if not isinstance(v, int) or v < 0:
-            raise ValueError(f"label at {j} must be a non-negative integer, got {v!r}")
-        out.append((j, v))
+        v = items[j] if q is None else items[j] % q
+        if v != 0:
+            out.append((j, v))
     return tuple(out)
 
 
@@ -335,8 +334,20 @@ def vertex_to_json(v: TreeVertex) -> dict:
     return {"level": v.level, "labels": [[j, val] for j, val in v.labels]}
 
 
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer (an ``int`` that is not a ``bool``);
+    a float, a numeric string or a bool is refused, naming ``field``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _labels_from_json(pairs) -> list[tuple[int, int]]:
+    return [(_json_int(j, "label key"), _json_int(val, "label")) for j, val in pairs]
+
+
 def vertex_from_json(obj: dict) -> TreeVertex:
-    return TreeVertex.make(int(obj["level"]), [(int(j), int(val)) for j, val in obj.get("labels", [])])
+    return TreeVertex.make(_json_int(obj["level"], "level"), _labels_from_json(obj.get("labels", [])))
 
 
 def end_to_json(xi: TreeEnd) -> dict:
@@ -348,4 +359,4 @@ def end_to_json(xi: TreeEnd) -> dict:
 def end_from_json(obj: dict) -> TreeEnd:
     if obj.get("omega"):
         return TreeEnd.omega()
-    return TreeEnd.word([(int(j), int(val)) for j, val in obj.get("labels", [])])
+    return TreeEnd.word(_labels_from_json(obj.get("labels", [])))

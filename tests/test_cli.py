@@ -522,6 +522,47 @@ def test_json_of_the_wrong_shape_names_the_argument(capsys, argv, flag):
     assert "No such file" not in err and "Traceback" not in err
 
 
+def spec_with(**fields):
+    obj = json.loads(KERNEL_SPEC)
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("defect", "--q", "2", "--element", '{"k": 1.5, "eta": [[0, 1]]}', "--boundary", DEFECT_PLUS),
+         "--element: k must be a JSON integer, got 1.5"),
+        (("defect", "--q", "2", "--element", '{"k": "1", "eta": [[0, 1]]}', "--boundary", DEFECT_PLUS),
+         "--element: k must be a JSON integer, got '1'"),
+        (("defect", "--q", "2", "--element", '{"k": 1, "eta": [[0, 1.9]]}', "--boundary", DEFECT_PLUS),
+         "--element: lamp must be a JSON integer, got 1.9"),
+        (("defect", "--q", "2", "--element", '{"k": 1, "eta": [[true, 1]]}', "--boundary", DEFECT_PLUS),
+         "--element: site must be a JSON integer, got True"),
+        (("defect", "--q", "2", "--element", '{"k": 0}', "--boundary", '{"side": "-", "labels": [["2", 1]]}'),
+         "--boundary: site must be a JSON integer, got '2'"),
+        (("kernel-eval", "--end", '{"labels": [[1, 1.9]]}', "--at", ROOT_JSON),
+         "--end: label must be a JSON integer, got 1.9"),
+        (("kernel-eval", "--end", END_JSON, "--at", '{"level": 1.7}'),
+         "--at: level must be a JSON integer, got 1.7"),
+        (("kernel-eval", "--end", END_JSON, "--at", '{"level": 1, "labels": [[true, 1]]}'),
+         "--at: label key must be a JSON integer, got True"),
+        (("simulate", "--steps", "2", "--start", '{"x1": {"level": "0"}, "x2": {"level": 0}}'),
+         "--start: level must be a JSON integer, got '0'"),
+        (("simulate", "--steps", "2", "--start", '{"x1": {"level": 0}, "x2": {"level": 0, "labels": [[0, true]]}}'),
+         "--start: label must be a JSON integer, got True"),
+        (("harmonic-check", "--spec", spec_with(q=2.0)), "q must be a JSON integer, got 2.0"),
+        (("decompose", "--spec", spec_with(r="2"), "--n", "1"), "r must be a JSON integer, got '2'"),
+        (("harmonic-check", "--spec", spec_with(terms=[{"coeff": "1/1", "side": True, "end": {}}])),
+         "side must be a JSON integer, got True"),
+    ],
+)
+def test_a_json_number_that_is_not_an_integer_exits_2(capsys, argv, message):
+    # int() would read 1.5 as 1, "1" as 1 and true as 1: values never given
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
 def test_a_library_fault_behind_spec_is_not_a_usage_error(monkeypatch):
     from dl_harmonics import cli, lamplighter
 

@@ -208,7 +208,9 @@ def test_a_negative_label_is_refused_by_every_word_constructor():
     message = "label at 1 must be a non-negative integer, got -1"
     for build in (
         lambda: TreeVertex(1, ((1, -1),)),
+        lambda: TreeVertex.make(1, {1: -1}),
         lambda: TreeEnd(((1, -1),)),
+        lambda: TreeEnd.word({1: -1}),
         lambda: BoundaryConfig("+", ((1, -1),)),
         lambda: BoundaryConfig.make("+", {1: -1}),
     ):
@@ -309,6 +311,51 @@ def test_defects_on_exhaustive_small_set():
                 - confluent_omega_end(ROOT, end_minus(xi_m)).level
             )
             assert dminus == want
+
+
+def lowest_mismatch(eta, k, xi, offset):
+    """The lowest ``n <= k`` whose lamp ``n + offset`` differs between the
+    configurations ``eta`` and ``xi``; ``k`` when they agree there."""
+    lamps, limit = dict(eta), dict(xi)
+    sites = lamps.keys() | limit.keys()
+    return min((m - offset for m in sites
+                if m - offset <= k and lamps.get(m, 0) != limit.get(m, 0)), default=k)
+
+
+def highest_mismatch(eta, k, xi):
+    """The highest site ``n > k`` where ``eta`` and ``xi`` differ; ``k`` when
+    they agree there."""
+    lamps, limit = dict(eta), dict(xi)
+    sites = lamps.keys() | limit.keys()
+    return max((n for n in sites if n > k and lamps.get(n, 0) != limit.get(n, 0)), default=k)
+
+
+def test_defects_equal_the_lamp_mismatch_count():
+    # The defects in the lamp language, with no tree: how far below the
+    # lamplighter the element already agrees with the limit configuration,
+    # less the same count for the identity.  The '+' count reads lamps one
+    # site ahead (defect_plus) or at the sites themselves (defect_oplus);
+    # the '-' count reads the sites above the lamplighter.  Every element
+    # with lamps on sites -2..2 and |k| <= 2, against every configuration on
+    # sites -3..3 (q = 2).
+    sites, wide = range(-2, 3), range(-3, 4)
+    elements = [
+        GroupElement(tuple((n, v) for n, v in zip(sites, bits) if v), k)
+        for bits in itertools.product((0, 1), repeat=len(sites))
+        for k in range(-2, 3)
+    ]
+    configs = [
+        tuple((n, v) for n, v in zip(wide, bits) if v)
+        for bits in itertools.product((0, 1), repeat=len(wide))
+    ]
+    for xi in configs:
+        plus, minus = BoundaryConfig("+", xi), BoundaryConfig("-", xi)
+        at_identity = [lowest_mismatch((), 0, xi, 1), lowest_mismatch((), 0, xi, 0)]
+        top = highest_mismatch((), 0, xi)
+        for a in elements:
+            assert defect_plus(a, plus) == lowest_mismatch(a.eta, a.k, xi, 1) - at_identity[0]
+            assert defect_oplus(a, plus) == lowest_mismatch(a.eta, a.k, xi, 0) - at_identity[1]
+            assert defect_minus(a, minus) == top - highest_mismatch(a.eta, a.k, xi)
 
 
 def test_json_round_trips():
