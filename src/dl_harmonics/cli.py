@@ -109,6 +109,11 @@ def _cmd_harmonic_check(args) -> int:
     op = wk.operator_from_name(args.operator, params, alpha)
     rng = random.Random(args.seed)
     variant = "dls" if args.operator == "qalpha" else "dl"
+    # Each sample makes at most radius moves and then checks one row, each
+    # building degree vertices that gain at most grow labels a move.
+    degree, grow = _moves(params, variant)
+    entries = args.samples * (args.radius + 1) * degree * (1 + grow * (args.radius + 1))
+    _check_built_entries("harmonic-check", entries)
     failures = []
     checked = 0
     for _ in range(args.samples):
@@ -178,9 +183,11 @@ def _cmd_decompose(args) -> int:
 
 
 # Most label entries (each vertex counting one more) in all the vertices
-# that ``simulate`` or ``graph-export`` builds, estimated before the first
-# is built.  At the cap either command works for 5-20 s on one core
-# of a 2-core x86_64 host (its worst case: graph-export of DL(3, 3)).
+# that ``simulate``, ``graph-export`` or ``harmonic-check`` builds, estimated
+# before the first is built.  At the cap each command works for 5-20 s on one
+# core of a 2-core x86_64 host (the worst case: graph-export of DL(3, 3)),
+# except harmonic-check at radius 0, whose kernel values outweigh its
+# vertices: a one-term spec then takes about 4 minutes.
 _MAX_BUILT_ENTRIES = 5 * 10**7
 
 
@@ -189,6 +196,12 @@ def _check_built_entries(command: str, entries: int, at_least: bool = False) -> 
         bound = "more than" if at_least else "up to"
         raise ValueError(f"{command} would build vertices of {bound} {entries} label entries "
                          f"in all (cap {_MAX_BUILT_ENTRIES})")
+
+
+def _moves(params: dg.DLParams, variant: str) -> tuple[int, int]:
+    """The degree of the ``variant`` graph and the most labels a move adds."""
+    q, r = params.q, params.r
+    return (q + r, 1) if variant == "dl" else (q * q + q * r, 2)
 
 
 def _cmd_simulate(args) -> int:
@@ -258,8 +271,7 @@ def _cmd_graph_export(args) -> int:
     # label a move, two in DLS.  Past the capped radius the ball only grows,
     # so its estimate is a floor.
     radius = min(args.radius, _MAX_BUILT_ENTRIES.bit_length())
-    q, r = params.q, params.r
-    degree, grow = (q + r, 1) if args.variant == "dl" else (q * q + q * r, 2)
+    degree, grow = _moves(params, args.variant)
     entries = 2 * degree * dg.ball_size(params, radius, args.variant) * (1 + grow * (radius + 1))
     _check_built_entries("graph-export", entries, at_least=radius < args.radius)
     if args.format == "dot":

@@ -28,9 +28,9 @@ from typing import Callable, Iterable
 from .tree import (
     ROOT,
     TreeVertex,
+    _vertex,
     predecessor,
     shift,
-    successor,
     vertex_from_json,
     vertex_to_json,
 )
@@ -89,41 +89,33 @@ def check_vertex(v: DLVertex, params: DLParams) -> None:
         )
 
 
+def _successors(x: TreeVertex, branch: int) -> list[TreeVertex]:
+    """``successor(x, l, branch)`` for ``l`` in label order, built directly."""
+    level, labels = x.level + 1, x.labels
+    return [_vertex(level, labels)] + [_vertex(level, labels + ((level, l),)) for l in range(1, branch)]
+
+
 def dl_neighbours(v: DLVertex, params: DLParams) -> list[DLVertex]:
     """``q`` up-neighbours then ``r`` down-neighbours of ``v`` in DL(q, r)."""
     check_vertex(v, params)
-    up = [
-        DLVertex(successor(v.x1, l, params.q), predecessor(v.x2))
-        for l in range(params.q)
+    pred1, pred2 = predecessor(v.x1), predecessor(v.x2)
+    return [DLVertex(u1, pred2) for u1 in _successors(v.x1, params.q)] + [
+        DLVertex(pred1, u2) for u2 in _successors(v.x2, params.r)
     ]
-    down = [
-        DLVertex(predecessor(v.x1), successor(v.x2, m, params.r))
-        for m in range(params.r)
-    ]
-    return up + down
 
 
 def siblings(v: TreeVertex, q: int) -> list[TreeVertex]:
     """All vertices sharing ``v``'s predecessor, ``v`` included."""
-    p = predecessor(v)
-    return [successor(p, m, q) for m in range(q)]
+    return _successors(predecessor(v), q)
 
 
 def dls_neighbours(v: DLVertex, params: DLParams) -> list[DLVertex]:
     """Neighbours in the sibling-augmented graph: ``q^2`` up, ``q r`` down."""
     check_vertex(v, params)
-    q, r = params.q, params.r
-    up = [
-        DLVertex(successor(u1, l, q), predecessor(v.x2))
-        for u1 in siblings(v.x1, q)
-        for l in range(q)
-    ]
-    down = [
-        DLVertex(u1, successor(v.x2, m, r))
-        for u1 in siblings(predecessor(v.x1), q)
-        for m in range(r)
-    ]
-    return up + down
+    q, pred1, pred2 = params.q, predecessor(v.x1), predecessor(v.x2)
+    succ2 = _successors(v.x2, params.r)
+    up = [DLVertex(w1, pred2) for u1 in _successors(pred1, q) for w1 in _successors(u1, q)]
+    return up + [DLVertex(u1, u2) for u1 in siblings(pred1, q) for u2 in succ2]
 
 
 def factor_map(v: DLVertex, params: DLParams) -> DLVertex:

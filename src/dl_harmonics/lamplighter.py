@@ -44,7 +44,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours
-from .tree import TreeEnd, _canon, _check_word, _half_excess, _json_int, _vertex
+from .tree import TreeEnd, _canon, _check_word, _half_excess, _json_int, _new, _vertex
 
 __all__ = [
     "GroupElement",
@@ -95,13 +95,21 @@ def delta(n: int, value: int) -> Lamps:
 
 
 def multiply(a: GroupElement, b: GroupElement, q: int) -> GroupElement:
-    if not b.eta:
-        return GroupElement(a.eta, a.k + b.k)
-    lamps = dict(a.eta)
+    """The group law ``(eta + translate_k(eta'), k + k')``.  Both operands
+    must be canonical, as :class:`GroupElement` documents: each lamp of ``b``
+    is spliced into ``a.eta`` at its bisected site, and a sum of 0 mod ``q``
+    drops the site."""
+    eta, k = a
+    i = 0
     for n, v in b.eta:
-        m = n + a.k
-        lamps[m] = (lamps.get(m, 0) + v) % q
-    return GroupElement(tuple(sorted(p for p in lamps.items() if p[1])), a.k + b.k)
+        m = n + k
+        i = bisect_left(eta, (m,), i)  # (m,) sorts just below every (m, v)
+        if i < len(eta) and eta[i][0] == m:
+            v = (eta[i][1] + v) % q
+            eta = eta[:i] + ((m, v),) + eta[i + 1:] if v else eta[:i] + eta[i + 1:]
+        else:
+            eta = eta[:i] + ((m, v),) + eta[i:]
+    return _new(GroupElement, (eta, k + b.k))
 
 
 def inverse(a: GroupElement, q: int) -> GroupElement:
@@ -155,12 +163,15 @@ def cayley_check(q: int, support: int, position_range: int) -> dict[str, int | b
     """On all elements with lamps on sites ``|n| <= support`` and position
     ``|k| <= position_range``: their count, whether ``decode`` inverts the
     injective ``encode``, and whether the walk-switch and switch-walk-switch
-    Cayley neighbours encode to the ``DL`` and ``DLS`` neighbours.  Refuses
-    a window past ``_MAX_CAYLEY_PRODUCTS`` before enumerating anything."""
+    Cayley neighbours encode to the ``DL`` and ``DLS`` neighbours.  Every
+    product is compared, but each distinct one is encoded once, through a
+    dict that lives for the call.  Refuses a window past
+    ``_MAX_CAYLEY_PRODUCTS`` before enumerating anything."""
     params = DLParams(q, q)
     if support < 0 or position_range < 0:
         raise ValueError("support and position_range must be non-negative")
-    # Each element is encoded once and multiplied by 2q + 2q^2 generators.  A
+    # Each element is encoded and multiplied by 2q + 2q^2 generators; the
+    # estimate counts an encoding per product too, so it bounds the work.  A
     # capped exponent keeps the estimate small; capped, it alone passes the cap.
     exponent = min(2 * support + 1, _MAX_CAYLEY_PRODUCTS.bit_length())
     work = q**exponent * (2 * position_range + 1) * (1 + 2 * q + 2 * q * q)
@@ -174,11 +185,18 @@ def cayley_check(q: int, support: int, position_range: int) -> dict[str, int | b
         for k in range(-position_range, position_range + 1)
     ]
     encoded = [encode(a) for a in elements]
+    codes = dict(zip(elements, encoded))
+
+    def code(b: GroupElement) -> DLVertex:
+        v = codes.get(b)
+        if v is None:
+            v = codes[b] = encode(b)
+        return v
 
     def matches(model: GeneratorModel, neighbours) -> bool:
         gens = _generators(model, q)
         return all(
-            {encode(multiply(a, s, q)) for s in gens} == set(neighbours(v, params))
+            {code(multiply(a, s, q)) for s in gens} == set(neighbours(v, params))
             for a, v in zip(elements, encoded)
         )
 
@@ -217,10 +235,13 @@ def encode(a: GroupElement) -> DLVertex:
     non-negative integer).
     """
     x1, x2 = _tree_words(a)
-    for j, v in x1 + x2:  # before the word check, to name the split key
-        if not isinstance(v, int) or v < 0:
-            raise ValueError(f"label at {j} must be a non-negative integer, got {v!r}")
-    _check_word(a.eta)
+    try:
+        _check_word(a.eta)
+    except (TypeError, ValueError):  # a fault; name its split key where it has one
+        for j, v in x1 + x2:
+            if not isinstance(v, int) or v < 0:
+                raise ValueError(f"label at {j} must be a non-negative integer, got {v!r}") from None
+        raise
     return DLVertex(_vertex(a.k, x1), _vertex(-a.k, x2))
 
 

@@ -75,11 +75,19 @@ def harmonic_to_json(h: HarmonicFunction) -> dict:
 
 
 def harmonic_from_json(obj: dict) -> tuple[HarmonicFunction, DLParams]:
+    """The function and graph of a spec.  A ``terms`` that is not a list of
+    JSON objects, or a term's ``end`` that is not one, is a ``ValueError``
+    naming the field, as is every other malformed value."""
     params = DLParams(_json_int(obj["q"], "q"), _json_int(obj["r"], "r"))
     alpha = parse_frac(obj["alpha"])
+    raw = obj.get("terms", [])
+    if not isinstance(raw, list) or not all(isinstance(t, dict) for t in raw):
+        raise ValueError("terms must be a list of JSON objects")
     terms = []
-    for t in obj.get("terms", []):
+    for t in raw:
         side = _json_int(t["side"], "side")
+        if not isinstance(t["end"], dict):
+            raise ValueError(f"end must be a JSON object, got {type(t['end']).__name__}")
         end = end_from_json(t["end"])
         check_labels(end, params.q if side == 1 else params.r)
         spec = KernelSpec(side, end, alpha, params)

@@ -383,8 +383,13 @@ def test_huge_alpha_exits_2_without_repeating_it(capsys, alpha):
         (("graph-export", "--q", "100000", "--radius", "1"), "up to 60003000036"),
         # the ball past radius 26 is not counted, and only grows
         (("graph-export", "--radius", "1000000000"), "more than"),
+        # each sample: 7 rows of 4 vertices, each of at most 1 + 7 entries
+        (("harmonic-check", "--spec", KERNEL_SPEC, "--samples", "223215"), "up to 50000160"),
+        (("harmonic-check", "--spec", KERNEL_SPEC, "--samples", "100000000", "--radius", "100000000"),
+         "up to 4000000120000000800000000"),
     ],
-    ids=["simulate", "simulate-huge", "graph-export-branching", "graph-export-radius"],
+    ids=["simulate", "simulate-huge", "graph-export-branching", "graph-export-radius",
+         "harmonic-check", "harmonic-check-huge"],
 )
 def test_over_budget_output_exits_2_before_any_vertex(capsys, monkeypatch, argv, estimate):
     def refuse(*args):
@@ -392,6 +397,7 @@ def test_over_budget_output_exits_2_before_any_vertex(capsys, monkeypatch, argv,
 
     monkeypatch.setattr(cli.wk, "simulate", refuse)
     monkeypatch.setattr(cli.dg, "ball", refuse)
+    monkeypatch.setattr(cli.dg, "random_vertex", refuse)
     code, out, err = run(capsys, *argv)
     cap = cli._MAX_BUILT_ENTRIES
     assert code == 2 and out == ""
@@ -404,9 +410,10 @@ def test_budget_estimates_of_small_outputs_stay_far_below_the_cap(capsys, monkey
     for argv in (
         ("simulate", "--q", "3", "--r", "3", "--operator", "qalpha", "--steps", "12"),
         ("graph-export", "--q", "3", "--r", "3", "--variant", "dls", "--radius", "2"),
+        ("harmonic-check", "--spec", KERNEL_SPEC, "--samples", "10", "--radius", "3"),
     ):
         assert run(capsys, *argv)[0] == 0
-    assert len(seen) == 2 and max(seen) < cli._MAX_BUILT_ENTRIES // 1000
+    assert len(seen) == 3 and max(seen) < cli._MAX_BUILT_ENTRIES // 1000
 
 
 def test_kernel_eval_rejects_out_of_range_label(capsys):
@@ -561,6 +568,22 @@ def test_a_json_number_that_is_not_an_integer_exits_2(capsys, argv, message):
     # int() would read 1.5 as 1, "1" as 1 and true as 1: values never given
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("harmonic-check", "--spec", spec_with(terms=[1])), "terms must be a list of JSON objects"),
+        (("harmonic-check", "--spec", spec_with(terms={"coeff": "1/1"})), "terms must be a list of JSON objects"),
+        (("decompose", "--spec", spec_with(terms=[{"coeff": "1/1", "side": 1, "end": 7}]), "--n", "1"),
+         "end must be a JSON object, got int"),
+        (("harmonic-check", "--spec", spec_with(terms=[{"coeff": "1/1", "side": 2, "end": [[1, 1]]}])),
+         "end must be a JSON object, got list"),
+    ],
+)
+def test_a_spec_of_the_wrong_shape_exits_2_naming_the_field(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_a_library_fault_behind_spec_is_not_a_usage_error(monkeypatch):

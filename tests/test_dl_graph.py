@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dl_harmonics.dl_graph import (
     DLParams,
@@ -20,7 +21,7 @@ from dl_harmonics.dl_graph import (
     siblings,
     translation_to,
 )
-from dl_harmonics.tree import TreeVertex, distance
+from dl_harmonics.tree import TreeVertex, distance, predecessor, successor
 
 RNG_SEED = 7041
 
@@ -91,8 +92,6 @@ def test_dls_adjacency_symmetric():
 
 def test_sibling_classes():
     rng = random.Random(RNG_SEED + 4)
-    from dl_harmonics.tree import predecessor, successor
-
     for q, r in ((2, 2), (3, 2)):
         p = DLParams(q, r)
         for _ in range(60):
@@ -222,3 +221,39 @@ def test_export_edges_equal_a_scan_of_every_ball_vertex(q, r, variant):
                     want.add((min(i, index[w]), max(i, index[w])))
         assert data["edges"] == [list(e) for e in sorted(want)]
         assert export_dot(p, radius, variant).count(" -- ") == len(want)
+
+
+def ref_siblings(x, q):
+    return [successor(predecessor(x), m, q) for m in range(q)]
+
+
+def ref_dl_neighbours(v, p):
+    up = [DLVertex(successor(v.x1, l, p.q), predecessor(v.x2)) for l in range(p.q)]
+    return up + [DLVertex(predecessor(v.x1), successor(v.x2, m, p.r)) for m in range(p.r)]
+
+
+def ref_dls_neighbours(v, p):
+    up = [
+        DLVertex(successor(u1, l, p.q), predecessor(v.x2))
+        for u1 in ref_siblings(v.x1, p.q)
+        for l in range(p.q)
+    ]
+    return up + [
+        DLVertex(u1, successor(v.x2, m, p.r))
+        for u1 in ref_siblings(predecessor(v.x1), p.q)
+        for m in range(p.r)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.sampled_from((2, 3, 4)), st.lists(st.integers(0, 10**6), max_size=12))
+def test_neighbour_lists_match_the_successor_reference_in_order(q, r, moves):
+    # the walk follows the reference lists, so it does not lean on the lists it checks
+    p = DLParams(q, r)
+    v = origin(p)
+    for move in moves:
+        assert siblings(v.x1, q) == ref_siblings(v.x1, q)
+        assert dl_neighbours(v, p) == ref_dl_neighbours(v, p)
+        dls = ref_dls_neighbours(v, p)
+        assert dls_neighbours(v, p) == dls
+        v = dls[move % len(dls)]

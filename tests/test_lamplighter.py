@@ -463,3 +463,56 @@ def test_cayley_check_rejects_bad_windows():
     for args in ((1, 1, 1), (2, -1, 1), (2, 1, -1)):
         with pytest.raises(ValueError):
             cayley_check(*args)
+
+
+def dict_multiply(a, b, q):
+    """The group law through a dict and a sort, as ``multiply`` once was."""
+    lamps = dict(a.eta)
+    for n, v in b.eta:
+        lamps[n + a.k] = (lamps.get(n + a.k, 0) + v) % q
+    return GroupElement(tuple(sorted(p for p in lamps.items() if p[1])), a.k + b.k)
+
+
+@st.composite
+def canonical_elements(draw, q):
+    pairs = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, q - 1)), max_size=7))
+    return GroupElement.make(pairs, draw(st.integers(-5, 5)), q)
+
+
+@st.composite
+def element_pairs(draw):
+    q = draw(st.sampled_from((2, 3, 5)))
+    return q, draw(canonical_elements(q)), draw(canonical_elements(q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_pairs())
+def test_multiply_matches_a_dict_and_sort_reference(qab):
+    q, a, b = qab
+    # every generator of every model, an arbitrary b, and b = a^-1, which
+    # cancels every lamp of a to 0
+    for s in [s for model in GeneratorModel for s in generators(model, q)] + [b, inverse(a, q)]:
+        got = multiply(a, s, q)
+        assert type(got) is GroupElement and got == dict_multiply(a, s, q)
+    assert multiply(a, inverse(a, q), q) == identity()
+
+
+def test_cayley_check_encodes_each_distinct_element_once(monkeypatch):
+    q = 3
+    want = cayley_check(q, 1, 1)
+    window = [
+        GroupElement.make(zip((-1, 0, 1), values), k, q)
+        for values in itertools.product(range(q), repeat=3)
+        for k in (-1, 0, 1)
+    ]
+    gens = generators(GeneratorModel.WALK_SWITCH, q) + generators(GeneratorModel.SWITCH_WALK_SWITCH, q)
+    distinct = set(window) | {dict_multiply(a, s, q) for a in window for s in gens}
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return encode(a)
+
+    monkeypatch.setattr(lamplighter, "encode", counted)
+    assert cayley_check(q, 1, 1) == want
+    assert len(calls) == len(distinct) == 243 and set(calls) == distinct
