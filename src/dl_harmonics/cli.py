@@ -114,6 +114,10 @@ def _cmd_harmonic_check(args) -> int:
     degree, grow = _moves(params, variant)
     entries = args.samples * (args.radius + 1) * degree * (1 + grow * (args.radius + 1))
     _check_built_entries("harmonic-check", entries)
+    values = args.samples * (degree + 1) * max(1, len(h.terms))  # a kernel value a term, degree + 1 a row
+    if (total := entries + _ENTRIES_PER_VALUE * values) > _MAX_BUILT_ENTRIES:
+        raise ValueError(f"harmonic-check would build vertices of up to {entries} label entries and evaluate "
+                         f"up to {values} kernel values, worth {total} entries in all (cap {_MAX_BUILT_ENTRIES})")
     failures = []
     checked = 0
     for _ in range(args.samples):
@@ -185,10 +189,10 @@ def _cmd_decompose(args) -> int:
 # Most label entries (each vertex counting one more) in all the vertices
 # that ``simulate``, ``graph-export`` or ``harmonic-check`` builds, estimated
 # before the first is built.  At the cap each command works for 5-20 s on one
-# core of a 2-core x86_64 host (the worst case: graph-export of DL(3, 3)),
-# except harmonic-check at radius 0, whose kernel values outweigh its
-# vertices: a one-term spec then takes about 4 minutes.
+# core of a 2-core x86_64 host (the worst case: graph-export of DL(3, 3)).
 _MAX_BUILT_ENTRIES = 5 * 10**7
+# Entries one kernel value of harmonic-check counts for: 6-9 us each, 12-20 s at the cap.
+_ENTRIES_PER_VALUE = 25
 
 
 def _check_built_entries(command: str, entries: int, at_least: bool = False) -> None:

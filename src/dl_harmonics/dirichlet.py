@@ -44,6 +44,9 @@ so hitting tables, the product-formula cross-check, the finite splitting
 ``h = h1 + h2``, and the stage-``n`` kernel approximants all come out in
 closed form with no matrix solve.  A geodesic product depends only on the
 levels of ``x ⋏ y``, ``x`` and ``y``, and is computed once per such triple.
+What does not depend on ``alpha``, each level's class grid and each shape's
+move slots, is built once and kept read-only; ``decompose`` runs on integers
+over one scale per slab and builds its Fractions last.
 """
 
 from __future__ import annotations
@@ -128,12 +131,12 @@ class FiniteChain:
     @_cached
     def boundary(self) -> tuple:
         """Levels ``-n`` and ``n``, in the order of the table's columns."""
-        size, v = _level_sizes(self.kind, self.params, self.n), self.vertices
+        size, v = _level_sizes(self.n, *_walk_shape(self.kind, self.params)), self.vertices
         return v[: size[0]] + v[len(v) - size[-1] :]
 
     @_cached
     def interior(self) -> tuple:
-        size, v = _level_sizes(self.kind, self.params, self.n), self.vertices
+        size, v = _level_sizes(self.n, *_walk_shape(self.kind, self.params)), self.vertices
         return v[size[0] : len(v) - size[-1]]
 
     @_cached
@@ -184,7 +187,7 @@ def build_truncation(n: int, params: DLParams, alpha: Fraction, kind: str = "dl"
     level sizes; its vertices are enumerated on first read of ``vertices``.
     """
     chain = FiniteChain(kind, n, params, alpha)
-    size = sum(_level_sizes(kind, params, n))
+    size = sum(_level_sizes(n, *_walk_shape(kind, params)))
     if size > _MAX_VERTICES:
         raise ValueError(f"truncation would have {size} vertices (cap {_MAX_VERTICES})")
     return chain
@@ -309,10 +312,9 @@ def _walk_shape(kind: str, params: DLParams) -> tuple[int, int]:
     raise ValueError(f"unknown chain kind {kind!r}")
 
 
-def _level_sizes(kind: str, params: DLParams, n: int) -> list:
-    """Vertices per level of the stage-``n`` chain, levels ``-n..n``."""
-    ups, downs = _walk_shape(kind, params)
-    return [ups ** (n + k) * downs ** (n - k) for k in range(-n, n + 1)]
+def _level_sizes(n: int, ups: int, downs: int) -> tuple:
+    """Vertices per level, levels ``-n..n``, of the stage-``n`` chain of shape ``(ups, downs)``."""
+    return tuple(ups ** (n + k) * downs ** (n - k) for k in range(-n, n + 1))
 
 
 def _geometric(a: int, b: int, steps: int) -> int:
@@ -360,11 +362,11 @@ class _Layout(NamedTuple):
     row ``default_operator(chain)`` scales to ``denom`` and ``coeffs``.
     """
 
-    size: list  # vertices per level, levels -n..n
+    size: tuple  # vertices per level, levels -n..n
+    slots: np.ndarray  # read-only, |interior| x len(coeffs) vertex positions
     ups: int
     denom: int
     coeffs: tuple  # scaled weight of each slot
-    slots: np.ndarray  # |interior| x len(coeffs) vertex positions
 
     @property
     def interior(self) -> slice:
@@ -377,10 +379,15 @@ class _Layout(NamedTuple):
 
 
 def _layout(chain: FiniteChain) -> _Layout:
-    n = chain.n
     ups, downs = _walk_shape(chain.kind, chain.params)
     denom, coeffs = _integer_row(default_operator(chain)._weights)
-    size = _level_sizes(chain.kind, chain.params, n)
+    return _Layout(*_move_slots(chain.n, ups, downs), ups, denom, tuple(coeffs))
+
+
+@lru_cache(maxsize=64)
+def _move_slots(n: int, ups: int, downs: int) -> tuple[tuple, np.ndarray]:
+    """``(size, slots)`` of ``_layout``, built once per shape; ``slots`` is read-only."""
+    size = _level_sizes(n, ups, downs)
     off = list(accumulate(size, initial=0))
     blocks = []
     for j in range(1, 2 * n):  # interior levels k = j - n
@@ -392,7 +399,9 @@ def _layout(chain: FiniteChain) -> _Layout:
             + [below + m for m in range(downs)],
             axis=1,
         ))
-    return _Layout(size, ups, denom, tuple(coeffs), np.concatenate(blocks))
+    slots = np.concatenate(blocks)
+    slots.flags.writeable = False
+    return size, slots
 
 
 def hitting_table(chain: FiniteChain) -> HittingTable:
@@ -520,17 +529,19 @@ class ProductReport:
     discrepancies: tuple
 
 
+@lru_cache(maxsize=64)
 def _confluent_levels(n: int, branch: int, level: int) -> np.ndarray:
-    """Level of ``x ⋏ y`` for ``x`` on ``level`` (rows) and ``y`` a leaf
-    (columns) of the stage-``n`` tree, both numbered in the order of
-    ``FiniteChain.vertices``, where ancestors are digit prefixes: ``x ⋏ y`` is
-    on ``level - d`` for the least ``d`` at which ``x // branch**d`` and the
-    ancestor of ``y`` on ``level`` agree."""
+    """Class (level less ``_classes(...).start``) of ``x ⋏ y`` for ``x`` on
+    ``level`` (rows) and ``y`` a leaf (columns) of the stage-``n`` tree, both
+    numbered as in ``FiniteChain.vertices``, where ancestors are digit
+    prefixes: ``x ⋏ y`` is on ``level - d`` for the least ``d`` at which ``x //
+    branch**d`` and the ancestor of ``y`` agree.  Read-only int8, built once."""
     x = np.arange(branch ** (n + level))[:, None]
     y = np.arange(branch ** (2 * n))[None, :] // branch ** (n - level)
-    out = np.empty((x.size, y.size), dtype=np.intp)
+    out = np.empty((x.size, y.size), dtype=np.int8)
     for d in range(n + level, -1, -1):  # the apex, then ever closer ancestors
-        out[x // branch**d == y // branch**d] = level - d
+        out[x // branch**d == y // branch**d] = level - d - _classes(n, branch, level).start
+    out.flags.writeable = False
     return out
 
 
@@ -573,8 +584,8 @@ def _closed_form(chain: FiniteChain) -> tuple[np.ndarray, list]:
     ``_confluent_levels`` and repeated across the other coordinate.
     """
     n = chain.n
-    ups, _ = _walk_shape(chain.kind, chain.params)
-    sizes = _level_sizes(chain.kind, chain.params, n)
+    ups, downs = _walk_shape(chain.kind, chain.params)
+    sizes = _level_sizes(n, ups, downs)
     slabs = []  # (branch, sign, the scaled class values of each level -n..n)
     dens = []
     for branch, up, sign in _slabs(chain):
@@ -596,7 +607,7 @@ def _closed_form(chain: FiniteChain) -> tuple[np.ndarray, list]:
         for branch, sign, scaled in slabs:
             level = sign * k
             cols = slice(lo, lo + branch ** (2 * n))
-            grid = scaled[n + k][_confluent_levels(n, branch, level) - _classes(n, branch, level).start]
+            grid = scaled[n + k][_confluent_levels(n, branch, level)]
             level_rows[:, :, cols] = grid[None] if sign < 0 else grid[:, None]
             lo = cols.stop
         start += size
@@ -658,9 +669,10 @@ class Decomposition:
     lambda2: dict
 
 
-def _slab_extension(n: int, branch: int, up: Fraction, levels: dict, slab: list) -> dict:
+def _slab_extension(n: int, branch: int, up: Fraction, levels: dict, slab: list) -> tuple[int, dict]:
     """``x -> sum_y F(x, y) slab[y]`` on every vertex ``x`` of the stage-``n``
-    tree, ``y`` running over its leaves, in ``(level, labels)`` order.
+    tree, ``y`` running over its leaves, in ``(level, labels)`` order, for an
+    integer ``slab``: ``(scale, out)`` with the values ``out[x] / scale``.
 
     ``F(x, y)`` is ``P(c) = _level_product(n, branch, up, c, k, n)`` for ``x``
     on level ``k`` and ``x ⋏ y`` on level ``c``.  With ``below[c][a]`` the
@@ -668,20 +680,22 @@ def _slab_extension(n: int, branch: int, up: Fraction, levels: dict, slab: list)
     prefixes, as in ``_confluent_levels``), a leaf lies under the ancestor of
     ``x`` on every level up to that of ``x ⋏ y``, so its weights
     ``P(c) - P(c - 1)`` over those levels, with ``P(-n - 1) = 0``, sum to
-    ``F(x, y)``.
+    ``F(x, y)``; ``scale`` is the lcm of the weights' denominators.
     """
     below = {n: slab}
     for c in range(n - 1, -n - 1, -1):
         prev = below[c + 1]
         below[c] = [sum(prev[a : a + branch]) for a in range(0, len(prev), branch)]
+    products = {k: [_level_product(n, branch, up, c, k, n) for c in range(-n, k + 1)] for k in range(-n, n + 1)}
+    weights = {k: [p - prev for p, prev in zip(ps, [0, *ps])] for k, ps in products.items()}
+    scale = lcm(*(w.denominator for ws in weights.values() for w in ws))
     out = []
-    for k in range(-n, n + 1):
-        products = [_level_product(n, branch, up, c, k, n) for c in range(-n, k + 1)]
-        weights = [(c, p - prev) for c, p, prev in zip(range(-n, k + 1), products, [0, *products])]
+    for k, ws in weights.items():
+        ws = [(c, w.numerator * (scale // w.denominator)) for c, w in zip(range(-n, k + 1), ws)]
         for i, x in enumerate(levels[k]):
-            out.append((x, sum(w * below[c][i // branch ** (k - c)] for c, w in weights)))
+            out.append((x, sum(w * below[c][i // branch ** (k - c)] for c, w in ws)))
     out.sort(key=lambda item: (item[0].level, item[0].labels))
-    return dict(out)
+    return scale, dict(out)
 
 
 def decompose(h: Callable, n: int, params: DLParams, alpha: Fraction) -> Decomposition:
@@ -689,42 +703,47 @@ def decompose(h: Callable, n: int, params: DLParams, alpha: Fraction) -> Decompo
     ``h(x1 x2) = h1(x1) + h2(x2)`` exactly, via the boundary slabs.
 
     ``h`` must be a pure function of the vertex: it is evaluated exactly
-    once per vertex of the truncation, and every check below reads those
-    values.  Harmonicity is checked on the rows of ``_layout``, and ``h_i``
-    is the slab's extension into ``S_i`` by classes (``_slab_extension``),
-    with no vertex-pair sum.  ``lambda_i`` are the boundary weights
-    normalised by the convention ``lambda_i(a_i) = 0``; the reconstruction
-    is verified exactly on all of S.
+    once per vertex of the truncation, and every check reads those values
+    scaled to integers over one denominator.  Harmonicity is checked on the
+    rows of ``_layout``; ``h_i``, the slab's extension into ``S_i`` by classes
+    (``_slab_extension``), is kept in integers over one scale per slab until
+    the reconstruction is verified on all of S over the lcm of the two scales.
+    ``lambda_i`` are the boundary weights normalised by ``lambda_i(a_i) = 0``.
     """
     alpha = Fraction(alpha)
     chain = build_truncation(n, params, alpha, "dl")
     values = [h(v) for v in chain.vertices]
+    common = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (common // x.denominator) for x in values]  # h * common
     # The walk exits only through the boundary (checked as the vertices are
     # enumerated), so every slot of an interior row holds a vertex of S.
     lay = _layout(chain)
     at = lay.interior.start
     for i, slots in enumerate(lay.slots.tolist()):
-        if sum(c * values[j] for c, j in zip(lay.coeffs, slots)) != lay.denom * values[at + i]:
+        if sum(c * ints[j] for c, j in zip(lay.coeffs, slots)) != lay.denom * ints[at + i]:
             raise ValueError(f"h is not harmonic on the interior; witness {chain.vertices[at + i]}")
 
     # Level -n of S is (a1, y2) and level n is (y1, a2), each in leaf order.  In
     # the normalised boundary weights, leaves separated from the root by the
     # apex carry zero harmonic measure from o and are omitted.
     parts = []
-    for (branch, up, _), slab in zip(_slabs(chain), (values[: lay.size[0]], values[-lay.size[-1] :])):
+    for (branch, up, _), ends in zip(_slabs(chain), (slice(lay.size[0]), slice(-lay.size[-1], None))):
         levels = _tree_levels(n, branch)
         weights = {chain.a1: Fraction(0)}
-        for y, b in zip(levels[n], slab):
-            f = restricted_hitting(n, branch, up, ROOT, y)
+        # F(o, y) by the class of o ⋏ y, o being vertex 0 of level 0
+        for y, b, c in zip(levels[n], values[ends], _confluent_levels(n, branch, 0)[0].tolist()):
+            f = _level_product(n, branch, up, c - n, 0, n)
             if f:
                 weights[y] = b / f
-        parts.append((_slab_extension(n, branch, up, levels, slab), weights))
-    (h2, lambda2), (h1, lambda1) = parts
+        parts.append((*_slab_extension(n, branch, up, levels, ints[ends]), weights))
+    (scale2, h2, lambda2), (scale1, h1, lambda1) = parts
 
-    for v, value in zip(chain.vertices, values):
-        if h1[v.x1] + h2[v.x2] != value:
+    both = lcm(scale1, scale2)
+    m1, m2 = both // scale1, both // scale2
+    for v, value in zip(chain.vertices, ints):
+        if h1[v.x1] * m1 + h2[v.x2] * m2 != both * value:
             raise AssertionError(f"splitting failed to reconstruct h at {v}")
-
+    h1, h2 = ({x: Fraction(v, s * common) for x, v in hi.items()} for hi, s in ((h1, scale1), (h2, scale2)))
     return Decomposition(n, params, alpha, h1, h2, lambda1, lambda2)
 
 

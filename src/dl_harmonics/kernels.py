@@ -10,8 +10,9 @@ one-level hitting probabilities are
 
 the two roots of ``F = (1-a) + a F^2`` resp.
 ``F = a/q + (q-1)(a/q) F^- F + (1-a) F^2`` selected by minimality.  Their
-product ``rho2 = F^- F^+ = min((1-a)/(a q), a/((1-a) q))`` is the square of
-the spectral radius.
+product ``rho2 = F^- F^+ = min((1-a)/(a q), a/((1-a) q))`` is ``F(x, x')``,
+the probability of ever hitting a fixed sibling ``x'`` of ``x``; it is not the
+square of the spectral radius.
 
 Hitting probabilities factor over geodesics (one factor per edge), giving the
 Martin kernels in closed form::

@@ -404,6 +404,19 @@ def test_over_budget_output_exits_2_before_any_vertex(capsys, monkeypatch, argv,
     assert f"{argv[0]} would build vertices of {estimate}" in err and f"(cap {cap})" in err
 
 
+def test_harmonic_check_budget_counts_kernel_values(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli.dg, "random_vertex", refuse)
+    # 48,000,000 label entries are under the cap; the 30,000,000 values of the
+    # one-term spec (5 vertices a row) are not
+    code, out, err = run(capsys, "harmonic-check", "--spec", KERNEL_SPEC, "--samples", "6000000", "--radius", "0")
+    assert code == 2 and out == ""
+    assert "up to 48000000 label entries and evaluate up to 30000000 kernel values" in err
+    assert f"worth {48000000 + 30000000 * cli._ENTRIES_PER_VALUE} entries in all (cap {cli._MAX_BUILT_ENTRIES})" in err
+
+
 def test_budget_estimates_of_small_outputs_stay_far_below_the_cap(capsys, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "_check_built_entries", lambda command, entries, at_least=False: seen.append(entries))

@@ -23,7 +23,7 @@ from dl_harmonics.dirichlet import (
 from dl_harmonics.dl_graph import DLParams, DLVertex, origin
 from dl_harmonics.kernels import KernelSpec, combine, martin_kernel_tree
 from dl_harmonics.serialize import table_to_json
-from dl_harmonics.tree import OMEGA, ROOT, TreeEnd, TreeVertex, predecessor
+from dl_harmonics.tree import OMEGA, ROOT, TreeEnd, TreeVertex, confluent_omega, predecessor
 from dl_harmonics.walks import DLWalk, apply, p1_walk
 
 RNG_SEED = 16180
@@ -636,6 +636,76 @@ def test_decompose_equals_the_pairwise_splitting(n, q, r, alpha):
     assert str(got.value) == str(want.value)
 
 
+BENCH_ALPHAS = (HALF, Fraction(2, 3), THIRD, Fraction(3, 5), Fraction(2, 5))
+
+
+def decompose_by_fractions(h, n, params, alpha):
+    """Test-local oracle: the class splitting with every sum in Fractions, as
+    ``decompose`` computed it before it ran on integers; returns ``(h1, h2,
+    lambda1, lambda2)``."""
+    chain = build_truncation(n, params, alpha, "dl")
+    values = [h(v) for v in chain.vertices]
+    lay = dct._layout(chain)
+    at = lay.interior.start
+    for i, slots in enumerate(lay.slots.tolist()):
+        if sum(c * values[j] for c, j in zip(lay.coeffs, slots)) != lay.denom * values[at + i]:
+            raise ValueError(f"h is not harmonic on the interior; witness {chain.vertices[at + i]}")
+    parts = []
+    for (branch, up, _), slab in zip(dct._slabs(chain), (values[: lay.size[0]], values[-lay.size[-1] :])):
+        levels = dct._tree_levels(n, branch)
+        weights = {chain.a1: Fraction(0)}
+        for y, b in zip(levels[n], slab):
+            f = restricted_hitting(n, branch, up, ROOT, y)
+            if f:
+                weights[y] = b / f
+        below = {n: slab}
+        for c in range(n - 1, -n - 1, -1):
+            prev = below[c + 1]
+            below[c] = [sum(prev[a : a + branch]) for a in range(0, len(prev), branch)]
+        out = []
+        for k in range(-n, n + 1):
+            products = [dct._level_product(n, branch, up, c, k, n) for c in range(-n, k + 1)]
+            steps = [(c, p - prev) for c, p, prev in zip(range(-n, k + 1), products, [0, *products])]
+            for i, x in enumerate(levels[k]):
+                out.append((x, sum(w * below[c][i // branch ** (k - c)] for c, w in steps)))
+        out.sort(key=lambda item: (item[0].level, item[0].labels))
+        parts.append((dict(out), weights))
+    (h2, lambda2), (h1, lambda1) = parts
+    for v, value in zip(chain.vertices, values):
+        if h1[v.x1] + h2[v.x2] != value:
+            raise AssertionError(f"splitting failed to reconstruct h at {v}")
+    return h1, h2, lambda1, lambda2
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_integer_decompose_equals_the_fraction_splitting(n, q, r):
+    p = DLParams(q, r)
+    rng = random.Random(RNG_SEED + 10 * n + q + r)
+    for alpha in BENCH_ALPHAS:
+        terms = [(Fraction(rng.randrange(1, 9), rng.randrange(1, 9)), KernelSpec(side, end, alpha, p))
+                 for side, end in ((1, TreeEnd.word({1: 1})), (2, TreeEnd.word({1 - n: 1, n: 1})))]
+        h = combine(terms, Fraction(rng.randrange(0, 5), rng.randrange(1, 5)))
+        dec = decompose(h, n, p, alpha)
+        got = (dec.h1, dec.h2, dec.lambda1, dec.lambda2)
+        want = decompose_by_fractions(h, n, p, alpha)
+        assert [list(part.items()) for part in got] == [list(part.items()) for part in want]
+        assert all(type(v) is Fraction for part in got for v in part.values())
+
+
+def test_decompose_of_an_int_valued_h():
+    p = DLParams(2, 3)
+    dec = decompose(lambda v: 3, 2, p, THIRD)
+    want = decompose_by_fractions(lambda v: 3, 2, p, THIRD)
+    assert [list(part.items()) for part in (dec.h1, dec.h2, dec.lambda1, dec.lambda2)] == [
+        list(part.items()) for part in want
+    ]
+    assert all(type(v) is Fraction for v in dec.h1.values())
+    assert dec.h1[ROOT] + dec.h2[ROOT] == 3
+    with pytest.raises(ValueError, match="not harmonic"):
+        decompose(lambda v: v.x1.level**2, 1, p, THIRD)
+
+
 def test_kernel_approx_normalised_and_guarded():
     p = DLParams(2, 2)
     stage = TruncationStage("tree1", 3, p, HALF)
@@ -911,6 +981,50 @@ def test_layout_rows_equal_the_walk_transitions(n, q, r, kind):
     assert lay.boundary.tolist() == [c.index[y] for y in c.boundary]
     assert set(denoms) == {lay.denom} and set(coeffs) == {lay.coeffs}
     assert lay.slots.tolist() == slots
+
+
+@pytest.mark.parametrize("branch", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_class_grid_equals_the_confluent_level_of_real_vertices(n, branch):
+    levels = dct._tree_levels(n, branch)
+    for level in range(-n, n + 1):
+        grid = dct._confluent_levels(n, branch, level)
+        assert grid.tolist() == [[confluent_omega(x, y).level + n for y in levels[n]] for x in levels[level]]
+
+
+def test_cached_shapes_are_read_only():
+    grid = dct._confluent_levels(2, 3, 1)
+    lay = dct._layout(build_truncation(2, DLParams(2, 3), THIRD, "dl"))
+    assert grid is dct._confluent_levels(2, 3, 1) and type(lay.size) is tuple
+    for cached in (grid, lay.slots):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1
+        with pytest.raises(ValueError):
+            cached += 1
+    assert lay.slots is dct._layout(build_truncation(2, DLParams(2, 3), HALF, "dl")).slots
+
+
+def test_alpha_sweeps_in_either_order_give_the_same_tables():
+    # Shapes are cached without alpha, and tree chains share keys with the
+    # DL chain's slabs: a key that is too coarse hands one chain the shape of
+    # whichever filled the cache first, so the two orders would disagree.
+    p = DLParams(2, 3)
+    chains = [(kind, n) for kind in ("dl", "tree1", "tree2") for n in (1, 2, 3) if (kind, n) != ("dl", 3)]
+
+    def sweep(alphas):
+        return {
+            (kind, n, alpha): hitting_table(build_truncation(n, p, alpha, kind))
+            for alpha in alphas
+            for kind, n in chains
+        }
+
+    first = sweep(BENCH_ALPHAS)
+    dct._confluent_levels.cache_clear()
+    dct._move_slots.cache_clear()
+    second = sweep(BENCH_ALPHAS[::-1])
+    assert first.keys() == second.keys()
+    for key, table in first.items():
+        assert second[key].dens == table.dens and (second[key].nums == table.nums).all()
 
 
 # SHA-256 of ``json.dumps(table_to_json(...))`` for DL(2,2) n = 4, alpha 1/2
