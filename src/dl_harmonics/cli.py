@@ -95,8 +95,9 @@ def _cmd_kernel_eval(args) -> int:
     branch = params.q if args.side == 1 else params.r
     tr.check_labels(end, branch)
     tr.check_labels(x, branch)
-    value = kn.martin_kernel_tree(args.side, x, end, parse_frac(args.alpha), params)
-    _emit({"value": frac_str(value), "side": args.side, "alpha": frac_str(parse_frac(args.alpha))})
+    alpha = parse_frac(args.alpha)
+    value = kn.martin_kernel_tree(args.side, x, end, alpha, params)
+    _emit({"value": frac_str(value), "side": args.side, "alpha": frac_str(alpha)})
     return 0
 
 
@@ -119,14 +120,12 @@ def _cmd_harmonic_check(args) -> int:
         raise ValueError(f"harmonic-check would build vertices of up to {entries} label entries and evaluate "
                          f"up to {values} kernel values, worth {total} entries in all (cap {_MAX_BUILT_ENTRIES})")
     failures = []
-    checked = 0
     for _ in range(args.samples):
         v = dg.random_vertex(params, rng.randrange(args.radius + 1), rng, variant)
-        checked += 1
         if not wk.is_harmonic_at(op, h, v):
             failures.append(v)
     out = {
-        "checked": checked,
+        "checked": args.samples,
         "failures": len(failures),
         "operator": args.operator,
         "alpha": frac_str(alpha),
@@ -249,21 +248,14 @@ def _cmd_defect(args) -> int:
     q = dg.DLParams(args.q, args.q).q  # rejects q < 2
     a = _decode(args.element, "--element", lambda obj: lp.element_from_json(obj, q))
     xi = _decode(args.boundary, "--boundary", lambda obj: lp.config_from_json(obj, q))
-    out = {"side": xi.side, "q": q}
+    model = lp.GeneratorModel
+    out = {"side": xi.side, "q": q, "kernel_walk_switch": frac_str(kn.defect_kernel(model.WALK_SWITCH, a, xi, q))}
     if xi.side == "+":
         out["defect_plus"] = lp.defect_plus(a, xi)
         out["defect_oplus"] = lp.defect_oplus(a, xi)
-        out["kernel_walk_switch"] = frac_str(
-            kn.defect_kernel(lp.GeneratorModel.WALK_SWITCH, a, xi, q)
-        )
-        out["kernel_switch_walk_switch"] = frac_str(
-            kn.defect_kernel(lp.GeneratorModel.SWITCH_WALK_SWITCH, a, xi, q)
-        )
+        out["kernel_switch_walk_switch"] = frac_str(kn.defect_kernel(model.SWITCH_WALK_SWITCH, a, xi, q))
     else:
         out["defect_minus"] = lp.defect_minus(a, xi)
-        out["kernel_walk_switch"] = frac_str(
-            kn.defect_kernel(lp.GeneratorModel.WALK_SWITCH, a, xi, q)
-        )
     _emit(out)
     return 0
 
@@ -279,19 +271,14 @@ def _cmd_graph_export(args) -> int:
     entries = 2 * degree * dg.ball_size(params, radius, args.variant) * (1 + grow * (radius + 1))
     _check_built_entries("graph-export", entries, at_least=radius < args.radius)
     if args.format == "dot":
-        text = dg.export_dot(params, args.radius, args.variant)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        text = dg.export_dot(params, args.radius, args.variant)  # ends in a newline
     else:
-        obj = dg.export_json(params, args.radius, args.variant)
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(obj, fh, **_J)
-        else:
-            _emit(obj)
+        text = json.dumps(dg.export_json(params, args.radius, args.variant), **_J)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text if args.format == "dot" else text + "\n")
     return 0
 
 

@@ -106,8 +106,8 @@ class FiniteChain:
     stores ``alpha`` as a Fraction.
 
     ``vertices`` is enumerated on first read, level by level as ``_Layout``
-    numbers them, and the walk-exit check runs then; ``boundary`` (levels
-    ``-n`` and ``n``) and ``interior`` are slices of it.  The exact layer
+    numbers them, and the vertex cap and walk-exit check run then; ``boundary``
+    (levels ``-n`` and ``n``) and ``interior`` are slices of it.  The exact layer
     (``hitting_table``, ``verify_product_formula``) works from the level
     sizes and reads no vertex.
     """
@@ -178,7 +178,7 @@ def default_operator(chain: FiniteChain):
     return p2_walk(chain.params, chain.alpha)
 
 
-# Most vertices ``build_truncation`` lets a chain have.
+# Most vertices a chain may enumerate.
 _MAX_VERTICES = 500_000
 
 
@@ -186,8 +186,12 @@ def build_truncation(n: int, params: DLParams, alpha: Fraction, kind: str = "dl"
     """The stage-``n`` truncation, refused past ``_MAX_VERTICES`` from its
     level sizes; its vertices are enumerated on first read of ``vertices``.
     """
-    chain = FiniteChain(kind, n, params, alpha)
-    size = sum(_level_sizes(n, *_walk_shape(kind, params)))
+    return _check_vertex_count(FiniteChain(kind, n, params, alpha))
+
+
+def _check_vertex_count(chain: FiniteChain) -> FiniteChain:
+    """``chain``, or ValueError when its level sizes pass ``_MAX_VERTICES``."""
+    size = sum(_level_sizes(chain.n, *_walk_shape(chain.kind, chain.params)))
     if size > _MAX_VERTICES:
         raise ValueError(f"truncation would have {size} vertices (cap {_MAX_VERTICES})")
     return chain
@@ -197,12 +201,13 @@ def _enumerate(chain: FiniteChain) -> tuple:
     """The chain's vertices, level by level: level ``k`` of the ``ups``-tree
     times level ``-k`` of the ``downs``-tree.  A tree chain's second tree is
     the line ``downs = 1``, and its vertex is the first coordinate alone.
+    A chain past ``_MAX_VERTICES`` is refused before any vertex is built.
 
     Levels ``-n`` and ``n`` are the two leaf sets, and every vertex on them
     is asserted to have a move out of the chain under ``default_operator``
     (interior levels never exit: their tree neighbours stay within range).
     """
-    n = chain.n
+    n = _check_vertex_count(chain).n
     ups, downs = _walk_shape(chain.kind, chain.params)
     lv1, lv2 = _tree_levels(n, ups), _tree_levels(n, downs)
     vertices = []
@@ -364,7 +369,6 @@ class _Layout(NamedTuple):
 
     size: tuple  # vertices per level, levels -n..n
     slots: np.ndarray  # read-only, |interior| x len(coeffs) vertex positions
-    ups: int
     denom: int
     coeffs: tuple  # scaled weight of each slot
 
@@ -379,9 +383,8 @@ class _Layout(NamedTuple):
 
 
 def _layout(chain: FiniteChain) -> _Layout:
-    ups, downs = _walk_shape(chain.kind, chain.params)
     denom, coeffs = _integer_row(default_operator(chain)._weights)
-    return _Layout(*_move_slots(chain.n, ups, downs), ups, denom, tuple(coeffs))
+    return _Layout(*_move_slots(chain.n, *_walk_shape(chain.kind, chain.params)), denom, tuple(coeffs))
 
 
 @lru_cache(maxsize=64)

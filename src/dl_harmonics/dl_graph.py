@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .tree import (
     ROOT,
@@ -135,33 +135,17 @@ def translation_to(target: DLVertex, params: DLParams) -> Callable[[DLVertex], D
     and successor relations and the level sum.
     """
     check_vertex(target, params)
-    h = target.x1.level - 0
-    t1 = dict(target.x1.labels)
-    t2 = dict(target.x2.labels)
 
-    def move(x: TreeVertex, shift_by: int, t: dict[int, int], mod: int) -> TreeVertex:
-        new_level = x.level + shift_by
-        shifted = {j + shift_by: val for j, val in x.labels}
-        out = {}
-        for j in set(shifted) | set(t):
-            if j > new_level:
-                # translation entries below the vertex apply to its
-                # descendants, not to the vertex itself
-                continue
-            val = (shifted.get(j, 0) + t.get(j, 0)) % mod
-            if val:
-                out[j] = val
-        return TreeVertex.make(new_level, out)
+    def move(x: TreeVertex, shift_by: int, t: TreeVertex, mod: int) -> TreeVertex:
+        level = x.level + shift_by
+        out = {j + shift_by: val for j, val in x.labels}
+        for j, val in t.labels:
+            if j <= level:  # entries above the new level act on descendants only
+                out[j] = out.get(j, 0) + val
+        return TreeVertex(level, _tree._canon(out, mod))
 
-    h2 = target.x2.level - params.level_sum
-
-    def phi(v: DLVertex) -> DLVertex:
-        return DLVertex(
-            move(v.x1, h, t1, params.q),
-            move(v.x2, h2, t2, params.r),
-        )
-
-    return phi
+    h1, h2 = target.x1.level, target.x2.level - params.level_sum
+    return lambda v: DLVertex(move(v.x1, h1, target.x1, params.q), move(v.x2, h2, target.x2, params.r))
 
 
 def _neighbour_fn(params: DLParams, variant: str):

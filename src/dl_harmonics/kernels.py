@@ -277,14 +277,11 @@ def combine(
 def defect_kernel(
     model: GeneratorModel, a: GroupElement, xi: BoundaryConfig, q: int
 ) -> Fraction:
-    """``q ** defect`` for the defect count matching the generator model."""
-    base = Fraction(q)
-    if model is GeneratorModel.WALK_SWITCH:
-        if xi.side == "+":
-            return base ** defect_plus(a, xi)
-        return base ** defect_minus(a, xi)
-    if model is GeneratorModel.SWITCH_WALK_SWITCH:
-        if xi.side == "+":
-            return base ** defect_oplus(a, xi)
-        return base ** defect_minus(a, xi)
-    raise ValueError(f"no boundary kernels are defined for {model.value}")
+    """``q ** defect`` for the defect count matching the generator model: the
+    ``'-'`` side counts ``defect_minus`` under either model, the ``'+'`` side
+    ``defect_plus`` (walk-switch) or ``defect_oplus`` (switch-walk-switch)."""
+    if model not in (GeneratorModel.WALK_SWITCH, GeneratorModel.SWITCH_WALK_SWITCH):
+        raise ValueError(f"no boundary kernels are defined for {getattr(model, 'value', repr(model))}")
+    if xi.side == "-":
+        return Fraction(q) ** defect_minus(a, xi)
+    return Fraction(q) ** (defect_plus if model is GeneratorModel.WALK_SWITCH else defect_oplus)(a, xi)

@@ -317,9 +317,9 @@ def _bfs(start, nbrs, radius: int) -> list:
     return out
 
 
-def ball(q: int, radius: int, centre: TreeVertex = ROOT) -> list[TreeVertex]:
-    """All vertices within tree distance ``radius`` of ``centre`` (BFS order)."""
-    return _bfs(centre, lambda v: neighbours(v, q), radius)
+def ball(q: int, radius: int) -> list[TreeVertex]:
+    """All vertices within tree distance ``radius`` of the root (BFS order)."""
+    return _bfs(ROOT, lambda v: neighbours(v, q), radius)
 
 
 def random_vertex(q: int, radius: int, rng) -> TreeVertex:

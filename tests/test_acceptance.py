@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from dl_harmonics.dirichlet import (
-    TruncationStage,
+    FiniteChain,
     build_truncation,
     decompose,
     kernel_approx,
@@ -329,7 +329,7 @@ def test_criterion_10_kernel_approximation_convergence():
         for xi in ends:
             limit = martin_kernel_tree(1, x, xi, alpha, p)
             for n in stages:
-                stage = TruncationStage("tree1", n, p, alpha)
+                stage = FiniteChain("tree1", n, p, alpha)
                 try:
                     kn = kernel_approx(stage, x, xi)
                 except ValueError:

@@ -266,6 +266,42 @@ def test_graph_export(tmp_path, capsys):
     assert out_file.read_text() == json.dumps(obj, sort_keys=True)  # no trailing newline
 
 
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_graph_export_file_holds_the_stdout_text(tmp_path, capsys, fmt):
+    # stdout JSON ends in a newline, the JSON file does not; DOT ends in one in both
+    argv = ("graph-export", "--q", "2", "--r", "3", "--radius", "2", "--variant", "dls", "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("}\n")
+    out_file = tmp_path / f"ball.{fmt}"
+    assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_text() == (out if fmt == "dot" else out[:-1])
+
+
+def test_dirichlet_solve_reports_a_product_discrepancy(monkeypatch, capsys):
+    from dl_harmonics import dirichlet
+
+    def one_wrong_entry(chain):
+        table = real(chain)
+        nums = table.nums.copy()
+        nums[0, 0] += 1
+        return dirichlet.HittingTable._from_columns(chain, nums, table.dens)
+
+    real = dirichlet.hitting_table
+    monkeypatch.setattr(dirichlet, "hitting_table", one_wrong_entry)
+    code, out, _ = run(capsys, "dirichlet-solve", "--alpha", "1/3", "--n", "1", "--check-product")
+    obj = json.loads(out)
+    assert code == 1 and obj["product_discrepancies"] == 1 and obj["product_checked"] == 12 * 8
+
+
+def test_config_without_a_value_or_a_command_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 2, "r": 3, "n": 1}))
+    for argv in (["dirichlet-solve", "--config"], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
 def test_config_defaults_and_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"q": 2, "r": 3, "alpha": "1/3", "n": 1}))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dl_harmonics import cli, dirichlet as dct
 from dl_harmonics.dirichlet import (
-    TruncationStage,
+    FiniteChain,
     build_truncation,
     closed_tree_table,
     decompose,
@@ -708,7 +708,7 @@ def test_decompose_of_an_int_valued_h():
 
 def test_kernel_approx_normalised_and_guarded():
     p = DLParams(2, 2)
-    stage = TruncationStage("tree1", 3, p, HALF)
+    stage = FiniteChain("tree1", 3, p, HALF)
     assert kernel_approx(stage, ROOT, TreeEnd.word({1: 1})) == 1
     assert kernel_approx(stage, ROOT, OMEGA) == 1
     chain = build_truncation(3, p, HALF, "tree1")
@@ -739,7 +739,7 @@ def test_kernel_approx_converges():
         limit = martin_kernel_tree(1, x, xi, alpha, p)
         errs = []
         for n in range(2, 11):
-            stage = TruncationStage("tree1", n, p, alpha)
+            stage = FiniteChain("tree1", n, p, alpha)
             errs.append(abs(kernel_approx(stage, x, xi) - limit))
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < final_bound
@@ -752,7 +752,7 @@ def test_kernel_approx_converges():
     for alpha, want, final_bound in ((THIRD, 3, 2e-3), (Fraction(2, 3), 6, 3e-3)):
         limit = martin_kernel_tree(2, x, xi, alpha, p)
         assert limit == want
-        errs = [abs(kernel_approx(TruncationStage("tree2", n, p, alpha), x, xi) - limit) for n in range(2, 11)]
+        errs = [abs(kernel_approx(FiniteChain("tree2", n, p, alpha), x, xi) - limit) for n in range(2, 11)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < final_bound
 
@@ -765,7 +765,7 @@ def test_deep_stage_reads_no_vertex(monkeypatch):
     p = DLParams(2, 2)
     x, xi = TreeVertex.make(1, {1: 1}), TreeEnd.word({1: 1})
     got = kernel_approx(dct.FiniteChain("tree1", 64, p, THIRD), x, xi)
-    assert got == kernel_approx(TruncationStage("tree1", 64, p, THIRD), x, xi)
+    assert got == kernel_approx(FiniteChain("tree1", 64, p, THIRD), x, xi)
     assert abs(got - martin_kernel_tree(1, x, xi, THIRD, p)) < Fraction(1, 10**12)
     with pytest.raises(ValueError, match="tree chains"):
         kernel_approx(dct.FiniteChain("dl", 64, p, THIRD), x, xi)
@@ -1035,3 +1035,64 @@ DL22_N4_SHA256 = "8966e74b5c48e120fd40fec76cf74e8ce4afc6300f7fdd40e479fade527e86
 def test_dl22_n4_table_is_pinned():
     t = hitting_table(build_truncation(4, DLParams(2, 2), HALF, "dl"))
     assert hashlib.sha256(json.dumps(table_to_json(t)).encode()).hexdigest() == DL22_N4_SHA256
+
+
+@pytest.mark.parametrize("read", ["vertices", "boundary", "interior", "index"])
+def test_a_directly_built_chain_past_the_vertex_cap_is_refused(monkeypatch, read):
+    # DL(2,2) n = 1 has 12 vertices: with the cap at 11 the first read refuses
+    # before a tree level is built, with build_truncation's message.
+    def no_levels(n, branch):
+        raise RuntimeError("a tree level was built")
+
+    p, real_levels = DLParams(2, 2), dct._tree_levels
+    monkeypatch.setattr(dct, "_MAX_VERTICES", 11)
+    monkeypatch.setattr(dct, "_tree_levels", no_levels)
+    chain = dct.FiniteChain("dl", 1, p, HALF)
+    for attempt in (lambda: getattr(chain, read), lambda: build_truncation(1, p, HALF)):
+        with pytest.raises(ValueError, match=r"^truncation would have 12 vertices \(cap 11\)$"):
+            attempt()
+    monkeypatch.setattr(dct, "_MAX_VERTICES", 12)
+    monkeypatch.setattr(dct, "_tree_levels", real_levels)
+    assert len(chain.vertices) == 12 and chain == build_truncation(1, p, HALF)
+
+
+def test_table_is_unequal_to_a_foreign_object():
+    table = hitting_table(build_truncation(1, DLParams(2, 2), HALF))
+    assert (table == 3) is False and table.__eq__(3) is NotImplemented
+
+
+def test_solve_size_refuses_stage_0():
+    with pytest.raises(ValueError, match="stage must be >= 1"):
+        dct.check_solve_size(0, DLParams(2, 2))
+
+
+def test_restricted_hitting_reads_a_string_rate():
+    y = TreeVertex.make(2, {1: 2})
+    assert restricted_hitting(2, 3, "1/3", ROOT, y) == restricted_hitting(2, 3, THIRD, ROOT, y)
+
+
+def test_represent_builds_its_own_table():
+    chain = build_truncation(1, DLParams(2, 3), THIRD)
+    data = {y: Fraction(i, 7) for i, y in enumerate(chain.boundary)}
+    assert represent(chain, data) == represent(chain, data, table=hitting_table(chain))
+
+
+def test_decompose_reports_a_failed_reconstruction(monkeypatch):
+    def off_at_the_root(*args):
+        scale, out = real(*args)
+        out[ROOT] += 1
+        return scale, out
+
+    real = dct._slab_extension
+    monkeypatch.setattr(dct, "_slab_extension", off_at_the_root)
+    with pytest.raises(AssertionError, match="splitting failed to reconstruct h"):
+        decompose(lambda v: Fraction(1), 1, DLParams(2, 2), HALF)
+
+
+def test_kernel_approx_refuses_a_zero_measure_leaf():
+    # the leaf's ray leaves the root's ray at the apex, so the root reaches
+    # it only through the boundary
+    n = 3
+    chain = FiniteChain("tree1", n, DLParams(2, 2), THIRD)
+    with pytest.raises(ValueError, match="zero harmonic measure"):
+        kernel_approx(chain, ROOT, TreeVertex.make(n, {1 - n: 1}))

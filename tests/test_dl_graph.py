@@ -188,6 +188,39 @@ def test_translation_transitivity():
             assert phi(w) in dl_neighbours(v, p)
 
 
+def label_loop_translation(target, params):
+    """``translation_to`` as a union-of-keys loop over the shifted labels and
+    the target's, each key reduced and zero-dropped on its own."""
+    t1, t2 = dict(target.x1.labels), dict(target.x2.labels)
+
+    def move(x, shift_by, t, mod):
+        new_level = x.level + shift_by
+        shifted = {j + shift_by: val for j, val in x.labels}
+        out = {}
+        for j in set(shifted) | set(t):
+            if j > new_level:
+                continue
+            val = (shifted.get(j, 0) + t.get(j, 0)) % mod
+            if val:
+                out[j] = val
+        return TreeVertex.make(new_level, out)
+
+    h1, h2 = target.x1.level, target.x2.level - params.level_sum
+    return lambda v: DLVertex(move(v.x1, h1, t1, params.q), move(v.x2, h2, t2, params.r))
+
+
+@pytest.mark.parametrize("p", [DLParams(2, 3), DLParams(3, 2, level_sum=1)], ids=["DL(2,3)", "DL(3,2)+1"])
+def test_translation_equals_the_label_loop(p):
+    vertices = ball(p, 3)
+    for target in ball(p, 2):
+        phi, loop = translation_to(target, p), label_loop_translation(target, p)
+        assert phi(origin(p)) == target
+        for v in vertices:
+            got = phi(v)
+            assert got == loop(v)
+            check_vertex(got, p)
+
+
 def test_exports():
     p = DLParams(2, 2)
     dot = export_dot(p, 1)

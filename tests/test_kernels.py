@@ -28,6 +28,7 @@ from dl_harmonics.lamplighter import (
     BoundaryConfig,
     GeneratorModel,
     GroupElement,
+    defect_minus,
     encode,
     end_minus,
     end_plus,
@@ -265,6 +266,24 @@ def test_defect_kernel_model_switch():
     assert defect_kernel(GeneratorModel.SWITCH_WALK_SWITCH, a, xi, q) == 1
     with pytest.raises(ValueError):
         defect_kernel(GeneratorModel.WALK_OR_SWITCH, a, xi, q)
+
+
+def test_defect_kernel_dispatch():
+    q = 3
+    a = GroupElement.make({-1: 2, 0: 1, 2: 1}, 1, q)
+    minus = BoundaryConfig("-", ((0, 1), (1, 2)))
+    # the '-' side counts defect_minus under either model
+    for model in (GeneratorModel.WALK_SWITCH, GeneratorModel.SWITCH_WALK_SWITCH):
+        assert defect_kernel(model, a, minus, q) == Fraction(q) ** defect_minus(a, minus)
+    with pytest.raises(ValueError, match="no boundary kernels are defined for walk-or-switch"):
+        defect_kernel(GeneratorModel.WALK_OR_SWITCH, a, minus, q)
+
+
+@pytest.mark.parametrize("model", ["walk-switch", None, 1])
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_defect_kernel_refuses_a_foreign_model(model, side):
+    with pytest.raises(ValueError, match=f"no boundary kernels are defined for {model!r}"):
+        defect_kernel(model, GroupElement((), 0), BoundaryConfig(side, ()), 2)
 
 
 def test_lift_sides():

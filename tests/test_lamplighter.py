@@ -516,3 +516,10 @@ def test_cayley_check_encodes_each_distinct_element_once(monkeypatch):
     monkeypatch.setattr(lamplighter, "encode", counted)
     assert cayley_check(q, 1, 1) == want
     assert len(calls) == len(distinct) == 243 and set(calls) == distinct
+
+
+def test_ends_refuse_the_other_side():
+    with pytest.raises(ValueError, match="end_plus needs a '\\+' side configuration"):
+        end_plus(BoundaryConfig("-", ((1, 1),)))
+    with pytest.raises(ValueError, match="end_minus needs a '-' side configuration"):
+        end_minus(BoundaryConfig("+", ((1, 1),)))

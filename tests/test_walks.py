@@ -796,3 +796,9 @@ def test_conjugated_tree_walk_estimates_on_tree_states():
         assert estimate_f(conjugate(walk, lambda v: 1), ROOT, y, 50, 40, 1) == plain
         counts.append(_counts(plain))
     assert counts == [(18, 22, 10), (16, 30, 4)]
+
+
+def test_projected_walk_reads_its_base():
+    base = SiblingWalk(DLParams(2, 3), Fraction(2, 5))
+    op = project(base)
+    assert (op.alpha, op.params) == (base.alpha, base.params)
