@@ -81,6 +81,14 @@ def _decode(text: str, flag: str, decode):
         raise ValueError(f"{flag}: {exc}") from None
 
 
+def _spec(text: str):
+    """``harmonic_from_json`` of ``--spec``, where a missing field names the flag."""
+    try:
+        return harmonic_from_json(_json_object(text, "--spec"))
+    except KeyError as exc:
+        raise ValueError(f"--spec: JSON of the wrong shape ({exc!r})") from None
+
+
 def _picture(operator: str, params: dg.DLParams):
     """(decoder, encoder, origin factory) of the states of ``operator``."""
     if operator in ("p1", "p2"):
@@ -102,8 +110,7 @@ def _cmd_kernel_eval(args) -> int:
 
 
 def _cmd_harmonic_check(args) -> int:
-    spec = _json_object(args.spec, "--spec")
-    h, params = harmonic_from_json(spec)
+    h, params = _spec(args.spec)
     alpha = parse_frac(args.alpha) if args.alpha is not None else (
         h.alpha if h.terms else Fraction(1, 2)
     )
@@ -169,8 +176,7 @@ def _cmd_dirichlet_solve(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    spec = _json_object(args.spec, "--spec")
-    h, params = harmonic_from_json(spec)
+    h, params = _spec(args.spec)
     alpha = h.alpha if h.terms else parse_frac(args.alpha or "1/2")
     if h.terms and args.alpha is not None and parse_frac(args.alpha) != alpha:
         # the kernels of the spec are harmonic for its own alpha only

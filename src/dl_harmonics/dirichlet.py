@@ -44,9 +44,9 @@ so hitting tables, the product-formula cross-check, the finite splitting
 ``h = h1 + h2``, and the stage-``n`` kernel approximants all come out in
 closed form with no matrix solve.  A geodesic product depends only on the
 levels of ``x ⋏ y``, ``x`` and ``y``, and is computed once per such triple.
-What does not depend on ``alpha``, each level's class grid and each shape's
-move slots, is built once and kept read-only; ``decompose`` runs on integers
-over one scale per slab and builds its Fractions last.
+Each level's class grid, each shape's move slots, each slab's class values
+scaled to integers and the walk's integer row are built once per integer key
+and kept read-only; ``decompose`` runs on integers and builds Fractions last.
 """
 
 from __future__ import annotations
@@ -302,19 +302,18 @@ class HittingTable:
 _MAX_SOLVE_BYTES = 2 << 30
 
 
+_KINDS = ("dl", "tree1", "tree2")
+
+
 def _walk_shape(kind: str, params: DLParams) -> tuple[int, int]:
     """``(ups, downs)``: a level-``k`` vertex of the stage-``n`` chain is a
     digit pair ``(i1, i2)`` with ``i1 < ups**(n+k)`` and ``i2 < downs**(n-k)``,
     and the walk moves from it to ``ups`` vertices above and ``downs`` below.
     A tree chain is the case ``downs = 1``; ``tree2`` counts its levels up
     the second tree."""
-    if kind == "dl":
-        return params.q, params.r
-    if kind == "tree1":
-        return params.q, 1
-    if kind == "tree2":
-        return params.r, 1
-    raise ValueError(f"unknown chain kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown chain kind {kind!r}")
+    return ((params.q, params.r), (params.q, 1), (params.r, 1))[_KINDS.index(kind)]
 
 
 def _level_sizes(n: int, ups: int, downs: int) -> tuple:
@@ -383,8 +382,17 @@ class _Layout(NamedTuple):
 
 
 def _layout(chain: FiniteChain) -> _Layout:
-    denom, coeffs = _integer_row(default_operator(chain)._weights)
-    return _Layout(*_move_slots(chain.n, *_walk_shape(chain.kind, chain.params)), denom, tuple(coeffs))
+    a, p = chain.alpha, chain.params
+    row = _walk_row(_KINDS.index(chain.kind), p.q, p.r, p.level_sum, a.numerator, a.denominator)
+    return _Layout(*_move_slots(chain.n, *_walk_shape(chain.kind, p)), *row)
+
+
+@lru_cache(maxsize=256)
+def _walk_row(kind: int, q: int, r: int, level_sum: int, num: int, den: int) -> tuple[int, tuple]:
+    """``(denom, coeffs)`` of ``_layout``, from ``default_operator`` once per key."""
+    op = default_operator(FiniteChain(_KINDS[kind], 1, DLParams(q, r, level_sum), Fraction(num, den)))
+    denom, coeffs = _integer_row(op._weights)
+    return denom, tuple(coeffs)
 
 
 @lru_cache(maxsize=64)
@@ -505,6 +513,20 @@ def _level_product(n: int, branch: int, up: Fraction, c: int, lx: int, ly: int) 
     return out
 
 
+@lru_cache(maxsize=256)
+def _class_values(n: int, branch: int, num: int, den: int) -> tuple[int, tuple]:
+    """``(common, levels)`` of the stage-``n`` tree climbed at rate ``num/den``: ``levels[n + lv]``
+    holds ``F(x, y) * common`` for ``x`` on level ``lv``, ``y`` a leaf, one read-only entry per class
+    of ``_classes(n, branch, lv)``; ``common`` is the lcm of the reduced denominators."""
+    values = [[_level_product(n, branch, Fraction(num, den), c, lv, n) for c in _classes(n, branch, lv)]
+              for lv in range(-n, n + 1)]
+    common = lcm(*(f.denominator for level in values for f in level))
+    levels = tuple(np.array([f.numerator * (common // f.denominator) for f in lv], dtype=object) for lv in values)
+    for level in levels:
+        level.flags.writeable = False
+    return common, levels
+
+
 def _in_tree_chain(v: TreeVertex, n: int) -> bool:
     return -n <= v.level <= n and all(j > -n for j, _ in v.labels)
 
@@ -548,6 +570,15 @@ def _confluent_levels(n: int, branch: int, level: int) -> np.ndarray:
     return out
 
 
+_MAX_KEPT_GRID = 1 << 20  # bytes, one an entry
+
+
+def _class_grid(n: int, branch: int, level: int) -> np.ndarray:
+    """``_confluent_levels``, kept up to ``_MAX_KEPT_GRID`` and built per call above it."""
+    kept = branch ** (3 * n + level) <= _MAX_KEPT_GRID
+    return (_confluent_levels if kept else _confluent_levels.__wrapped__)(n, branch, level)
+
+
 def _slabs(chain: FiniteChain) -> tuple:
     """The boundary slabs in column order, as ``(branch, up rate, sign)``:
     each tree of the chain with the rate at which its walk climbs it.
@@ -580,26 +611,17 @@ def _closed_form(chain: FiniteChain) -> tuple[np.ndarray, list]:
 
     By the stabiliser of the column's leaf, ``F`` depends only on the class
     ``(k, c)``: the level ``k`` of the vertex on the slab's tree and the level
-    ``c`` of its confluent with the leaf.  So each level of each slab is one
-    closed-form value per class (``_level_product``), computed once.  Every
-    column of a slab meets every class, so its denominator is the lcm over
-    the slab's values; each level's scaled values are laid out by
-    ``_confluent_levels`` and repeated across the other coordinate.
+    ``c`` of its confluent with the leaf.  Every column of a slab meets every
+    class, so its denominator is the slab's ``common`` of ``_class_values``;
+    each level's scaled class values are laid out by ``_confluent_levels`` and
+    repeated across the other coordinate.
     """
     n = chain.n
     ups, downs = _walk_shape(chain.kind, chain.params)
     sizes = _level_sizes(n, ups, downs)
-    slabs = []  # (branch, sign, the scaled class values of each level -n..n)
-    dens = []
-    for branch, up, sign in _slabs(chain):
-        values = [
-            [_level_product(n, branch, up, c, sign * k, n) for c in _classes(n, branch, sign * k)]
-            for k in range(-n, n + 1)
-        ]
-        common = lcm(*(f.denominator for level in values for f in level))
-        scaled = [[f.numerator * (common // f.denominator) for f in level] for level in values]
-        slabs.append((branch, sign, [np.array(level, dtype=object) for level in scaled]))
-        dens += [common] * branch ** (2 * n)
+    # (branch, sign, common, the scaled class values of each level -n..n)
+    slabs = [(b, sign, *_class_values(n, b, up.numerator, up.denominator)) for b, up, sign in _slabs(chain)]
+    dens = [common for branch, _, common, _ in slabs for _ in range(branch ** (2 * n))]
     out = np.empty((sum(sizes), len(dens)), dtype=object)
     start = 0
     for k, size in zip(range(-n, n + 1), sizes):
@@ -607,10 +629,10 @@ def _closed_form(chain: FiniteChain) -> tuple[np.ndarray, list]:
         # ``out`` is C-contiguous
         level_rows = out[start : start + size].reshape(ups ** (n + k), -1, len(dens))
         lo = 0
-        for branch, sign, scaled in slabs:
+        for branch, sign, _, levels in slabs:
             level = sign * k
             cols = slice(lo, lo + branch ** (2 * n))
-            grid = scaled[n + k][_confluent_levels(n, branch, level)]
+            grid = levels[n + level][_class_grid(n, branch, level)]
             level_rows[:, :, cols] = grid[None] if sign < 0 else grid[:, None]
             lo = cols.stop
         start += size
@@ -672,29 +694,27 @@ class Decomposition:
     lambda2: dict
 
 
-def _slab_extension(n: int, branch: int, up: Fraction, levels: dict, slab: list) -> tuple[int, dict]:
+def _slab_extension(n: int, branch: int, scale: int, products: tuple, levels: dict, slab: list) -> tuple:
     """``x -> sum_y F(x, y) slab[y]`` on every vertex ``x`` of the stage-``n``
     tree, ``y`` running over its leaves, in ``(level, labels)`` order, for an
     integer ``slab``: ``(scale, out)`` with the values ``out[x] / scale``.
 
-    ``F(x, y)`` is ``P(c) = _level_product(n, branch, up, c, k, n)`` for ``x``
-    on level ``k`` and ``x ⋏ y`` on level ``c``.  With ``below[c][a]`` the
-    slab summed under vertex ``a`` of level ``c`` (ancestors are digit
-    prefixes, as in ``_confluent_levels``), a leaf lies under the ancestor of
-    ``x`` on every level up to that of ``x ⋏ y``, so its weights
-    ``P(c) - P(c - 1)`` over those levels, with ``P(-n - 1) = 0``, sum to
-    ``F(x, y)``; ``scale`` is the lcm of the weights' denominators.
+    ``F(x, y) * scale`` is ``P(c) = products[n + k][n + c]``, from the slab's
+    ``_class_values``, for ``x`` on level ``k`` and ``x ⋏ y`` on level ``c``.
+    With ``below[c][a]`` the slab summed under vertex ``a`` of level ``c``
+    (ancestors are digit prefixes, as in ``_confluent_levels``), a leaf lies
+    under the ancestor of ``x`` on every level up to that of ``x ⋏ y``, so its
+    integer weights ``P(c) - P(c - 1)`` over those levels, with ``P(-n - 1) =
+    0``, sum to ``F(x, y) * scale``.
     """
     below = {n: slab}
     for c in range(n - 1, -n - 1, -1):
         prev = below[c + 1]
         below[c] = [sum(prev[a : a + branch]) for a in range(0, len(prev), branch)]
-    products = {k: [_level_product(n, branch, up, c, k, n) for c in range(-n, k + 1)] for k in range(-n, n + 1)}
-    weights = {k: [p - prev for p, prev in zip(ps, [0, *ps])] for k, ps in products.items()}
-    scale = lcm(*(w.denominator for ws in weights.values() for w in ws))
     out = []
-    for k, ws in weights.items():
-        ws = [(c, w.numerator * (scale // w.denominator)) for c, w in zip(range(-n, k + 1), ws)]
+    for k in range(-n, n + 1):
+        ps = products[n + k].tolist()
+        ws = [(c, p - prev) for c, p, prev in zip(range(-n, k + 1), ps, [0, *ps])]
         for i, x in enumerate(levels[k]):
             out.append((x, sum(w * below[c][i // branch ** (k - c)] for c, w in ws)))
     out.sort(key=lambda item: (item[0].level, item[0].labels))
@@ -731,14 +751,13 @@ def decompose(h: Callable, n: int, params: DLParams, alpha: Fraction) -> Decompo
     # apex carry zero harmonic measure from o and are omitted.
     parts = []
     for (branch, up, _), ends in zip(_slabs(chain), (slice(lay.size[0]), slice(-lay.size[-1], None))):
-        levels = _tree_levels(n, branch)
+        levels, (scale, products) = _tree_levels(n, branch), _class_values(n, branch, up.numerator, up.denominator)
         weights = {chain.a1: Fraction(0)}
-        # F(o, y) by the class of o ⋏ y, o being vertex 0 of level 0
-        for y, b, c in zip(levels[n], values[ends], _confluent_levels(n, branch, 0)[0].tolist()):
-            f = _level_product(n, branch, up, c - n, 0, n)
+        # F(o, y) * scale by the class of o ⋏ y, o being vertex 0 of level 0
+        for y, b, f in zip(levels[n], ints[ends], products[n][_class_grid(n, branch, 0)[0]].tolist()):
             if f:
-                weights[y] = b / f
-        parts.append((*_slab_extension(n, branch, up, levels, ints[ends]), weights))
+                weights[y] = Fraction(b * scale, common * f)
+        parts.append((*_slab_extension(n, branch, scale, products, levels, ints[ends]), weights))
     (scale2, h2, lambda2), (scale1, h1, lambda1) = parts
 
     both = lcm(scale1, scale2)

@@ -357,6 +357,10 @@ def end_to_json(xi: TreeEnd) -> dict:
 
 
 def end_from_json(obj: dict) -> TreeEnd:
-    if obj.get("omega"):
-        return TreeEnd.omega()
-    return TreeEnd.word(_labels_from_json(obj.get("labels", [])))
+    """ω is ``{"omega": true}`` with no ``labels``; ``omega`` is a JSON boolean."""
+    omega = obj.get("omega", False)
+    if not isinstance(omega, bool):
+        raise ValueError(f"omega must be a JSON boolean, got {omega!r}")
+    if omega and "labels" in obj:
+        raise ValueError("an end with omega true takes no labels")
+    return TreeEnd.omega() if omega else TreeEnd.word(_labels_from_json(obj.get("labels", [])))

@@ -11,6 +11,7 @@ from dl_harmonics import cli, lamplighter
 from dl_harmonics.cli import main
 
 ROOT_JSON = '{"level": 0, "labels": []}'
+LEVEL2_JSON = '{"level": 2, "labels": []}'
 END_JSON = '{"labels": [[1, 1]]}'
 KERNEL_SPEC = json.dumps(
     {
@@ -633,6 +634,46 @@ def test_a_json_number_that_is_not_an_integer_exits_2(capsys, argv, message):
 def test_a_spec_of_the_wrong_shape_exits_2_naming_the_field(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+OMEGA_WITH_LABELS = {"omega": True, "labels": [[1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # "false" is a string, not the boolean: it used to read as ω
+        (("kernel-eval", "--alpha", "1/3", "--end", '{"omega": "false"}', "--at", LEVEL2_JSON),
+         "--end: omega must be a JSON boolean, got 'false'"),
+        (("kernel-eval", "--end", '{"omega": 1}', "--at", ROOT_JSON), "--end: omega must be a JSON boolean, got 1"),
+        # the labels used to be dropped silently
+        (("kernel-eval", "--end", json.dumps(OMEGA_WITH_LABELS), "--at", ROOT_JSON),
+         "--end: an end with omega true takes no labels"),
+        (("harmonic-check", "--spec", spec_with(terms=[{"coeff": "1/1", "side": 1, "end": {"omega": "true"}}])),
+         "omega must be a JSON boolean, got 'true'"),
+        (("decompose", "--spec", spec_with(terms=[{"coeff": "1/1", "side": 1, "end": OMEGA_WITH_LABELS}]),
+          "--n", "1"),
+         "an end with omega true takes no labels"),
+    ],
+)
+def test_the_omega_flag_is_a_boolean_without_labels(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_the_word_end_and_omega_read_as_before(capsys):
+    # a word end at level 2 (16/1), and the boolean flag (1/1)
+    for end, value in (('{"labels": []}', "16/1"), ('{"omega": false}', "16/1"), ('{"omega": true}', "1/1")):
+        code, out, _ = run(capsys, "kernel-eval", "--alpha", "1/3", "--end", end, "--at", LEVEL2_JSON)
+        assert code == 0 and json.loads(out)["value"] == value
+
+
+@pytest.mark.parametrize("command", ["decompose", "harmonic-check"])
+@pytest.mark.parametrize("spec, field", [("{}", "q"), ('{"q": 2, "r": 2}', "alpha")])
+def test_a_spec_missing_a_field_names_the_flag(capsys, command, spec, field):
+    code, out, err = run(capsys, command, "--spec", spec)
+    assert code == 2 and out == ""
+    assert err == f"error: --spec: JSON of the wrong shape (KeyError('{field}'))\n"
 
 
 def test_a_library_fault_behind_spec_is_not_a_usage_error(monkeypatch):

@@ -861,24 +861,32 @@ def test_verify_table_catches_each_defect_with_wide_entries(monkeypatch, alpha, 
 
 
 def test_certificate_rejects_a_corrupted_class_value(monkeypatch, capsys):
-    # One wrong closed-form value, F1 from level 0 to a leaf above it on
-    # DL(2,2) n = 1, alpha 1/3: the table laid out from it fails the exact
-    # check, and the command line reports the failure as JSON with exit 1.
-    level_product = dct._level_product
-    corrupted = (1, 2, THIRD, 0, 0, 1)
+    # One wrong entry of the class table, F1 from level 0 to a leaf above it
+    # (x ⋏ y on level 0) on DL(2,2) n = 1, alpha 1/3: the table laid out from
+    # it fails the exact check, and the command line reports the failure as
+    # JSON with exit 1.  The builder is wrapped from a cleared cache, and the
+    # real cache never sees the corrupted copy.
+    class_values = dct._class_values
+    class_values.cache_clear()
 
-    def one_wrong(*triple):
-        value = level_product(*triple)
-        return value * 2 if triple == corrupted else value
+    def one_wrong(n, branch, num, den):
+        common, levels = class_values(n, branch, num, den)
+        if (n, branch, num, den) != (1, 2, 1, 3):
+            return common, levels
+        level = levels[n].copy()
+        level[-1] *= 2
+        return common, levels[:n] + (level,) + levels[n + 1 :]
 
     chain = build_truncation(1, DLParams(2, 2), THIRD, "dl")
-    hitting_table(chain)
-    monkeypatch.setattr(dct, "_level_product", one_wrong)
+    want = hitting_table(chain)
+    monkeypatch.setattr(dct, "_class_values", one_wrong)
     with pytest.raises(AssertionError):
         hitting_table(chain)
     code = cli.main(["dirichlet-solve", "--n", "1", "--alpha", "1/3"])
     out = capsys.readouterr().out
     assert code == 1 and set(json.loads(out)) == {"error"}
+    monkeypatch.undo()
+    assert hitting_table(chain) == want
 
 
 def edge_by_edge(n, branch, up, x, y):
@@ -908,6 +916,65 @@ def test_restricted_hitting_equals_an_edge_by_edge_product(n, branch):
     for up in (HALF, THIRD, Fraction(3, 5)):
         for x, y in pairs:
             assert restricted_hitting(n, branch, up, x, y) == edge_by_edge(n, branch, up, x, y)
+
+
+def slab_keys(n, params, alpha):
+    """The ``(branch, up)`` of every slab of the dl, tree1 and tree2 chains."""
+    return {(branch, up) for kind in ("dl", "tree1", "tree2")
+            for branch, up, _ in dct._slabs(FiniteChain(kind, n, params, alpha))}
+
+
+@pytest.mark.parametrize("branch", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_values_equal_an_edge_by_edge_product(n, branch):
+    # Every class of every level: x on level lv, the leaf y = (n, ()), and
+    # x ⋏ y on level c, x leaving y's ancestors just above c.  The tree
+    # chains' line slabs (branch 1) are swept too.
+    y = TreeVertex(n, ())
+    for alpha in BENCH_ALPHAS:
+        for b, up in slab_keys(n, DLParams(branch, branch), alpha):
+            common, levels = dct._class_values(n, b, up.numerator, up.denominator)
+            assert len(levels) == 2 * n + 1
+            got, want = [], []
+            for lv in range(-n, n + 1):
+                classes = dct._classes(n, b, lv)
+                assert len(levels[n + lv]) == len(classes)
+                for c, scaled in zip(classes, levels[n + lv].tolist()):
+                    x = TreeVertex.make(lv, {c + 1: 1} if c < lv else {})
+                    assert confluent_omega(x, y).level == c
+                    got.append(Fraction(scaled, common))
+                    want.append(edge_by_edge(n, b, up, x, y))
+            assert got == want
+            assert common == lcm(*(f.denominator for f in want))
+
+
+def test_cached_class_values_and_walk_rows_are_read_only():
+    chains = [build_truncation(2, DLParams(2, 3), THIRD, kind) for kind in ("dl", "tree1", "tree2")]
+    for chain in chains:
+        hitting_table(chain)
+        for branch, up, _ in dct._slabs(chain):
+            common, levels = dct._class_values(chain.n, branch, up.numerator, up.denominator)
+            assert type(common) is int and type(levels) is tuple
+            for level in levels:
+                with pytest.raises(ValueError):
+                    level[0] = 1
+                with pytest.raises(ValueError):
+                    level += 1
+        lay = dct._layout(chain)
+        assert type(lay.denom) is int and type(lay.coeffs) is tuple
+
+
+def test_equal_rates_share_one_cache_entry():
+    p = DLParams(2, 3)
+    tables = []
+    for alpha in (Fraction(1, 3), "1/3"):
+        before = (dct._class_values.cache_info(), dct._walk_row.cache_info())
+        tables.append(hitting_table(build_truncation(2, p, alpha, "dl")))
+        decompose(lambda v: 1, 2, p, alpha)
+        after = (dct._class_values.cache_info(), dct._walk_row.cache_info())
+    assert [a.currsize for a in after] == [b.currsize for b in before]
+    assert [a.misses for a in after] == [b.misses for b in before]
+    assert tables[0] == tables[1]
 
 
 def test_level_product_cache_has_a_fixed_size():
@@ -1004,27 +1071,54 @@ def test_cached_shapes_are_read_only():
     assert lay.slots is dct._layout(build_truncation(2, DLParams(2, 3), HALF, "dl")).slots
 
 
+def test_a_class_grid_past_the_byte_bound_is_built_for_the_call():
+    # n = 4, branch 3, level 1: 3**7 x 3**8 int8 entries, 1.6 MB
+    assert 3**13 > dct._MAX_KEPT_GRID
+    size = dct._confluent_levels.cache_info().currsize
+    grid = dct._class_grid(4, 3, 1)
+    assert dct._confluent_levels.cache_info().currsize == size
+    assert not grid.flags.writeable and (grid == dct._confluent_levels.__wrapped__(4, 3, 1)).all()
+    assert dct._class_grid(2, 3, 1) is dct._confluent_levels(2, 3, 1)
+
+
+def clear_every_cache():
+    for cached in vars(dct).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+
+
 def test_alpha_sweeps_in_either_order_give_the_same_tables():
-    # Shapes are cached without alpha, and tree chains share keys with the
-    # DL chain's slabs: a key that is too coarse hands one chain the shape of
-    # whichever filled the cache first, so the two orders would disagree.
+    # Shapes are cached without alpha, class values and walk rows per rate,
+    # and tree chains share keys with the DL chain's slabs: a key that is too
+    # coarse hands one chain the entry of whichever filled the cache first,
+    # so the two orders would disagree.
     p = DLParams(2, 3)
     chains = [(kind, n) for kind in ("dl", "tree1", "tree2") for n in (1, 2, 3) if (kind, n) != ("dl", 3)]
+    h = combine([(Fraction(2, 7), KernelSpec(1, TreeEnd.word({1: 1}), THIRD, p))], Fraction(1, 5))
 
     def sweep(alphas):
-        return {
+        clear_every_cache()
+        tables = {
             (kind, n, alpha): hitting_table(build_truncation(n, p, alpha, kind))
             for alpha in alphas
             for kind, n in chains
         }
+        # h is harmonic for THIRD only; a constant is harmonic for every alpha
+        splits = {
+            (n, alpha): decompose(h if alpha == THIRD else (lambda v: Fraction(3, 4)), n, p, alpha)
+            for alpha in alphas
+            for n in (1, 2)
+        }
+        return tables, splits
 
-    first = sweep(BENCH_ALPHAS)
-    dct._confluent_levels.cache_clear()
-    dct._move_slots.cache_clear()
-    second = sweep(BENCH_ALPHAS[::-1])
+    first, first_splits = sweep(BENCH_ALPHAS)
+    second, second_splits = sweep(BENCH_ALPHAS[::-1])
     assert first.keys() == second.keys()
     for key, table in first.items():
         assert second[key].dens == table.dens and (second[key].nums == table.nums).all()
+    assert first_splits.keys() == second_splits.keys()
+    for key, dec in first_splits.items():
+        assert dec == second_splits[key]
 
 
 # SHA-256 of ``json.dumps(table_to_json(...))`` for DL(2,2) n = 4, alpha 1/2
