@@ -82,11 +82,14 @@ def _decode(text: str, flag: str, decode):
 
 
 def _spec(text: str):
-    """``harmonic_from_json`` of ``--spec``, where a missing field names the flag."""
+    """``harmonic_from_json`` of ``--spec``, where a missing field or a bad value names the flag."""
+    obj = _json_object(text, "--spec")  # its errors name the flag already
     try:
-        return harmonic_from_json(_json_object(text, "--spec"))
+        return harmonic_from_json(obj)
     except KeyError as exc:
         raise ValueError(f"--spec: JSON of the wrong shape ({exc!r})") from None
+    except ValueError as exc:
+        raise ValueError(f"--spec: {exc}") from None
 
 
 def _picture(operator: str, params: dg.DLParams):

@@ -33,20 +33,20 @@ problem on a truncation has a unique solution, as every interior vertex
 reaches the boundary, so a table that passes the check is that solution:
 the check is the proof, and no elimination runs.
 
-On a single tree the same probabilities factor over geodesic edges.  The
-per-level factors obey scalar recursions (``d_k``: reach the predecessor from
-level ``k`` before the boundary, ``u_k``: reach one fixed successor)::
+On a single tree the same probabilities factor over geodesic edges (``d_k``:
+reach the predecessor from level ``k`` before the boundary, ``u_k``: one fixed
+successor).  At up rate ``a/m`` and branching ``b`` both are ratios of integer
+sequences, so with ``x ⋏ y``, ``x``, ``y`` on levels ``c``, ``lx``, ``ly``::
 
-    d_n = 0,      d_k = (1-a) / (1 - a d_{k+1})
-    u_{-n} = 0,   u_k = (a/q) / (1 - (1-a) u_{k-1} - a (q-1)/q d_{k+1})
+    p[n+1] = 0,  p[n] = 1,  p[k] = m p[k+1] - a (m-a) p[k+2],  d_k = (m-a) p[k+1] / p[k]
+    r[-n-1] = 0,  r[-n] = p[-n+1],  pi[k] = p[-n+1] ... p[k],  u_k = a p[k+1] r[k-1] / r[k]
+    r[k] = (m b p[k+1] - a (b-1) (m-a) p[k+2]) r[k-1] - a b (m-a) p[k] p[k+1] r[k-2]
+    F(x, y) = (m-a)^(lx-c) p[lx+1] / p[c+1] * a^(ly-c) pi[ly] r[c-1] / (pi[c] r[ly-1])
 
-so hitting tables, the product-formula cross-check, the finite splitting
-``h = h1 + h2``, and the stage-``n`` kernel approximants all come out in
-closed form with no matrix solve.  A geodesic product depends only on the
-levels of ``x ⋏ y``, ``x`` and ``y``, and is computed once per such triple.
-Each level's class grid, each shape's move slots, each slab's class values
-scaled to integers and the walk's integer row are built once per integer key
-and kept read-only; ``decompose`` runs on integers and builds Fractions last.
+(a factor is 1 at gap 0), and tables, the product check, the splitting ``h =
+h1 + h2`` and the kernel approximants need no matrix solve.  Five read-only
+caches keyed on integers hold each rate's sequences, level's class grid,
+shape's move slots, slab's class values as integers and the walk's integer row.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .dl_graph import DLParams, DLVertex
-from .tree import ROOT, TreeEnd, TreeVertex, confluent_omega, successor
+from .tree import ROOT, TreeEnd, TreeVertex, check_labels, confluent_omega, successor
 from .walks import DLWalk, _check_alpha, _integer_row, p1_walk, p2_walk
 
 __all__ = [
@@ -475,42 +475,44 @@ def _verify_table(table: HittingTable, lay: _Layout) -> None:
 
 
 def edge_factors(n: int, branch: int, up: Fraction) -> tuple[Mapping[int, Fraction], Mapping[int, Fraction]]:
-    """Per-level edge probabilities inside the stage-``n`` tree truncation.
-
-    ``d[k]``: from a level-``k`` vertex, reach its predecessor before the
-    boundary (defined for ``-n < k <= n``); ``u[k]``: reach one fixed
-    successor (defined for ``-n <= k < n``).  Both are read-only views of
-    one cached result per ``(n, branch, up)``; ``up`` is made a Fraction
-    first, so that equal rates (``"1/2"``, ``Fraction(1, 2)``) share one.
-    An ``up`` outside (0, 1) raises ValueError.
-    """
-    return _edge_factors(n, branch, Fraction(up))
-
-
-@lru_cache(maxsize=256)
-def _edge_factors(n: int, branch: int, up: Fraction):
-    _check_alpha(up)  # a raise is never cached, so a hit skips the check
-    d: dict[int, Fraction] = {n: Fraction(0)}
-    for k in range(n - 1, -n, -1):
-        d[k] = (1 - up) / (1 - up * d[k + 1])
-    u: dict[int, Fraction] = {-n: Fraction(0)}
-    for k in range(-n + 1, n):
-        u[k] = (up / branch) / (1 - (1 - up) * u[k - 1] - up * (branch - 1) * d[k + 1] / branch)
+    """Per-level edge probabilities inside the stage-``n`` tree truncation:
+    ``d[k]`` (``-n < k <= n``) reaches the predecessor before the boundary,
+    ``u[k]`` (``-n <= k < n``) one fixed successor.  Read-only views of
+    one-edge ``_level_product``s; an ``up`` outside (0, 1) raises ValueError."""
+    d = {k: _level_product(n, branch, up, k - 1, k, k - 1) for k in range(n, -n, -1)}
+    u = {k: _level_product(n, branch, up, k, k, k + 1) for k in range(-n, n)}
     return MappingProxyType(d), MappingProxyType(u)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
+def _sequences(n: int, branch: int, a: int, m: int) -> tuple[tuple, tuple, tuple]:
+    """``(p, r, pi)`` of the stage-``n`` tree climbed at rate ``a/m``, as in
+    the module docstring: tuples indexed by level, a negative level counting
+    from the end.  A rate outside (0, 1) raises ValueError, never cached."""
+    _check_alpha(Fraction(a, m))
+    p = [0, 1]  # levels n+1 and n, then down to -n-1
+    for _ in range(2 * n + 1):
+        p.append(m * p[-1] - a * (m - a) * p[-2])
+    p.reverse()
+    r = [0, p[2]]  # levels -n-1 and -n, then up to n-1; level k at k + n + 1
+    for i in range(2, 2 * n + 1):
+        lead = m * branch * p[i + 1] - a * (branch - 1) * (m - a) * p[i + 2]
+        r.append(lead * r[i - 1] - a * branch * (m - a) * p[i] * p[i + 1] * r[i - 2])
+    pi = [1, *accumulate(p[2:], int.__mul__, initial=1)]
+    return tuple(tuple(s[n + 1 :] + s[: n + 1]) for s in (p, r, pi))
+
+
 def _level_product(n: int, branch: int, up: Fraction, c: int, lx: int, ly: int) -> Fraction:
-    """Down factors from level ``lx`` to ``c``, then up factors from ``c`` to
-    ``ly``: the geodesic product of any ``x``, ``y`` with ``x ⋏ y`` at level
-    ``c``, one cached value per level triple."""
-    d, u = _edge_factors(n, branch, up)
-    out = Fraction(1)
-    for k in range(c + 1, lx + 1):
-        out *= d[k]
-    for k in range(c, ly):
-        out *= u[k]
-    return out
+    """The geodesic product of any ``x`` on level ``lx``, ``y`` on ``ly``
+    with ``x ⋏ y`` on ``c``, telescoped over ``_sequences`` into one Fraction."""
+    a, m = Fraction(up).as_integer_ratio()
+    p, r, pi = _sequences(n, branch, a, m)
+    num = den = 1
+    if lx > c:
+        num, den = (m - a) ** (lx - c) * p[lx + 1], p[c + 1]
+    if ly > c:
+        num, den = num * a ** (ly - c) * pi[ly] * r[c - 1], den * pi[c] * r[ly - 1]
+    return Fraction(num, den)
 
 
 @lru_cache(maxsize=256)
@@ -527,16 +529,15 @@ def _class_values(n: int, branch: int, num: int, den: int) -> tuple[int, tuple]:
     return common, levels
 
 
-def _in_tree_chain(v: TreeVertex, n: int) -> bool:
+def _in_tree_chain(v: TreeVertex, n: int, branch: int) -> bool:
+    check_labels(v, branch)  # a label outside range(branch) raises ValueError
     return -n <= v.level <= n and all(j > -n for j, _ in v.labels)
 
 
 def restricted_hitting(n: int, branch: int, up: Fraction, x: TreeVertex, y: TreeVertex) -> Fraction:
     """``F(x, y)`` before the stage-``n`` boundary, by geodesic edge products."""
-    if not (_in_tree_chain(x, n) and _in_tree_chain(y, n)):
+    if not (_in_tree_chain(x, n, branch) and _in_tree_chain(y, n, branch)):
         raise ValueError("both endpoints must lie in the truncation")
-    if not isinstance(up, Fraction):
-        up = Fraction(up)  # a Fraction is passed on as is: the cache matches it by identity
     return _level_product(n, branch, up, confluent_omega(x, y).level, x.level, y.level)
 
 
@@ -783,9 +784,10 @@ def kernel_approx(chain: FiniteChain, x: TreeVertex, target) -> Fraction:
         raise ValueError("closed-form factors live on tree chains")
     branch, up, _ = _slabs(chain)[1]
     n = chain.n
-    if not _in_tree_chain(x, n) or abs(x.level) >= n or confluent_omega(x, ROOT).level <= -n:
+    if not _in_tree_chain(x, n, branch) or abs(x.level) >= n or confluent_omega(x, ROOT).level <= -n:
         raise ValueError("x must lie in the interior of the truncation (n too small)")
     if isinstance(target, TreeEnd):
+        check_labels(target, branch)
         if target.is_omega or any(j <= -n for j, _ in target.labels):
             # the ray leaves below the apex: apex cone
             y = TreeVertex(-n, ())
@@ -797,9 +799,9 @@ def kernel_approx(chain: FiniteChain, x: TreeVertex, target) -> Fraction:
             y = TreeVertex.make(n, {j: v for j, v in target.labels if j <= n})
     else:
         y = target
-        if not _in_tree_chain(y, n) or abs(y.level) != n:
+        if not _in_tree_chain(y, n, branch) or abs(y.level) != n:
             raise ValueError("target vertex must belong to the chain boundary")
-    denom = restricted_hitting(n, branch, up, ROOT, y)
+    denom = _level_product(n, branch, up, confluent_omega(ROOT, y).level, 0, y.level)
     if denom == 0:
         raise ValueError("target has zero harmonic measure from the root at this stage")
-    return restricted_hitting(n, branch, up, x, y) / denom
+    return _level_product(n, branch, up, confluent_omega(x, y).level, x.level, y.level) / denom

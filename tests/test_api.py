@@ -54,5 +54,6 @@ def lru_caches():
 
 def test_every_lru_cache_has_a_fixed_size():
     caches = dict(lru_caches())
-    assert {"dirichlet._class_values", "dirichlet._walk_row", "dirichlet._confluent_levels"} <= caches.keys()
+    required = {"dirichlet._class_values", "dirichlet._walk_row", "dirichlet._confluent_levels", "dirichlet._sequences"}
+    assert required <= caches.keys()
     assert {name: size for name, size in caches.items() if type(size) is not int or size <= 0} == {}

@@ -633,7 +633,7 @@ def test_a_json_number_that_is_not_an_integer_exits_2(capsys, argv, message):
 )
 def test_a_spec_of_the_wrong_shape_exits_2_naming_the_field(capsys, argv, message):
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and err == f"error: {message}\n"
+    assert code == 2 and out == "" and err == f"error: --spec: {message}\n"
 
 
 OMEGA_WITH_LABELS = {"omega": True, "labels": [[1, 1]]}
@@ -650,10 +650,10 @@ OMEGA_WITH_LABELS = {"omega": True, "labels": [[1, 1]]}
         (("kernel-eval", "--end", json.dumps(OMEGA_WITH_LABELS), "--at", ROOT_JSON),
          "--end: an end with omega true takes no labels"),
         (("harmonic-check", "--spec", spec_with(terms=[{"coeff": "1/1", "side": 1, "end": {"omega": "true"}}])),
-         "omega must be a JSON boolean, got 'true'"),
+         "--spec: omega must be a JSON boolean, got 'true'"),
         (("decompose", "--spec", spec_with(terms=[{"coeff": "1/1", "side": 1, "end": OMEGA_WITH_LABELS}]),
           "--n", "1"),
-         "an end with omega true takes no labels"),
+         "--spec: an end with omega true takes no labels"),
     ],
 )
 def test_the_omega_flag_is_a_boolean_without_labels(capsys, argv, message):

@@ -337,22 +337,70 @@ def test_edge_factors_are_read_only():
     assert edge_factors(2, 2, HALF)[0][0] == Fraction(2, 3)
 
 
-def test_edge_factors_served_from_cache():
-    first = edge_factors(4, 3, Fraction(2, 7))
-    hits = dct._edge_factors.cache_info().hits
-    again = edge_factors(4, 3, Fraction(2, 7))
-    assert dct._edge_factors.cache_info().hits == hits + 1
-    assert again is first
+def recursion(n, branch, up):
+    """Independent oracle: the per-level factors by their Fraction recursions,
+    ``d_k`` (reach the predecessor before the boundary) and ``u_k`` (reach
+    one fixed successor), in the order ``edge_factors`` lists them::
+
+        d_n = 0,      d_k = (1-a) / (1 - a d_{k+1})
+        u_{-n} = 0,   u_k = (a/q) / (1 - (1-a) u_{k-1} - a (q-1)/q d_{k+1})
+    """
+    d = {n: Fraction(0)}
+    for k in range(n - 1, -n, -1):
+        d[k] = (1 - up) / (1 - up * d[k + 1])
+    u = {-n: Fraction(0)}
+    for k in range(-n + 1, n):
+        u[k] = (up / branch) / (1 - (1 - up) * u[k - 1] - up * (branch - 1) * d[k + 1] / branch)
+    return d, u
 
 
 def test_cached_edge_factors_equal_a_fresh_recursion():
-    fresh = dct._edge_factors.__wrapped__
-    for n in range(1, 13):
-        for branch in (2, 3):
-            for up in (THIRD, HALF, Fraction(5, 7)):
-                d, u = edge_factors(n, branch, up)
-                d0, u0 = fresh(n, branch, up)
-                assert (dict(d), dict(u)) == (dict(d0), dict(u0))
+    cases = [(n, branch, up) for n in range(1, 13) for branch in (1, 2, 3) for up in (THIRD, HALF, Fraction(5, 7))]
+    cases += [(n, 2, up) for n in (32, 64) for up in (THIRD, HALF, Fraction(2, 3))]
+    for n, branch, up in cases:
+        d, u = edge_factors(n, branch, up)
+        d0, u0 = recursion(n, branch, up)
+        assert (list(d.items()), list(u.items())) == (list(d0.items()), list(u0.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_level_product_equals_the_recursion_edge_by_edge(data):
+    n = data.draw(st.integers(1, 24))
+    branch = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(2, 200))
+    up = Fraction(data.draw(st.integers(1, m - 1)), m)
+    c = data.draw(st.integers(-n, n))
+    lx, ly = data.draw(st.integers(c, n)), data.draw(st.integers(c, n))
+    d, u = recursion(n, branch, up)
+    want = Fraction(1)
+    for k in range(c + 1, lx + 1):
+        want *= d[k]
+    for k in range(c, ly):
+        want *= u[k]
+    assert dct._level_product(n, branch, up, c, lx, ly) == want
+
+
+def test_sequences_cache_has_a_fixed_size():
+    maxsize = dct._sequences.cache_parameters()["maxsize"]
+    assert type(maxsize) is int and maxsize > 0
+    # equal rates share one entry: the string, the Fraction and the pointwise path
+    edge_factors(5, 3, "1/2")
+    before = dct._sequences.cache_info()
+    edge_factors(5, 3, Fraction(1, 2))
+    restricted_hitting(5, 3, HALF, TreeVertex.make(1, {1: 1}), TreeVertex.make(2, {2: 2}))
+    after = dct._sequences.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses) and after.hits > before.hits
+    # a refusal is not cached: each call misses and refuses again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            edge_factors(5, 3, "3/2")
+    refused = dct._sequences.cache_info()
+    assert (refused.currsize, refused.misses) == (after.currsize, after.misses + 2)
+    # more keys than the size leave the cache full, not larger
+    for a in range(1, maxsize + 10):
+        dct._sequences(1, 2, a, maxsize + 10)
+    assert dct._sequences.cache_info().currsize == maxsize
 
 
 def test_restricted_hitting_golden():
@@ -363,14 +411,14 @@ def test_restricted_hitting_golden():
 
 
 def test_up_rate_outside_the_unit_interval_is_refused():
-    hits = dct._edge_factors.cache_info().hits
+    size = dct._sequences.cache_info().currsize
     for up in BAD_ALPHAS:
         for _ in range(2):  # a refusal is not cached: the second call refuses again
             with pytest.raises(ValueError, match="strictly between 0 and 1"):
                 edge_factors(2, 2, up)
             with pytest.raises(ValueError, match="strictly between 0 and 1"):
                 restricted_hitting(3, 2, Fraction(up), ROOT, TreeVertex(3, ()))
-    assert dct._edge_factors.cache_info().hits == hits
+    assert dct._sequences.cache_info().currsize == size
 
 
 def test_closed_form_equals_matrix_solve():
@@ -729,6 +777,22 @@ def test_kernel_approx_normalised_and_guarded():
         kernel_approx(chain, ROOT, TreeVertex.make(2, {1: 1}))
 
 
+def test_labels_outside_the_branching_are_refused():
+    # label 5 on a binary tree used to give F = 5/96, and a kernel_approx of 1/2
+    with pytest.raises(ValueError, match="outside range"):
+        restricted_hitting(2, 2, HALF, TreeVertex.make(1, {1: 5}), TreeVertex.make(2, {}))
+    with pytest.raises(ValueError, match="outside range"):
+        restricted_hitting(2, 2, HALF, ROOT, TreeVertex.make(2, {2: 2}))
+    chain = FiniteChain("tree1", 3, DLParams(2, 2), HALF)
+    for x, target in [(TreeVertex.make(1, {1: 5}), TreeEnd.word({1: 1})),
+                      (TreeVertex.make(1, {1: 1}), TreeEnd.word({2: 7})),
+                      (ROOT, TreeVertex.make(3, {3: 2}))]:
+        with pytest.raises(ValueError, match="outside range"):
+            kernel_approx(chain, x, target)
+    # the second tree of DL(2, 3) takes labels 0-2
+    assert kernel_approx(FiniteChain("tree2", 3, DLParams(2, 3), HALF), ROOT, TreeEnd.word({1: 2})) > 0
+
+
 def test_kernel_approx_converges():
     # one fixed pair, drifted and driftless: the stage-n values approach the
     # Martin kernel, fast with drift and slowly without
@@ -975,17 +1039,6 @@ def test_equal_rates_share_one_cache_entry():
     assert [a.currsize for a in after] == [b.currsize for b in before]
     assert [a.misses for a in after] == [b.misses for b in before]
     assert tables[0] == tables[1]
-
-
-def test_level_product_cache_has_a_fixed_size():
-    # Two pairs with the same levels (x ⋏ y at level 0, x at 1, y at 2)
-    # share one cached value.
-    restricted_hitting(3, 2, HALF, TreeVertex.make(1, {1: 1}), TreeVertex.make(2, {2: 0}))
-    first = dct._level_product.cache_info()
-    restricted_hitting(3, 2, HALF, TreeVertex.make(1, {1: 1}), TreeVertex.make(2, {2: 1}))
-    second = dct._level_product.cache_info()
-    assert second.hits == first.hits + 1 and second.misses == first.misses
-    assert isinstance(first.maxsize, int) and second.maxsize == first.maxsize
 
 
 def test_hitting_table_refuses_a_dense_solve_past_the_cap(monkeypatch):
