@@ -103,9 +103,6 @@ def _cmd_kernel_eval(args) -> int:
     params = _params(args)
     end = _decode(args.end, "--end", tr.end_from_json)
     x = _decode(args.at, "--at", tr.vertex_from_json)
-    branch = params.q if args.side == 1 else params.r
-    tr.check_labels(end, branch)
-    tr.check_labels(x, branch)
     alpha = parse_frac(args.alpha)
     value = kn.martin_kernel_tree(args.side, x, end, alpha, params)
     _emit({"value": frac_str(value), "side": args.side, "alpha": frac_str(alpha)})

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product as _cartesian
-from math import lcm
+from math import floor, lcm, log10
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -102,8 +102,8 @@ def _cached(build) -> property:
 class FiniteChain:
     """The stage-``n`` truncation as a description: ``(kind, n, params,
     alpha)`` fix every vertex, so equality and hashing read only those.
-    Building one checks the kind, ``n >= 1`` and ``0 < alpha < 1``, and
-    stores ``alpha`` as a Fraction.
+    Building one checks the kind, ``n >= 1``, ``params.level_sum == 0`` and
+    ``0 < alpha < 1``, and stores ``alpha`` as a Fraction.
 
     ``vertices`` is enumerated on first read, level by level as ``_Layout``
     numbers them, and the vertex cap and walk-exit check run then; ``boundary``
@@ -121,6 +121,8 @@ class FiniteChain:
         _walk_shape(self.kind, self.params)  # raises on an unknown kind
         if self.n < 1:
             raise ValueError("truncation stage must be >= 1")
+        if self.params.level_sum != 0:
+            raise ValueError(f"a truncation lies on the level sum 0 sheet, got level_sum {self.params.level_sum}")
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
     @_cached
@@ -184,16 +186,17 @@ _MAX_VERTICES = 500_000
 
 def build_truncation(n: int, params: DLParams, alpha: Fraction, kind: str = "dl") -> FiniteChain:
     """The stage-``n`` truncation, refused past ``_MAX_VERTICES`` from its
-    level sizes; its vertices are enumerated on first read of ``vertices``.
+    vertex count; its vertices are enumerated on first read of ``vertices``.
     """
     return _check_vertex_count(FiniteChain(kind, n, params, alpha))
 
 
 def _check_vertex_count(chain: FiniteChain) -> FiniteChain:
-    """``chain``, or ValueError when its level sizes pass ``_MAX_VERTICES``."""
-    size = sum(_level_sizes(chain.n, *_walk_shape(chain.kind, chain.params)))
+    """``chain``, or ValueError when ``|S|``, counted in closed form, passes ``_MAX_VERTICES``."""
+    ups, downs = _walk_shape(chain.kind, chain.params)
+    size = _geometric(ups, downs, 2 * chain.n) + ups ** (2 * chain.n) + downs ** (2 * chain.n)
     if size > _MAX_VERTICES:
-        raise ValueError(f"truncation would have {size} vertices (cap {_MAX_VERTICES})")
+        raise ValueError(f"truncation would have {_shown(size)} vertices (cap {_MAX_VERTICES})")
     return chain
 
 
@@ -294,7 +297,8 @@ class HittingTable:
         return {y: b for b, y in enumerate(self.chain.boundary)}
 
     def value(self, x, y) -> Fraction:
-        return self.rows[self.chain.index[x]][self.boundary_index[y]]
+        b = self.boundary_index[y]
+        return Fraction(self.nums[self.chain.index[x], b], self.dens[b])
 
 
 # Largest estimate ``check_solve_size`` lets through: DL(2,2) n=5 needs
@@ -344,11 +348,14 @@ def check_solve_size(n: int, params: DLParams, kind: str = "dl") -> int:
     need = 16 * (2 * interior + nb) * nb  # |S| = m + |bd S|
     if need > _MAX_SOLVE_BYTES:
         tenths = (10 * need + (1 << 29)) >> 30
-        raise ValueError(
-            f"the exact hitting table needs {tenths // 10}.{tenths % 10} GiB "
-            f"(cap {_MAX_SOLVE_BYTES >> 30} GiB)"
-        )
+        gib = f"{tenths // 10}.{tenths % 10}" if tenths < 10**40 else _shown(tenths // 10)
+        raise ValueError(f"the exact hitting table needs {gib} GiB (cap {_MAX_SOLVE_BYTES >> 30} GiB)")
     return need
+
+
+def _shown(count: int) -> str:
+    """``count``, or past 40 digits its digit count: ``str`` refuses an int of more than 4,300 digits."""
+    return str(count) if count < 10**40 else f"a {floor(log10(count)) + 1}-digit number of"
 
 
 class _Layout(NamedTuple):
@@ -383,14 +390,14 @@ class _Layout(NamedTuple):
 
 def _layout(chain: FiniteChain) -> _Layout:
     a, p = chain.alpha, chain.params
-    row = _walk_row(_KINDS.index(chain.kind), p.q, p.r, p.level_sum, a.numerator, a.denominator)
+    row = _walk_row(_KINDS.index(chain.kind), p.q, p.r, a.numerator, a.denominator)
     return _Layout(*_move_slots(chain.n, *_walk_shape(chain.kind, p)), *row)
 
 
 @lru_cache(maxsize=256)
-def _walk_row(kind: int, q: int, r: int, level_sum: int, num: int, den: int) -> tuple[int, tuple]:
+def _walk_row(kind: int, q: int, r: int, num: int, den: int) -> tuple[int, tuple]:
     """``(denom, coeffs)`` of ``_layout``, from ``default_operator`` once per key."""
-    op = default_operator(FiniteChain(_KINDS[kind], 1, DLParams(q, r, level_sum), Fraction(num, den)))
+    op = default_operator(FiniteChain(_KINDS[kind], 1, DLParams(q, r), Fraction(num, den)))
     denom, coeffs = _integer_row(op._weights)
     return denom, tuple(coeffs)
 

@@ -23,12 +23,14 @@ Martin kernels in closed form::
 where ``hor_xi(x) = busemann_wrt_end(x, xi)``; the exponent difference is
 always even, so no square roots appear and every value is an exact rational.
 
-Values are computed in Python integers.  ``F^-`` and ``rho2`` are held as
-numerator/denominator pairs (a ``KernelSpec`` resolves them once, when it is
-built), the exponent ``(hor_xi(x) - level(x)) // 2`` is read off the labels
-of ``x`` and ``xi`` without building a vertex, and a negative exponent swaps
+Values are computed in Python integers.  ``F^-`` and ``rho2`` are read off
+the projected walk of the tree (``p1_walk``: ``q``, ``alpha``; ``p2_walk``:
+``r``, ``1 - alpha``) as numerator/denominator pairs, and every kernel
+refuses a label outside that walk's branching (a ``KernelSpec`` does both
+once, when it is built).  The exponent ``(hor_xi(x) - level(x)) // 2`` is
+read off the labels without building a vertex, and a negative exponent swaps
 numerator and denominator.  ``HarmonicFunction`` sums its constant and its
-terms as one unreduced integer pair.  The one ``Fraction`` built per call is
+terms as one unreduced integer pair; the one ``Fraction`` built per call is
 the returned value, so every value equals the plain ``Fraction`` formula.
 
 Functions on the horocyclic product are built by lifting a tree kernel
@@ -56,8 +58,8 @@ from .lamplighter import (
     defect_oplus,
     defect_plus,
 )
-from .tree import TreeEnd, TreeVertex, _half_excess, _split_level
-from .walks import _check_alpha
+from .tree import TreeEnd, TreeVertex, _half_excess, _split_level, check_labels
+from .walks import _check_alpha, p1_walk, p2_walk
 
 __all__ = [
     "f_minus",
@@ -97,26 +99,15 @@ def rho_squared(alpha: Fraction, q: int) -> Fraction:
 
 
 @lru_cache(maxsize=256)
-def _factors(side: int, alpha: Fraction, params: DLParams) -> tuple[Fraction, Fraction]:
-    """``(F^-, rho2)`` of the walk projected to tree ``side``, once per key.
-
-    Bad input raises inside, and exceptions are not cached, so it raises on
-    every call.
-    """
-    alpha = _check_alpha(alpha)
-    if side == 1:
-        up, branch = alpha, params.q
-    elif side == 2:
-        up, branch = 1 - alpha, params.r
-    else:
+def _factors(side: int, alpha: Fraction, params: DLParams) -> tuple[int, tuple[int, int, int, int]]:
+    """Branching of tree ``side`` and the integer ``(F^-, rho2)`` of its
+    projected walk, once per key; bad input raises on every call (exceptions
+    are not cached)."""
+    if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    return f_minus(up), rho_squared(up, branch)
-
-
-def _resolve(side: int, alpha: Fraction, params: DLParams) -> tuple[int, int, int, int]:
-    """``(F^-, rho2)`` of :func:`_factors` as numerator/denominator integers."""
-    fm, rho2 = _factors(side, alpha, params)
-    return (*fm.as_integer_ratio(), *rho2.as_integer_ratio())
+    walk = (p1_walk if side == 1 else p2_walk)(params, alpha)
+    fm, rho2 = f_minus(walk.up), rho_squared(walk.up, walk.branch)
+    return walk.branch, (*fm.as_integer_ratio(), *rho2.as_integer_ratio())
 
 
 def _power_pair(factors: tuple[int, int, int, int], level: int, k: int) -> tuple[int, int]:
@@ -145,7 +136,9 @@ def tree_hitting_prob(x: TreeVertex, y: TreeVertex, alpha: Fraction, q: int) -> 
     One factor ``F^-`` per descending edge and ``F^+ = rho2 / F^-`` per
     ascending edge of the geodesic ``x -> y``.
     """
-    factors = _resolve(1, alpha, DLParams(q, q))  # tree 1 of DL(q, q) is this walk
+    branch, factors = _factors(1, alpha, DLParams(q, q))  # tree 1 of DL(q, q) is this walk
+    check_labels(x, branch)
+    check_labels(y, branch)
     ups = y.level - _split_level(x.labels, y.labels, min(x.level, y.level))
     return Fraction(*_power_pair(factors, x.level - y.level, ups))
 
@@ -154,7 +147,10 @@ def martin_kernel_tree(
     side: int, x: TreeVertex, xi: TreeEnd, alpha: Fraction, params: DLParams
 ) -> Fraction:
     """Martin kernel ``K_side(x, xi)`` of the projected walk on tree ``side``."""
-    return Fraction(*_kernel_pair(_resolve(side, alpha, params), x, xi))
+    branch, factors = _factors(side, alpha, params)
+    check_labels(xi, branch)
+    check_labels(x, branch)
+    return Fraction(*_kernel_pair(factors, x, xi))
 
 
 def drift_kernel(alpha: Fraction):
@@ -193,8 +189,8 @@ def lift(side: int, tree_fn):
 class KernelSpec:
     """A single lifted Martin kernel: which tree, which end, which walk.
 
-    A side other than 1 or 2, or an alpha outside (0, 1), raises ValueError
-    when the spec is built.
+    A side other than 1 or 2, an alpha outside (0, 1) or an end label
+    outside the tree's branching raises ValueError when the spec is built.
     """
 
     side: int
@@ -204,8 +200,10 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         # The integer (F^-, rho2) are resolved once, outside the fields; a
-        # bad side or alpha raises here.
-        object.__setattr__(self, "_factor_ints", _resolve(self.side, self.alpha, self.params))
+        # bad side, alpha or end label raises here.
+        branch, factors = _factors(self.side, self.alpha, self.params)
+        check_labels(self.end, branch)
+        object.__setattr__(self, "_factor_ints", factors)
 
     @property
     def is_minimal(self) -> bool:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .dl_graph import DLParams, vertex_to_json_pair
 from .dirichlet import HittingTable
 from .kernels import HarmonicFunction, KernelSpec, combine
-from .tree import _json_int, check_labels, end_from_json, end_to_json, vertex_to_json
+from .tree import _json_int, end_from_json, end_to_json, vertex_to_json
 from .walks import EstimateResult
 
 __all__ = [
@@ -88,9 +88,7 @@ def harmonic_from_json(obj: dict) -> tuple[HarmonicFunction, DLParams]:
         side = _json_int(t["side"], "side")
         if not isinstance(t["end"], dict):
             raise ValueError(f"end must be a JSON object, got {type(t['end']).__name__}")
-        end = end_from_json(t["end"])
-        check_labels(end, params.q if side == 1 else params.r)
-        spec = KernelSpec(side, end, alpha, params)
+        spec = KernelSpec(side, end_from_json(t["end"]), alpha, params)
         terms.append((parse_frac(t["coeff"]), spec))
     constant = parse_frac(obj.get("constant", "0/1"))
     if not terms:

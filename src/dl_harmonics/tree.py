@@ -205,8 +205,8 @@ def successor(v: TreeVertex, label: int, q: int) -> TreeVertex:
 def check_labels(v: TreeVertex | TreeEnd, q: int) -> None:
     """Reject a vertex or end with a label outside ``{0, ..., q-1}``.
 
-    Labels are checked where input enters (walk start states, CLI vertices
-    and ends), not on every step of a walk.
+    Labels are checked where input enters (walk start states, the vertices
+    and ends of kernel calls), not on every step of a walk.
     """
     _check_word(v.labels, q=q)
 

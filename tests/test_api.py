@@ -54,6 +54,7 @@ def lru_caches():
 
 def test_every_lru_cache_has_a_fixed_size():
     caches = dict(lru_caches())
-    required = {"dirichlet._class_values", "dirichlet._walk_row", "dirichlet._confluent_levels", "dirichlet._sequences"}
+    required = {"dirichlet._class_values", "dirichlet._walk_row", "dirichlet._confluent_levels", "dirichlet._sequences",
+                "kernels._factors"}
     assert required <= caches.keys()
     assert {name: size for name, size in caches.items() if type(size) is not int or size <= 0} == {}

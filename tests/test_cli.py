@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -781,6 +782,18 @@ def test_dirichlet_solve_past_the_dense_cap_exits_2(tmp_path, capsys, monkeypatc
     assert code == 2 and out == ""
     assert "12.0 GiB" in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("dirichlet-solve", "--n", "100000"), "(cap 2 GiB)"),
+    (("decompose", "--spec", KERNEL_SPEC, "--n", "100000"), "(cap 500000)"),
+], ids=["dirichlet-solve", "decompose"])
+def test_a_huge_stage_exits_2_at_once_naming_the_cap(capsys, argv, cap):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and cap in err and "-digit number of" in err
+    assert "Exceeds the limit" not in err
 
 
 def test_cli_import_loads_no_heavy_dependency():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -430,6 +431,14 @@ def test_closed_form_equals_matrix_solve():
     assert closed_tree_table(c) == hitting_table(c)
     with pytest.raises(ValueError):
         closed_tree_table(build_truncation(1, DLParams(2, 3), THIRD, "dl"))
+
+
+def test_value_reads_one_entry_without_building_the_rows():
+    c = build_truncation(2, DLParams(2, 3), THIRD, "dl")
+    t = hitting_table(c)
+    values = [[t.value(x, y) for y in c.boundary] for x in c.vertices]
+    assert "_rows" not in t.__dict__
+    assert tuple(map(tuple, values)) == t.rows
 
 
 def test_slab_goldens():
@@ -1201,6 +1210,41 @@ def test_a_directly_built_chain_past_the_vertex_cap_is_refused(monkeypatch, read
     monkeypatch.setattr(dct, "_MAX_VERTICES", 12)
     monkeypatch.setattr(dct, "_tree_levels", real_levels)
     assert len(chain.vertices) == 12 and chain == build_truncation(1, p, HALF)
+
+
+@pytest.mark.parametrize("kind", ["dl", "tree1"])
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2)])
+def test_a_huge_stage_is_refused_at_once_naming_the_cap(q, r, kind):
+    # |S| and the solve size are counted in closed form, and a figure past 40
+    # digits is shown by its digit count, not by str.
+    for refuse, cap in ((lambda: build_truncation(10**5, DLParams(q, r), HALF, kind), "(cap 500000)"),
+                        (lambda: dct.check_solve_size(10**5, DLParams(q, r), kind), "(cap 2 GiB)")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert time.perf_counter() - start < 1
+        assert cap in str(info.value) and "-digit number of" in str(info.value)
+        assert "Exceeds the limit" not in str(info.value)
+
+
+def test_the_vertex_count_is_the_sum_of_the_level_sizes(monkeypatch):
+    # The closed-form count refuses exactly past the enumerated size.
+    for n, p, kind in ((1, DLParams(2, 3), "dl"), (3, DLParams(3, 2), "dl"), (4, DLParams(2, 3), "tree2")):
+        size = sum(dct._level_sizes(n, *dct._walk_shape(kind, p)))
+        monkeypatch.setattr(dct, "_MAX_VERTICES", size)
+        assert build_truncation(n, p, HALF, kind).n == n
+        monkeypatch.setattr(dct, "_MAX_VERTICES", size - 1)
+        with pytest.raises(ValueError, match=rf"^truncation would have {size} vertices \(cap {size - 1}\)$"):
+            build_truncation(n, p, HALF, kind)
+
+
+@pytest.mark.parametrize("level_sum", [1, -2])
+def test_a_shifted_sheet_is_refused_when_the_chain_is_built(level_sum):
+    p = DLParams(2, 2, level_sum)
+    for build in (lambda: build_truncation(1, p, HALF), lambda: dct.FiniteChain("tree1", 1, p, HALF),
+                  lambda: decompose(lambda v: Fraction(1), 1, p, HALF)):
+        with pytest.raises(ValueError, match=rf"level sum 0 sheet, got level_sum {level_sum}$"):
+            build()
 
 
 def test_table_is_unequal_to_a_foreign_object():

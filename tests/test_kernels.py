@@ -44,7 +44,7 @@ from dl_harmonics.tree import (
     distance,
     successor,
 )
-from dl_harmonics.walks import DLVertex
+from dl_harmonics.walks import DLVertex, p2_walk
 
 RNG_SEED = 61803
 
@@ -417,7 +417,38 @@ def test_factors_served_from_cache():
     hits = _factors.cache_info().hits
     assert _factors(2, Fraction(2, 7), p) is first
     assert _factors.cache_info().hits == hits + 1
-    assert first == (f_minus(Fraction(5, 7)), rho_squared(Fraction(5, 7), 2))
+    walk = p2_walk(p, Fraction(2, 7))
+    fm, rho2 = f_minus(walk.up), rho_squared(walk.up, walk.branch)
+    assert first == (walk.branch, (*fm.as_integer_ratio(), *rho2.as_integer_ratio())) == (2, (2, 5, 1, 5))
+
+
+# Each kernel entry point with a label outside its tree's branching: tree 1
+# of DL(2, 3) has labels 0 and 1, tree 2 labels 0, 1 and 2.
+_P23 = DLParams(2, 3)
+_BAD_LABEL_CALLS = {
+    "martin_kernel_tree-x": lambda: martin_kernel_tree(1, TreeVertex.make(1, {1: 7}), OMEGA, THIRD, _P23),
+    "martin_kernel_tree-xi": lambda: martin_kernel_tree(1, ROOT, TreeEnd.word({1: 2}), THIRD, _P23),
+    "martin_kernel_tree-side2": lambda: martin_kernel_tree(2, TreeVertex.make(1, {1: 3}), OMEGA, THIRD, _P23),
+    "tree_hitting_prob-x": lambda: tree_hitting_prob(TreeVertex.make(1, {1: 9}), ROOT, THIRD, 2),
+    "tree_hitting_prob-y": lambda: tree_hitting_prob(ROOT, TreeVertex.make(2, {2: 2}), THIRD, 2),
+    "KernelSpec": lambda: KernelSpec(1, TreeEnd.word({1: 5}), THIRD, _P23),
+    "KernelSpec-side2": lambda: KernelSpec(2, TreeEnd.word({0: 3}), THIRD, _P23),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_LABEL_CALLS.values(), ids=_BAD_LABEL_CALLS.keys())
+def test_kernel_entry_points_refuse_an_out_of_range_label(call):
+    with pytest.raises(ValueError, match=r"label \d+ at -?\d+ outside range\(0, [23]\)"):
+        call()
+
+
+def test_kernel_entry_points_accept_every_label_of_their_tree():
+    # Label 2 lies in tree 2 of DL(2, 3) but not in tree 1.
+    xi = TreeEnd.word({1: 2})
+    assert martin_kernel_tree(2, TreeVertex.make(1, {1: 2}), xi, THIRD, _P23) > 0
+    assert KernelSpec(2, xi, THIRD, _P23).evaluate(origin(_P23)) == 1
+    with pytest.raises(ValueError, match=r"outside range\(0, 2\)"):
+        KernelSpec(1, xi, THIRD, _P23)
 
 
 def test_bad_side_or_alpha_raises_on_every_call():
