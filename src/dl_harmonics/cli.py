@@ -125,7 +125,8 @@ def _cmd_harmonic_check(args) -> int:
     values = args.samples * (degree + 1) * max(1, len(h.terms))  # a kernel value a term, degree + 1 a row
     if (total := entries + _ENTRIES_PER_VALUE * values) > _MAX_BUILT_ENTRIES:
         raise ValueError(f"harmonic-check would build vertices of up to {entries} label entries and evaluate "
-                         f"up to {values} kernel values, worth {total} entries in all (cap {_MAX_BUILT_ENTRIES})")
+                         f"up to {wk._shown(values)} kernel values, worth {wk._shown(total)} entries in all "
+                         f"(cap {_MAX_BUILT_ENTRIES})")
     failures = []
     for _ in range(args.samples):
         v = dg.random_vertex(params, rng.randrange(args.radius + 1), rng, variant)
@@ -203,7 +204,7 @@ _ENTRIES_PER_VALUE = 25
 def _check_built_entries(command: str, entries: int, at_least: bool = False) -> None:
     if entries > _MAX_BUILT_ENTRIES:
         bound = "more than" if at_least else "up to"
-        raise ValueError(f"{command} would build vertices of {bound} {entries} label entries "
+        raise ValueError(f"{command} would build vertices of {bound} {wk._shown(entries)} label entries "
                          f"in all (cap {_MAX_BUILT_ENTRIES})")
 
 

@@ -8,13 +8,16 @@ leaves at level ``n``; ``S2`` mirrors it in the second tree.  The product
 
     (leaves of S1) x {a2}   union   {a1} x (leaves of S2),
 
-which coincides (asserted on first read of ``vertices``) with the one-step
-exit set of the product walk.  Sizes: ``|S| = sum_{k=-n}^{n} q^{n+k} r^{n-k}``
-and ``|bd S| = q^{2n} + r^{2n}``.  A tree truncation is the case whose second
-tree is a line.  A ``FiniteChain`` is the description ``(kind, n, params,
-alpha)``, checked when it is built; its vertices are enumerated only when
-read, and tables, their certificate, the product check and the kernel
-approximants run from the description without them.
+the one-step exit set of the walk by levels alone: ``S1`` holds every vertex
+from ``a1`` up to level ``n`` (``S2`` likewise) and a move steps each
+coordinate one level, so interior levels ``-n < k < n`` move only to ``k ±
+1``, a level-``n`` vertex moves up out of S, and a level-``-n`` one down.
+Sizes: ``|S| = sum_{k=-n}^{n} q^{n+k} r^{n-k}`` and ``|bd S| = q^{2n} +
+r^{2n}``.  A tree truncation is the case whose second tree is a line.  A
+``FiniteChain`` is the description ``(kind, n, params, alpha)``, checked when
+it is built; its vertices are enumerated only when read, and tables, their
+certificate, the product check and the kernel approximants run from the
+description without them.
 
 ``hitting_table`` certifies rather than solves.  Fix a boundary column
 ``(y1, a2)``: the stabiliser of ``y1`` in Aut(S1) x Aut(S2) fixes the column
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product as _cartesian
-from math import floor, lcm, log10
+from math import lcm
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -63,7 +66,7 @@ import numpy as np
 
 from .dl_graph import DLParams, DLVertex
 from .tree import ROOT, TreeEnd, TreeVertex, check_labels, confluent_omega, successor
-from .walks import DLWalk, _check_alpha, _integer_row, p1_walk, p2_walk
+from .walks import _check_alpha, _integer_row, _over_lcm, _shown, operator_from_name
 
 __all__ = [
     "FiniteChain",
@@ -106,10 +109,10 @@ class FiniteChain:
     ``0 < alpha < 1``, and stores ``alpha`` as a Fraction.
 
     ``vertices`` is enumerated on first read, level by level as ``_Layout``
-    numbers them, and the vertex cap and walk-exit check run then; ``boundary``
-    (levels ``-n`` and ``n``) and ``interior`` are slices of it.  The exact layer
-    (``hitting_table``, ``verify_product_formula``) works from the level
-    sizes and reads no vertex.
+    numbers them, and the vertex cap runs then; ``boundary`` (levels ``-n``
+    and ``n``, the walk's exit set) and ``interior`` are slices of it.  The
+    exact layer (``hitting_table``, ``verify_product_formula``) works from
+    the level sizes and reads no vertex.
     """
 
     kind: str  # "dl", "tree1" or "tree2"
@@ -164,20 +167,13 @@ def _tree_levels(n: int, branch: int) -> dict[int, list[TreeVertex]]:
     """Vertices of the height-2n rooted subtree, grouped by level."""
     levels = {-n: [TreeVertex(-n, ())]}
     for k in range(-n + 1, n + 1):
-        layer = []
-        for v in levels[k - 1]:
-            for l in range(branch):
-                layer.append(successor(v, l, branch))
-        levels[k] = layer
+        levels[k] = [successor(v, l, branch) for v in levels[k - 1] for l in range(branch)]
     return levels
 
 
 def default_operator(chain: FiniteChain):
-    if chain.kind == "dl":
-        return DLWalk(chain.params, chain.alpha)
-    if chain.kind == "tree1":
-        return p1_walk(chain.params, chain.alpha)
-    return p2_walk(chain.params, chain.alpha)
+    """The walk on the chain: ``palpha``, ``p1`` or ``p2`` of ``operator_from_name`` by its kind."""
+    return operator_from_name(("palpha", "p1", "p2")[_KINDS.index(chain.kind)], chain.params, chain.alpha)
 
 
 # Most vertices a chain may enumerate.
@@ -186,17 +182,15 @@ _MAX_VERTICES = 500_000
 
 def build_truncation(n: int, params: DLParams, alpha: Fraction, kind: str = "dl") -> FiniteChain:
     """The stage-``n`` truncation, refused past ``_MAX_VERTICES`` from its
-    vertex count; its vertices are enumerated on first read of ``vertices``.
-    """
+    vertex count; its vertices are enumerated on first read of ``vertices``."""
     return _check_vertex_count(FiniteChain(kind, n, params, alpha))
 
 
 def _check_vertex_count(chain: FiniteChain) -> FiniteChain:
-    """``chain``, or ValueError when ``|S|``, counted in closed form, passes ``_MAX_VERTICES``."""
-    ups, downs = _walk_shape(chain.kind, chain.params)
-    size = _geometric(ups, downs, 2 * chain.n) + ups ** (2 * chain.n) + downs ** (2 * chain.n)
-    if size > _MAX_VERTICES:
-        raise ValueError(f"truncation would have {_shown(size)} vertices (cap {_MAX_VERTICES})")
+    """``chain``, or ValueError when ``|S|``, counted by ``_counts``, passes ``_MAX_VERTICES``."""
+    interior, boundary, bound = _counts(chain.n, *_walk_shape(chain.kind, chain.params))
+    if interior + boundary > _MAX_VERTICES:
+        raise ValueError(f"truncation would have {bound}{_shown(interior + boundary)} vertices (cap {_MAX_VERTICES})")
     return chain
 
 
@@ -205,10 +199,6 @@ def _enumerate(chain: FiniteChain) -> tuple:
     times level ``-k`` of the ``downs``-tree.  A tree chain's second tree is
     the line ``downs = 1``, and its vertex is the first coordinate alone.
     A chain past ``_MAX_VERTICES`` is refused before any vertex is built.
-
-    Levels ``-n`` and ``n`` are the two leaf sets, and every vertex on them
-    is asserted to have a move out of the chain under ``default_operator``
-    (interior levels never exit: their tree neighbours stay within range).
     """
     n = _check_vertex_count(chain).n
     ups, downs = _walk_shape(chain.kind, chain.params)
@@ -217,11 +207,6 @@ def _enumerate(chain: FiniteChain) -> tuple:
     for k in range(-n, n + 1):
         for x1, x2 in _cartesian(lv1[k], lv2[-k]):
             vertices.append(DLVertex(x1, x2) if chain.kind == "dl" else x1)
-    in_set = set(vertices)
-    op = default_operator(chain)
-    for v in vertices[: len(lv2[n])] + vertices[-len(lv1[n]) :]:
-        if all(w in in_set for w, _ in op.transitions(v)):
-            raise AssertionError("walk exit set differs from the two-leaf-set boundary")
     return tuple(vertices)
 
 
@@ -239,10 +224,9 @@ class HittingTable:
     dens: tuple
 
     def __init__(self, chain: FiniteChain, rows) -> None:
-        nums = np.array([[x.numerator for x in row] for row in rows], dtype=object)
-        dens = np.array([[x.denominator for x in row] for row in rows], dtype=object)
-        common = np.lcm.reduce(dens, axis=0)
-        self._store(chain, nums * (common // dens), common)
+        columns = [_over_lcm(column) for column in zip(*rows)]
+        nums = np.array([ints for _, ints in columns], dtype=object).T
+        self._store(chain, np.ascontiguousarray(nums), [common for common, _ in columns])
 
     @classmethod
     def _from_columns(cls, chain: FiniteChain, nums: np.ndarray, dens) -> HittingTable:
@@ -304,6 +288,9 @@ class HittingTable:
 # Largest estimate ``check_solve_size`` lets through: DL(2,2) n=5 needs
 # 0.6 GiB, n=6 12.0 GiB.
 _MAX_SOLVE_BYTES = 2 << 30
+# The largest stage counted: its boundary alone, 2**134 > 10**40 vertices or
+# more, passes both caps, so its counts are floors of any later stage's.
+_MAX_COUNTED_STAGE = 67
 
 
 _KINDS = ("dl", "tree1", "tree2")
@@ -325,11 +312,15 @@ def _level_sizes(n: int, ups: int, downs: int) -> tuple:
     return tuple(ups ** (n + k) * downs ** (n - k) for k in range(-n, n + 1))
 
 
-def _geometric(a: int, b: int, steps: int) -> int:
-    """``sum_{j=1}^{steps-1} a**j * b**(steps-j)``."""
-    if a == b:
-        return (steps - 1) * a**steps
-    return a * b * (a ** (steps - 1) - b ** (steps - 1)) // (a - b)
+def _counts(n: int, ups: int, downs: int) -> tuple[int, int, str]:
+    """``(interior, boundary, bound)``: ``sum_{j=1}^{2n-1} ups**j downs**(2n-j)``, ``ups**(2n) + downs**(2n)``
+    and ``""``; past ``_MAX_COUNTED_STAGE`` those of that stage, before any larger power, and ``"at least "``."""
+    m = min(n, _MAX_COUNTED_STAGE)
+    if ups == downs:
+        interior = (2 * m - 1) * ups ** (2 * m)
+    else:
+        interior = ups * downs * (ups ** (2 * m - 1) - downs ** (2 * m - 1)) // (ups - downs)
+    return interior, ups ** (2 * m) + downs ** (2 * m), "at least " if m < n else ""
 
 
 def check_solve_size(n: int, params: DLParams, kind: str = "dl") -> int:
@@ -342,20 +333,13 @@ def check_solve_size(n: int, params: DLParams, kind: str = "dl") -> int:
     """
     if n < 1:
         raise ValueError("truncation stage must be >= 1")
-    ups, downs = _walk_shape(kind, params)
-    interior = _geometric(ups, downs, 2 * n)
-    nb = ups ** (2 * n) + downs ** (2 * n)
+    interior, nb, bound = _counts(n, *_walk_shape(kind, params))
     need = 16 * (2 * interior + nb) * nb  # |S| = m + |bd S|
     if need > _MAX_SOLVE_BYTES:
         tenths = (10 * need + (1 << 29)) >> 30
         gib = f"{tenths // 10}.{tenths % 10}" if tenths < 10**40 else _shown(tenths // 10)
-        raise ValueError(f"the exact hitting table needs {gib} GiB (cap {_MAX_SOLVE_BYTES >> 30} GiB)")
+        raise ValueError(f"the exact hitting table needs {bound}{gib} GiB (cap {_MAX_SOLVE_BYTES >> 30} GiB)")
     return need
-
-
-def _shown(count: int) -> str:
-    """``count``, or past 40 digits its digit count: ``str`` refuses an int of more than 4,300 digits."""
-    return str(count) if count < 10**40 else f"a {floor(log10(count)) + 1}-digit number of"
 
 
 class _Layout(NamedTuple):
@@ -466,15 +450,20 @@ def _verify_table(table: HittingTable, lay: _Layout) -> None:
         raise AssertionError("boundary rows of the hitting table are not Kronecker deltas")
     if not ((ints * np.array(scale, dtype=dtype)).sum(axis=1) == total).all():
         raise AssertionError("hitting probabilities of a row do not sum to 1")
-    # The residual, one move slot at a time.
+    if _residual(ints, lay).any():
+        raise AssertionError("exact residual of the Dirichlet solve is nonzero")
+
+
+def _residual(ints: np.ndarray, lay: _Layout) -> np.ndarray:
+    """``denom f(at_i) - sum_t coeffs[t] f(slots[i, t])`` on each interior row ``i`` of ``lay``, in the
+    dtype of ``ints``, the values ``f`` as a vector or a table's columns: zero where ``f`` is harmonic."""
     residual = ints[lay.interior] * lay.denom
     term = np.empty_like(residual)
     for t, c in enumerate(lay.coeffs):
         np.take(ints, lay.slots[:, t], axis=0, out=term)
         term *= c
         residual -= term
-    if residual.any():
-        raise AssertionError("exact residual of the Dirichlet solve is nonzero")
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +516,10 @@ def _class_values(n: int, branch: int, num: int, den: int) -> tuple[int, tuple]:
     """``(common, levels)`` of the stage-``n`` tree climbed at rate ``num/den``: ``levels[n + lv]``
     holds ``F(x, y) * common`` for ``x`` on level ``lv``, ``y`` a leaf, one read-only entry per class
     of ``_classes(n, branch, lv)``; ``common`` is the lcm of the reduced denominators."""
-    values = [[_level_product(n, branch, Fraction(num, den), c, lv, n) for c in _classes(n, branch, lv)]
-              for lv in range(-n, n + 1)]
-    common = lcm(*(f.denominator for level in values for f in level))
-    levels = tuple(np.array([f.numerator * (common // f.denominator) for f in lv], dtype=object) for lv in values)
+    up, classes = Fraction(num, den), [(lv, _classes(n, branch, lv)) for lv in range(-n, n + 1)]
+    common, ints = _over_lcm([_level_product(n, branch, up, c, lv, n) for lv, cs in classes for c in cs])
+    ends = list(accumulate((len(cs) for _, cs in classes), initial=0))
+    levels = tuple(np.array(ints[a:b], dtype=object) for a, b in zip(ends, ends[1:]))
     for level in levels:
         level.flags.writeable = False
     return common, levels
@@ -681,12 +670,9 @@ def represent(chain: FiniteChain, boundary_data: Mapping, table: HittingTable | 
     if missing:
         raise ValueError(f"boundary data missing at {len(missing)} vertices")
     # h(x) = sum_b nums[x, b] * (data_b / dens[b]), over one denominator.
-    coeffs = [Fraction(boundary_data[y]) / d for y, d in zip(chain.boundary, table.dens)]
-    common = lcm(*(c.denominator for c in coeffs))
-    weights = np.array([c.numerator * (common // c.denominator) for c in coeffs], dtype=object)
-    return {
-        x: Fraction(total, common) for x, total in zip(chain.vertices, table.nums.dot(weights).tolist())
-    }
+    common, weights = _over_lcm([Fraction(boundary_data[y]) / d for y, d in zip(chain.boundary, table.dens)])
+    totals = table.nums.dot(np.array(weights, dtype=object)).tolist()
+    return {x: Fraction(total, common) for x, total in zip(chain.vertices, totals)}
 
 
 @dataclass(frozen=True)
@@ -735,24 +721,19 @@ def decompose(h: Callable, n: int, params: DLParams, alpha: Fraction) -> Decompo
 
     ``h`` must be a pure function of the vertex: it is evaluated exactly
     once per vertex of the truncation, and every check reads those values
-    scaled to integers over one denominator.  Harmonicity is checked on the
-    rows of ``_layout``; ``h_i``, the slab's extension into ``S_i`` by classes
+    scaled to integers over one denominator.  Harmonicity is checked by
+    ``_residual``, as tables are; ``h_i``, the slab's extension into ``S_i`` by classes
     (``_slab_extension``), is kept in integers over one scale per slab until
     the reconstruction is verified on all of S over the lcm of the two scales.
     ``lambda_i`` are the boundary weights normalised by ``lambda_i(a_i) = 0``.
     """
     alpha = Fraction(alpha)
     chain = build_truncation(n, params, alpha, "dl")
-    values = [h(v) for v in chain.vertices]
-    common = lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (common // x.denominator) for x in values]  # h * common
-    # The walk exits only through the boundary (checked as the vertices are
-    # enumerated), so every slot of an interior row holds a vertex of S.
+    common, ints = _over_lcm([h(v) for v in chain.vertices])  # h * common
     lay = _layout(chain)
-    at = lay.interior.start
-    for i, slots in enumerate(lay.slots.tolist()):
-        if sum(c * ints[j] for c, j in zip(lay.coeffs, slots)) != lay.denom * ints[at + i]:
-            raise ValueError(f"h is not harmonic on the interior; witness {chain.vertices[at + i]}")
+    bad = np.flatnonzero(_residual(np.array(ints, dtype=object), lay))
+    if bad.size:
+        raise ValueError(f"h is not harmonic on the interior; witness {chain.vertices[lay.interior.start + bad[0]]}")
 
     # Level -n of S is (a1, y2) and level n is (y1, a2), each in leaf order.  In
     # the normalised boundary weights, leaves separated from the root by the

@@ -372,13 +372,27 @@ def _philox_streams(seed: int) -> Callable[[int], np.random.Generator]:
     return stream
 
 
+def _over_lcm(fracs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(common, ints)``: the lcm of the reduced denominators of ``fracs``, and each value times it."""
+    common = math.lcm(*(f.denominator for f in fracs))
+    return common, [f.numerator * (common // f.denominator) for f in fracs]
+
+
+def _shown(count: int) -> str:
+    """``count``, or past 40 digits its digit count: ``str`` refuses an int of more than 4,300 digits."""
+    if count < 10**40:
+        return str(count)
+    digits = math.floor(math.log10(count)) + 1  # the float log may be one off next to a power of 10
+    digits += (count >= 10**digits) - (count < 10 ** (digits - 1))
+    return f"a {digits}-digit number of"
+
+
 def _integer_row(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
     """Common denominator and integer weights of an exact distribution row;
     raises unless every weight is non-negative and they sum to 1."""
     if any(p < 0 for p in weights):
         raise ValueError("cannot sample from a row with negative weights")
-    denom = math.lcm(*(w.denominator for w in weights))
-    counts = [w.numerator * (denom // w.denominator) for w in weights]
+    denom, counts = _over_lcm(weights)
     if sum(counts) != denom:
         raise ValueError("transition row does not sum to 1")
     return denom, counts
@@ -700,7 +714,7 @@ def estimate_f(
     if trials <= 0 or horizon < 0:
         raise ValueError("trials must be positive and horizon non-negative")
     if trials * horizon > _MAX_ESTIMATE_STEPS:
-        raise ValueError(f"estimate-f needs up to {trials * horizon} steps (trials x horizon; "
+        raise ValueError(f"estimate-f needs up to {_shown(trials * horizon)} steps (trials x horizon; "
                          f"cap {_MAX_ESTIMATE_STEPS})")
     if escape_radius is None:
         escape_radius = max(8, 2 * _state_distance(x, y))

@@ -455,6 +455,21 @@ def test_harmonic_check_budget_counts_kernel_values(capsys, monkeypatch):
     assert f"worth {48000000 + 30000000 * cli._ENTRIES_PER_VALUE} entries in all (cap {cli._MAX_BUILT_ENTRIES})" in err
 
 
+NINES = "9" * 4000  # under the 4,300 digits int() reads; products of two are not
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--steps", NINES),
+    ("harmonic-check", "--spec", '{"q":2,"r":2,"alpha":"1/3","terms":[]}', "--samples", NINES, "--radius", NINES),
+    ("estimate-f", "--to", '{"level":1,"labels":[]}', "--trials", NINES, "--horizon", NINES),
+], ids=lambda argv: argv[0])
+def test_a_work_estimate_past_4300_digits_exits_2_naming_the_cap(capsys, argv):
+    # all three budgets are 50,000,000 (label entries, or steps of estimate-f)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "cap 50000000)" in err and "-digit number of" in err
+    assert "Exceeds the limit" not in err
+
+
 def test_budget_estimates_of_small_outputs_stay_far_below_the_cap(capsys, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "_check_built_entries", lambda command, entries, at_least=False: seen.append(entries))
@@ -787,7 +802,9 @@ def test_dirichlet_solve_past_the_dense_cap_exits_2(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("argv, cap", [
     (("dirichlet-solve", "--n", "100000"), "(cap 2 GiB)"),
     (("decompose", "--spec", KERNEL_SPEC, "--n", "100000"), "(cap 500000)"),
-], ids=["dirichlet-solve", "decompose"])
+    (("dirichlet-solve", "--n", "1000000000"), "(cap 2 GiB)"),
+    (("decompose", "--spec", KERNEL_SPEC, "--n", "1000000000"), "(cap 500000)"),
+], ids=["dirichlet-solve", "decompose", "dirichlet-solve-1e9", "decompose-1e9"])
 def test_a_huge_stage_exits_2_at_once_naming_the_cap(capsys, argv, cap):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from math import lcm
@@ -177,17 +178,6 @@ def test_exact_layer_reads_no_vertex(monkeypatch):
     assert verify_product_formula(c) == dct.ProductReport(211 * 97, ())
     with pytest.raises(RuntimeError, match="enumerated"):
         c.vertices
-
-
-def test_walk_exit_check_runs_on_first_read(monkeypatch):
-    # A walk that never leaves its vertex has no exit set: the chain and its
-    # table are built from the level sizes, and reading the vertices fails.
-    monkeypatch.setattr(DLWalk, "transitions", lambda self, v: [(v, Fraction(1))])
-    c = build_truncation(1, DLParams(2, 2), HALF, "dl")
-    hitting_table(c)
-    for read in ("vertices", "vertices", "boundary", "interior", "index"):  # nothing cached
-        with pytest.raises(AssertionError, match="walk exit set differs"):
-            getattr(c, read)
 
 
 def two_leaf_partition(chain):
@@ -933,6 +923,32 @@ def test_verify_table_catches_each_defect_with_wide_entries(monkeypatch, alpha, 
     assert_verify_catches_each_defect(monkeypatch, alpha, bits)
 
 
+@pytest.mark.parametrize("kind", ["dl", "tree1"])
+def test_both_readers_of_the_residual_check_the_last_interior_row(kind):
+    # At n = 1 every move of the last interior vertex ends on the boundary, so
+    # no other row reads its value: only its own equation catches a change.
+    p = DLParams(2, 3)
+    c = build_truncation(1, p, THIRD, kind)
+    t, lay = hitting_table(c), dct._layout(c)
+    last = c.interior[-1]
+    assert c.index[last] == lay.interior.stop - 1
+    rows = list(t.rows)
+    row = list(rows[c.index[last]])
+    b = next(b for b, x in enumerate(row) if x)  # mass moves between columns b and b - 1
+    row[b] -= Fraction(1, 10**9)
+    row[b - 1] += Fraction(1, 10**9)
+    rows[c.index[last]] = tuple(row)
+    with pytest.raises(AssertionError, match="exact residual"):
+        dct._verify_table(dct.HittingTable(c, tuple(rows)), lay)
+    if kind != "dl":
+        return
+    values = represent(c, {y: Fraction(c.index[y] % 5, 3) for y in c.boundary}, table=t)
+    decompose(values.__getitem__, 1, p, THIRD)
+    off = lambda v: values[v] + (Fraction(1, 7) if v == last else 0)
+    with pytest.raises(ValueError, match=re.escape(f"not harmonic on the interior; witness {last}")):
+        decompose(off, 1, p, THIRD)
+
+
 def test_certificate_rejects_a_corrupted_class_value(monkeypatch, capsys):
     # One wrong entry of the class table, F1 from level 0 to a leaf above it
     # (x ⋏ y on level 0) on DL(2,2) n = 1, alpha 1/3: the table laid out from
@@ -1102,6 +1118,9 @@ def system_from_transitions(chain):
 @pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 2), (3, 3)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_layout_rows_equal_the_walk_transitions(n, q, r, kind):
+    # The level argument on real vertices: every interior move stays in the
+    # chain (``chain.index[w]`` fails otherwise), and every boundary vertex
+    # has a move out of it.
     c = build_truncation(n, DLParams(q, r), Fraction(2, 5), kind)
     lay = dct._layout(c)
     at, denoms, slots, coeffs = system_from_transitions(c)
@@ -1110,6 +1129,9 @@ def test_layout_rows_equal_the_walk_transitions(n, q, r, kind):
     assert lay.boundary.tolist() == [c.index[y] for y in c.boundary]
     assert set(denoms) == {lay.denom} and set(coeffs) == {lay.coeffs}
     assert lay.slots.tolist() == slots
+    op = dct.default_operator(c)
+    for y in c.boundary:
+        assert any(w not in c.index for w, _ in op.transitions(y))
 
 
 @pytest.mark.parametrize("branch", [2, 3])
@@ -1212,19 +1234,39 @@ def test_a_directly_built_chain_past_the_vertex_cap_is_refused(monkeypatch, read
     assert len(chain.vertices) == 12 and chain == build_truncation(1, p, HALF)
 
 
-@pytest.mark.parametrize("kind", ["dl", "tree1"])
-@pytest.mark.parametrize("q, r", [(2, 2), (3, 2)])
-def test_a_huge_stage_is_refused_at_once_naming_the_cap(q, r, kind):
+HUGE_STAGES = [(q, r, kind, n) for n in (10**5, 10**9) for q, r in ((2, 2), (3, 2)) for kind in ("dl", "tree1")]
+
+
+@pytest.mark.parametrize("q, r, kind, n", HUGE_STAGES,
+                         ids=[f"{q}-{r}-{kind}" + ("-1e9" if n == 10**9 else "") for q, r, kind, n in HUGE_STAGES])
+def test_a_huge_stage_is_refused_at_once_naming_the_cap(q, r, kind, n):
     # |S| and the solve size are counted in closed form, and a figure past 40
     # digits is shown by its digit count, not by str.
-    for refuse, cap in ((lambda: build_truncation(10**5, DLParams(q, r), HALF, kind), "(cap 500000)"),
-                        (lambda: dct.check_solve_size(10**5, DLParams(q, r), kind), "(cap 2 GiB)")):
+    for refuse, cap in ((lambda: build_truncation(n, DLParams(q, r), HALF, kind), "(cap 500000)"),
+                        (lambda: dct.check_solve_size(n, DLParams(q, r), kind), "(cap 2 GiB)")):
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
             refuse()
         assert time.perf_counter() - start < 1
         assert cap in str(info.value) and "-digit number of" in str(info.value)
         assert "Exceeds the limit" not in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["dl", "tree1", "tree2"])
+def test_a_stage_past_the_counted_one_is_refused_by_a_floor(kind):
+    # The counted stage's boundary alone passes both caps and 10**40 for the
+    # smallest shape, so a capped count refuses and its figure is a floor.
+    top = dct._MAX_COUNTED_STAGE
+    assert dct._counts(top, 2, 1)[1] > max(10**40, dct._MAX_VERTICES, dct._MAX_SOLVE_BYTES)
+    p = DLParams(2, 3)
+    assert dct._counts(top + 1, 2, 3) == (*dct._counts(top, 2, 3)[:2], "at least ")
+    shape = dct._walk_shape(kind, p)
+    assert sum(dct._level_sizes(top, *shape)) == sum(dct._counts(top, *shape)[:2])
+    for n, floor in ((top, False), (top + 1, True), (10**18, True)):
+        for refuse in (lambda: build_truncation(n, p, HALF, kind), lambda: dct.check_solve_size(n, p, kind)):
+            with pytest.raises(ValueError, match="-digit number of") as info:
+                refuse()
+            assert ("at least" in str(info.value)) == floor
 
 
 def test_the_vertex_count_is_the_sum_of_the_level_sizes(monkeypatch):

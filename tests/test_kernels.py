@@ -39,6 +39,7 @@ from dl_harmonics.tree import (
     TreeEnd,
     TreeVertex,
     ball,
+    busemann_wrt_end,
     confluent_omega,
     confluent_root,
     distance,
@@ -370,6 +371,33 @@ def test_kernels_and_combinations_equal_fraction_formula(case):
     assert s1.evaluate(v) == k1 and s2.evaluate(v) == k2
     assert combine([(c1, s1), (c2, s2)], c0)(v) == c0 + c1 * k1 + c2 * k2
     assert minimal_kernel(s2)(v) == k2
+
+
+@st.composite
+def deep_case(draw):
+    """A tree of DL(2, 3) or DL(3, 2), its up rate, two vertices and an end,
+    on levels up to 300 either side of the root."""
+    p = draw(st.sampled_from((DLParams(2, 3), DLParams(3, 2))))
+    alpha = draw(st.sampled_from((Fraction(1, 4), THIRD, HALF, Fraction(3, 5), Fraction(4, 5))))
+    side = draw(st.sampled_from((1, 2)))
+    branch, up = (p.q, alpha) if side == 1 else (p.r, 1 - alpha)
+    labels = lambda top: st.dictionaries(st.integers(top - 300, top), st.integers(0, branch - 1), max_size=6)
+    lx, ly = draw(st.integers(-300, 300)), draw(st.integers(-300, 300))
+    x, y = TreeVertex.make(lx, draw(labels(lx))), TreeVertex.make(ly, draw(labels(ly)))
+    xi = TreeEnd.word(draw(labels(300)))
+    return p, alpha, side, branch, up, x, y, xi
+
+
+@settings(max_examples=100, deadline=None)
+@given(deep_case())
+def test_deep_kernels_and_hitting_probabilities_equal_fraction_powers(case):
+    # Past level 9 too: the integer pairs against plain Fraction powers.
+    p, alpha, side, branch, up, x, y, xi = case
+    k = (busemann_wrt_end(x, xi) - x.level) // 2
+    assert martin_kernel_tree(side, x, xi, alpha, p) == f_minus(up) ** x.level * rho_squared(up, branch) ** k
+    assert martin_kernel_tree(side, x, OMEGA, alpha, p) == f_minus(up) ** x.level
+    c = confluent_omega(x, y).level
+    assert tree_hitting_prob(x, y, up, branch) == f_minus(up) ** (x.level - c) * f_plus(up, branch) ** (y.level - c)
 
 
 def kernel_grid_lines():

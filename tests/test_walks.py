@@ -54,7 +54,7 @@ from dl_harmonics.walks import (
     simulate,
     transitions,
 )
-from dl_harmonics.walks import _KEPT_ROWS, _integer_row, _philox_stream, _philox_streams, _ruin_bound
+from dl_harmonics.walks import _KEPT_ROWS, _integer_row, _philox_stream, _philox_streams, _ruin_bound, _shown
 
 RNG_SEED = 27182
 
@@ -770,6 +770,14 @@ def blocked_float_sum(op, h, v):
 def random_tree_vertex(rng):
     level = rng.randrange(-4, 5)
     return TreeVertex.make(level, {j: rng.randrange(3) for j in range(level - 6, level + 1)})
+
+
+@pytest.mark.parametrize("k", [40, 41, 50, 100, 4000, 8000])
+def test_a_huge_count_is_shown_by_its_exact_digit_count(k):
+    # next to a power of 10 the float log10 alone is one digit off
+    assert _shown(10**k - 1) == (str(10**k - 1) if k == 40 else f"a {k}-digit number of")
+    assert _shown(10**k) == f"a {k + 1}-digit number of"
+    assert _shown(10**k + 1) == f"a {k + 1}-digit number of"
 
 
 def test_integer_row_refuses_negative_weights_and_a_short_row():
