@@ -47,9 +47,10 @@ sequences, so with ``x ⋏ y``, ``x``, ``y`` on levels ``c``, ``lx``, ``ly``::
     F(x, y) = (m-a)^(lx-c) p[lx+1] / p[c+1] * a^(ly-c) pi[ly] r[c-1] / (pi[c] r[ly-1])
 
 (a factor is 1 at gap 0), and tables, the product check, the splitting ``h =
-h1 + h2`` and the kernel approximants need no matrix solve.  Five read-only
+h1 + h2`` and the kernel approximants need no matrix solve.  Six read-only
 caches keyed on integers hold each rate's sequences, level's class grid,
-shape's move slots, slab's class values as integers and the walk's integer row.
+shape's move slots, slab's class values as integers, the walk's integer row
+and each chain's certified table; a grid or table over 1 MiB is not kept.
 """
 
 from __future__ import annotations
@@ -291,6 +292,8 @@ _MAX_SOLVE_BYTES = 2 << 30
 # The largest stage counted: its boundary alone, 2**134 > 10**40 vertices or
 # more, passes both caps, so its counts are floors of any later stage's.
 _MAX_COUNTED_STAGE = 67
+# Largest class grid (one byte an entry) or certified table (eight) kept in a cache.
+_MAX_KEPT_BYTES = 1 << 20
 
 
 _KINDS = ("dl", "tree1", "tree2")
@@ -415,12 +418,26 @@ def hitting_table(chain: FiniteChain) -> HittingTable:
     defining sparse equations hold with residual zero; otherwise
     AssertionError.  The Dirichlet problem on the truncation has one
     solution, so a table that passes is that solution.  A chain past
-    ``check_solve_size`` raises ValueError before any of it is built.
+    ``check_solve_size`` raises ValueError, on every call, before any of it
+    is built.  ``_certified`` keeps the columns per integer key up to
+    ``_MAX_KEPT_BYTES`` (eight an entry) and each call gets a read-only view.
     """
     check_solve_size(chain.n, chain.params, chain.kind)
+    interior, nb, _ = _counts(chain.n, *_walk_shape(chain.kind, chain.params))
+    build = _certified if 8 * (interior + nb) * nb <= _MAX_KEPT_BYTES else _certified.__wrapped__
+    a, p = chain.alpha, chain.params
+    nums, dens = build(_KINDS.index(chain.kind), chain.n, p.q, p.r, a.numerator, a.denominator)
+    return HittingTable._from_columns(chain, nums.view(), dens)
+
+
+@lru_cache(maxsize=64)
+def _certified(kind: int, n: int, q: int, r: int, num: int, den: int) -> tuple[np.ndarray, tuple]:
+    """``(nums, dens)`` of the key's closed-form table once it has passed
+    ``_verify_table``, ``nums`` read-only; a table that fails is never kept."""
+    chain = FiniteChain(_KINDS[kind], n, DLParams(q, r), Fraction(num, den))
     table = HittingTable._from_columns(chain, *_closed_form(chain))
     _verify_table(table, _layout(chain))
-    return table
+    return table.nums, table.dens
 
 
 def _verify_table(table: HittingTable, lay: _Layout) -> None:
@@ -567,12 +584,9 @@ def _confluent_levels(n: int, branch: int, level: int) -> np.ndarray:
     return out
 
 
-_MAX_KEPT_GRID = 1 << 20  # bytes, one an entry
-
-
 def _class_grid(n: int, branch: int, level: int) -> np.ndarray:
-    """``_confluent_levels``, kept up to ``_MAX_KEPT_GRID`` and built per call above it."""
-    kept = branch ** (3 * n + level) <= _MAX_KEPT_GRID
+    """``_confluent_levels``, kept up to ``_MAX_KEPT_BYTES`` and built per call above it."""
+    kept = branch ** (3 * n + level) <= _MAX_KEPT_BYTES
     return (_confluent_levels if kept else _confluent_levels.__wrapped__)(n, branch, level)
 
 
@@ -636,6 +650,16 @@ def _closed_form(chain: FiniteChain) -> tuple[np.ndarray, list]:
     return out, dens
 
 
+def _table_of(chain: FiniteChain, table: HittingTable | None) -> HittingTable:
+    """``table``, or ``hitting_table(chain)`` when it is None; ValueError
+    naming both chains when ``table`` is another chain's."""
+    if table is None:
+        return hitting_table(chain)
+    if table.chain != chain:
+        raise ValueError(f"the table is of {table.chain}, not of {chain}")
+    return table
+
+
 def verify_product_formula(chain: FiniteChain, table: HittingTable | None = None) -> ProductReport:
     """Cross-check the product identity on the two boundary slabs.
 
@@ -648,8 +672,7 @@ def verify_product_formula(chain: FiniteChain, table: HittingTable | None = None
     """
     if chain.kind != "dl":
         raise ValueError("the product identity lives on the product chain")
-    if table is None:
-        table = hitting_table(chain)
+    table = _table_of(chain, table)
     nums, dens = _closed_form(chain)
     if table.dens == tuple(dens):  # canonical columns: equal exactly where the numerators are
         wrong = table.nums != nums
@@ -664,8 +687,7 @@ def verify_product_formula(chain: FiniteChain, table: HittingTable | None = None
 
 def represent(chain: FiniteChain, boundary_data: Mapping, table: HittingTable | None = None) -> dict:
     """Solve the Dirichlet problem: the unique harmonic extension of the data."""
-    if table is None:
-        table = hitting_table(chain)
+    table = _table_of(chain, table)
     missing = [y for y in chain.boundary if y not in boundary_data]
     if missing:
         raise ValueError(f"boundary data missing at {len(missing)} vertices")

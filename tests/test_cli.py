@@ -533,6 +533,7 @@ def test_failed_exact_check_exits_1(monkeypatch, capsys):
     def reject(table, scaled_rows):
         raise AssertionError("exact residual of the Dirichlet solve is nonzero")
 
+    dirichlet._certified.cache_clear()  # the certificate runs on this call
     monkeypatch.setattr(dirichlet, "_verify_table", reject)
     code, out, err = run(capsys, "dirichlet-solve", "--n", "1")
     assert code == 1

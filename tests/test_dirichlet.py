@@ -855,6 +855,7 @@ def test_exact_rank():
 
 def solved_with_rows(monkeypatch, chain):
     """The solved table of ``chain`` and the scaled rows it was verified on."""
+    dct._certified.cache_clear()  # the certificate runs on this call
     seen = []
     verify = dct._verify_table
 
@@ -968,6 +969,7 @@ def test_certificate_rejects_a_corrupted_class_value(monkeypatch, capsys):
 
     chain = build_truncation(1, DLParams(2, 2), THIRD, "dl")
     want = hitting_table(chain)
+    dct._certified.cache_clear()  # the certificate runs on the calls below
     monkeypatch.setattr(dct, "_class_values", one_wrong)
     with pytest.raises(AssertionError):
         hitting_table(chain)
@@ -1157,12 +1159,71 @@ def test_cached_shapes_are_read_only():
 
 def test_a_class_grid_past_the_byte_bound_is_built_for_the_call():
     # n = 4, branch 3, level 1: 3**7 x 3**8 int8 entries, 1.6 MB
-    assert 3**13 > dct._MAX_KEPT_GRID
+    assert 3**13 > dct._MAX_KEPT_BYTES
     size = dct._confluent_levels.cache_info().currsize
     grid = dct._class_grid(4, 3, 1)
     assert dct._confluent_levels.cache_info().currsize == size
     assert not grid.flags.writeable and (grid == dct._confluent_levels.__wrapped__(4, 3, 1)).all()
     assert dct._class_grid(2, 3, 1) is dct._confluent_levels(2, 3, 1)
+
+
+def test_an_equal_chain_reads_its_table_from_the_cache(monkeypatch):
+    p = DLParams(2, 3)
+    first = hitting_table(build_truncation(2, p, "1/3", "dl"))
+
+    def never(*args):
+        raise RuntimeError("the table was built again")
+
+    monkeypatch.setattr(dct, "_closed_form", never)
+    monkeypatch.setattr(dct, "_verify_table", never)
+    chain = build_truncation(2, p, Fraction(1, 3), "dl")
+    second = hitting_table(chain)
+    assert second == first and second.chain is chain and first.chain is not chain
+
+
+def test_a_cached_table_is_read_only():
+    chain = build_truncation(1, DLParams(2, 2), THIRD)
+    hitting_table(chain)
+    t = hitting_table(chain)
+    with pytest.raises(ValueError):
+        t.nums[0, 0] = 1
+    with pytest.raises(ValueError):
+        t.nums += 1
+    with pytest.raises(ValueError):
+        t.nums.flags.writeable = True
+    assert t == hitting_table(chain)
+
+
+def test_a_table_past_the_byte_bound_is_certified_for_the_call():
+    # DL(2,2) n = 4: 2,304 x 512 entries, 9.4 MB at eight bytes an entry
+    assert 8 * 2304 * 512 > dct._MAX_KEPT_BYTES
+    dct._certified.cache_clear()
+    t = hitting_table(build_truncation(4, DLParams(2, 2), HALF, "dl"))
+    assert t.nums.shape == (2304, 512) and dct._certified.cache_info().currsize == 0
+    hitting_table(build_truncation(3, DLParams(2, 2), HALF, "dl"))  # 448 x 128 entries, kept
+    assert dct._certified.cache_info().currsize == 1
+
+
+def test_a_failed_certificate_is_never_kept(monkeypatch):
+    # A corrupted class value fails the check; the next call builds afresh.
+    chain = build_truncation(1, DLParams(2, 3), Fraction(2, 7), "dl")
+    dct._certified.cache_clear()
+    real = dct._class_values.__wrapped__
+
+    def one_wrong(n, branch, num, den):
+        common, levels = real(n, branch, num, den)
+        level = levels[n].copy()
+        level[-1] *= 2
+        return common, levels[:n] + (level,) + levels[n + 1 :]
+
+    monkeypatch.setattr(dct, "_class_values", one_wrong)
+    with pytest.raises(AssertionError):
+        hitting_table(chain)
+    monkeypatch.undo()
+    assert dct._certified.cache_info().currsize == 0
+    want = solve_dense(chain, dct.default_operator(chain))
+    for x, row in zip(chain.vertices, hitting_table(chain).rows):
+        assert list(row) == [want[(x, y)] for y in chain.boundary]
 
 
 def clear_every_cache():
@@ -1308,6 +1369,33 @@ def test_represent_builds_its_own_table():
     chain = build_truncation(1, DLParams(2, 3), THIRD)
     data = {y: Fraction(i, 7) for i, y in enumerate(chain.boundary)}
     assert represent(chain, data) == represent(chain, data, table=hitting_table(chain))
+
+
+def test_a_table_of_another_chain_is_refused():
+    # At alpha 1/2 the 1/3 table gives another extension, and a DL(2,3)
+    # table does not fit the DL(2,2) chain's shape.
+    chain = build_truncation(1, DLParams(2, 2), HALF)
+    data = {y: Fraction(i, 7) for i, y in enumerate(chain.boundary)}
+    for other in (build_truncation(1, DLParams(2, 2), THIRD), build_truncation(1, DLParams(2, 3), HALF)):
+        table = hitting_table(other)
+        named = re.escape(f"the table is of {other}, not of {chain}")
+        with pytest.raises(ValueError, match=named):
+            represent(chain, data, table=table)
+        with pytest.raises(ValueError, match=named):
+            verify_product_formula(chain, table=table)
+
+
+def test_a_table_of_an_equal_chain_is_read():
+    # demo 06: the chain's own table, or one of an equal chain built apart
+    p = DLParams(2, 2)
+    chain = build_truncation(1, p, HALF)
+    data = {y: Fraction(int(y.x1.level == chain.n)) for y in chain.boundary}
+    for table in (hitting_table(chain), hitting_table(build_truncation(1, p, "1/2"))):
+        values = represent(chain, data, table=table)
+        assert values[origin(p)] == Fraction(1, 2)
+        assert values == {x: sum(f * data[y] for f, y in zip(row, chain.boundary))
+                          for x, row in zip(chain.vertices, table.rows)}
+        assert verify_product_formula(chain, table=table) == dct.ProductReport(12 * 8, ())
 
 
 def test_decompose_reports_a_failed_reconstruction(monkeypatch):

@@ -565,6 +565,26 @@ def test_estimate_hits_match_reference_walk_over_chunks():
     assert _counts(res) == _reference_counts(op, ROOT, y, 8, 1100, 3) and res.hits > 0
 
 
+@pytest.mark.parametrize("kind", ["tree", "dl", "sibling"])
+def test_estimate_hits_match_reference_walk_up_a_deep_ray(kind):
+    # Start on level 10 and the target two levels up its ray: a run hits
+    # only by following the ray upward above level 9.
+    x1, y1 = TreeVertex.make(10, {4: 1, 10: 1}), TreeVertex.make(12, {4: 1, 10: 1, 12: 1})
+    assert confluent_omega(x1, y1) == x1
+    if kind == "tree":
+        op, x, y = TreeWalk(2, TWO_THIRDS), x1, y1
+    else:
+        x2 = TreeVertex.make(-10, {-12: 2, -11: 1})
+        x, y = DLVertex(x1, x2), DLVertex(y1, predecessor(predecessor(x2)))
+        op = (DLWalk if kind == "dl" else SiblingWalk)(P23, TWO_THIRDS)
+    hits = 0
+    for seed in (5, 977):
+        want = _reference_counts(op, x, y, 40, 120, seed)
+        assert _counts(estimate_f(op, x, y, trials=40, horizon=120, seed=seed)) == want
+        hits += want[0]
+    assert hits > 0
+
+
 @st.composite
 def walk_start_target(draw):
     """A fast-path walk, a start a few steps from the origin and a target at
