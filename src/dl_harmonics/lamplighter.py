@@ -44,7 +44,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours
-from .tree import TreeEnd, _canon, _check_word, _half_excess, _json_int, _json_pairs, _new, _vertex
+from .tree import TreeEnd, _brief, _canon, _check_word, _half_excess, _json_int, _json_pairs, _new, _vertex
 
 __all__ = [
     "GroupElement",
@@ -240,7 +240,7 @@ def encode(a: GroupElement) -> DLVertex:
     except (TypeError, ValueError):  # a fault; name its split key where it has one
         for j, v in x1 + x2:
             if not isinstance(v, int) or v < 0:
-                raise ValueError(f"label at {j} must be a non-negative integer, got {v!r}") from None
+                raise ValueError(f"label at {j} must be a non-negative integer, got {_brief(v)}") from None
         raise
     return DLVertex(_vertex(a.k, x1), _vertex(-a.k, x2))
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 from .dl_graph import DLParams, vertex_to_json_pair
 from .dirichlet import HittingTable
 from .kernels import HarmonicFunction, KernelSpec, combine
-from .tree import _json_int, end_from_json, end_to_json, vertex_to_json
-from .walks import EstimateResult, _digits
+from .tree import _digits, _json_int, end_from_json, end_to_json, vertex_to_json
+from .walks import EstimateResult
 
 __all__ = [
     "frac_str",

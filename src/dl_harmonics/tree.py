@@ -34,6 +34,7 @@ just ``level(x)``.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -115,11 +116,31 @@ def _check_word(labels: Labels, top: int | None = None, q: int | None = None) ->
         if v == 0:
             raise ValueError("zero labels must not be stored")
         if not isinstance(v, int) or v < 0:
-            raise ValueError(f"label at {j} must be a non-negative integer, got {v!r}")
+            raise ValueError(f"label at {j} must be a non-negative integer, got {_brief(v)}")
         if prev is not None and j <= prev:
             raise ValueError("label keys must be strictly increasing")
         prev = j
     return labels
+
+
+def _brief(value) -> str:
+    """``value`` as a refusal shows it: its ``repr`` when that has at most
+    40 characters, else its type and the first 20 characters of the
+    ``repr``.  A list or a dict is shown by its type alone and a longer int
+    by its digit count, so a long or deeply nested value is never written
+    out whole (``repr`` refuses an int of more than 4,300 digits)."""
+    if isinstance(value, (list, dict)):
+        return type(value).__name__
+    if isinstance(value, int) and abs(value) >= 10**39:
+        return f"a {_digits(abs(value))}-digit {type(value).__name__}"
+    text = repr(value[:41] if isinstance(value, str) else value)
+    return text if len(text) <= 40 else f"{type(value).__name__} starting {text[:20]}..."
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of ``n >= 1``, counted without ``str``."""
+    digits = math.floor(math.log10(n)) + 1  # the float log may be one off next to a power of 10
+    return digits + (n >= 10**digits) - (n < 10 ** (digits - 1))
 
 
 def _upto(labels: Labels, j: int) -> Labels:
@@ -339,7 +360,7 @@ def _json_int(value, field: str) -> int:
     """``value`` if it is a JSON integer (an ``int`` that is not a ``bool``);
     a float, a numeric string or a bool is refused, naming ``field``."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+        raise ValueError(f"{field} must be a JSON integer, got {_brief(value)}")
     return value
 
 
@@ -380,7 +401,7 @@ def end_from_json(obj: dict) -> TreeEnd:
     """ω is ``{"omega": true}`` with no ``labels``; ``omega`` is a JSON boolean."""
     omega = _json_object(obj, "end").get("omega", False)
     if not isinstance(omega, bool):
-        raise ValueError(f"omega must be a JSON boolean, got {omega!r}")
+        raise ValueError(f"omega must be a JSON boolean, got {_brief(omega)}")
     if omega and "labels" in obj:
         raise ValueError("an end with omega true takes no labels")
     return TreeEnd.omega() if omega else TreeEnd(_json_pairs(obj, "labels", "label key", "label"))

@@ -20,7 +20,13 @@ Sampling is exact: transition weights are Fractions, and each step draws a
 uniform integer below the row's common denominator, so no floating-point
 comparison ever decides a step.  Randomness comes from counter-based Philox
 streams keyed by ``(seed, trial)`` -- bit-reproducible across runs and
-platforms; ``simulate`` uses trial index 0.
+platforms; ``simulate`` uses trial index 0.  Every draw is the one
+``Generator.integers`` makes on that stream.  On the meet state below, each
+trial's first chunk of draws is read from the raw stream in one batch for a
+block of trials, with Lemire's multiply-shift, which is what ``integers``
+computes; a trial whose chunk meets Lemire's rejection step is drawn again
+by ``integers`` itself.  Where more than one chunk in 16 could meet it, the
+chunks are drawn by ``integers`` trial by trial.
 
 ``DLWalk``, the tree walks and ``SiblingWalk`` have the same row at every
 state, so ``estimate_f`` steps them through a table of moves on the meet
@@ -55,8 +61,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice
-from typing import Callable, NamedTuple, Sequence
+from itertools import accumulate, chain, islice
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,7 +75,7 @@ from .dl_graph import (
     dls_neighbours,
     factor_map,
 )
-from .tree import TreeVertex, check_labels, confluent_omega, distance as tree_distance, predecessor, shift, successor
+from .tree import TreeVertex, _digits, check_labels, confluent_omega, distance as tree_distance, predecessor, shift, successor
 
 __all__ = [
     "DLWalk",
@@ -372,6 +378,51 @@ def _philox_streams(seed: int) -> Callable[[int], np.random.Generator]:
     return stream
 
 
+# First-chunk draws held at once: a block of trials is drawn together.
+_BLOCK_DRAWS = 1 << 16
+
+
+def _first_draws(stream, trials: int, n: int, denom: int) -> Iterator[np.ndarray]:
+    """Each trial's first ``n >= 1`` draws below ``denom``, as blocks of
+    rows in trial order: the row of ``trial`` is
+    ``stream(trial).integers(0, denom, size=n)``.
+
+    A block holds at most ``_BLOCK_DRAWS`` draws and is computed at once
+    from the raw stream.  Each trial reads ``ceil(n/2)`` 64-bit words, low
+    32-bit half first, and a 32-bit word ``u`` gives the draw
+    ``(u * denom) >> 32``: Lemire's multiply-shift, as ``integers`` computes
+    it for ``denom < 2**32``.  Where the low 32 bits of a product fall in
+    Lemire's rejection zone ``(2**32 - denom) % denom``, ``integers`` draws
+    again, so such a trial's row is drawn by ``integers`` itself.  A row
+    meets the zone with chance at most ``n * zone / 2**32``; where that
+    passes 1/16, or ``denom`` is 1 or at least ``2**32``, the rows are drawn
+    by ``integers``, one trial a block.
+    """
+    zone = ((1 << 32) - denom) % denom if 1 < denom < 1 << 32 else 1 << 32
+    if n * zone > 1 << 28:
+        for trial in range(trials):
+            yield stream(trial).integers(0, denom, size=(1, n))
+        return
+    words = (n + 1) // 2
+    per_block = max(1, _BLOCK_DRAWS // n)
+    for first in range(0, trials, per_block):
+        block = range(first, min(first + per_block, trials))
+        raw = np.empty((len(block), words), np.uint64)
+        for i, trial in enumerate(block):
+            raw[i] = stream(trial).bit_generator.random_raw(words)
+        m = np.empty((len(block), 2 * words), np.uint64)
+        np.bitwise_and(raw, 0xFFFFFFFF, out=m[:, 0::2])  # explicit shifts: no byte order is assumed
+        np.right_shift(raw, 32, out=m[:, 1::2])
+        m = m[:, :n]
+        m *= np.uint64(denom)
+        rejected = (m.astype(np.uint32) < zone).any(axis=1)  # the cast keeps the low 32 bits
+        m >>= np.uint64(32)
+        draws = m.view(np.int64)
+        for i in np.flatnonzero(rejected):
+            draws[i] = stream(block[i]).integers(0, denom, size=n)
+        yield draws
+
+
 def _over_lcm(fracs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """``(common, ints)``: the lcm of the reduced denominators of ``fracs``, and each value times it."""
     common = math.lcm(*(f.denominator for f in fracs))
@@ -381,12 +432,6 @@ def _over_lcm(fracs: Sequence[Fraction]) -> tuple[int, list[int]]:
 def _shown(count: int) -> str:
     """``count``, or past 40 digits its digit count: ``str`` refuses an int of more than 4,300 digits."""
     return str(count) if count < 10**40 else f"a {_digits(count)}-digit number of"
-
-
-def _digits(n: int) -> int:
-    """The decimal digits of ``n >= 1``, counted without ``str``."""
-    digits = math.floor(math.log10(n)) + 1  # the float log may be one off next to a power of 10
-    return digits + (n >= 10**digits) - (n < 10 ** (digits - 1))
 
 
 def _integer_row(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -566,14 +611,15 @@ def _fast_counts(plan: _Plan, x, y, trials, horizon, seed, escape_radius, escape
     """
     weights, moves, pair, up_rate, margin, ruin_bound = plan
     denom, counts = _integer_row(weights)  # raises unless the row is a distribution
+    # ``to_moves(draws)``: the moves a 2-D array of draws picks, as nested
+    # lists; a draw ``d`` picks ``moves[bisect_right(cumulative counts, d)]``.
+    moves = np.fromiter(moves, object, len(moves))
     if denom <= 4096:
-        table = []
-        for move, n in zip(moves, counts):
-            table.extend([move] * n)
-        pick = table.__getitem__
+        table = moves[np.repeat(np.arange(len(moves)), counts)]
+        to_moves = lambda draws: table[draws].tolist()
     else:
-        cum = list(accumulate(counts))
-        pick = lambda d: moves[bisect_right(cum, d)]
+        cum = np.cumsum(counts)
+        to_moves = lambda draws: moves[np.searchsorted(cum, draws, side="right")].tolist()
     x1, y1 = (x.x1, y.x1) if pair else (x, y)
     lv10, c10, ylv1, ylab1 = x1.level, confluent_omega(x1, y1).level, y1.level, dict(y1.labels).get
     # A single tree walk gets a second coordinate that never moves and
@@ -583,16 +629,24 @@ def _fast_counts(plan: _Plan, x, y, trials, horizon, seed, escape_radius, escape
         lv20, c20, ylv2, ylab2 = x.x2.level, confluent_omega(x.x2, y.x2).level, y.x2.level, dict(y.x2.labels).get
     drift = ruin_bound and up_rate != 0.5
     stream = _philox_streams(seed)
+    firsts = chain.from_iterable(map(to_moves, _first_draws(stream, trials, min(1024, horizon), denom)))
     hits = escaped = truncated = 0
     for trial in range(trials):
         lv1, c1, lv2, c2 = lv10, c10, lv20, c20
-        gen = stream(trial)
         hit = False
         # Draws come in chunks of 1024, taken 64 at a time: the ruin bound is
-        # checked after every 64 steps.
+        # checked after every 64 steps.  The first chunk comes from
+        # ``_first_draws``, whose blocks re-key the shared bit generator; a
+        # later one from the trial's own stream, re-keyed and moved past the
+        # first chunk by drawing it again.
         for start in range(0, horizon, 64):
-            if start % 1024 == 0:
-                draws = map(pick, gen.integers(0, denom, size=min(1024, horizon - start)).tolist())
+            if start == 0:
+                draws = iter(next(firsts))
+            elif start % 1024 == 0:
+                if start == 1024:
+                    gen = stream(trial)
+                    gen.integers(0, denom, size=1024)
+                draws = iter(to_moves(gen.integers(0, denom, size=(1, min(1024, horizon - start))))[0])
             for up, l1, sw, l2 in islice(draws, 64):
                 # A run on the target's ray (c == lv) stays on it going down,
                 # and going up only along the target's own label.  A switch
@@ -671,10 +725,10 @@ def _state_distance(v, y) -> int:
     return dl_distance(v, y)
 
 
-# Most steps (trials x horizon) ``estimate_f`` takes: 15-20 s of work on the
-# fast path, whose slowest walk (``SiblingWalk`` on DL(3, 3)) makes about
-# 2.7 million steps a second on one core of a 2-core x86_64 host.  A walk on
-# the generic path steps far slower, so the cap bounds it only loosely.
+# Most steps (trials x horizon) ``estimate_f`` takes: 7-14 s of work on the
+# fast path, whose slowest walk (``SiblingWalk`` on DL(3, 3)) makes 3.5-7
+# million steps a second on one core of a shared 2-core x86_64 host.  A walk
+# on the generic path steps far slower, so the cap bounds it only loosely.
 _MAX_ESTIMATE_STEPS = 5 * 10**7
 
 

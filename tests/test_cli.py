@@ -769,6 +769,26 @@ def test_a_value_past_python_s_digit_limit_exits_2_naming_the_limit(capsys):
     assert err == "error: the value has a 30103-digit part, past the 4,300-digit limit on printing an integer\n"
 
 
+NESTED_900 = "[" * 900 + "]" * 900
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--at", json.dumps({"level": "x" * 10**6}), "level must be a JSON integer, got str starting 'xxxx"),
+        ("--at", f'{{"level": {NESTED_900}}}', "level must be a JSON integer, got list"),
+        ("--at", f'{{"level": 2, "labels": [[{NESTED_900}, 1]]}}', "label key must be a JSON integer, got list"),
+        ("--end", json.dumps({"omega": "x" * 100000}), "omega must be a JSON boolean, got str starting 'xxxx"),
+    ],
+    ids=["long-level", "deep-level", "deep-label-key", "long-omega"],
+)
+def test_a_refused_json_value_is_not_repeated_whole(capsys, flag, value, message):
+    args = {"--end": "{}", "--at": ROOT_JSON, flag: value}
+    code, out, err = run(capsys, "kernel-eval", "--end", args["--end"], "--at", args["--at"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}: {message}") and len(err.encode()) < 300
+
+
 # Valid arguments to every JSON flag but --from (decoded as --to is), each
 # call sized so that a replacement that still decodes does little work.
 FUZZ_BASES = [

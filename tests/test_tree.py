@@ -386,3 +386,13 @@ def test_tree_random_vertex_stays_in_the_ball_and_repeats_for_a_seed():
             assert all(0 < val < q for v in drawn for _, val in v.labels)
             again = random.Random(RNG_SEED + radius)
             assert [tree_random_vertex(q, radius, again) for _ in range(40)] == drawn
+
+
+@pytest.mark.parametrize(
+    "label, shown",
+    [("x" * 10**6, r"str starting '(x){19}\.\.\."), (-(10**5000), "a 5001-digit int"), (-(10**39), "a 40-digit int")],
+    ids=["long-str", "int-past-the-digit-limit", "long-int"],
+)
+def test_a_long_label_is_refused_without_repeating_it(label, shown):
+    with pytest.raises(ValueError, match=f"^label at 1 must be a non-negative integer, got {shown}$"):
+        TreeVertex(1, ((1, label),))

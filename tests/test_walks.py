@@ -2,11 +2,14 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 import zlib
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -634,6 +637,11 @@ def test_estimate_refuses_work_past_the_cap_before_drawing(monkeypatch):
     # at the cap the run goes ahead and keys its streams
     with pytest.raises(RuntimeError, match="keyed"):
         estimate_f(op, ROOT, y, trials=1, horizon=cap, seed=0)
+    # every draw, the batched first chunks included, goes through those streams
+    log = []
+    monkeypatch.setattr(walks, "_philox_streams", _logged_streams(log))
+    estimate_f(op, ROOT, y, trials=3, horizon=5, seed=0)
+    assert log == [("raw", 0), ("raw", 1), ("raw", 2)]
 
 
 @pytest.mark.parametrize("d", [6, 8198, 10**6, 2**32, 2**33 + 1])
@@ -648,6 +656,117 @@ def test_array_draws_equal_scalar_draws(d):
         for start in range(0, n, 1024):
             chunked += gen.integers(0, d, size=min(1024, n - start)).tolist()
         assert chunked == want
+
+
+def _logged_streams(log):
+    """``_philox_streams`` whose generators log ``("raw", trial)`` for each
+    read of raw words and ``("integers", trial)`` for each ``integers`` call."""
+
+    def streams(seed):
+        stream = _philox_streams(seed)
+
+        def keyed(trial):
+            gen = stream(trial)
+
+            def random_raw(size):
+                log.append(("raw", trial))
+                return gen.bit_generator.random_raw(size)
+
+            def integers(*args, **kwargs):
+                log.append(("integers", trial))
+                return gen.integers(*args, **kwargs)
+
+            return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw), integers=integers)
+
+        return keyed
+
+    return streams
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 36, 8198, 2**28 + 1, 2**31 + 1, 2**32 - 1, 2**32, 2**33 + 1])
+def test_batched_first_draws_equal_each_trial_s_own_draws(monkeypatch, d):
+    # a small block, so that every n spans three blocks
+    monkeypatch.setattr(walks, "_BLOCK_DRAWS", 1024)
+    for n in (1, 2, 299, 300, 1024):
+        trials = 2 * (1024 // n) + 1
+        log = []
+        blocks = list(walks._first_draws(_logged_streams(log)(19), trials, n, d))
+        want = [_philox_stream(19, t).integers(0, d, size=n).tolist() for t in range(trials)]
+        assert np.concatenate(blocks).tolist() == want
+        raw = [t for kind, t in log if kind == "raw"]
+        redrawn = [t for kind, t in log if kind == "integers"]
+        # Rejection zones: 2**28 - 15 words in 2**32 for 2**28 + 1, which
+        # is batched only for n = 1, and 2**31 - 1 for 2**31 + 1.
+        if d >= 2**32 or d == 2**31 + 1 or (d == 2**28 + 1 and n > 1):  # drawn trial by trial
+            assert len(blocks) == trials and raw == [] and redrawn == list(range(trials))
+            continue
+        assert len(blocks) == 3 and max(b.size for b in blocks) <= 1024
+        assert raw == list(range(trials)) and redrawn == sorted(set(redrawn))
+        if d in (2, 4):  # a power of two leaves no rejection zone
+            assert redrawn == []
+        if d == 2**28 + 1:  # about one word in 16 falls in the zone
+            assert 0 < len(redrawn) < trials
+
+
+@pytest.mark.parametrize(
+    "up, denom, horizon, batched",
+    [(Fraction(2**30 + 1, 2**30 + 3), 2**31 + 6, 300, False), (Fraction(2**20 + 1, 2**21 + 1), 2**22 + 2, 64, True)],
+    ids=["zone-near-2**31", "zone-near-2**22"],
+)
+def test_estimate_matches_reference_walk_where_rows_meet_the_rejection_zone(monkeypatch, up, denom, horizon, batched):
+    # Row denominator 2**31 + 6: about half of all 32-bit words fall in the
+    # rejection zone, so every first chunk is drawn by integers, trial by
+    # trial.  Row denominator 2**22 + 2: about one 64-draw chunk in 16
+    # meets the zone and is drawn again by integers; the rest are batched.
+    op = TreeWalk(2, up)
+    assert _integer_row(op._weights)[0] == denom
+    y = TreeVertex.make(3, {1: 1, 3: 1})
+    log = []
+    monkeypatch.setattr(walks, "_philox_streams", _logged_streams(log))
+    hits = 0
+    for trials, h in ((200, horizon), (2, 1100)):
+        for escape_tol in (1e-12, 0.0):
+            log.clear()
+            res = estimate_f(op, ROOT, y, trials=trials, horizon=h, seed=1, escape_tol=escape_tol)
+            assert _counts(res) == _reference_counts(op, ROOT, y, trials, h, 1, escape_tol)
+            hits += res.hits
+        if trials == 200:
+            raw = [t for kind, t in log if kind == "raw"]
+            redrawn = [t for kind, t in log if kind == "integers"]
+            if batched:
+                assert raw == list(range(trials)) and 0 < len(redrawn) < trials
+            else:
+                assert raw == [] and redrawn == list(range(trials))
+    assert hits > 0
+
+
+@pytest.mark.parametrize("block_draws", [1024, 2048], ids=["one-trial-a-block", "two-trials-a-block"])
+@pytest.mark.parametrize("up", [THIRD, Fraction(357913943, 2**30 + 3)], ids=["batched", "trial-by-trial"])
+def test_runs_past_the_first_chunk_read_on_in_their_own_stream(monkeypatch, up, block_draws):
+    # Drifting down onto the ancestor 500 levels below the start, a run
+    # hits near step 1500, well past its first chunk of 1024 draws.  Row
+    # denominators 6 and 2**31 + 6: the first chunk comes from the raw
+    # words, or from integers trial by trial.  With one trial a block, a
+    # run reads on after the next block has re-keyed the bit generator;
+    # with two, every other run after its own block has keyed the next trial.
+    monkeypatch.setattr(walks, "_BLOCK_DRAWS", block_draws)
+    op, y = TreeWalk(2, up), TreeVertex(-500, ())
+    res = estimate_f(op, ROOT, y, trials=40, horizon=1500, seed=7)
+    assert _counts(res) == _reference_counts(op, ROOT, y, 40, 1500, 7) and 0 < res.hits < 40
+
+
+def test_first_chunks_are_drawn_in_blocks_of_bounded_memory():
+    # 4,096 first chunks of 1,024 draws: all at once they would take over
+    # 100 MiB; runs stop on the ruin bound at step 64
+    op, y = p1_walk(P23, TWO_THIRDS), TreeVertex.make(0, {0: 1})
+    tracemalloc.start()
+    try:
+        res = estimate_f(op, ROOT, y, trials=4096, horizon=1024, seed=8, escape_tol=0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.hits + res.escaped_runs == 4096
+    assert peak < 16 * 2**20
 
 
 def _conjugated_sweep():
