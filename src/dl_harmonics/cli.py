@@ -280,7 +280,7 @@ def _size(text: str) -> int:
     except ValueError:
         n = -1
     if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {tr._brief(text)}")
     return n
 
 

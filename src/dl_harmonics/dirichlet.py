@@ -66,7 +66,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .dl_graph import DLParams, DLVertex
-from .tree import ROOT, TreeEnd, TreeVertex, check_labels, confluent_omega, successor
+from .tree import ROOT, TreeEnd, TreeVertex, _successors, check_labels, confluent_omega
 from .walks import _check_alpha, _integer_row, _over_lcm, _shown, operator_from_name
 
 __all__ = [
@@ -168,7 +168,7 @@ def _tree_levels(n: int, branch: int) -> dict[int, list[TreeVertex]]:
     """Vertices of the height-2n rooted subtree, grouped by level."""
     levels = {-n: [TreeVertex(-n, ())]}
     for k in range(-n + 1, n + 1):
-        levels[k] = [successor(v, l, branch) for v in levels[k - 1] for l in range(branch)]
+        levels[k] = [w for v in levels[k - 1] for w in _successors(v, branch)]
     return levels
 
 

@@ -28,7 +28,7 @@ from typing import Callable
 from .tree import (
     ROOT,
     TreeVertex,
-    _vertex,
+    _successors,
     predecessor,
     shift,
     vertex_from_json,
@@ -87,12 +87,6 @@ def check_vertex(v: DLVertex, params: DLParams) -> None:
         raise ValueError(
             f"levels {v.x1.level} + {v.x2.level} != level_sum {params.level_sum}"
         )
-
-
-def _successors(x: TreeVertex, branch: int) -> list[TreeVertex]:
-    """``successor(x, l, branch)`` for ``l`` in label order, built directly."""
-    level, labels = x.level + 1, x.labels
-    return [_vertex(level, labels)] + [_vertex(level, labels + ((level, l),)) for l in range(1, branch)]
 
 
 def dl_neighbours(v: DLVertex, params: DLParams) -> list[DLVertex]:

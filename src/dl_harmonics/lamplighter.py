@@ -38,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -165,8 +165,8 @@ def cayley_check(q: int, support: int, position_range: int) -> dict[str, int | b
     injective ``encode``, and whether the walk-switch and switch-walk-switch
     Cayley neighbours encode to the ``DL`` and ``DLS`` neighbours.  Every
     product is compared, but each distinct one is encoded once, through a
-    dict that lives for the call.  Refuses a window past
-    ``_MAX_CAYLEY_PRODUCTS`` before enumerating anything."""
+    ``functools.cache`` of ``encode`` that lives for the call.  Refuses a
+    window past ``_MAX_CAYLEY_PRODUCTS`` before enumerating anything."""
     params = DLParams(q, q)
     if support < 0 or position_range < 0:
         raise ValueError("support and position_range must be non-negative")
@@ -184,14 +184,8 @@ def cayley_check(q: int, support: int, position_range: int) -> dict[str, int | b
         for values in product(range(q), repeat=len(sites))
         for k in range(-position_range, position_range + 1)
     ]
-    encoded = [encode(a) for a in elements]
-    codes = dict(zip(elements, encoded))
-
-    def code(b: GroupElement) -> DLVertex:
-        v = codes.get(b)
-        if v is None:
-            v = codes[b] = encode(b)
-        return v
+    code = cache(encode)
+    encoded = [code(a) for a in elements]
 
     def matches(model: GeneratorModel, neighbours) -> bool:
         gens = _generators(model, q)

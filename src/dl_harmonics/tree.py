@@ -224,6 +224,12 @@ def successor(v: TreeVertex, label: int, q: int) -> TreeVertex:
     return _vertex(v.level + 1, v.labels + ((v.level + 1, label),))
 
 
+def _successors(v: TreeVertex, q: int) -> list[TreeVertex]:
+    """``successor(v, l, q)`` for ``l`` in label order, built directly."""
+    level, labels = v.level + 1, v.labels
+    return [_vertex(level, labels)] + [_vertex(level, labels + ((level, l),)) for l in range(1, q)]
+
+
 def check_labels(v: TreeVertex | TreeEnd, q: int) -> None:
     """Reject a vertex or end with a label outside ``{0, ..., q-1}``.
 
@@ -235,7 +241,7 @@ def check_labels(v: TreeVertex | TreeEnd, q: int) -> None:
 
 def neighbours(v: TreeVertex, q: int) -> list[TreeVertex]:
     """Predecessor first, then the ``q`` successors in label order."""
-    return [predecessor(v)] + [successor(v, l, q) for l in range(q)]
+    return [predecessor(v)] + _successors(v, q)
 
 
 def confluent_omega(a: TreeVertex, b: TreeVertex) -> TreeVertex:

@@ -38,11 +38,11 @@ no label word is built.  A walk of these conjugated by a drift kernel (a
 every state too, read once from ``transitions`` at the start, and steps on
 the meet state with the base walk's moves, never stopping early: like the
 generic path, it classifies a run alive at the horizon by its final
-distance.  Otherwise, and always in ``simulate``, rows come from
-``transitions``, computed once per distinct state within a call (for the
-first 1024 distinct states; later ones are recomputed on each visit):
-``transitions`` (and the ``g`` of a conjugated walk) must therefore be a
-pure function of the state.
+distance.  Otherwise, and always in ``simulate``, one step loop draws each
+step from the row ``transitions`` gives, computed once per distinct state
+within a call (for the first 1024 distinct states; later ones are recomputed
+on each visit): ``transitions`` (and the ``g`` of a conjugated walk) must
+therefore be a pure function of the state.
 
 ``estimate_f`` estimates a hitting probability ``F(x, y)`` by plain
 Monte-Carlo counting: ``hits/trials`` is a lower bound for ``F(x, y)`` (runs
@@ -75,7 +75,7 @@ from .dl_graph import (
     dls_neighbours,
     factor_map,
 )
-from .tree import TreeVertex, _digits, check_labels, confluent_omega, distance as tree_distance, predecessor, shift, successor
+from .tree import TreeVertex, _digits, _successors, check_labels, confluent_omega, distance as tree_distance, predecessor, shift, successor
 
 __all__ = [
     "DLWalk",
@@ -170,9 +170,7 @@ class TreeWalk:
         check_labels(v, self.branch)
 
     def transitions(self, v: TreeVertex) -> list[tuple[TreeVertex, Fraction]]:
-        nbrs = [successor(v, l, self.branch) for l in range(self.branch)]
-        nbrs.append(predecessor(v))
-        return list(zip(nbrs, self._weights))
+        return list(zip(_successors(v, self.branch) + [predecessor(v)], self._weights))
 
 
 def p1_walk(params: DLParams, alpha: Fraction) -> TreeWalk:
@@ -260,22 +258,15 @@ class ProjectedWalk:
     def validate_state(self, v: DLVertex) -> None:
         _check_dl_state(v, self.params)
 
-    def _section(self, v: DLVertex) -> DLVertex:
-        return DLVertex(successor(shift(v.x1, -1), 0, self.params.q), v.x2)
-
     def transitions(self, v: DLVertex) -> list[tuple[DLVertex, Fraction]]:
-        return self._transitions_from(self._section(v))
-
-    def _transitions_from(self, rep: DLVertex) -> list[tuple[DLVertex, Fraction]]:
+        """The base row at the section of ``v`` (``factor_map`` maps it to
+        ``v``), summed over each image under ``factor_map`` in first-seen order."""
+        rep = DLVertex(successor(shift(v.x1, -1), 0, self.params.q), v.x2)
         grouped: dict[DLVertex, Fraction] = {}
-        order: list[DLVertex] = []
         for w, p in self.base.transitions(rep):
             img = factor_map(w, self.params)
-            if img not in grouped:
-                grouped[img] = Fraction(0)
-                order.append(img)
-            grouped[img] += p
-        return [(w, grouped[w]) for w in order]
+            grouped[img] = grouped.get(img, 0) + p
+        return list(grouped.items())
 
 
 def transitions(op, v):
@@ -451,21 +442,23 @@ def _integer_row(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
 _KEPT_ROWS = 1024
 
 
-def _row(op, v, rows: dict) -> tuple[list, int, list[int]]:
-    """``(targets, denom, cumulative)`` of ``op`` at ``v``: looked up in
-    ``rows``, else computed and kept there while it holds fewer than
-    ``_KEPT_ROWS`` states.
-
-    A uniform draw ``d`` below ``denom`` picks ``targets[bisect_right(cumulative, d)]``.
-    """
-    row = rows.get(v)
-    if row is None:
-        trans = op.transitions(v)
-        denom, counts = _integer_row([p for _, p in trans])
-        row = ([w for w, _ in trans], denom, list(accumulate(counts)))
-        if len(rows) < _KEPT_ROWS:
-            rows[v] = row
-    return row
+def _path(op, v, gen, rows: dict) -> Iterator:
+    """The states ``op`` visits from ``v``, one exact step each, drawn from
+    ``gen``: a uniform draw ``d`` below the row's common denominator picks
+    ``targets[bisect_right(cumulative, d)]``.  Each row is read when its step
+    is taken, and kept in ``rows`` while it holds fewer than ``_KEPT_ROWS``
+    states."""
+    while True:
+        row = rows.get(v)
+        if row is None:
+            trans = op.transitions(v)
+            denom, counts = _integer_row([p for _, p in trans])
+            row = ([w for w, _ in trans], denom, list(accumulate(counts)))
+            if len(rows) < _KEPT_ROWS:
+                rows[v] = row
+        targets, denom, cum = row
+        v = targets[bisect_right(cum, int(gen.integers(0, denom)))]
+        yield v
 
 
 @dataclass(frozen=True)
@@ -487,15 +480,7 @@ def simulate(op, start, n_steps: int, seed: int) -> Trajectory:
     op.validate_state(start)
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    gen = _philox_stream(seed, 0)
-    rows: dict = {}
-    v = start
-    out = []
-    for _ in range(n_steps):
-        targets, denom, cum = _row(op, v, rows)
-        v = targets[bisect_right(cum, int(gen.integers(0, denom)))]
-        out.append(v)
-    return Trajectory(start, tuple(out), seed)
+    return Trajectory(start, tuple(islice(_path(op, start, _philox_stream(seed, 0), {}), n_steps)), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +531,11 @@ class _Plan(NamedTuple):
     """Per-draw moves of a walk whose row has one shape at every state.
 
     ``pair`` says whether there is a second tree coordinate.  A move is
-    ``(up, label1, switch, label2)``: when ``up`` is 1 the first coordinate
-    steps up along ``label1`` and the second steps down; when 0 the first
-    steps down and the second steps up along ``label2``.  A ``switch`` that
-    is not None first replaces the first coordinate's label at the lower of
-    its two levels (a sibling move).  ``weights`` are the move probabilities
+    ``(down, label1, switch, label2)``: when ``down`` is 0 the first
+    coordinate steps up along ``label1`` and the second steps down; when -1
+    the first steps down and the second steps up along ``label2``.  A
+    ``switch`` that is not None first replaces the first coordinate's label
+    at the lower of its two levels, ``level + down`` (a sibling move).  ``weights`` are the move probabilities
     in that order.  With ``ruin_bound`` a run may stop early on the
     gambler's-ruin bound of a level process of up-rate ``up_rate`` (see
     :func:`_ruin_bound`, which also takes ``margin``); without it a run never
@@ -579,16 +564,16 @@ def _fast_plan(op, x, horizon: int) -> _Plan | None:
     row otherwise.
     """
     if isinstance(op, TreeWalk):
-        moves = [(1, l, None, 0) for l in range(op.branch)] + [(0, 0, None, 0)]
+        moves = [(0, l, None, 0) for l in range(op.branch)] + [(-1, 0, None, 0)]
         return _Plan(op._weights, moves, False, float(op.up), 0)
     if isinstance(op, DLWalk):
         q, r = op.params.q, op.params.r
-        moves = [(1, l, None, 0) for l in range(q)] + [(0, 0, None, m) for m in range(r)]
+        moves = [(0, l, None, 0) for l in range(q)] + [(-1, 0, None, m) for m in range(r)]
         return _Plan(op._weights, moves, True, float(op.alpha), 0)
     if isinstance(op, SiblingWalk):
         q, r = op.params.q, op.params.r
-        moves = [(1, l, m, 0) for m in range(q) for l in range(q)] + [
-            (0, 0, m, mm) for m in range(q) for mm in range(r)
+        moves = [(0, l, m, 0) for m in range(q) for l in range(q)] + [
+            (-1, 0, m, mm) for m in range(q) for mm in range(r)
         ]
         return _Plan(op._weights, moves, True, float(op.alpha), 1)
     if isinstance(op, ConjugatedWalk) and horizon and getattr(op.g, "level_only", False):
@@ -647,14 +632,26 @@ def _fast_counts(plan: _Plan, x, y, trials, horizon, seed, escape_radius, escape
                     gen = stream(trial)
                     gen.integers(0, denom, size=1024)
                 draws = iter(to_moves(gen.integers(0, denom, size=(1, min(1024, horizon - start))))[0])
-            for up, l1, sw, l2 in islice(draws, 64):
+            for down, l1, sw, l2 in islice(draws, 64):
+                # A switch of the label at the lower of the two levels the
+                # move joins moves the meet only when the run agrees with the
+                # target below that level and it is at most the target's.
+                # On a down move it leaves c1 below lv1, so c1 == lv1 fails.
+                if sw is not None:
+                    low = lv1 + down
+                    if low <= ylv1 and c1 >= low - 1:
+                        c1 = low if sw == ylab1(low, 0) else low - 1
                 # A run on the target's ray (c == lv) stays on it going down,
-                # and going up only along the target's own label.  A switch
-                # of the label at lv moves the meet only when the run agrees
-                # with the target below lv and lv is at most the target's.
-                if up:
-                    if sw is not None and lv1 <= ylv1 and c1 >= lv1 - 1:
-                        c1 = lv1 if sw == ylab1(lv1, 0) else lv1 - 1
+                # and going up only along the target's own label.
+                if down:
+                    if c1 == lv1:
+                        c1 -= 1
+                    lv1 -= 1
+                    if pair:
+                        if c2 == lv2 < ylv2 and l2 == ylab2(lv2 + 1, 0):
+                            c2 += 1
+                        lv2 += 1
+                else:
                     if c1 == lv1 < ylv1 and l1 == ylab1(lv1 + 1, 0):
                         c1 += 1
                     lv1 += 1
@@ -662,16 +659,6 @@ def _fast_counts(plan: _Plan, x, y, trials, horizon, seed, escape_radius, escape
                         if c2 == lv2:
                             c2 -= 1
                         lv2 -= 1
-                else:
-                    if c1 == lv1:
-                        c1 -= 1
-                    lv1 -= 1
-                    if sw is not None and lv1 <= ylv1 and c1 >= lv1 - 1:
-                        c1 = lv1 if sw == ylab1(lv1, 0) else lv1 - 1
-                    if pair:
-                        if c2 == lv2 < ylv2 and l2 == ylab2(lv2 + 1, 0):
-                            c2 += 1
-                        lv2 += 1
                 # The level sum is fixed, so lv1 == ylv1 puts lv2 on ylv2.
                 if c1 == ylv1 == lv1 and c2 == ylv2:
                     hit = True
@@ -701,11 +688,8 @@ def _generic_counts(op, x, y, trials, horizon, seed, escape_radius):
     rows: dict = {}
     hits = escaped = truncated = 0
     for trial in range(trials):
-        gen = stream(trial)
         v = x
-        for _ in range(horizon):
-            targets, denom, cum = _row(op, v, rows)
-            v = targets[bisect_right(cum, int(gen.integers(0, denom)))]
+        for v in islice(_path(op, x, stream(trial), rows), horizon):
             if v == y:
                 break
         if v == y:

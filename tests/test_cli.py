@@ -387,6 +387,20 @@ def test_negative_size_exits_2(capsys, argv):
     assert f"argument {argv[1]}: expected a non-negative integer, got '{argv[2]}'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "--steps", "x" * 10**6), ("estimate-f", "--trials", "9" * 10**5 + "x", "--to", ROOT_JSON)],
+    ids=["steps", "trials"],
+)
+def test_a_long_non_integer_size_is_refused_without_repeating_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {argv[1]}: expected a non-negative integer, got str starting '" in captured.err
+    assert len(captured.err.encode()) < 1024
+
+
 CONSTANT_SPEC = json.dumps({"q": 2, "r": 2, "alpha": "1/2", "constant": "3/1", "terms": []})
 
 

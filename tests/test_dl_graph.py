@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,9 @@ from dl_harmonics.dl_graph import (
     siblings,
     translation_to,
 )
-from dl_harmonics.tree import TreeVertex, distance, predecessor, successor
+from dl_harmonics.dirichlet import _tree_levels
+from dl_harmonics.tree import TreeVertex, _successors, distance, neighbours, predecessor, successor
+from dl_harmonics.walks import TreeWalk
 
 RNG_SEED = 7041
 
@@ -256,8 +259,12 @@ def test_export_edges_equal_a_scan_of_every_ball_vertex(q, r, variant):
         assert export_dot(p, radius, variant).count(" -- ") == len(want)
 
 
+def ref_successors(x, q):
+    return [successor(x, l, q) for l in range(q)]
+
+
 def ref_siblings(x, q):
-    return [successor(predecessor(x), m, q) for m in range(q)]
+    return ref_successors(predecessor(x), q)
 
 
 def ref_dl_neighbours(v, p):
@@ -290,3 +297,26 @@ def test_neighbour_lists_match_the_successor_reference_in_order(q, r, moves):
         dls = ref_dls_neighbours(v, p)
         assert dls_neighbours(v, p) == dls
         v = dls[move % len(dls)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4)),
+    st.integers(10, 10**6) | st.integers(-(10**6), -10),
+    st.lists(st.integers(1, 3), max_size=8),
+)
+def test_successor_lists_match_the_successor_reference_in_order(q, level, labels):
+    # a vertex past level 9 whose word has labels at and below its level
+    v = TreeVertex.make(level, {level - 2 * i: l % q for i, l in enumerate(labels)})
+    succ = ref_successors(v, q)
+    assert _successors(v, q) == succ
+    assert neighbours(v, q) == [predecessor(v)] + succ
+    assert [w for w, _ in TreeWalk(q, Fraction(1, 3)).transitions(v)] == succ + [predecessor(v)]
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (4, 2)])
+def test_tree_levels_match_the_successor_reference(q, n):
+    levels, want = _tree_levels(n, q), [TreeVertex(-n, ())]
+    for k in range(-n, n + 1):
+        assert levels[k] == want
+        want = [w for v in want for w in ref_successors(v, q)]

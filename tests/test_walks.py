@@ -814,6 +814,32 @@ def conjugated_rows(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: project(SiblingWalk(p, THIRD)),
+        lambda p: conjugate(DLWalk(p, TWO_THIRDS), lambda v: drift_kernel(TWO_THIRDS)(v)),  # no level_only marker
+    ],
+    ids=["projected", "conjugated"],
+)
+def test_a_generic_trial_takes_the_simulated_path_to_its_first_visit(monkeypatch, make):
+    # both readers of the step loop: one trial of ``estimate_f`` from a seed
+    # walks the path ``simulate`` draws from it, up to its first visit to y
+    p = DLParams(2, 2)
+    op, x = make(p), origin(p)
+    steps = simulate(op, x, 60, 5).steps
+    monkeypatch.setattr(walks, "_KEPT_ROWS", 0)  # every step reads the row of the state it leaves
+    left, real = [], type(op).transitions
+    monkeypatch.setattr(type(op), "transitions", lambda self, v: left.append(v) or real(self, v))
+    assert walks._fast_plan(op, x, 60) is None
+    y = next(v for v in steps[30:] if v != x)
+    first = steps.index(y)
+    assert estimate_f(op, x, y, 1, 60, 5).hits == 1 and left == [x, *steps[:first]]
+    left.clear()
+    far = DLVertex(TreeVertex(61, ()), TreeVertex(-61, ()))  # out of reach in 60 steps
+    assert estimate_f(op, x, far, 1, 60, 5).hits == 0 and left == [x, *steps[:59]]
+
+
 def test_recognised_conjugated_walk_reads_one_row(conjugated_rows):
     p = DLParams(2, 2)
     o = origin(p)
