@@ -274,7 +274,12 @@ def _cmd_graph_export(args) -> int:
 
 
 def _size(text: str) -> int:
-    """argparse type of a size option: a non-negative integer."""
+    """argparse type of a size option: a non-negative integer.  Its digits are
+    counted before ``int`` reads them, so one past Python's limit is refused
+    by its digit count and the limit, which stays as it is."""
+    digits, limit = text.strip().removeprefix("+").replace("_", ""), sys.get_int_max_str_digits()
+    if 0 < limit < len(digits) and digits.isdecimal():
+        raise argparse.ArgumentTypeError(f"got a {len(digits):,}-digit integer, past the {limit:,}-digit limit on reading one")
     try:
         n = int(text)
     except ValueError:

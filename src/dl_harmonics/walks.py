@@ -29,11 +29,13 @@ by ``integers`` itself.  Where more than one chunk in 16 could meet it, the
 chunks are drawn by ``integers`` trial by trial.
 
 ``DLWalk``, the tree walks and ``SiblingWalk`` have the same row at every
-state, so ``estimate_f`` steps them through a table of moves on the meet
-state: per tree coordinate, the run's level and the level of its confluent
-with the target.  Hitting the target, the distance to it and the ruin bound
-read only these two numbers (the projection argument, applied to paths), so
-no label word is built.  A walk of these conjugated by a drift kernel (a
+state, so ``estimate_f`` steps them by integer move indices on the meet
+state: three integers, the first coordinate's level, the level of its
+confluent with the target, and the level sum less the second coordinate's
+confluent level (on a single tree, the larger of the run's and the target's
+level).  Hitting the target, the distance to it and the ruin bound read only
+these three numbers (the projection argument, applied to paths), so no label
+word is built.  A walk of these conjugated by a drift kernel (a
 ``g`` marked ``level_only``, see ``kernels.drift_kernel``) has one row at
 every state too, read once from ``transitions`` at the start, and steps on
 the meet state with the base walk's moves, never stopping early: like the
@@ -61,7 +63,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -530,13 +532,13 @@ def _ruin_bound(up: float, lv: int, ylv: int, conf_level: int, margin: int) -> f
 class _Plan(NamedTuple):
     """Per-draw moves of a walk whose row has one shape at every state.
 
-    ``pair`` says whether there is a second tree coordinate.  A move is
-    ``(down, label1, switch, label2)``: when ``down`` is 0 the first
-    coordinate steps up along ``label1`` and the second steps down; when -1
-    the first steps down and the second steps up along ``label2``.  A
-    ``switch`` that is not None first replaces the first coordinate's label
-    at the lower of its two levels, ``level + down`` (a sibling move).  ``weights`` are the move probabilities
-    in that order.  With ``ruin_bound`` a run may stop early on the
+    A move is an index into ``weights``, the ``ups`` up moves first.  An up
+    move steps the first coordinate up along ``labels[m]`` and a second
+    coordinate down; a down move steps the first coordinate down and a
+    second coordinate up along ``labels[m]``.  A single tree's one down move
+    has label 0.  ``switches``, when not empty, gives each move a label that
+    first replaces the first coordinate's label at the lower of its two
+    levels (a sibling move).  With ``ruin_bound`` a run may stop early on the
     gambler's-ruin bound of a level process of up-rate ``up_rate`` (see
     :func:`_ruin_bound`, which also takes ``margin``); without it a run never
     stops early, and an unresolved run is classified by its final distance
@@ -544,8 +546,9 @@ class _Plan(NamedTuple):
     """
 
     weights: Sequence[Fraction]
-    moves: list
-    pair: bool
+    ups: int
+    labels: list[int]
+    switches: list[int]
     up_rate: float
     margin: int
     ruin_bound: bool = True
@@ -564,18 +567,15 @@ def _fast_plan(op, x, horizon: int) -> _Plan | None:
     row otherwise.
     """
     if isinstance(op, TreeWalk):
-        moves = [(0, l, None, 0) for l in range(op.branch)] + [(-1, 0, None, 0)]
-        return _Plan(op._weights, moves, False, float(op.up), 0)
+        return _Plan(op._weights, op.branch, [*range(op.branch), 0], [], float(op.up), 0)
     if isinstance(op, DLWalk):
         q, r = op.params.q, op.params.r
-        moves = [(0, l, None, 0) for l in range(q)] + [(-1, 0, None, m) for m in range(r)]
-        return _Plan(op._weights, moves, True, float(op.alpha), 0)
+        return _Plan(op._weights, q, [*range(q), *range(r)], [], float(op.alpha), 0)
     if isinstance(op, SiblingWalk):
         q, r = op.params.q, op.params.r
-        moves = [(0, l, m, 0) for m in range(q) for l in range(q)] + [
-            (-1, 0, m, mm) for m in range(q) for mm in range(r)
-        ]
-        return _Plan(op._weights, moves, True, float(op.alpha), 1)
+        labels = [l for _ in range(q) for l in range(q)] + [l for _ in range(q) for l in range(r)]
+        switches = [m for m in range(q) for _ in range(q)] + [m for m in range(q) for _ in range(r)]
+        return _Plan(op._weights, q * q, labels, switches, float(op.alpha), 1)
     if isinstance(op, ConjugatedWalk) and horizon and getattr(op.g, "level_only", False):
         base = _fast_plan(op.base, x, horizon)
         if base is not None:
@@ -588,96 +588,100 @@ def _fast_counts(plan: _Plan, x, y, trials, horizon, seed, escape_radius, escape
     """``(hits, escaped, truncated)`` of :func:`estimate_f` on the fast path,
     for a start ``x`` other than the target ``y``.
 
-    A run keeps two integers per tree coordinate: its level ``lv`` and the
-    level ``c`` of its confluent with the target (the meet).  Whether the run
-    stands on the target, its distance to it and the ruin bound read only
-    these, and a move changes the meet only where it touches the target's
-    ray, so the label word itself is never built.
+    A run keeps three integers: the first coordinate's level ``lv``, the
+    level ``c1`` of its meet with the target (the lower edge), and the upper
+    edge ``u2``.  On a product ``u2`` is ``S - c2``, where ``S`` is the
+    level sum and ``c2`` the second coordinate's meet level; on a single
+    tree it is ``max(lv, ylv1)``.  The second level ``S - lv`` is never
+    stored.  Since ``c1 <= ylv1 <= u2``, the run stands on the target
+    exactly when ``c1 == u2``, which is tested only when the band narrows:
+    the lower edge climbs along the target's label, or the upper edge drops
+    along the second target's label.  The distance to the target is
+    ``2 (u2 - c1) - |lv - ylv1|``.  A move changes an edge only where it
+    touches the target's ray, so the label word itself is never built.
     """
-    weights, moves, pair, up_rate, margin, ruin_bound = plan
+    weights, ups, labels, switches, up_rate, margin, ruin_bound = plan
     denom, counts = _integer_row(weights)  # raises unless the row is a distribution
-    # ``to_moves(draws)``: the moves a 2-D array of draws picks, as nested
-    # lists; a draw ``d`` picks ``moves[bisect_right(cumulative counts, d)]``.
-    moves = np.fromiter(moves, object, len(moves))
+    # ``to_moves(draws)``: the move indices an array of draws picks; a draw
+    # ``d`` picks the first index whose cumulative count exceeds it.
+    index = np.min_scalar_type(len(weights) - 1)
     if denom <= 4096:
-        table = moves[np.repeat(np.arange(len(moves)), counts)]
-        to_moves = lambda draws: table[draws].tolist()
+        to_moves = np.repeat(np.arange(len(weights), dtype=index), counts).__getitem__
     else:
         cum = np.cumsum(counts)
-        to_moves = lambda draws: moves[np.searchsorted(cum, draws, side="right")].tolist()
-    x1, y1 = (x.x1, y.x1) if pair else (x, y)
-    lv10, c10, ylv1, ylab1 = x1.level, confluent_omega(x1, y1).level, y1.level, dict(y1.labels).get
-    # A single tree walk gets a second coordinate that never moves and
-    # always matches, so one hit test serves both shapes.
-    lv20 = c20 = ylv2 = 0
-    if pair:
-        lv20, c20, ylv2, ylab2 = x.x2.level, confluent_omega(x.x2, y.x2).level, y.x2.level, dict(y.x2.labels).get
+        to_moves = lambda draws: np.searchsorted(cum, draws, side="right").astype(index)
+    tree = isinstance(x, TreeVertex)
+    x1, y1 = (x, y) if tree else (x.x1, y.x1)
+    lv0, c10, ylv1, ylab1 = x1.level, confluent_omega(x1, y1).level, y1.level, dict(y1.labels).get
+    # The second target's labels, keyed by the first level at which the
+    # second coordinate reaches them; a single tree's are all 0.
+    if tree:
+        u20, ylab2 = max(lv0, ylv1), {}.get
+    else:
+        s = x.x1.level + x.x2.level
+        u20, ylab2 = s - confluent_omega(x.x2, y.x2).level, {s - k: l for k, l in y.x2.labels}.get
     drift = ruin_bound and up_rate != 0.5
     stream = _philox_streams(seed)
-    firsts = chain.from_iterable(map(to_moves, _first_draws(stream, trials, min(1024, horizon), denom)))
+    n = min(1024, horizon)
+    # Each trial's first chunk: a slice of one flat view of its block.
+    firsts = (
+        moves[i : i + n]
+        for block in _first_draws(stream, trials, n, denom)
+        for moves in [memoryview(to_moves(block).ravel())]
+        for i in range(0, len(moves), n)
+    )
+    # Drifting runs stop at the ruin checkpoints after every 64 steps.
+    run = 64 if drift else 1024
     hits = escaped = truncated = 0
     for trial in range(trials):
-        lv1, c1, lv2, c2 = lv10, c10, lv20, c20
-        hit = False
-        # Draws come in chunks of 1024, taken 64 at a time: the ruin bound is
-        # checked after every 64 steps.  The first chunk comes from
+        lv, c1, u2 = lv0, c10, u20
+        # Draws come in chunks of 1024.  The first comes from
         # ``_first_draws``, whose blocks re-key the shared bit generator; a
         # later one from the trial's own stream, re-keyed and moved past the
         # first chunk by drawing it again.
-        for start in range(0, horizon, 64):
+        for start in range(0, horizon, run):
+            at = start % 1024
             if start == 0:
-                draws = iter(next(firsts))
-            elif start % 1024 == 0:
+                chunk = next(firsts)
+            elif at == 0:
                 if start == 1024:
                     gen = stream(trial)
                     gen.integers(0, denom, size=1024)
-                draws = iter(to_moves(gen.integers(0, denom, size=(1, min(1024, horizon - start))))[0])
-            for down, l1, sw, l2 in islice(draws, 64):
+                chunk = memoryview(to_moves(gen.integers(0, denom, size=min(1024, horizon - start))))
+            for m in chunk[at : at + run]:
                 # A switch of the label at the lower of the two levels the
                 # move joins moves the meet only when the run agrees with the
                 # target below that level and it is at most the target's.
-                # On a down move it leaves c1 below lv1, so c1 == lv1 fails.
-                if sw is not None:
-                    low = lv1 + down
+                if switches:
+                    low = lv if m < ups else lv - 1
                     if low <= ylv1 and c1 >= low - 1:
-                        c1 = low if sw == ylab1(low, 0) else low - 1
-                # A run on the target's ray (c == lv) stays on it going down,
-                # and going up only along the target's own label.
-                if down:
-                    if c1 == lv1:
-                        c1 -= 1
-                    lv1 -= 1
-                    if pair:
-                        if c2 == lv2 < ylv2 and l2 == ylab2(lv2 + 1, 0):
-                            c2 += 1
-                        lv2 += 1
+                        c1 = low if switches[m] == ylab1(low, 0) else low - 1
+                if m < ups:
+                    lv += 1
+                    if u2 < lv:  # the upper edge is pushed up
+                        u2 = lv
+                    elif c1 + 1 == lv <= ylv1 and labels[m] == ylab1(lv, 0):  # the lower edge climbs
+                        c1 = lv
+                        if c1 == u2:
+                            break
                 else:
-                    if c1 == lv1 < ylv1 and l1 == ylab1(lv1 + 1, 0):
-                        c1 += 1
-                    lv1 += 1
-                    if pair:
-                        if c2 == lv2:
-                            c2 -= 1
-                        lv2 -= 1
-                # The level sum is fixed, so lv1 == ylv1 puts lv2 on ylv2.
-                if c1 == ylv1 == lv1 and c2 == ylv2:
-                    hit = True
-                    break
-            if hit or (drift and _ruin_bound(up_rate, lv1, ylv1, c1, margin) < escape_tol):
+                    lv -= 1
+                    if c1 > lv:  # the lower edge follows down
+                        c1 = lv
+                    elif u2 - 1 == lv >= ylv1 and labels[m] == ylab2(lv, 0):  # the upper edge drops
+                        u2 = lv
+                        if c1 == u2:
+                            break
+            if c1 == u2 or (drift and _ruin_bound(up_rate, lv, ylv1, c1, margin) < escape_tol):
                 break
-        if hit:
+        if c1 == u2:
             hits += 1
-        elif drift and _ruin_bound(up_rate, lv1, ylv1, c1, margin) < escape_tol:
+        elif (drift and _ruin_bound(up_rate, lv, ylv1, c1, margin) < escape_tol) or (
+            2 * (u2 - c1) - abs(lv - ylv1) > escape_radius
+        ):
             escaped += 1
         else:
-            # The DL distance: both tree distances, less the level gap they share.
-            dist = (lv1 - c1) + (ylv1 - c1)
-            if pair:
-                dist += (lv2 - c2) + (ylv2 - c2) - abs(lv1 - ylv1)
-            if dist > escape_radius:
-                escaped += 1
-            else:
-                truncated += 1
+            truncated += 1
     return hits, escaped, truncated
 
 
@@ -709,8 +713,8 @@ def _state_distance(v, y) -> int:
     return dl_distance(v, y)
 
 
-# Most steps (trials x horizon) ``estimate_f`` takes: 7-14 s of work on the
-# fast path, whose slowest walk (``SiblingWalk`` on DL(3, 3)) makes 3.5-7
+# Most steps (trials x horizon) ``estimate_f`` takes: 5.5-10 s of work on the
+# fast path, whose slowest walk (``SiblingWalk`` on DL(3, 3)) makes 5-9
 # million steps a second on one core of a shared 2-core x86_64 host.  A walk
 # on the generic path steps far slower, so the cap bounds it only loosely.
 _MAX_ESTIMATE_STEPS = 5 * 10**7

@@ -488,6 +488,16 @@ def test_a_work_estimate_past_4300_digits_exits_2_naming_the_cap(capsys, argv):
     assert "Exceeds the limit" not in err
 
 
+@pytest.mark.parametrize("count", ["9" * 5000, " +" + "9_" * 4999 + "9 "], ids=["digits", "signed-with-underscores"])
+def test_a_count_past_4300_digits_is_refused_by_its_digit_count(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--steps", count])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "argument --steps: got a 5,000-digit integer, past the 4,300-digit limit on reading one" in err
+    assert "expected a non-negative integer" not in err and "99999" not in err and "9_9_9" not in err
+
+
 def test_budget_estimates_of_small_outputs_stay_far_below_the_cap(capsys, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "_check_built_entries", lambda command, entries, at_least=False: seen.append(entries))

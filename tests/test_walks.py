@@ -534,13 +534,14 @@ def _counts(res):
         p1_walk(P23, HALF),
         p2_walk(P23, TWO_THIRDS),
         TreeWalk(2, Fraction(2049, 4099)),  # row denominator above 4096
+        DLWalk(P23, Fraction(2731, 4099)),  # row denominator 8198
         DLWalk(P23, TWO_THIRDS),
         DLWalk(P23, HALF),
         SiblingWalk(P23, TWO_THIRDS),
         SiblingWalk(P23, HALF),
     ],
     ids=[
-        "p1-drift", "p1-driftless", "p2-drift", "tree-bisect",
+        "p1-drift", "p1-driftless", "p2-drift", "tree-bisect", "dl-bisect",
         "dl-drift", "dl-driftless", "sibling-drift", "sibling-driftless",
     ],
 )
@@ -561,11 +562,31 @@ def test_estimate_hits_match_reference_walk(op):
     assert total[0] > 0 and total[1] + total[2] > 0
 
 
+Y_FAR = DLVertex(TreeVertex.make(25, {25: 1}), TreeVertex.make(-25, {-25: 2}))  # 27 steps from the origin
+
+
 def test_estimate_hits_match_reference_walk_over_chunks():
-    op = p1_walk(P23, HALF)
-    y = TreeVertex.make(1, {0: 1, 1: 1})
-    res = estimate_f(op, ROOT, y, trials=8, horizon=1100, seed=3, escape_tol=0.0)
-    assert _counts(res) == _reference_counts(op, ROOT, y, 8, 1100, 3) and res.hits > 0
+    # Runs go on past their first chunk of 1024 draws.  A tree run hits; no
+    # product run comes back this far, but the steps past 1024 change how
+    # one is classified.
+    for op, x, y, seed in [
+        (p1_walk(P23, HALF), ROOT, TreeVertex.make(1, {0: 1, 1: 1}), 3),
+        (DLWalk(P23, HALF), origin(P23), Y_FAR, 4),
+        (SiblingWalk(P23, HALF), origin(P23), Y_FAR, 3),
+    ]:
+        res = estimate_f(op, x, y, trials=8, horizon=1100, seed=seed, escape_tol=0.0)
+        assert _counts(res) == _reference_counts(op, x, y, 8, 1100, seed)
+        first_chunk = estimate_f(op, x, y, trials=8, horizon=1024, seed=seed, escape_tol=0.0)
+        assert res.hits > 0 if isinstance(op, TreeWalk) else _counts(res) != _counts(first_chunk)
+
+
+def test_drifting_runs_stop_at_every_64_step_checkpoint():
+    # A loose tolerance certifies runs at step 64 that would hit later on:
+    # they count as escaped, as in the reference walk, and the hits fall.
+    op, y = p1_walk(P23, Fraction(3, 5)), TreeVertex.make(0, {0: 1})
+    res = estimate_f(op, ROOT, y, trials=40, horizon=300, seed=5, escape_tol=0.3)
+    assert _counts(res) == _reference_counts(op, ROOT, y, 40, 300, 5, 0.3)
+    assert res.hits < estimate_f(op, ROOT, y, trials=40, horizon=300, seed=5, escape_tol=0.0).hits
 
 
 @pytest.mark.parametrize("kind", ["tree", "dl", "sibling"])
