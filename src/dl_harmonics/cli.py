@@ -5,12 +5,16 @@ Exit codes: 0 = success / all checks passed, 1 = a mathematical check failed,
 sorted); exact values are "NUM/DEN" strings.  A ``--config FILE`` (or
 ``--config=FILE``, spelled in full) option on every subcommand supplies
 defaults for the flags (explicit flags win).  Every JSON flag is read by
-``_decode``; the library decoder of each object checks its shape.
+``_decode``; the library decoder of each object checks its shape.  A call
+parses with the parser of the subcommand it names (the full parser only
+reports usage errors and the top-level help); each parser is built on first
+use and kept for the process, so repeated ``main`` calls build none again.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -153,8 +157,9 @@ def _cmd_dirichlet_solve(args) -> int:
         if report.discrepancies:
             code = 1
     if args.out:
+        text = json.dumps(table_to_json(table), **_J)  # json.dump would take the pure-Python encoder
         with open(args.out, "w") as fh:
-            json.dump(table_to_json(table), fh, **_J)
+            fh.write(text)
         out["written"] = args.out
     _emit(out)
     return code
@@ -356,14 +361,23 @@ def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.Argum
     return parser
 
 
-def _full_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=len(_COMMANDS) + 1)
+def _parser(name: str | None) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name``, or with ``None`` the full parser of
+    every subcommand; each is built on first use and kept for the process.
+
+    Parsing leaves a parser as it was: every default is immutable, each
+    parse fills a fresh ``Namespace``, and help and usage text read
+    ``COLUMNS`` when they are formatted."""
+    if name is not None:
+        return _add_arguments(argparse.ArgumentParser(prog=f"dl-harmonics {name}"), name)
     p = argparse.ArgumentParser(
         prog="dl-harmonics",
         description="Exact harmonic analysis on horocyclic products of trees.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help, _, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help), name)
+    for command, (help, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help), command)
     return p
 
 
@@ -375,11 +389,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     the top-level usage, exactly as if it had parsed from the start.
     """
     if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"dl-harmonics {argv[0]}")
-        args, rest = _add_arguments(parser, argv[0]).parse_known_args(argv[1:])
+        args, rest = _parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             return args
-    return _full_parser().parse_args(argv)
+    return _parser(None).parse_args(argv)
 
 
 def _apply_config(argv: list[str]) -> list[str]:

@@ -1003,6 +1003,61 @@ def test_golden_config_output(monkeypatch, tmp_path, capsys):
     assert _digest(capsys, ("dirichlet-solve", "--config", str(cfg))) == GOLDEN_CONFIG
 
 
+@pinned_argparse
+def test_a_reused_parser_carries_no_state_between_calls(monkeypatch, tmp_path, capsys):
+    # Each parser is built once per process.  Every call of one process,
+    # run forward, with usage errors, a --config call and --check-product
+    # given and then omitted in between, then reversed, prints what it
+    # prints with a parser built for it alone.
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 2, "r": 3, "alpha": "1/3", "n": 1, "check_product": True}))
+    config = ("dirichlet-solve", "--config", str(cfg))
+    product = ("dirichlet-solve", "--alpha", "1/3", "--n", "1", "--check-product")
+    without, usage = product[:-1], ("dirichlet-solve", "--q", "two")
+    pinned = dict(GOLDEN) | {config: GOLDEN_CONFIG}
+    assert {product, usage} <= pinned.keys()
+    calls = [argv for argv, _ in GOLDEN]
+    interleaved = [usage, config, without, product, without, usage, product, config, without]
+    cold = {}
+    for argv in {*calls, *interleaved}:
+        cli._parser.cache_clear()
+        cold[argv] = _digest(capsys, argv)
+    assert {argv: cold[argv] for argv in pinned} == pinned
+    assert cold[without] != cold[product]
+    cli._parser.cache_clear()
+    warm = [(argv, _digest(capsys, argv)) for argv in calls + interleaved + calls[::-1]]
+    assert [(argv, cold[argv]) for argv, _ in warm] == warm
+    assert cli._parser.cache_info().currsize == len(cli._COMMANDS) + 1
+
+
+def test_help_wraps_to_the_columns_of_its_own_call(monkeypatch, capsys):
+    def text(argv, columns, build):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        if build:
+            cli._parser.cache_clear()
+        return _digest(capsys, argv)
+
+    for argv in (("-h",), ("estimate-f", "-h")):
+        alone = {columns: text(argv, columns, build=True) for columns in (60, 100)}
+        assert alone[60] != alone[100]
+        assert {columns: text(argv, columns, build=False) for columns in (60, 100)} == alone
+
+
+def test_each_parser_is_built_once_per_process(capsys):
+    cli._parser.cache_clear()
+    for _ in range(3):
+        code, _, _ = run(capsys, "cayley-check", "--q", "2", "--support", "1", "--position-range", "1")
+        assert code == 0
+    assert cli._parser.cache_info()[:2] == (2, 1)  # (hits, misses)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+    assert cli._parser.cache_info()[:2] == (3, 2)
+    assert capsys.readouterr().err.count("invalid choice: 'frobnicate'") == 2
+
+
 # SHA-256 of dirichlet-solve stdout (its --out path replaced by "<out>") and
 # of the --out file, taken when hitting tables were still stored as rows of
 # Fractions.  They pin the exact tables whatever their storage.

@@ -589,6 +589,37 @@ def test_drifting_runs_stop_at_every_64_step_checkpoint():
     assert res.hits < estimate_f(op, ROOT, y, trials=40, horizon=300, seed=5, escape_tol=0.0).hits
 
 
+def test_ruin_bound_equals_the_bounds_written_out():
+    up = 1 / 3
+    assert _ruin_bound(up, 0, 1, 0, 0) == up / (1 - up) != 0.5  # the target one level up
+    assert _ruin_bound(up, -2, 1, -2, 0) == (up / (1 - up)) ** 3
+    up = 2 / 3
+    assert _ruin_bound(up, 3, 1, 2, 0) == ((1 - up) / up) ** 2  # the target two levels down
+    assert _ruin_bound(up, 3, 5, 0, 1) == ((1 - up) / up) ** 2  # two levels above the confluent and margin
+    assert _ruin_bound(up, 0, 1, 0, 0) == _ruin_bound(0.5, 3, 1, 0, 0) == 1.0
+
+
+def test_a_run_one_level_below_the_target_is_escaped_on_a_loose_bound():
+    # p1 with up-rate 1/3 from the root to its successor along label 0, two
+    # steps: a run hits on its first step (up along label 0), or ends at
+    # level -2 or 0, where the target is 3 or 1 levels up and the ruin bound
+    # (1/2)^3 or (1/2)^1 is below 0.6, so it is escaped, or ends at level 2
+    # (up along label 1, then up), where no bound applies and its distance 3
+    # is inside the radius 8, so it is truncated.
+    op, y = p1_walk(DLParams(2, 2), THIRD), TreeVertex(1, ())
+    cum = list(accumulate(int(p * 6) for _, p in op.transitions(ROOT)))
+    want = {"hit": 0, "escaped": 0, "truncated": 0}
+    for trial in range(200):
+        v = ROOT
+        for d in _philox_stream(7, trial).integers(0, 6, size=2):
+            v = op.transitions(v)[bisect_right(cum, int(d))][0]
+            if v == y:
+                break
+        want["hit" if v == y else "escaped" if v.level in (-2, 0) else "truncated"] += 1
+    res = estimate_f(op, ROOT, y, trials=200, horizon=2, seed=7, escape_tol=0.6)
+    assert _counts(res) == tuple(want.values()) == (29, 160, 11)
+
+
 @pytest.mark.parametrize("kind", ["tree", "dl", "sibling"])
 def test_estimate_hits_match_reference_walk_up_a_deep_ray(kind):
     # Start on level 10 and the target two levels up its ray: a run hits
