@@ -66,7 +66,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .dl_graph import DLParams, DLVertex
-from .tree import ROOT, TreeEnd, TreeVertex, _successors, check_labels, confluent_omega
+from .tree import ROOT, TreeEnd, TreeVertex, _new, _successors, _upto, check_labels, confluent_omega
 from .walks import _check_alpha, _integer_row, _over_lcm, _shown, operator_from_name
 
 __all__ = [
@@ -206,8 +206,8 @@ def _enumerate(chain: FiniteChain) -> tuple:
     lv1, lv2 = _tree_levels(n, ups), _tree_levels(n, downs)
     vertices = []
     for k in range(-n, n + 1):
-        for x1, x2 in _cartesian(lv1[k], lv2[-k]):
-            vertices.append(DLVertex(x1, x2) if chain.kind == "dl" else x1)
+        for xs in _cartesian(lv1[k], lv2[-k]):
+            vertices.append(_new(DLVertex, xs) if chain.kind == "dl" else xs[0])
     return tuple(vertices)
 
 
@@ -519,14 +519,18 @@ def _sequences(n: int, branch: int, a: int, m: int) -> tuple[tuple, tuple, tuple
 def _level_product(n: int, branch: int, up: Fraction, c: int, lx: int, ly: int) -> Fraction:
     """The geodesic product of any ``x`` on level ``lx``, ``y`` on ``ly``
     with ``x ⋏ y`` on ``c``, telescoped over ``_sequences`` into one Fraction."""
-    a, m = Fraction(up).as_integer_ratio()
+    return Fraction(*_level_pair(n, branch, *Fraction(up).as_integer_ratio(), c, lx, ly))
+
+
+def _level_pair(n: int, branch: int, a: int, m: int, c: int, lx: int, ly: int) -> tuple[int, int]:
+    """``_level_product`` at the rate ``a/m`` as an unreduced integer pair."""
     p, r, pi = _sequences(n, branch, a, m)
     num = den = 1
     if lx > c:
         num, den = (m - a) ** (lx - c) * p[lx + 1], p[c + 1]
     if ly > c:
         num, den = num * a ** (ly - c) * pi[ly] * r[c - 1], den * pi[c] * r[ly - 1]
-    return Fraction(num, den)
+    return num, den
 
 
 @lru_cache(maxsize=256)
@@ -801,18 +805,20 @@ def kernel_approx(chain: FiniteChain, x: TreeVertex, target) -> Fraction:
         check_labels(target, branch)
         if target.is_omega or any(j <= -n for j, _ in target.labels):
             # the ray leaves below the apex: apex cone
-            y = TreeVertex(-n, ())
+            y = _new(TreeVertex, (-n, ()))
         elif any(j == 1 - n for j, _ in target.labels):
             # the ray grazes the apex exactly: its leaf has zero harmonic
             # measure from the root and the ratio is 0/0 at this stage
             raise ValueError("stage too small for this end (ray through the apex)")
         else:
-            y = TreeVertex.make(n, {j: v for j, v in target.labels if j <= n})
+            y = _new(TreeVertex, (n, _upto(target.labels, n)))
     else:
         y = target
         if not _in_tree_chain(y, n, branch) or abs(y.level) != n:
             raise ValueError("target vertex must belong to the chain boundary")
-    denom = _level_product(n, branch, up, confluent_omega(ROOT, y).level, 0, y.level)
-    if denom == 0:
+    a, m = up.as_integer_ratio()
+    on, od = _level_pair(n, branch, a, m, confluent_omega(ROOT, y).level, 0, y.level)
+    if on == 0:
         raise ValueError("target has zero harmonic measure from the root at this stage")
-    return _level_product(n, branch, up, confluent_omega(x, y).level, x.level, y.level) / denom
+    xn, xd = _level_pair(n, branch, a, m, confluent_omega(x, y).level, x.level, y.level)
+    return Fraction(xn * od, xd * on)

@@ -28,6 +28,7 @@ from typing import Callable
 from .tree import (
     ROOT,
     TreeVertex,
+    _new,
     _successors,
     predecessor,
     shift,
@@ -93,8 +94,8 @@ def dl_neighbours(v: DLVertex, params: DLParams) -> list[DLVertex]:
     """``q`` up-neighbours then ``r`` down-neighbours of ``v`` in DL(q, r)."""
     check_vertex(v, params)
     pred1, pred2 = predecessor(v.x1), predecessor(v.x2)
-    return [DLVertex(u1, pred2) for u1 in _successors(v.x1, params.q)] + [
-        DLVertex(pred1, u2) for u2 in _successors(v.x2, params.r)
+    return [_new(DLVertex, (u1, pred2)) for u1 in _successors(v.x1, params.q)] + [
+        _new(DLVertex, (pred1, u2)) for u2 in _successors(v.x2, params.r)
     ]
 
 
@@ -108,8 +109,8 @@ def dls_neighbours(v: DLVertex, params: DLParams) -> list[DLVertex]:
     check_vertex(v, params)
     q, pred1, pred2 = params.q, predecessor(v.x1), predecessor(v.x2)
     succ2 = _successors(v.x2, params.r)
-    up = [DLVertex(w1, pred2) for u1 in _successors(pred1, q) for w1 in _successors(u1, q)]
-    return up + [DLVertex(u1, u2) for u1 in siblings(pred1, q) for u2 in succ2]
+    up = [_new(DLVertex, (w1, pred2)) for u1 in _successors(pred1, q) for w1 in _successors(u1, q)]
+    return up + [_new(DLVertex, (u1, u2)) for u1 in siblings(pred1, q) for u2 in succ2]
 
 
 def factor_map(v: DLVertex, params: DLParams) -> DLVertex:
@@ -118,7 +119,7 @@ def factor_map(v: DLVertex, params: DLParams) -> DLVertex:
     Constant on sibling classes; carries DLS edges to DL edges.
     """
     check_vertex(v, params)
-    return DLVertex(shift(predecessor(v.x1), 1), v.x2)
+    return _new(DLVertex, (shift(predecessor(v.x1), 1), v.x2))
 
 
 def translation_to(target: DLVertex, params: DLParams) -> Callable[[DLVertex], DLVertex]:

@@ -29,9 +29,11 @@ the projected walk of the tree (``p1_walk``: ``q``, ``alpha``; ``p2_walk``:
 refuses a label outside that walk's branching (a ``KernelSpec`` does both
 once, when it is built).  The exponent ``(hor_xi(x) - level(x)) // 2`` is
 read off the labels without building a vertex, and a negative exponent swaps
-numerator and denominator.  ``HarmonicFunction`` sums its constant and its
-terms as one unreduced integer pair; the one ``Fraction`` built per call is
-the returned value, so every value equals the plain ``Fraction`` formula.
+numerator and denominator.  The pair rule: ``HarmonicFunction`` sums its
+constant and its terms as one unreduced integer pair (``_pair``, which
+``walks.apply`` sums over a row), ``defect_kernel`` powers ``q`` in integers,
+and each call builds one ``Fraction``, its answer, so every value equals the
+plain ``Fraction`` formula.
 
 Functions on the horocyclic product are built by lifting a tree kernel
 through one coordinate; ``HarmonicFunction`` bundles non-negative
@@ -232,15 +234,17 @@ class HarmonicFunction:
         terms = tuple((*Fraction(c).as_integer_ratio(), s) for c, s in self.terms)
         object.__setattr__(self, "_terms", terms)
 
-    def __call__(self, v: DLVertex) -> Fraction:
-        # constant + sum coeff_i * K_i(v) over one common integer pair; the
-        # only Fraction built is the returned value.
+    def _pair(self, v: DLVertex) -> tuple[int, int]:
+        """``constant + sum coeff_i * K_i(v)`` as one unreduced integer pair."""
         num, den = self._constant
         for a, b, spec in self._terms:
             kn, kd = spec._pair(v)
             d = b * kd
             num, den = num * d + a * kn * den, den * d
-        return Fraction(num, den)
+        return num, den
+
+    def __call__(self, v: DLVertex) -> Fraction:
+        return Fraction(*self._pair(v))
 
     @property
     def alpha(self) -> Fraction:
@@ -280,6 +284,6 @@ def defect_kernel(
     ``defect_plus`` (walk-switch) or ``defect_oplus`` (switch-walk-switch)."""
     if model not in (GeneratorModel.WALK_SWITCH, GeneratorModel.SWITCH_WALK_SWITCH):
         raise ValueError(f"no boundary kernels are defined for {getattr(model, 'value', repr(model))}")
-    if xi.side == "-":
-        return Fraction(q) ** defect_minus(a, xi)
-    return Fraction(q) ** (defect_plus if model is GeneratorModel.WALK_SWITCH else defect_oplus)(a, xi)
+    plus = defect_plus if model is GeneratorModel.WALK_SWITCH else defect_oplus
+    d = (defect_minus if xi.side == "-" else plus)(a, xi)
+    return Fraction(q**d) if d >= 0 else Fraction(1, q**-d)

@@ -34,17 +34,16 @@ one dictionary from lamps to tree words, so no lamp is read site by site.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
 from itertools import product
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours
-from .tree import TreeEnd, _brief, _canon, _check_word, _half_excess, _json_int, _json_pairs, _new, _vertex
+from .tree import TreeEnd, TreeVertex, _brief, _canon, _check_word, _half_excess, _json_int, _json_pairs, _new
 
 __all__ = [
     "GroupElement",
@@ -207,8 +206,9 @@ def cayley_check(q: int, support: int, position_range: int) -> dict[str, int | b
 
 def _tree_words(a: GroupElement) -> tuple[Lamps, Lamps]:
     """The label words of ``encode(a)``: the lamps at sites ``<= k``, and the
-    :func:`_mirror` of those above ``k``."""
-    i = bisect_right(a.eta, a.k, key=itemgetter(0))
+    :func:`_mirror` of those above ``k``.  ``(k + 1,)`` sorts above every
+    lamp at a site ``<= k`` and below every other."""
+    i = bisect_left(a.eta, (a.k + 1,))
     return a.eta[:i], _mirror(a.eta[i:])
 
 
@@ -236,7 +236,7 @@ def encode(a: GroupElement) -> DLVertex:
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"label at {j} must be a non-negative integer, got {_brief(v)}") from None
         raise
-    return DLVertex(_vertex(a.k, x1), _vertex(-a.k, x2))
+    return _new(DLVertex, (_new(TreeVertex, (a.k, x1)), _new(TreeVertex, (-a.k, x2))))
 
 
 def decode(v: DLVertex, params: DLParams | None = None) -> GroupElement:
@@ -246,7 +246,7 @@ def decode(v: DLVertex, params: DLParams | None = None) -> GroupElement:
         raise ValueError("group decoding needs equal branching numbers (q = r)")
     if v.x1.level + v.x2.level != 0:
         raise ValueError("vertex levels must sum to 0")
-    return GroupElement(v.x1.labels + _mirror(v.x2.labels), v.x1.level)
+    return _new(GroupElement, (v.x1.labels + _mirror(v.x2.labels), v.x1.level))
 
 
 def factor_config(a: GroupElement) -> GroupElement:
@@ -255,9 +255,9 @@ def factor_config(a: GroupElement) -> GroupElement:
     Encodes to exactly ``factor_map(encode(a))``.
     """
     eta, k = a.eta, a.k
-    below = eta[:bisect_left(eta, k, key=itemgetter(0))]
-    above = eta[bisect_right(eta, k, key=itemgetter(0)):]
-    return GroupElement(tuple([(n + 1, v) for n, v in below]) + above, k)
+    below = eta[:bisect_left(eta, (k,))]
+    above = eta[bisect_left(eta, (k + 1,)):]
+    return _new(GroupElement, (tuple([(n + 1, v) for n, v in below]) + above, k))
 
 
 @dataclass(frozen=True)

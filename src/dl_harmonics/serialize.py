@@ -13,14 +13,13 @@ from fractions import Fraction
 from .dl_graph import DLParams, vertex_to_json_pair
 from .dirichlet import HittingTable
 from .kernels import HarmonicFunction, KernelSpec, combine
-from .tree import _digits, _json_int, end_from_json, end_to_json, vertex_to_json
+from .tree import _digits, _json_int, end_from_json, vertex_to_json
 from .walks import EstimateResult
 
 __all__ = [
     "frac_str",
     "parse_frac",
     "harmonic_from_json",
-    "harmonic_to_json",
     "table_to_json",
     "estimate_to_json",
 ]
@@ -63,22 +62,6 @@ def parse_frac(s) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError("a fraction literal must not have denominator 0") from None
-
-
-def harmonic_to_json(h: HarmonicFunction) -> dict:
-    if not h.terms:
-        raise ValueError("cannot serialise a bare constant without parameters")
-    params = h.terms[0][1].params
-    return {
-        "q": params.q,
-        "r": params.r,
-        "alpha": frac_str(h.alpha),
-        "constant": frac_str(h.constant),
-        "terms": [
-            {"coeff": frac_str(c), "side": s.side, "end": end_to_json(s.end)}
-            for c, s in h.terms
-        ],
-    }
 
 
 def harmonic_from_json(obj: dict) -> tuple[HarmonicFunction, DLParams]:

@@ -35,6 +35,7 @@ just ``level(x)``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -144,7 +145,8 @@ def _digits(n: int) -> int:
 
 
 def _upto(labels: Labels, j: int) -> Labels:
-    return tuple((k, v) for k, v in labels if k <= j)
+    """The prefix of a canonical word with keys ``<= j``: ``(j + 1,)`` sorts just above it."""
+    return labels[:bisect_left(labels, (j + 1,))]
 
 
 class TreeVertex(namedtuple("TreeVertex", ("level", "labels"))):
@@ -169,11 +171,6 @@ class TreeVertex(namedtuple("TreeVertex", ("level", "labels"))):
     @classmethod
     def make(cls, level: int, labels: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> "TreeVertex":
         return cls(level, _canon(labels))
-
-
-def _vertex(level: int, labels: Labels) -> TreeVertex:
-    """A ``TreeVertex`` built without validation, for canonical results."""
-    return _new(TreeVertex, (level, labels))
 
 
 ROOT = TreeVertex(0, ())
@@ -212,7 +209,7 @@ def predecessor(v: TreeVertex) -> TreeVertex:
     level, labels = v.level, v.labels
     if labels and labels[-1][0] == level:
         labels = labels[:-1]
-    return _vertex(level - 1, labels)
+    return _new(TreeVertex, (level - 1, labels))
 
 
 def successor(v: TreeVertex, label: int, q: int) -> TreeVertex:
@@ -220,14 +217,15 @@ def successor(v: TreeVertex, label: int, q: int) -> TreeVertex:
     if not 0 <= label < q:
         _check_word(((v.level + 1, label),), q=q)  # raises on the range
     if label == 0:
-        return _vertex(v.level + 1, v.labels)
-    return _vertex(v.level + 1, v.labels + ((v.level + 1, label),))
+        return _new(TreeVertex, (v.level + 1, v.labels))
+    return _new(TreeVertex, (v.level + 1, v.labels + ((v.level + 1, label),)))
 
 
 def _successors(v: TreeVertex, q: int) -> list[TreeVertex]:
     """``successor(v, l, q)`` for ``l`` in label order, built directly."""
     level, labels = v.level + 1, v.labels
-    return [_vertex(level, labels)] + [_vertex(level, labels + ((level, l),)) for l in range(1, q)]
+    out = [_new(TreeVertex, (level, labels))]
+    return out + [_new(TreeVertex, (level, labels + ((level, l),))) for l in range(1, q)]
 
 
 def check_labels(v: TreeVertex | TreeEnd, q: int) -> None:
@@ -247,7 +245,7 @@ def neighbours(v: TreeVertex, q: int) -> list[TreeVertex]:
 def confluent_omega(a: TreeVertex, b: TreeVertex) -> TreeVertex:
     """Highest common vertex of the rays from ``omega`` to ``a`` and ``b``."""
     lvl = _split_level(a.labels, b.labels, min(a.level, b.level))
-    return _vertex(lvl, _upto(a.labels, lvl))
+    return _new(TreeVertex, (lvl, _upto(a.labels, lvl)))
 
 
 def confluent_omega_end(v: TreeVertex, xi: TreeEnd) -> TreeVertex:
@@ -255,7 +253,7 @@ def confluent_omega_end(v: TreeVertex, xi: TreeEnd) -> TreeVertex:
     if xi.is_omega:
         raise ValueError("confluent with the reference end is undefined")
     lvl = _split_level(v.labels, xi.labels, v.level)
-    return _vertex(lvl, _upto(v.labels, lvl))
+    return _new(TreeVertex, (lvl, _upto(v.labels, lvl)))
 
 
 def distance(a: TreeVertex, b: TreeVertex) -> int:
@@ -286,10 +284,10 @@ def confluent_root(x: TreeVertex, xi: TreeEnd) -> TreeVertex:
     bx = _split_level(x.labels, (), min(x.level, 0))
     bxi = _split_level(xi.labels, (), 0)
     if bx != bxi:
-        return _vertex(max(bx, bxi), ())
+        return _new(TreeVertex, (max(bx, bxi), ()))
     # Both words are empty up to ``bx``, so they split where they differ.
     lvl = _split_level(x.labels, xi.labels, x.level)
-    return _vertex(lvl, _upto(x.labels, lvl))
+    return _new(TreeVertex, (lvl, _upto(x.labels, lvl)))
 
 
 def busemann_wrt_end(x: TreeVertex, xi: TreeEnd) -> int:
@@ -324,7 +322,7 @@ def _half_excess(level: int, labels: Labels, end_labels: Labels) -> int:
 
 def shift(v: TreeVertex, m: int) -> TreeVertex:
     """Translate ``v`` by ``m`` levels along the level grading (an isometry)."""
-    return _vertex(v.level + m, tuple([(j + m, val) for j, val in v.labels]))
+    return _new(TreeVertex, (v.level + m, tuple([(j + m, val) for j, val in v.labels])))
 
 
 def _bfs(start, nbrs, radius: int) -> list:

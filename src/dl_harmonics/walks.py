@@ -77,7 +77,7 @@ from .dl_graph import (
     dls_neighbours,
     factor_map,
 )
-from .tree import TreeVertex, _digits, _successors, check_labels, confluent_omega, distance as tree_distance, predecessor, shift, successor
+from .tree import TreeVertex, _digits, _new, _successors, check_labels, confluent_omega, distance as tree_distance, predecessor, shift, successor
 
 __all__ = [
     "DLWalk",
@@ -263,7 +263,7 @@ class ProjectedWalk:
     def transitions(self, v: DLVertex) -> list[tuple[DLVertex, Fraction]]:
         """The base row at the section of ``v`` (``factor_map`` maps it to
         ``v``), summed over each image under ``factor_map`` in first-seen order."""
-        rep = DLVertex(successor(shift(v.x1, -1), 0, self.params.q), v.x2)
+        rep = _new(DLVertex, (successor(shift(v.x1, -1), 0, self.params.q), v.x2))
         grouped: dict[DLVertex, Fraction] = {}
         for w, p in self.base.transitions(rep):
             img = factor_map(w, self.params)
@@ -280,24 +280,27 @@ def apply(op, h, v) -> Fraction:
 
     A walk whose row is stored as blocks of equal weight sums ``h`` over each
     block and multiplies once per block; an exact sum does not depend on the
-    order of its terms.  When every value is an ``int`` or a ``Fraction``,
-    the sum is carried as one unreduced integer pair and the result is the
-    one ``Fraction`` built from it; other values (floats) are summed as they
-    are.
+    order of its terms.  The pair rule: the sum is carried as one unreduced
+    integer pair, of ``h._pair(w)`` for a ``HarmonicFunction`` and of each
+    value's ``as_integer_ratio`` when every value is an ``int`` or a
+    ``Fraction``, and the result is the one ``Fraction`` built from it.
+    Other values (floats) are summed as they are.
     """
     row = op.transitions(v)
     blocks = getattr(op, "_blocks", None)
     if blocks is None:
         return sum(p * h(w) for w, p in row)
-    values = [h(w) for w, _ in row]
-    it = iter(values)
-    if not {*map(type, values)} <= _EXACT:
-        return sum(p * sum(islice(it, n)) for p, n in blocks)
+    pair = getattr(h, "_pair", None)
+    if pair is None:
+        values = [h(w) for w, _ in row]
+        if not {*map(type, values)} <= _EXACT:
+            it = iter(values)
+            return sum(p * sum(islice(it, n)) for p, n in blocks)
+    it = iter([pair(w) for w, _ in row] if pair else [x.as_integer_ratio() for x in values])
     num, den = 0, 1
     for p, n in blocks:
         bn, bd = 0, 1
-        for x in islice(it, n):
-            xn, xd = x.as_integer_ratio()
+        for xn, xd in islice(it, n):
             bn, bd = (bn + xn, bd) if xd == bd else (bn * xd + xn * bd, bd * xd)
         pn, pd = p.as_integer_ratio()
         d = pd * bd

@@ -1417,3 +1417,38 @@ def test_kernel_approx_refuses_a_zero_measure_leaf():
     chain = FiniteChain("tree1", n, DLParams(2, 2), THIRD)
     with pytest.raises(ValueError, match="zero harmonic measure"):
         kernel_approx(chain, ROOT, TreeVertex.make(n, {1 - n: 1}))
+
+
+@st.composite
+def approx_case(draw):
+    """A tree chain at stages 1-8, an interior ``x`` whose ray leaves the
+    root's above the apex, and a boundary vertex: the apex or a leaf."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("tree1", "tree2")))
+    p = draw(st.sampled_from((DLParams(2, 3), DLParams(3, 2), DLParams(2, 2))))
+    alpha = draw(st.sampled_from((Fraction(1, 4), THIRD, HALF, Fraction(3, 5), Fraction(4, 5))))
+    branch, up = (p.q, alpha) if kind == "tree1" else (p.r, 1 - alpha)
+    lx = draw(st.integers(1 - n, n - 1))
+    labels = st.dictionaries(st.integers(2 - n, lx), st.integers(0, branch - 1), max_size=6)
+    x = TreeVertex.make(lx, draw(labels) if 2 - n <= lx else {})
+    leaf = TreeVertex.make(n, draw(st.dictionaries(st.integers(1 - n, n), st.integers(0, branch - 1), max_size=6)))
+    y = draw(st.sampled_from((leaf, TreeVertex(-n, ()))))
+    return FiniteChain(kind, n, p, alpha), branch, up, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(approx_case())
+def test_kernel_approx_is_the_quotient_of_two_restricted_hitting_probabilities(case):
+    chain, branch, up, x, y = case
+    n = chain.n
+    denom = restricted_hitting(n, branch, up, ROOT, y)
+    if denom == 0:
+        with pytest.raises(ValueError, match="zero harmonic measure"):
+            kernel_approx(chain, x, y)
+        return
+    want = restricted_hitting(n, branch, up, x, y) / denom
+    got = kernel_approx(chain, x, y)
+    assert type(got) is Fraction and got == want
+    if y.level == n and all(j > 1 - n for j, _ in y.labels):
+        # the end through the leaf routes to it
+        assert kernel_approx(chain, x, TreeEnd.word(y.labels)) == want

@@ -29,6 +29,8 @@ from dl_harmonics.lamplighter import (
     GeneratorModel,
     GroupElement,
     defect_minus,
+    defect_oplus,
+    defect_plus,
     encode,
     end_minus,
     end_plus,
@@ -280,6 +282,27 @@ def test_defect_kernel_dispatch():
         defect_kernel(GeneratorModel.WALK_OR_SWITCH, a, minus, q)
 
 
+def test_defect_kernel_is_q_to_the_count_in_fractions():
+    # the integer power against Fraction(q) ** count, on both sides and under
+    # both models, for negative, zero and positive counts
+    rng = random.Random(RNG_SEED + 5)
+    ws, sws = GeneratorModel.WALK_SWITCH, GeneratorModel.SWITCH_WALK_SWITCH
+    seen = set()
+    for q in (2, 3):
+        for _ in range(150):
+            eta = {n: rng.randrange(q) for n in range(-12, 13) if rng.random() < 0.3}
+            a = GroupElement.make(eta, rng.randrange(-12, 13), q)
+            labels = tuple((n, rng.randrange(1, q)) for n in range(-12, 13) if rng.random() < 0.3)
+            for side in "+-":
+                xi = BoundaryConfig(side, labels)
+                for model in (ws, sws):
+                    count = (defect_minus if side == "-" else defect_plus if model is ws else defect_oplus)(a, xi)
+                    got = defect_kernel(model, a, xi, q)
+                    assert type(got) is Fraction and got == Fraction(q) ** count
+                    seen.add((side, model, (count > 0) - (count < 0)))
+    assert len(seen) == 12
+
+
 @pytest.mark.parametrize("model", ["walk-switch", None, 1])
 @pytest.mark.parametrize("side", ["+", "-"])
 def test_defect_kernel_refuses_a_foreign_model(model, side):
@@ -371,6 +394,15 @@ def test_kernels_and_combinations_equal_fraction_formula(case):
     assert s1.evaluate(v) == k1 and s2.evaluate(v) == k2
     assert combine([(c1, s1), (c2, s2)], c0)(v) == c0 + c1 * k1 + c2 * k2
     assert minimal_kernel(s2)(v) == k2
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_case())
+def test_harmonic_pair_reduces_to_the_value(case):
+    p, alpha, v, xi1, xi2, (c0, c1, c2) = case
+    h = combine([(c1, KernelSpec(1, xi1, alpha, p)), (c2, KernelSpec(2, xi2, alpha, p))], c0)
+    num, den = h._pair(v)
+    assert den > 0 and Fraction(num, den) == h(v)
 
 
 @st.composite

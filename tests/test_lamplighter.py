@@ -5,7 +5,7 @@ from bisect import bisect_right
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dl_harmonics import lamplighter
 from dl_harmonics.dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours, factor_map
@@ -45,6 +45,20 @@ def rand_element(rng, q, span=4, pos=3):
     return GroupElement.make(eta, k, q)
 
 
+@st.composite
+def canonical_elements(draw, q, sites=6, positions=5):
+    pairs = draw(st.lists(st.tuples(st.integers(-sites, sites), st.integers(0, q - 1)), max_size=7))
+    return GroupElement.make(pairs, draw(st.integers(-positions, positions)), q)
+
+
+@st.composite
+def wide_elements(draw, count):
+    """``q`` and ``count`` elements of Z_q ≀ Z with lamps on sites up to ±20
+    and positions up to ±20."""
+    q = draw(st.sampled_from((2, 3)))
+    return q, *(draw(canonical_elements(q, 20, 20)) for _ in range(count))
+
+
 def rand_config(rng, q, side, span=4):
     labels = {
         n: rng.randrange(1, q)
@@ -54,20 +68,17 @@ def rand_config(rng, q, side, span=4):
     return BoundaryConfig(side, tuple(sorted(labels.items())))
 
 
-def test_group_axioms():
-    rng = random.Random(RNG_SEED)
-    for q in (2, 3):
-        e = identity()
-        for _ in range(100):
-            a = rand_element(rng, q)
-            b = rand_element(rng, q)
-            c = rand_element(rng, q)
-            assert multiply(a, e, q) == a
-            assert multiply(e, a, q) == a
-            assert multiply(a, inverse(a, q), q) == e
-            assert multiply(inverse(a, q), a, q) == e
-            assert multiply(multiply(a, b, q), c, q) == multiply(a, multiply(b, c, q), q)
-            assert inverse(inverse(a, q), q) == a
+@settings(max_examples=200, deadline=None)
+@given(wide_elements(3))
+def test_group_axioms(case):
+    q, a, b, c = case
+    e = identity()
+    assert multiply(a, e, q) == a
+    assert multiply(e, a, q) == a
+    assert multiply(a, inverse(a, q), q) == e
+    assert multiply(inverse(a, q), a, q) == e
+    assert multiply(multiply(a, b, q), c, q) == multiply(a, multiply(b, c, q), q)
+    assert inverse(inverse(a, q), q) == a
 
 
 def test_single_lamp_inverses():
@@ -119,13 +130,12 @@ def test_encode_golden():
     assert v.x2 == ROOT
 
 
-def test_encode_decode_bijection():
-    rng = random.Random(RNG_SEED + 1)
-    for q in (2, 3):
-        for _ in range(500):
-            a = rand_element(rng, q)
-            assert decode(encode(a)) == a
-    assert decode(encode(identity())) == identity()
+@settings(max_examples=1000, deadline=None)
+@given(wide_elements(1))
+@example((2, identity()))
+def test_encode_decode_bijection(case):
+    _, a = case
+    assert decode(encode(a)) == a
 
 
 def test_decode_encode_on_vertices():
@@ -471,12 +481,6 @@ def dict_multiply(a, b, q):
     for n, v in b.eta:
         lamps[n + a.k] = (lamps.get(n + a.k, 0) + v) % q
     return GroupElement(tuple(sorted(p for p in lamps.items() if p[1])), a.k + b.k)
-
-
-@st.composite
-def canonical_elements(draw, q):
-    pairs = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, q - 1)), max_size=7))
-    return GroupElement.make(pairs, draw(st.integers(-5, 5)), q)
 
 
 @st.composite

@@ -8,8 +8,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dl_harmonics.dl_graph import DLVertex
-from dl_harmonics.lamplighter import GroupElement, encode
+from dl_harmonics.dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours, factor_map
+from dl_harmonics.lamplighter import GroupElement, decode, encode, factor_config, multiply
 from dl_harmonics.tree import (
     OMEGA,
     ROOT,
@@ -130,20 +130,31 @@ def test_direct_construction_validates_through_post_init(monkeypatch):
 
 
 @st.composite
-def vertices(draw, q):
-    level = draw(st.integers(-6, 6))
+def vertices(draw, q, level=None):
+    if level is None:
+        level = draw(st.integers(-15, 15))
     keys = draw(st.sets(st.integers(level - 8, level), max_size=6))
     return TreeVertex.make(level, {j: draw(st.integers(0, q - 1)) for j in keys})
 
 
 @st.composite
+def elements(draw, q):
+    sites = draw(st.dictionaries(st.integers(-15, 15), st.integers(0, q - 1), max_size=8))
+    return GroupElement.make(sites, draw(st.integers(-15, 15)), q)
+
+
+@st.composite
 def cases(draw):
-    q = draw(st.sampled_from((2, 3)))
+    q, r = draw(st.sampled_from((2, 3))), draw(st.sampled_from((2, 3)))
     a, b = draw(vertices(q)), draw(vertices(q))
-    keys = draw(st.sets(st.integers(-9, 9), max_size=5))
+    keys = draw(st.sets(st.integers(-15, 15), max_size=5))
     word = TreeEnd.word({j: draw(st.integers(1, q - 1)) for j in keys})
-    # the second end shares a's word, so confluents sit high on its ray
-    return q, a, b, [OMEGA, TreeEnd.word(a.labels), word], draw(st.integers(-4, 4))
+    # the second end shares a's word, so confluents sit high on its ray;
+    # ``a`` pairs with a vertex of each tree into DL(q, r) and DL(q, q)
+    v = DLVertex(a, draw(vertices(r, -a.level)))
+    u = DLVertex(a, draw(vertices(q, -a.level)))
+    ends = [OMEGA, TreeEnd.word(a.labels), word]
+    return q, r, a, b, ends, draw(st.integers(-4, 4)), v, u, draw(elements(q)), draw(elements(q))
 
 
 def assert_canonical(v):
@@ -151,10 +162,22 @@ def assert_canonical(v):
     assert v == TreeVertex.make(v.level, v.labels)
 
 
+def assert_canonical_pair(v, level_sum=0):
+    assert type(v) is DLVertex
+    assert_canonical(v.x1)
+    assert_canonical(v.x2)
+    assert v.x1.level + v.x2.level == level_sum
+
+
+def assert_canonical_element(g):
+    assert type(g) is GroupElement
+    assert g == GroupElement.make(g.eta, g.k)
+
+
 @settings(max_examples=300, deadline=None)
 @given(cases())
 def test_unchecked_tree_maps_build_canonical_vertices(case):
-    q, a, b, ends, m = case
+    q, r, a, b, ends, m, v, u, g, h = case
     for label in range(q):
         assert_canonical(successor(a, label, q))
     assert_canonical(predecessor(a))
@@ -164,6 +187,12 @@ def test_unchecked_tree_maps_build_canonical_vertices(case):
         if not xi.is_omega:
             assert_canonical(confluent_omega_end(a, xi))
         assert_canonical(confluent_root(a, xi))
+    # the graph and group maps that build their results unchecked
+    params = DLParams(q, r)
+    for w in dl_neighbours(v, params) + dls_neighbours(v, params) + [factor_map(v, params)]:
+        assert_canonical_pair(w)
+    for x in (multiply(g, h, q), decode(u), decode(encode(g)), factor_config(g)):
+        assert_canonical_element(x)
 
 
 @settings(max_examples=300, deadline=None)

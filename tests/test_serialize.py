@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dl_harmonics import serialize
+from dl_harmonics import dl_graph, serialize
 from dl_harmonics.dirichlet import build_truncation, hitting_table
 from dl_harmonics.dl_graph import DLParams, origin
 from dl_harmonics.kernels import HarmonicFunction, KernelSpec, combine
@@ -11,7 +11,6 @@ from dl_harmonics.serialize import (
     estimate_to_json,
     frac_str,
     harmonic_from_json,
-    harmonic_to_json,
     parse_frac,
     table_to_json,
 )
@@ -60,23 +59,28 @@ def test_harmonic_round_trip():
         ],
         constant=Fraction(1, 4),
     )
-    blob = json.dumps(harmonic_to_json(h))
-    back, params = harmonic_from_json(json.loads(blob))
+    spec = {
+        "q": 2,
+        "r": 3,
+        "alpha": "1/3",
+        "constant": "1/4",
+        "terms": [
+            {"coeff": "1/2", "side": 1, "end": {"labels": [[1, 1]]}},
+            {"coeff": "3/2", "side": 2, "end": {"omega": True}},
+        ],
+    }
+    back, params = harmonic_from_json(json.loads(json.dumps(spec)))
     assert params == p
-    assert back.constant == Fraction(1, 4)
-    o = origin(p)
-    assert back(o) == h(o)
-    for obj in (harmonic_to_json(h),):
-        assert obj["alpha"] == "1/3"
-        assert obj["terms"][0]["coeff"] == "1/2"
+    assert back == h
+    for v in dl_graph.ball(p, 2):
+        assert back(v) == h(v)
 
 
 def test_harmonic_constant_forms():
     obj = {"q": 2, "r": 2, "alpha": "1/2", "constant": "3/1"}
     h, params = harmonic_from_json(obj)
     assert h(origin(params)) == 3
-    with pytest.raises(ValueError):
-        harmonic_to_json(HarmonicFunction(constant=Fraction(3)))
+    assert h == HarmonicFunction(constant=Fraction(3))
 
 
 def test_harmonic_decoder_rejects_out_of_range_end_labels():

@@ -26,6 +26,7 @@ from dl_harmonics.dl_graph import (
 )
 from dl_harmonics.kernels import (
     KernelSpec,
+    combine,
     drift_kernel,
     lift,
     martin_kernel_tree,
@@ -972,6 +973,51 @@ def test_apply_equals_the_term_by_term_sum(kind):
                     assert got == blocked_float_sum(op, h, v)
             else:
                 assert got == want and type(got) is Fraction
+
+
+@st.composite
+def apply_case(draw):
+    """A walk on DL(q, r), q, r in {2, 3}, a function and a vertex on levels
+    up to 12 either side.  The function is a ``HarmonicFunction`` (summed as
+    integer pairs on a walk with blocks) or a plain callable whose values are
+    ints, Fractions or floats."""
+    p = DLParams(draw(st.sampled_from((2, 3))), draw(st.sampled_from((2, 3))))
+    alpha = draw(st.sampled_from((Fraction(1, 4), THIRD, HALF, Fraction(3, 5), Fraction(4, 5))))
+    op = draw(st.sampled_from((
+        DLWalk(p, alpha),
+        SiblingWalk(p, alpha),
+        conjugate(DLWalk(p, alpha), drift_kernel(alpha)),
+        project(SiblingWalk(p, alpha)),
+    )))
+
+    def word(branch, top, low):
+        return draw(st.dictionaries(st.integers(top - 8, top), st.integers(low, branch - 1), max_size=5))
+
+    terms = []
+    for side, branch in ((1, p.q), (2, p.r)):
+        end = draw(st.sampled_from((OMEGA, TreeEnd.word(word(branch, 9, 1)))))
+        terms.append((draw(st.fractions(0, 5, max_denominator=9)), KernelSpec(side, end, alpha, p)))
+    h = draw(st.sampled_from((
+        combine(terms, draw(st.fractions(0, 5, max_denominator=9))),
+        lambda v: 7 * v.x1.level - 3 * len(v.x2.labels),
+        lambda v: Fraction(v.x1.level + 20, len(v.x1.labels) + 3),
+        lambda v: (v.x2.level + 20) / 7.0,
+    )))
+    k = draw(st.integers(-12, 12))
+    v = DLVertex(TreeVertex.make(k, word(p.q, k, 0)), TreeVertex.make(-k, word(p.r, -k, 0)))
+    return op, h, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(apply_case())
+def test_apply_equals_the_fraction_formula(case):
+    op, h, v = case
+    got = apply(op, h, v)
+    want = sum(pr * h(w) for w, pr in op.transitions(v))
+    if type(want) is float:
+        assert type(got) is float and got == pytest.approx(want, rel=1e-12)
+    else:
+        assert type(got) is Fraction and got == want
 
 
 def blocked_float_sum(op, h, v):
