@@ -42,7 +42,7 @@ print("product identities checked:", rep.checked, " discrepancies:", len(rep.dis
 
 # solve with data 1 on the upper slab, 0 on the lower
 data = {y: Fraction(int(y.x1.level == chain.n)) for y in chain.boundary}
-sol = represent(chain, data, table=table)
+sol = represent(chain, data)
 print("harmonic measure of the upper slab at o:", sol[o])
 
 # split a harmonic function into summands depending on one coordinate each

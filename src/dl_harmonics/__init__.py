@@ -85,7 +85,6 @@ from .dirichlet import (
     TruncationStage,
     build_truncation,
     decompose,
-    edge_factors,
     hitting_table,
     kernel_approx,
     represent,

@@ -46,11 +46,13 @@ sequences, so with ``x ⋏ y``, ``x``, ``y`` on levels ``c``, ``lx``, ``ly``::
     r[k] = (m b p[k+1] - a (b-1) (m-a) p[k+2]) r[k-1] - a b (m-a) p[k] p[k+1] r[k-2]
     F(x, y) = (m-a)^(lx-c) p[lx+1] / p[c+1] * a^(ly-c) pi[ly] r[c-1] / (pi[c] r[ly-1])
 
-(a factor is 1 at gap 0), and tables, the product check, the splitting ``h =
-h1 + h2`` and the kernel approximants need no matrix solve.  Six read-only
-caches keyed on integers hold each rate's sequences, level's class grid,
-shape's move slots, slab's class values as integers, the walk's integer row
-and each chain's certified table; a grid or table over 1 MiB is not kept.
+(a factor is 1 at gap 0), and tables, the kernel approximants and the
+Dirichlet problem need no matrix solve: ``_extend`` sums each slab's data
+into its tree by these products, ``represent`` certifies the sum by the
+walk's equations and ``decompose`` splits ``h = h1 + h2`` along it.  Six
+read-only caches keyed on integers hold each rate's sequences, level's class
+grid, shape's move slots, slab's class values as integers, the walk's integer
+row and each chain's certified table; a grid or table over 1 MiB is not kept.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product as _cartesian
 from math import lcm
-from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -79,7 +80,6 @@ __all__ = [
     "check_solve_size",
     "hitting_table",
     "closed_tree_table",
-    "edge_factors",
     "restricted_hitting",
     "verify_product_formula",
     "represent",
@@ -111,9 +111,9 @@ class FiniteChain:
 
     ``vertices`` is enumerated on first read, level by level as ``_Layout``
     numbers them, and the vertex cap runs then; ``boundary`` (levels ``-n``
-    and ``n``, the walk's exit set) and ``interior`` are slices of it.  The
-    exact layer (``hitting_table``, ``verify_product_formula``) works from
-    the level sizes and reads no vertex.
+    and ``n``, the walk's exit set) and ``interior`` are slices of it.  Tables
+    and the product check work from the level sizes and read no vertex;
+    ``represent`` and ``decompose`` read them only to key data and answers.
     """
 
     kind: str  # "dl", "tree1" or "tree2"
@@ -488,16 +488,6 @@ def _residual(ints: np.ndarray, lay: _Layout) -> np.ndarray:
 # Closed-form route on a single tree.
 
 
-def edge_factors(n: int, branch: int, up: Fraction) -> tuple[Mapping[int, Fraction], Mapping[int, Fraction]]:
-    """Per-level edge probabilities inside the stage-``n`` tree truncation:
-    ``d[k]`` (``-n < k <= n``) reaches the predecessor before the boundary,
-    ``u[k]`` (``-n <= k < n``) one fixed successor.  Read-only views of
-    one-edge ``_level_product``s; an ``up`` outside (0, 1) raises ValueError."""
-    d = {k: _level_product(n, branch, up, k - 1, k, k - 1) for k in range(n, -n, -1)}
-    u = {k: _level_product(n, branch, up, k, k, k + 1) for k in range(-n, n)}
-    return MappingProxyType(d), MappingProxyType(u)
-
-
 @lru_cache(maxsize=256)
 def _sequences(n: int, branch: int, a: int, m: int) -> tuple[tuple, tuple, tuple]:
     """``(p, r, pi)`` of the stage-``n`` tree climbed at rate ``a/m``, as in
@@ -655,51 +645,72 @@ def _closed_form(chain: FiniteChain) -> tuple[np.ndarray, list]:
     return out, dens
 
 
-def _table_of(chain: FiniteChain, table: HittingTable | None) -> HittingTable:
-    """``table``, or ``hitting_table(chain)`` when it is None; ValueError
-    naming both chains when ``table`` is another chain's."""
-    if table is None:
-        return hitting_table(chain)
-    if table.chain != chain:
-        raise ValueError(f"the table is of {table.chain}, not of {chain}")
-    return table
-
-
-def verify_product_formula(chain: FiniteChain, table: HittingTable | None = None) -> ProductReport:
-    """Cross-check the product identity on the two boundary slabs.
-
-    ``F(x1 x2, (y1, a2)) = F1(x1, y1)`` and ``F(x1 x2, (a1, y2)) = F2(x2, y2)``
-    for every vertex and boundary leaf: the table's integer columns against
-    those of the closed form, compared directly when the denominators agree
-    and otherwise cross-multiplied by each other's, entry by entry.
-    ``hitting_table`` builds its tables from that closed form, so this is a
-    check of tables that come from elsewhere.
-    """
+def verify_product_formula(chain: FiniteChain) -> ProductReport:
+    """``F(x1 x2, (y1, a2)) = F1(x1, y1)`` and ``F(x1 x2, (a1, y2)) = F2(x2,
+    y2)`` on every entry of the chain's table: ``hitting_table`` lays it out
+    from these products and certifies it by the DL walk's own equations, whose
+    solution is unique, so the report counts the entries and lists no
+    discrepancy; a table that fails raises AssertionError there."""
     if chain.kind != "dl":
         raise ValueError("the product identity lives on the product chain")
-    table = _table_of(chain, table)
-    nums, dens = _closed_form(chain)
-    if table.dens == tuple(dens):  # canonical columns: equal exactly where the numerators are
-        wrong = table.nums != nums
-    else:
-        wrong = table.nums * np.array(dens, dtype=object) != nums * np.array(table.dens, dtype=object)
-    bad = []  # vertices are read only to name a discrepancy
-    for i, b in zip(*np.nonzero(wrong)):
-        got, want = Fraction(table.nums[i, b], table.dens[b]), Fraction(nums[i, b], dens[b])
-        bad.append((chain.vertices[i], chain.boundary[b], got, want))
-    return ProductReport(table.nums.size, tuple(bad))
+    return ProductReport(hitting_table(chain).nums.size, ())
 
 
-def represent(chain: FiniteChain, boundary_data: Mapping, table: HittingTable | None = None) -> dict:
-    """Solve the Dirichlet problem: the unique harmonic extension of the data."""
-    table = _table_of(chain, table)
+def _extend(chain: FiniteChain, ints: list) -> tuple[int, list, tuple]:
+    """The harmonic extension of integer boundary data ``ints`` (column
+    order) by the product formula: ``(scale, values, parts)``, with
+    ``values[i] / scale`` its value at ``vertices[i]`` and ``parts[s][n +
+    l][i] / scale`` the term of slab ``s`` at vertex ``i`` of level ``l`` of
+    its tree: vertex ``(k, i1, i2)`` takes ``parts[1][n + k][i1] + parts[0][n - k][i2]``.
+
+    ``F(x, y) * common`` is ``P(c)``, the slab's ``_class_values`` entry for
+    ``x`` on level ``l`` and ``x ⋏ y`` on ``c``.  A leaf lies under the
+    ancestor of ``x`` on every level up to ``c`` (ancestors are digit
+    prefixes), so the weights ``P(c) - P(c - 1)``, with ``P`` zero below the
+    first class, times the data summed under each ancestor (``below``) sum to
+    the extension, accumulated level by level at about one step a vertex.
+    """
+    n = chain.n
+    slabs = [(b, *_class_values(n, b, up.numerator, up.denominator)) for b, up, _ in _slabs(chain)]
+    scale = lcm(*(common for _, common, _ in slabs))
+    parts, start = [], 0
+    for branch, common, levels in slabs:
+        below = {n: ints[start : start + branch ** (2 * n)]}
+        start += branch ** (2 * n)
+        for c in range(n - 1, -n - 1, -1):
+            cone = below[c + 1]
+            below[c] = [sum(cone[a : a + branch]) for a in range(0, len(cone), branch)]
+        part = []
+        for k in range(-n, n + 1):
+            ps, out = levels[n + k].tolist(), [0]
+            for c, p, prev in zip(_classes(n, branch, k), ps, [0, *ps]):
+                w, cone = (p - prev) * (scale // common), below[c]
+                spread = (t for t in out for _ in range(len(cone) // len(out)))
+                out = [t + w * x for t, x in zip(spread, cone)]
+            part.append(out)
+        parts.append(part)
+    low, high = parts
+    values = [u + v for k in range(-n, n + 1) for u in high[n + k] for v in low[n - k]]
+    return scale, values, tuple(parts)
+
+
+def represent(chain: FiniteChain, boundary_data: Mapping) -> dict:
+    """Solve the Dirichlet problem: the unique harmonic extension of the
+    data, ``_extend``'s, certified as ``_verify_table`` certifies a table
+    (equal to the data on the boundary, zero exact ``_residual`` inside) or
+    AssertionError.  The solution is unique, so that is the proof; no table
+    is built, so only the vertex cap bounds the chain."""
     missing = [y for y in chain.boundary if y not in boundary_data]
     if missing:
         raise ValueError(f"boundary data missing at {len(missing)} vertices")
-    # h(x) = sum_b nums[x, b] * (data_b / dens[b]), over one denominator.
-    common, weights = _over_lcm([Fraction(boundary_data[y]) / d for y, d in zip(chain.boundary, table.dens)])
-    totals = table.nums.dot(np.array(weights, dtype=object)).tolist()
-    return {x: Fraction(total, common) for x, total in zip(chain.vertices, totals)}
+    common, ints = _over_lcm([Fraction(boundary_data[y]) for y in chain.boundary])
+    scale, values, _ = _extend(chain, ints)
+    lay = _layout(chain)
+    if values[: lay.size[0]] + values[lay.interior.stop :] != [g * scale for g in ints]:
+        raise AssertionError("the harmonic extension differs from the boundary data")
+    if _residual(np.array(values, dtype=object), lay).any():
+        raise AssertionError("exact residual of the Dirichlet solve is nonzero")
+    return {x: Fraction(v, scale * common) for x, v in zip(chain.vertices, values)}
 
 
 @dataclass(frozen=True)
@@ -715,33 +726,6 @@ class Decomposition:
     lambda2: dict
 
 
-def _slab_extension(n: int, branch: int, scale: int, products: tuple, levels: dict, slab: list) -> tuple:
-    """``x -> sum_y F(x, y) slab[y]`` on every vertex ``x`` of the stage-``n``
-    tree, ``y`` running over its leaves, in ``(level, labels)`` order, for an
-    integer ``slab``: ``(scale, out)`` with the values ``out[x] / scale``.
-
-    ``F(x, y) * scale`` is ``P(c) = products[n + k][n + c]``, from the slab's
-    ``_class_values``, for ``x`` on level ``k`` and ``x ⋏ y`` on level ``c``.
-    With ``below[c][a]`` the slab summed under vertex ``a`` of level ``c``
-    (ancestors are digit prefixes, as in ``_confluent_levels``), a leaf lies
-    under the ancestor of ``x`` on every level up to that of ``x ⋏ y``, so its
-    integer weights ``P(c) - P(c - 1)`` over those levels, with ``P(-n - 1) =
-    0``, sum to ``F(x, y) * scale``.
-    """
-    below = {n: slab}
-    for c in range(n - 1, -n - 1, -1):
-        prev = below[c + 1]
-        below[c] = [sum(prev[a : a + branch]) for a in range(0, len(prev), branch)]
-    out = []
-    for k in range(-n, n + 1):
-        ps = products[n + k].tolist()
-        ws = [(c, p - prev) for c, p, prev in zip(range(-n, k + 1), ps, [0, *ps])]
-        for i, x in enumerate(levels[k]):
-            out.append((x, sum(w * below[c][i // branch ** (k - c)] for c, w in ws)))
-    out.sort(key=lambda item: (item[0].level, item[0].labels))
-    return scale, dict(out)
-
-
 def decompose(h: Callable, n: int, params: DLParams, alpha: Fraction) -> Decomposition:
     """Split ``h`` (harmonic inside the stage-``n`` truncation) as
     ``h(x1 x2) = h1(x1) + h2(x2)`` exactly, via the boundary slabs.
@@ -749,10 +733,10 @@ def decompose(h: Callable, n: int, params: DLParams, alpha: Fraction) -> Decompo
     ``h`` must be a pure function of the vertex: it is evaluated exactly
     once per vertex of the truncation, and every check reads those values
     scaled to integers over one denominator.  Harmonicity is checked by
-    ``_residual``, as tables are; ``h_i``, the slab's extension into ``S_i`` by classes
-    (``_slab_extension``), is kept in integers over one scale per slab until
-    the reconstruction is verified on all of S over the lcm of the two scales.
-    ``lambda_i`` are the boundary weights normalised by ``lambda_i(a_i) = 0``.
+    ``_residual``, as tables are; ``h_i`` is the slab's part of ``_extend``
+    of h's boundary values, kept in integers until ``_extend``'s sum is
+    verified to reconstruct h on all of S.  ``lambda_i`` are the boundary
+    weights normalised by ``lambda_i(a_i) = 0``.
     """
     alpha = Fraction(alpha)
     chain = build_truncation(n, params, alpha, "dl")
@@ -762,26 +746,26 @@ def decompose(h: Callable, n: int, params: DLParams, alpha: Fraction) -> Decompo
     if bad.size:
         raise ValueError(f"h is not harmonic on the interior; witness {chain.vertices[lay.interior.start + bad[0]]}")
 
-    # Level -n of S is (a1, y2) and level n is (y1, a2), each in leaf order.  In
-    # the normalised boundary weights, leaves separated from the root by the
-    # apex carry zero harmonic measure from o and are omitted.
-    parts = []
-    for (branch, up, _), ends in zip(_slabs(chain), (slice(lay.size[0]), slice(-lay.size[-1], None))):
-        levels, (scale, products) = _tree_levels(n, branch), _class_values(n, branch, up.numerator, up.denominator)
-        weights = {chain.a1: Fraction(0)}
-        # F(o, y) * scale by the class of o ⋏ y, o being vertex 0 of level 0
-        for y, b, f in zip(levels[n], ints[ends], products[n][_class_grid(n, branch, 0)[0]].tolist()):
-            if f:
-                weights[y] = Fraction(b * scale, common * f)
-        parts.append((*_slab_extension(n, branch, scale, products, levels, ints[ends]), weights))
-    (scale2, h2, lambda2), (scale1, h1, lambda1) = parts
-
-    both = lcm(scale1, scale2)
-    m1, m2 = both // scale1, both // scale2
-    for v, value in zip(chain.vertices, ints):
-        if h1[v.x1] * m1 + h2[v.x2] * m2 != both * value:
+    # Level -n of S is (a1, y2) and level n is (y1, a2), each in leaf order.
+    ends = (slice(lay.size[0]), slice(lay.interior.stop, None))
+    scale, values, parts = _extend(chain, ints[ends[0]] + ints[ends[1]])
+    for v, value, want in zip(chain.vertices, values, ints):
+        if value != want * scale:
             raise AssertionError(f"splitting failed to reconstruct h at {v}")
-    h1, h2 = ({x: Fraction(v, s * common) for x, v in hi.items()} for hi, s in ((h1, scale1), (h2, scale2)))
+    # In the normalised boundary weights, leaves separated from the root by the
+    # apex carry zero harmonic measure from o and are omitted.
+    out = []
+    for (branch, up, _), part, leaves in zip(_slabs(chain), parts, ends):
+        levels, (f_scale, products) = _tree_levels(n, branch), _class_values(n, branch, up.numerator, up.denominator)
+        weights = {chain.a1: Fraction(0)}
+        # F(o, y) * f_scale by the class of o ⋏ y, o being vertex 0 of level 0
+        for y, b, f in zip(levels[n], ints[leaves], products[n][_class_grid(n, branch, 0)[0]].tolist()):
+            if f:
+                weights[y] = Fraction(b * f_scale, common * f)
+        hi = [(x, e) for k in range(-n, n + 1) for x, e in zip(levels[k], part[n + k])]
+        hi.sort(key=lambda item: (item[0].level, item[0].labels))
+        out.append(({x: Fraction(e, scale * common) for x, e in hi}, weights))
+    (h2, lambda2), (h1, lambda1) = out
     return Decomposition(n, params, alpha, h1, h2, lambda1, lambda2)
 
 

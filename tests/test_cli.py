@@ -283,20 +283,31 @@ def test_graph_export_file_holds_the_stdout_text(tmp_path, capsys, fmt):
     assert out_file.read_text() == (out if fmt == "dot" else out[:-1])
 
 
-def test_dirichlet_solve_reports_a_product_discrepancy(monkeypatch, capsys):
+def test_dirichlet_solve_check_product_exits_1_on_a_failed_certificate(monkeypatch, capsys):
+    # The certificate proves the product formula, so a wrong product is a
+    # failed certificate: one class value of the first tree's slab raised by
+    # 1, at alpha 5/19, a rate key that only this test reads.
     from dl_harmonics import dirichlet
 
-    def one_wrong_entry(chain):
-        table = real(chain)
-        nums = table.nums.copy()
-        nums[0, 0] += 1
-        return dirichlet.HittingTable._from_columns(chain, nums, table.dens)
+    build = dirichlet._class_values.__wrapped__  # uncached: no cache keeps the corrupted copy
 
-    real = dirichlet.hitting_table
-    monkeypatch.setattr(dirichlet, "hitting_table", one_wrong_entry)
-    code, out, _ = run(capsys, "dirichlet-solve", "--alpha", "1/3", "--n", "1", "--check-product")
+    def one_raised(n, branch, num, den):
+        common, levels = build(n, branch, num, den)
+        if (n, branch, num, den) != (1, 2, 5, 19):
+            return common, levels
+        level = levels[n].copy()
+        level[-1] += 1
+        return common, levels[:n] + (level,) + levels[n + 1 :]
+
+    argv = ("dirichlet-solve", "--alpha", "5/19", "--n", "1", "--check-product")
+    dirichlet._certified.cache_clear()
+    monkeypatch.setattr(dirichlet, "_class_values", one_raised)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and set(json.loads(out)) == {"error"}
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv)
     obj = json.loads(out)
-    assert code == 1 and obj["product_discrepancies"] == 1 and obj["product_checked"] == 12 * 8
+    assert code == 0 and obj["product_checked"] == 12 * 8 and obj["product_discrepancies"] == 0
 
 
 def test_config_without_a_value_or_a_command_exits_2(tmp_path, capsys):

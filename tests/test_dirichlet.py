@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,6 @@ from dl_harmonics.dirichlet import (
     build_truncation,
     closed_tree_table,
     decompose,
-    edge_factors,
     hitting_table,
     kernel_approx,
     represent,
@@ -303,8 +303,18 @@ def test_rows_sum_to_one_and_boundary_deltas():
         assert all(t.value(y, z) == 0 for z in c.boundary if z != y)
 
 
+def one_edge_factors(n, branch, up):
+    """Per-level edge probabilities inside the stage-``n`` tree truncation, as
+    one-edge ``_level_product``s: ``d[k]`` (``-n < k <= n``) reaches the
+    predecessor before the boundary, ``u[k]`` (``-n <= k < n``) one fixed
+    successor."""
+    d = {k: dct._level_product(n, branch, up, k - 1, k, k - 1) for k in range(n, -n, -1)}
+    u = {k: dct._level_product(n, branch, up, k, k, k + 1) for k in range(-n, n)}
+    return d, u
+
+
 def test_edge_factors_golden():
-    d, u = edge_factors(2, 2, HALF)
+    d, u = one_edge_factors(2, 2, HALF)
     # at the driftless point d_k collapses to (n-k)/(n-k+1)
     for k in (-1, 0, 1, 2):
         assert d[k] == Fraction(2 - k, 3 - k)
@@ -314,24 +324,15 @@ def test_edge_factors_golden():
 
 def test_driftless_down_factors_all_stages():
     for n in (1, 2, 3, 5):
-        d, _ = edge_factors(n, 2, HALF)
+        d, _ = one_edge_factors(n, 2, HALF)
         for k in range(-n + 1, n + 1):
             assert d[k] == Fraction(n - k, n - k + 1)
-
-
-def test_edge_factors_are_read_only():
-    d, u = edge_factors(2, 2, HALF)
-    with pytest.raises(TypeError):
-        d[0] = Fraction(1)
-    with pytest.raises(TypeError):
-        u[0] = Fraction(1)
-    assert edge_factors(2, 2, HALF)[0][0] == Fraction(2, 3)
 
 
 def recursion(n, branch, up):
     """Independent oracle: the per-level factors by their Fraction recursions,
     ``d_k`` (reach the predecessor before the boundary) and ``u_k`` (reach
-    one fixed successor), in the order ``edge_factors`` lists them::
+    one fixed successor), in the order ``one_edge_factors`` lists them::
 
         d_n = 0,      d_k = (1-a) / (1 - a d_{k+1})
         u_{-n} = 0,   u_k = (a/q) / (1 - (1-a) u_{k-1} - a (q-1)/q d_{k+1})
@@ -349,7 +350,7 @@ def test_cached_edge_factors_equal_a_fresh_recursion():
     cases = [(n, branch, up) for n in range(1, 13) for branch in (1, 2, 3) for up in (THIRD, HALF, Fraction(5, 7))]
     cases += [(n, 2, up) for n in (32, 64) for up in (THIRD, HALF, Fraction(2, 3))]
     for n, branch, up in cases:
-        d, u = edge_factors(n, branch, up)
+        d, u = one_edge_factors(n, branch, up)
         d0, u0 = recursion(n, branch, up)
         assert (list(d.items()), list(u.items())) == (list(d0.items()), list(u0.items()))
 
@@ -376,16 +377,16 @@ def test_sequences_cache_has_a_fixed_size():
     maxsize = dct._sequences.cache_parameters()["maxsize"]
     assert type(maxsize) is int and maxsize > 0
     # equal rates share one entry: the string, the Fraction and the pointwise path
-    edge_factors(5, 3, "1/2")
+    one_edge_factors(5, 3, "1/2")
     before = dct._sequences.cache_info()
-    edge_factors(5, 3, Fraction(1, 2))
+    one_edge_factors(5, 3, Fraction(1, 2))
     restricted_hitting(5, 3, HALF, TreeVertex.make(1, {1: 1}), TreeVertex.make(2, {2: 2}))
     after = dct._sequences.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses) and after.hits > before.hits
     # a refusal is not cached: each call misses and refuses again
     for _ in range(2):
         with pytest.raises(ValueError, match="strictly between 0 and 1"):
-            edge_factors(5, 3, "3/2")
+            one_edge_factors(5, 3, "3/2")
     refused = dct._sequences.cache_info()
     assert (refused.currsize, refused.misses) == (after.currsize, after.misses + 2)
     # more keys than the size leave the cache full, not larger
@@ -406,7 +407,7 @@ def test_up_rate_outside_the_unit_interval_is_refused():
     for up in BAD_ALPHAS:
         for _ in range(2):  # a refusal is not cached: the second call refuses again
             with pytest.raises(ValueError, match="strictly between 0 and 1"):
-                edge_factors(2, 2, up)
+                one_edge_factors(2, 2, up)
             with pytest.raises(ValueError, match="strictly between 0 and 1"):
                 restricted_hitting(3, 2, Fraction(up), ROOT, TreeVertex(3, ()))
     assert dct._sequences.cache_info().currsize == size
@@ -464,21 +465,24 @@ def test_product_formula_stage1():
         verify_product_formula(build_truncation(1, DLParams(2, 2), THIRD, "tree1"))
 
 
-def test_product_formula_reports_each_tampered_entry():
+def test_verify_table_rejects_each_tampered_entry():
+    # Each entry off by 1/7, alone or together, fails the certificate; the
+    # pairwise oracle names exactly the entries changed.
     c = build_truncation(1, DLParams(2, 3), THIRD, "dl")
-    t = hitting_table(c)
-    rows = [list(row) for row in t.rows]
-    changed = {(c.interior[0], c.boundary[0]), (c.interior[-1], c.boundary[-1])}
-    for x, y in changed:
-        rows[c.index[x]][t.boundary_index[y]] += Fraction(1, 7)
-    tampered = dct.HittingTable(c, tuple(map(tuple, rows)))
-    report = verify_product_formula(c, table=tampered)
-    assert report.checked == len(c.vertices) * len(c.boundary)
-    assert {(x, y) for x, y, _, _ in report.discrepancies} == changed
-    for x, y, got, want in report.discrepancies:
-        assert type(got) is Fraction
-        assert got == t.value(x, y) + Fraction(1, 7) and want == t.value(x, y)
-    assert verify_product_formula(c, table=t).discrepancies == ()
+    t, lay = hitting_table(c), dct._layout(c)
+    dct._verify_table(t, lay)
+    changed = [(c.interior[0], c.boundary[0]), (c.interior[-1], c.boundary[-1])]
+    for entries in ([changed[0]], [changed[1]], changed):
+        rows = [list(row) for row in t.rows]
+        for x, y in entries:
+            rows[c.index[x]][t.boundary_index[y]] += Fraction(1, 7)
+        tampered = dct.HittingTable(c, tuple(map(tuple, rows)))
+        with pytest.raises(AssertionError):
+            dct._verify_table(tampered, lay)
+        report = product_report_by_pairs(c, tampered)
+        assert [(x, y) for x, y, _, _ in report.discrepancies] == entries
+        for x, y, got, want in report.discrepancies:
+            assert got == t.value(x, y) + Fraction(1, 7) and want == t.value(x, y)
 
 
 def product_report_by_pairs(chain, table):
@@ -499,9 +503,11 @@ def product_report_by_pairs(chain, table):
 
 @pytest.mark.parametrize("q, r, n, alpha", [(2, 3, 2, THIRD), (3, 2, 2, Fraction(3, 5)), (3, 3, 1, Fraction(2, 3))])
 def test_product_report_equals_the_pairwise_check(q, r, n, alpha):
+    # Every certified entry equals its one-tree factor, and a tampered table
+    # fails the certificate.
     c = build_truncation(n, DLParams(q, r), alpha, "dl")
     t = hitting_table(c)
-    assert verify_product_formula(c, table=t) == product_report_by_pairs(c, t)
+    assert verify_product_formula(c) == product_report_by_pairs(c, t) == dct.ProductReport(t.nums.size, ())
     rng = random.Random(RNG_SEED + 100 * q + 10 * r + n)
     rows = [list(row) for row in t.rows]
     for _ in range(6):  # single entries, boundary rows included
@@ -510,14 +516,15 @@ def test_product_report_equals_the_pairwise_check(q, r, n, alpha):
         for row in rows:
             row[b] = Fraction(0)
     tampered = dct.HittingTable(c, tuple(map(tuple, rows)))
-    report = verify_product_formula(c, table=tampered)
-    assert report == product_report_by_pairs(c, tampered)
-    assert len(report.discrepancies) > 6
+    with pytest.raises(AssertionError):
+        dct._verify_table(tampered, dct._layout(c))
+    assert len(product_report_by_pairs(c, tampered).discrepancies) > 6
 
 
-def test_product_formula_reports_entries_over_the_same_denominators():
+def test_verify_table_rejects_entries_swapped_over_the_same_denominators():
     # Two unequal entries of one column swapped: the column keeps its
-    # denominator, and both entries are reported.
+    # denominator, the certificate fails, and the pairwise oracle names both
+    # entries.
     c = build_truncation(2, DLParams(2, 3), THIRD, "dl")
     t = hitting_table(c)
     rows = [list(row) for row in t.rows]
@@ -527,8 +534,9 @@ def test_product_formula_reports_entries_over_the_same_denominators():
     rows[i][b], rows[j][b] = rows[j][b], rows[i][b]
     tampered = dct.HittingTable(c, tuple(map(tuple, rows)))
     assert tampered.dens == t.dens
-    report = verify_product_formula(c, table=tampered)
-    assert report == product_report_by_pairs(c, tampered)
+    with pytest.raises(AssertionError):
+        dct._verify_table(tampered, dct._layout(c))
+    report = product_report_by_pairs(c, tampered)
     assert {(x, y) for x, y, _, _ in report.discrepancies} == {
         (c.vertices[i], c.boundary[b]),
         (c.vertices[j], c.boundary[b]),
@@ -548,7 +556,7 @@ def test_represent_equals_the_row_sum(data):
     c = build_truncation(1, DLParams(2, 3), Fraction(2, 5), "dl")
     t = hitting_table(c)
     boundary = {y: data.draw(boundary_values) for y in c.boundary}
-    values = represent(c, boundary, table=t)
+    values = represent(c, boundary)
     assert list(values) == list(c.vertices)
     for x, row in zip(c.vertices, t.rows):
         want = sum((row[b] * Fraction(boundary[y]) for b, y in enumerate(c.boundary)), Fraction(0))
@@ -558,23 +566,22 @@ def test_represent_equals_the_row_sum(data):
 def test_represent_constants_and_deltas():
     c = build_truncation(1, DLParams(2, 2), HALF, "dl")
     t = hitting_table(c)
-    values = represent(c, {y: Fraction(3) for y in c.boundary}, table=t)
+    values = represent(c, {y: Fraction(3) for y in c.boundary})
     assert all(v == 3 for v in values.values())
     y0 = c.boundary[0]
-    delta = represent(c, {y: Fraction(1 if y == y0 else 0) for y in c.boundary}, table=t)
+    delta = represent(c, {y: Fraction(1 if y == y0 else 0) for y in c.boundary})
     for x in c.vertices:
         assert delta[x] == t.value(x, y0)
     with pytest.raises(ValueError):
-        represent(c, {y0: Fraction(1)}, table=t)
+        represent(c, {y0: Fraction(1)})
 
 
 def test_represent_min_principle():
     rng = random.Random(RNG_SEED)
     c = build_truncation(1, DLParams(2, 3), Fraction(2, 5), "dl")
-    t = hitting_table(c)
     for _ in range(50):
         data = {y: Fraction(rng.randrange(0, 100), 100) for y in c.boundary}
-        values = represent(c, data, table=t)
+        values = represent(c, data)
         lo, hi = min(data.values()), max(data.values())
         assert all(lo <= v <= hi for v in values.values())
 
@@ -943,7 +950,7 @@ def test_both_readers_of_the_residual_check_the_last_interior_row(kind):
         dct._verify_table(dct.HittingTable(c, tuple(rows)), lay)
     if kind != "dl":
         return
-    values = represent(c, {y: Fraction(c.index[y] % 5, 3) for y in c.boundary}, table=t)
+    values = represent(c, {y: Fraction(c.index[y] % 5, 3) for y in c.boundary})
     decompose(values.__getitem__, 1, p, THIRD)
     off = lambda v: values[v] + (Fraction(1, 7) if v == last else 0)
     with pytest.raises(ValueError, match=re.escape(f"not harmonic on the interior; witness {last}")):
@@ -982,7 +989,7 @@ def test_certificate_rejects_a_corrupted_class_value(monkeypatch, capsys):
 
 def edge_by_edge(n, branch, up, x, y):
     """Test-local oracle: walk the geodesic ``x -> y`` one edge at a time."""
-    d, u = edge_factors(n, branch, up)
+    d, u = one_edge_factors(n, branch, up)
     out = Fraction(1)
     while x != y:
         if x.level >= y.level:
@@ -1365,24 +1372,116 @@ def test_restricted_hitting_reads_a_string_rate():
     assert restricted_hitting(2, 3, "1/3", ROOT, y) == restricted_hitting(2, 3, THIRD, ROOT, y)
 
 
-def test_represent_builds_its_own_table():
-    chain = build_truncation(1, DLParams(2, 3), THIRD)
-    data = {y: Fraction(i, 7) for i, y in enumerate(chain.boundary)}
-    assert represent(chain, data) == represent(chain, data, table=hitting_table(chain))
+def table_dot_product(table, data):
+    """Test-local oracle: ``x -> sum_b F(x, y_b) data[y_b]`` from the table's
+    integer columns, as one dot product over the lcm of ``data[y_b] / dens[b]``."""
+    chain = table.chain
+    weights = [Fraction(data[y]) / d for y, d in zip(chain.boundary, table.dens)]
+    common = lcm(*(w.denominator for w in weights))
+    ints = np.array([w.numerator * (common // w.denominator) for w in weights], dtype=object)
+    return {x: Fraction(total, common) for x, total in zip(chain.vertices, table.nums.dot(ints).tolist())}
 
 
-def test_a_table_of_another_chain_is_refused():
-    # At alpha 1/2 the 1/3 table gives another extension, and a DL(2,3)
-    # table does not fit the DL(2,2) chain's shape.
-    chain = build_truncation(1, DLParams(2, 2), HALF)
-    data = {y: Fraction(i, 7) for i, y in enumerate(chain.boundary)}
-    for other in (build_truncation(1, DLParams(2, 2), THIRD), build_truncation(1, DLParams(2, 3), HALF)):
-        table = hitting_table(other)
-        named = re.escape(f"the table is of {other}, not of {chain}")
-        with pytest.raises(ValueError, match=named):
-            represent(chain, data, table=table)
-        with pytest.raises(ValueError, match=named):
-            verify_product_formula(chain, table=table)
+def kept_tables():
+    """``(kind, n, q, r)`` of every chain with ``q, r`` in {2, 3} whose table
+    is kept by ``_certified``: at most ``_MAX_KEPT_BYTES`` at eight an entry."""
+    for kind in ("dl", "tree1", "tree2"):
+        for q in (2, 3):
+            for r in (2, 3):
+                n = 1
+                while True:
+                    interior, nb, _ = dct._counts(n, *dct._walk_shape(kind, DLParams(q, r)))
+                    if 8 * (interior + nb) * nb > dct._MAX_KEPT_BYTES:
+                        break
+                    yield kind, n, q, r
+                    n += 1
+
+
+def test_represent_equals_the_table_dot_product():
+    # the extension by the product formula equals the table's dot product with
+    # the data, on every chain kind and shape whose table is kept
+    rng = random.Random(RNG_SEED + 16)
+    cases = list(kept_tables())
+    assert len(cases) == 29 and ("dl", 3, 2, 2) in cases and ("dl", 2, 3, 3) in cases
+    for kind, n, q, r in cases:
+        for alpha in (THIRD, HALF, Fraction(5, 7)):
+            c = build_truncation(n, DLParams(q, r), alpha, kind)
+            data = {y: Fraction(rng.randrange(-60, 60), rng.randrange(1, 40)) for y in c.boundary}
+            values = represent(c, data)
+            assert list(values) == list(c.vertices)
+            assert values == table_dot_product(hitting_table(c), data)
+
+
+def test_represent_solves_a_stage_past_the_table_cap(monkeypatch):
+    # DL(2,2) n = 6 has no table (12.0 GiB), but its extension is solved and
+    # certified: equal to the data on the boundary, with a zero residual on
+    # all 53,248 vertices, and harmonic under the walk's own transitions.
+    p = DLParams(2, 2)
+    with pytest.raises(ValueError, match="12.0 GiB"):
+        dct.check_solve_size(6, p)
+    c = build_truncation(6, p, THIRD)
+    rng = random.Random(RNG_SEED + 6)
+    data = {y: Fraction(rng.randrange(0, 9), rng.randrange(1, 4)) for y in c.boundary}
+    seen = []
+    residual = dct._residual
+
+    def recording(ints, lay):
+        out = residual(ints, lay)
+        seen.append((len(ints), int(np.count_nonzero(out))))
+        return out
+
+    monkeypatch.setattr(dct, "_residual", recording)
+    values = represent(c, data)
+    assert seen == [(53248, 0)]
+    assert all(values[y] == data[y] for y in c.boundary)
+    op = dct.default_operator(c)
+    for v in rng.sample(c.interior, 40):
+        assert apply(op, values.__getitem__, v) == values[v]
+
+
+def raise_one_class_value(monkeypatch, key, lv=0):
+    """Monkeypatch ``_class_values`` so that the entry of ``key`` for ``x`` on
+    level ``lv`` of the tree and ``x ⋏ y`` on the same level is one larger.
+    The corrupted copy is built from the uncached builder, so no cache keeps
+    it."""
+    build = dct._class_values.__wrapped__
+
+    def one_raised(*args):
+        common, levels = build(*args)
+        if args != key:
+            return common, levels
+        n = args[0]
+        level = levels[n + lv].copy()
+        level[-1] += 1
+        return common, levels[: n + lv] + (level,) + levels[n + lv + 1 :]
+
+    monkeypatch.setattr(dct, "_class_values", one_raised)
+
+
+def test_represent_certificate_rejects_a_corrupted_class_value(monkeypatch):
+    # alpha 4/13 is this test's own rate key: the caches are cleared around
+    # the corrupted run and nothing else reads the key.
+    p, alpha = DLParams(2, 2), Fraction(4, 13)
+    c = build_truncation(2, p, alpha)
+    data = {y: Fraction(1 + i % 5, 3) for i, y in enumerate(c.boundary)}
+    want = represent(c, data)
+    dct._class_values.cache_clear()
+    for key in ((2, 2, 4, 13), (2, 2, 9, 13)):  # the first tree's slab, then the second's
+        raise_one_class_value(monkeypatch, key)
+        with pytest.raises(AssertionError, match="exact residual"):
+            represent(c, data)
+        with pytest.raises(AssertionError, match="splitting failed to reconstruct h"):
+            decompose(want.__getitem__, 2, p, alpha)
+        monkeypatch.undo()
+    # on a leaf's own class the extension misses the data on the boundary
+    raise_one_class_value(monkeypatch, (2, 2, 4, 13), lv=2)
+    with pytest.raises(AssertionError, match="differs from the boundary data"):
+        represent(c, data)
+    monkeypatch.undo()
+    dct._class_values.cache_clear()
+    assert represent(c, data) == want
+    dec = decompose(want.__getitem__, 2, p, alpha)
+    assert dec.h1[ROOT] + dec.h2[ROOT] == want[origin(p)]
 
 
 def test_a_table_of_an_equal_chain_is_read():
@@ -1390,24 +1489,26 @@ def test_a_table_of_an_equal_chain_is_read():
     p = DLParams(2, 2)
     chain = build_truncation(1, p, HALF)
     data = {y: Fraction(int(y.x1.level == chain.n)) for y in chain.boundary}
+    values = represent(chain, data)
+    assert values[origin(p)] == Fraction(1, 2)
     for table in (hitting_table(chain), hitting_table(build_truncation(1, p, "1/2"))):
-        values = represent(chain, data, table=table)
-        assert values[origin(p)] == Fraction(1, 2)
         assert values == {x: sum(f * data[y] for f, y in zip(row, chain.boundary))
                           for x, row in zip(chain.vertices, table.rows)}
-        assert verify_product_formula(chain, table=table) == dct.ProductReport(12 * 8, ())
+    assert verify_product_formula(chain) == dct.ProductReport(12 * 8, ())
 
 
 def test_decompose_reports_a_failed_reconstruction(monkeypatch):
-    def off_at_the_root(*args):
-        scale, out = real(*args)
-        out[ROOT] += 1
-        return scale, out
-
-    real = dct._slab_extension
-    monkeypatch.setattr(dct, "_slab_extension", off_at_the_root)
+    # alpha 5/17 is this test's own rate key.  h = 1 is harmonic, so the
+    # splitting fails only through the raised class value of the second
+    # tree's slab (rate 12/17).
+    dct._class_values.cache_clear()
+    raise_one_class_value(monkeypatch, (1, 2, 12, 17))
     with pytest.raises(AssertionError, match="splitting failed to reconstruct h"):
-        decompose(lambda v: Fraction(1), 1, DLParams(2, 2), HALF)
+        decompose(lambda v: Fraction(1), 1, DLParams(2, 2), Fraction(5, 17))
+    monkeypatch.undo()
+    dct._class_values.cache_clear()
+    dec = decompose(lambda v: Fraction(1), 1, DLParams(2, 2), Fraction(5, 17))
+    assert dec.h1[ROOT] + dec.h2[ROOT] == 1
 
 
 def test_kernel_approx_refuses_a_zero_measure_leaf():
