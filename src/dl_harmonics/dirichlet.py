@@ -15,9 +15,9 @@ coordinate one level, so interior levels ``-n < k < n`` move only to ``k ±
 Sizes: ``|S| = sum_{k=-n}^{n} q^{n+k} r^{n-k}`` and ``|bd S| = q^{2n} +
 r^{2n}``.  A tree truncation is the case whose second tree is a line.  A
 ``FiniteChain`` is the description ``(kind, n, params, alpha)``, checked when
-it is built; its vertices are enumerated only when read, and tables, their
-certificate, the product check and the kernel approximants run from the
-description without them.
+it is built; its vertices are enumerated only when read, once per shape for
+shapes kept in a cache, and tables, their certificate, the product check and
+the kernel approximants run from the description without them.
 
 ``hitting_table`` certifies rather than solves.  Fix a boundary column
 ``(y1, a2)``: the stabiliser of ``y1`` in Aut(S1) x Aut(S2) fixes the column
@@ -49,10 +49,11 @@ sequences, so with ``x ⋏ y``, ``x``, ``y`` on levels ``c``, ``lx``, ``ly``::
 (a factor is 1 at gap 0), and tables, the kernel approximants and the
 Dirichlet problem need no matrix solve: ``_extend`` sums each slab's data
 into its tree by these products, ``represent`` certifies the sum by the
-walk's equations and ``decompose`` splits ``h = h1 + h2`` along it.  Six
+walk's equations and ``decompose`` splits ``h = h1 + h2`` along it.  Eight
 read-only caches keyed on integers hold each rate's sequences, level's class
-grid, shape's move slots, slab's class values as integers, the walk's integer
-row and each chain's certified table; a grid or table over 1 MiB is not kept.
+grid, shape's move slots and vertices, subtree's levels, slab's class values
+as integers, the walk's integer row and each chain's certified table; a grid
+or table over 1 MiB, or a shape over ``_KEPT_VERTICES`` vertices, is not kept.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product as _cartesian
 from math import lcm
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -109,11 +111,13 @@ class FiniteChain:
     Building one checks the kind, ``n >= 1``, ``params.level_sum == 0`` and
     ``0 < alpha < 1``, and stores ``alpha`` as a Fraction.
 
-    ``vertices`` is enumerated on first read, level by level as ``_Layout``
-    numbers them, and the vertex cap runs then; ``boundary`` (levels ``-n``
-    and ``n``, the walk's exit set) and ``interior`` are slices of it.  Tables
-    and the product check work from the level sizes and read no vertex;
-    ``represent`` and ``decompose`` read them only to key data and answers.
+    ``vertices`` is read through ``_enumerate`` on first read, level by level
+    as ``_Layout`` numbers them, and the vertex cap runs then; chains of one
+    shape, at any alpha, share one kept tuple up to ``_KEPT_VERTICES``.
+    ``boundary`` (levels ``-n`` and ``n``, the walk's exit set) and
+    ``interior`` are slices of it.  Tables and the product check work from the
+    level sizes and read no vertex; ``represent`` and ``decompose`` read them
+    only to key data and answers.
     """
 
     kind: str  # "dl", "tree1" or "tree2"
@@ -131,7 +135,7 @@ class FiniteChain:
 
     @_cached
     def vertices(self) -> tuple:
-        """Every vertex, levels ``-n..n``, enumerated on first read."""
+        """Every vertex, levels ``-n..n``, the shape's tuple from ``_enumerate`` on first read."""
         return _enumerate(self)
 
     @_cached
@@ -164,12 +168,22 @@ class FiniteChain:
 TruncationStage = FiniteChain
 
 
-def _tree_levels(n: int, branch: int) -> dict[int, list[TreeVertex]]:
-    """Vertices of the height-2n rooted subtree, grouped by level."""
-    levels = {-n: [TreeVertex(-n, ())]}
+def _tree_levels(n: int, branch: int) -> Mapping[int, tuple]:
+    """Vertices of the height-2n rooted subtree, a read-only mapping from
+    level to the level's vertices in successor-label order; kept per ``(n,
+    branch)`` while the subtree has at most ``_KEPT_VERTICES``, built per
+    call above that."""
+    kept = sum(_counts(n, branch, 1)[:2]) <= _KEPT_VERTICES
+    return (_kept_levels if kept else _kept_levels.__wrapped__)(n, branch)
+
+
+@lru_cache(maxsize=64)
+def _kept_levels(n: int, branch: int) -> Mapping[int, tuple]:
+    """The levels of ``_tree_levels``, built once per key."""
+    levels = {-n: (TreeVertex(-n, ()),)}
     for k in range(-n + 1, n + 1):
-        levels[k] = [w for v in levels[k - 1] for w in _successors(v, branch)]
-    return levels
+        levels[k] = tuple([w for v in levels[k - 1] for w in _successors(v, branch)])
+    return MappingProxyType(levels)
 
 
 def default_operator(chain: FiniteChain):
@@ -179,6 +193,9 @@ def default_operator(chain: FiniteChain):
 
 # Most vertices a chain may enumerate.
 _MAX_VERTICES = 500_000
+# Most vertices of a chain's or a subtree's enumeration kept in a cache: at
+# about 200 bytes a vertex or less, a kept shape stays under _MAX_KEPT_BYTES.
+_KEPT_VERTICES = 4096
 
 
 def build_truncation(n: int, params: DLParams, alpha: Fraction, kind: str = "dl") -> FiniteChain:
@@ -199,16 +216,25 @@ def _enumerate(chain: FiniteChain) -> tuple:
     """The chain's vertices, level by level: level ``k`` of the ``ups``-tree
     times level ``-k`` of the ``downs``-tree.  A tree chain's second tree is
     the line ``downs = 1``, and its vertex is the first coordinate alone.
-    A chain past ``_MAX_VERTICES`` is refused before any vertex is built.
+    A chain past ``_MAX_VERTICES`` is refused, on every call, before any
+    vertex is read.  The tuple depends only on the shape ``(kind == "dl", n,
+    ups, downs)``, not on alpha, so chains of one shape share it: kept per
+    shape up to ``_KEPT_VERTICES`` and built per call above that.
     """
     n = _check_vertex_count(chain).n
     ups, downs = _walk_shape(chain.kind, chain.params)
-    lv1, lv2 = _tree_levels(n, ups), _tree_levels(n, downs)
-    vertices = []
-    for k in range(-n, n + 1):
-        for xs in _cartesian(lv1[k], lv2[-k]):
-            vertices.append(_new(DLVertex, xs) if chain.kind == "dl" else xs[0])
-    return tuple(vertices)
+    kept = sum(_counts(n, ups, downs)[:2]) <= _KEPT_VERTICES
+    return (_shape_vertices if kept else _shape_vertices.__wrapped__)(chain.kind == "dl", n, ups, downs)
+
+
+@lru_cache(maxsize=64)
+def _shape_vertices(dl: bool, n: int, ups: int, downs: int) -> tuple:
+    """The vertices of ``_enumerate``, built once per shape."""
+    lv1 = _tree_levels(n, ups)
+    if not dl:
+        return tuple([x for k in range(-n, n + 1) for x in lv1[k]])
+    lv2 = _tree_levels(n, downs)
+    return tuple([_new(DLVertex, xs) for k in range(-n, n + 1) for xs in _cartesian(lv1[k], lv2[-k])])
 
 
 @dataclass(frozen=True, init=False, eq=False)

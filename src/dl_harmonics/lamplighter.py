@@ -43,7 +43,7 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from .dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours
-from .tree import TreeEnd, TreeVertex, _brief, _canon, _check_word, _half_excess, _json_int, _json_pairs, _new
+from .tree import TreeEnd, TreeVertex, _brief, _canon, _check_word, _end, _half_excess, _json_int, _json_pairs, _new
 
 __all__ = [
     "GroupElement",
@@ -315,13 +315,16 @@ def defect_oplus(a: GroupElement, xi: BoundaryConfig) -> int:
 
 
 def end_plus(xi: BoundaryConfig) -> TreeEnd:
-    """The end of the first tree whose ray reads off ``xi``'s lamps."""
-    return TreeEnd(_side_labels(xi, "+", "end_plus"))
+    """The end of the first tree whose ray reads off ``xi``'s lamps, built
+    unchecked: ``BoundaryConfig`` checked the word when it was built."""
+    return _end(_side_labels(xi, "+", "end_plus"))
 
 
 def end_minus(xi: BoundaryConfig) -> TreeEnd:
-    """The end of the second tree carrying ``xi``: site ``n`` maps to key ``1 - n``."""
-    return TreeEnd(_mirror(_side_labels(xi, "-", "end_minus")))
+    """The end of the second tree carrying ``xi``: site ``n`` maps to key
+    ``1 - n``.  The mirror of a canonical word is canonical, so the end is
+    built unchecked."""
+    return _end(_mirror(_side_labels(xi, "-", "end_minus")))
 
 
 def element_to_json(a: GroupElement) -> dict:

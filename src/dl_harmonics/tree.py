@@ -69,6 +69,14 @@ Labels = tuple[tuple[int, int], ...]
 _new = tuple.__new__
 
 
+def _end(labels: Labels) -> "TreeEnd":
+    """The word end of ``labels``, a word already known to be canonical, built unchecked."""
+    end = object.__new__(TreeEnd)
+    object.__setattr__(end, "labels", labels)
+    object.__setattr__(end, "is_omega", False)
+    return end
+
+
 def _canon(mapping: Mapping[int, int] | Iterable[tuple[int, int]], q: int | None = None) -> Labels:
     """Canonical label tuple: values reduced mod ``q`` (when given), zeros
     dropped, keys sorted.  Values are not checked here: every word built from

@@ -55,6 +55,7 @@ def lru_caches():
 def test_every_lru_cache_has_a_fixed_size():
     caches = dict(lru_caches())
     required = {"dirichlet._class_values", "dirichlet._walk_row", "dirichlet._confluent_levels", "dirichlet._sequences",
-                "kernels._factors"}
+                "dirichlet._move_slots", "dirichlet._certified", "dirichlet._kept_levels", "dirichlet._shape_vertices",
+                "kernels._factors", "lamplighter._generators", "cli._parser"}
     assert required <= caches.keys()
     assert {name: size for name, size in caches.items() if type(size) is not int or size <= 0} == {}

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -1172,6 +1173,81 @@ def test_a_class_grid_past_the_byte_bound_is_built_for_the_call():
     assert dct._confluent_levels.cache_info().currsize == size
     assert not grid.flags.writeable and (grid == dct._confluent_levels.__wrapped__(4, 3, 1)).all()
     assert dct._class_grid(2, 3, 1) is dct._confluent_levels(2, 3, 1)
+
+
+@pytest.mark.parametrize("kind", ["dl", "tree1", "tree2"])
+def test_chains_of_one_shape_share_one_vertex_tuple(kind):
+    p = DLParams(2, 3)
+    third, half = build_truncation(2, p, THIRD, kind), build_truncation(2, p, HALF, kind)
+    assert third != half and third.vertices is half.vertices
+    assert third.vertices is dct._enumerate(FiniteChain(kind, 2, p, Fraction(2, 3)))
+    vertices = third.vertices
+    with pytest.raises(TypeError):
+        vertices[0] = vertices[1]
+    with pytest.raises(AttributeError):
+        vertices[-1].labels = ()
+
+
+def test_kept_tree_levels_are_read_only():
+    levels = dct._tree_levels(2, 3)
+    assert levels is dct._tree_levels(2, 3) and all(type(vs) is tuple for vs in levels.values())
+    with pytest.raises(TypeError):
+        levels[0] = ()
+    with pytest.raises(TypeError):
+        del levels[-2]
+    with pytest.raises(AttributeError):
+        levels.clear()
+    assert list(levels) == list(range(-2, 3)) and levels[-2] == (TreeVertex(-2, ()),)
+
+
+def test_a_shape_past_the_vertex_bound_is_enumerated_for_the_call():
+    # DL(2,2) n = 5 has 11,264 vertices; its subtrees, 2,047 each, are kept.
+    p = DLParams(2, 2)
+    size = dct._shape_vertices.cache_info().currsize
+    third, half = build_truncation(5, p, THIRD).vertices, build_truncation(5, p, HALF).vertices
+    assert len(third) == 11264 > dct._KEPT_VERTICES
+    assert dct._shape_vertices.cache_info().currsize == size
+    assert third == half and third is not half
+    # the stage-6 binary subtree has 8,191 vertices
+    size = dct._kept_levels.cache_info().currsize
+    levels = dct._tree_levels(6, 2)
+    assert sum(map(len, levels.values())) == 8191 > dct._KEPT_VERTICES
+    assert dct._kept_levels.cache_info().currsize == size
+    assert levels == dct._tree_levels(6, 2) and levels is not dct._tree_levels(6, 2)
+    with pytest.raises(TypeError):
+        levels[0] = ()
+
+
+def test_the_vertex_cap_refuses_a_kept_shape_on_every_read(monkeypatch):
+    p = DLParams(2, 2)
+    kept = build_truncation(1, p, HALF).vertices
+    monkeypatch.setattr(dct, "_MAX_VERTICES", 11)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^truncation would have 12 vertices \(cap 11\)$"):
+            FiniteChain("dl", 1, p, THIRD).vertices
+        with pytest.raises(ValueError, match=r"^truncation would have 12 vertices \(cap 11\)$"):
+            dct._enumerate(FiniteChain("dl", 1, p, HALF))
+    monkeypatch.undo()
+    assert FiniteChain("dl", 1, p, THIRD).vertices is kept
+
+
+def test_every_kept_shape_stays_under_the_byte_bound():
+    # Each shape within _KEPT_VERTICES, built cold with its subtrees, for
+    # branching 2 to 7: DL(2,7) n = 2 (3,355 vertices) peaks highest, near 0.6 MB.
+    shapes = [(True, q, r) for q in range(2, 8) for r in range(2, 8)] + [(False, q, 1) for q in range(2, 8)]
+    peaks = []
+    for dl, ups, downs in shapes:
+        n = 1
+        while sum(dct._counts(n, ups, downs)[:2]) <= dct._KEPT_VERTICES:
+            dct._kept_levels.cache_clear()
+            tracemalloc.start()
+            try:
+                dct._shape_vertices.__wrapped__(dl, n, ups, downs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            n += 1
+    assert len(peaks) > len(shapes) and max(peaks) <= dct._MAX_KEPT_BYTES
 
 
 def test_an_equal_chain_reads_its_table_from_the_cache(monkeypatch):

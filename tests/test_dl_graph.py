@@ -191,6 +191,30 @@ def test_translation_transitivity():
             assert phi(w) in dl_neighbours(v, p)
 
 
+@st.composite
+def wide_vertices(draw, p):
+    """A vertex on ``p``'s sheet, its first coordinate on a level out to
+    ±20, each coordinate labelled on up to 8 of the 20 keys at and below its
+    level; both built with ``TreeVertex.make``."""
+
+    def coordinate(level, branch):
+        keys = draw(st.lists(st.integers(level - 19, level), max_size=8, unique=True))
+        return TreeVertex.make(level, {j: draw(st.integers(0, branch - 1)) for j in keys})
+
+    k = draw(st.integers(-20, 20))
+    return DLVertex(coordinate(k, p.q), coordinate(p.level_sum - k, p.r))
+
+
+@pytest.mark.parametrize("p", [DLParams(2, 3), DLParams(3, 2, level_sum=1)], ids=["DL(2,3)", "DL(3,2)+1"])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_translations_carry_neighbour_lists_onto_neighbour_lists(p, data):
+    t, v = data.draw(wide_vertices(p)), data.draw(wide_vertices(p))
+    phi = translation_to(t, p)
+    assert {phi(w) for w in dl_neighbours(v, p)} == set(dl_neighbours(phi(v), p))
+    assert {phi(w) for w in dls_neighbours(v, p)} == set(dls_neighbours(phi(v), p))
+
+
 def label_loop_translation(target, params):
     """``translation_to`` as a union-of-keys loop over the shifted labels and
     the target's, each key reduced and zero-dropped on its own."""
@@ -318,5 +342,5 @@ def test_successor_lists_match_the_successor_reference_in_order(q, level, labels
 def test_tree_levels_match_the_successor_reference(q, n):
     levels, want = _tree_levels(n, q), [TreeVertex(-n, ())]
     for k in range(-n, n + 1):
-        assert levels[k] == want
+        assert list(levels[k]) == want
         want = [w for v in want for w in ref_successors(v, q)]

@@ -2,14 +2,15 @@ import itertools
 import json
 import random
 from bisect import bisect_right
+from fractions import Fraction
 from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dl_harmonics import lamplighter
+from dl_harmonics import lamplighter, tree
 from dl_harmonics.dl_graph import DLParams, DLVertex, dl_neighbours, dls_neighbours, factor_map
-from dl_harmonics.kernels import defect_kernel
+from dl_harmonics.kernels import defect_kernel, martin_kernel_tree
 from dl_harmonics.lamplighter import (
     BoundaryConfig,
     GeneratorModel,
@@ -527,3 +528,32 @@ def test_ends_refuse_the_other_side():
         end_plus(BoundaryConfig("-", ((1, 1),)))
     with pytest.raises(ValueError, match="end_minus needs a '-' side configuration"):
         end_minus(BoundaryConfig("+", ((1, 1),)))
+
+
+def test_a_boundary_end_is_checked_by_its_config_and_its_kernel_alone(monkeypatch):
+    # BoundaryConfig checks xi's word and martin_kernel_tree range-checks the
+    # end: end_plus and end_minus build the end unchecked in between.
+    a, p = GroupElement.make({-1: 1, 2: 1}, 1, 2), DLParams(2, 2)
+    calls, real = [], tree._check_word
+
+    def counted(labels, *args, **kwargs):
+        calls.append(labels)
+        return real(labels, *args, **kwargs)
+
+    for module in (tree, lamplighter):
+        monkeypatch.setattr(module, "_check_word", counted)
+    xi = BoundaryConfig.make("+", {1: 1, 3: 1})
+    value = martin_kernel_tree(1, encode(a).x1, end_plus(xi), Fraction(1, 3), p)
+    assert len(calls) == 4 and calls.count(xi.labels) == 2
+    monkeypatch.undo()
+    assert value == martin_kernel_tree(1, encode(a).x1, TreeEnd(xi.labels), Fraction(1, 3), p)
+    xi_m = BoundaryConfig.make("-", {-2: 1, 0: 1})
+    assert end_plus(xi) == TreeEnd(xi.labels) and end_minus(xi_m) == TreeEnd(((1, 1), (3, 1)))
+    # the refusals are unchanged: a bad word in the config, a label out of the kernel's range
+    with pytest.raises(ValueError, match="^zero labels must not be stored$"):
+        BoundaryConfig("+", ((1, 0),))
+    with pytest.raises(ValueError, match=r"^label keys must be strictly increasing$"):
+        BoundaryConfig("-", ((2, 1), (1, 1)))
+    for end in (end_plus(BoundaryConfig("+", ((1, 2),))), end_minus(BoundaryConfig("-", ((0, 2),)))):
+        with pytest.raises(ValueError, match=r"^label 2 at 1 outside range\(0, 2\)$"):
+            martin_kernel_tree(1, ROOT, end, Fraction(1, 3), p)
